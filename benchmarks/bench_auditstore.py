@@ -18,13 +18,16 @@ log.  This measures the event-sourced store (``SegmentedAuditStore`` +
 * **durable-ablation** — single-append throughput through
   ``DurableAuditStore`` over memory blobs under each flush policy
   (every-append / every-n / every-seal), against the plain segmented
-  store: what each durability cadence costs on the append path.
+  store: what each durability cadence costs on the append path, and how
+  many times each appended entry was serialised on the way (exactly
+  once: a flush encodes only the entries new since the last one).
 * **durable-recovery** — a million-entry durable store is spilled at
   several segment sizes, then recovered from its crash image alone;
   recovery must verify the full chain and its throughput is recorded
   per segment count.
 
-The machine-stable ratios (``meta.speedups``) are gated in CI by
+The machine-stable ratios (``meta.speedups``) and the exact counts
+(``meta.counts``, entry encodes per appended entry) are gated in CI by
 ``check_perf.py`` against ``baselines/BENCH_auditstore_baseline.json``.
 
 Run directly for CI smoke (reduced entry count, same asserts):
@@ -35,9 +38,15 @@ Run directly for CI smoke (reduced entry count, same asserts):
 from __future__ import annotations
 
 import time
+from unittest import mock
 
 from repro.api import run_fleet
-from repro.auditstore import BlobImage, DurableAuditStore, SegmentedAuditStore
+from repro.auditstore import (
+    BlobImage,
+    DurableAuditStore,
+    SegmentedAuditStore,
+    codec,
+)
 from repro.auditstore.log import DISCLOSING_KINDS
 from repro.harness.results import ResultTable
 from repro.harness.runner import attach_perf, run_tasks, write_bench_json
@@ -53,8 +62,8 @@ FLEET_DEVICES = 10_000
 FLEET_DURATION = 6.0
 
 #: durable ablation: single appends, so the policy cadence is what's
-#: measured; small segments keep every-append's tail rewrites honest
-#: without drowning the run.
+#: measured; small segments bound the tail bytes every-append hashes
+#: and copies on each flush.
 ABLATION_ENTRIES = 50_000
 ABLATION_SEGMENT = 256
 
@@ -180,47 +189,64 @@ def run_fleet_arm(devices, duration):
     return probe
 
 
-def _append_rate(log, entries, t0=0.0):
-    """Single-append ``entries`` records; returns appends/s."""
+#: fresh stores per ablation arm, best rate kept: one arm is a fraction
+#: of a second, and a scheduler hiccup that long would swing a ratio.
+ABLATION_REPEATS = 3
+
+
+def _append_rate(make_log, entries):
+    """Single-append ``entries`` records into each of a few fresh logs;
+    returns (best appends/s, the last log filled)."""
     audit_ids = [i.to_bytes(3, "big") * 8 for i in range(64)]
-    start = time.perf_counter()
-    for i in range(entries):
-        log.append(t0 + i * 0.01, f"dev-{i % 128:05d}",
-                   KIND_CYCLE[i % len(KIND_CYCLE)],
-                   audit_id=audit_ids[i % len(audit_ids)])
-    elapsed = time.perf_counter() - start
-    return entries / elapsed if elapsed > 0 else 0.0
+    best_rate = 0.0
+    for _ in range(ABLATION_REPEATS):
+        log = make_log()
+        start = time.perf_counter()
+        for i in range(entries):
+            log.append(i * 0.01, f"dev-{i % 128:05d}",
+                       KIND_CYCLE[i % len(KIND_CYCLE)],
+                       audit_id=audit_ids[i % len(audit_ids)])
+        best_rate = max(best_rate, entries / (time.perf_counter() - start))
+    return best_rate, log
 
 
 def run_flush_ablation(entries):
     """Append throughput per flush policy vs the plain segmented store."""
     out = {"entries": entries, "segment_entries": ABLATION_SEGMENT}
 
-    plain = SegmentedAuditStore(name="bench",
-                                segment_entries=ABLATION_SEGMENT)
-    out["segmented"] = {"appends_per_s": round(_append_rate(plain,
-                                                            entries), 1)}
+    rate, _ = _append_rate(
+        lambda: SegmentedAuditStore(name="bench",
+                                    segment_entries=ABLATION_SEGMENT),
+        entries)
+    out["segmented"] = {"appends_per_s": round(rate, 1)}
 
     for policy, kwargs in (("every-append", {}),
                            ("every-n", {"flush_every": 64}),
                            ("every-seal", {})):
-        log = DurableAuditStore.create(
-            BlobStore("memory").namespace("audit/bench"),
-            name="bench",
-            segment_entries=ABLATION_SEGMENT,
-            flush_policy=policy,
-            **kwargs,
-        )
-        rate = _append_rate(log, entries)
+        encodes = [0]
+
+        def counting(entry, real=codec.encode_entry):
+            encodes[0] += 1
+            return real(entry)
+
+        with mock.patch.object(codec, "encode_entry", counting):
+            rate, log = _append_rate(
+                lambda: DurableAuditStore.create(
+                    BlobStore("memory").namespace("audit/bench"),
+                    name="bench",
+                    segment_entries=ABLATION_SEGMENT,
+                    flush_policy=policy,
+                    **kwargs,
+                ),
+                entries)
         durable = log.stats()["durable"]
         assert durable["unflushed_entries"] < ABLATION_SEGMENT
         out[policy] = {
             "appends_per_s": round(rate, 1),
             "flushes": durable["flushes"],
             "spilled_segments": durable["spilled_segments"],
+            "encodes_per_entry": encodes[0] / (ABLATION_REPEATS * entries),
         }
-        # a fresh namespace per policy: blob names are write-once
-        log.blobs.store._blobs.clear()
     return out
 
 
@@ -317,7 +343,8 @@ def auditstore_table(jobs=None, entries=N_ENTRIES,
         row = ablation[policy]
         detail = ("no durability" if policy == "segmented" else
                   f"{row['flushes']} flushes, "
-                  f"{row['spilled_segments']} spills")
+                  f"{row['spilled_segments']} spills, "
+                  f"{row['encodes_per_entry']:.3f} encodes/entry")
         durable.add(f"append [{policy}]", ablation["entries"],
                     f"{row['appends_per_s']:,.0f}/s", detail)
     for segment_entries, row in sorted(recovery["per_segment"].items(),
@@ -337,24 +364,32 @@ def auditstore_table(jobs=None, entries=N_ENTRIES,
         row["entries_per_s"] for row in recovery["per_segment"].values()
     )
     speedups = {
-        # batching cadences vs the worst-case per-append rewrite;
+        # durable cadences vs the plain store: what log-before-reply
+        # and group commit cost on top of the append itself;
         # single-process ratios, stable across machine speeds.
-        "every_n_over_every_append": round(
+        "every_append_over_segmented": round(
+            ablation["every-append"]["appends_per_s"]
+            / ablation["segmented"]["appends_per_s"], 2),
+        "every_n_over_segmented": round(
             ablation["every-n"]["appends_per_s"]
-            / ablation["every-append"]["appends_per_s"], 2),
-        "every_seal_over_every_append": round(
-            ablation["every-seal"]["appends_per_s"]
-            / ablation["every-append"]["appends_per_s"], 2),
+            / ablation["segmented"]["appends_per_s"], 2),
         # recovery throughput relative to the plain append path: if
         # decode/verify ever turns pathological this collapses.
         "recovery_over_append": round(
             best_recovery / ablation["segmented"]["appends_per_s"], 2),
+    }
+    # machine-independent: an entry is serialised at most once however
+    # often its segment is flushed.
+    counts = {
+        f"encodes_per_entry[{policy}]": ablation[policy]["encodes_per_entry"]
+        for policy in ("every-append", "every-n", "every-seal")
     }
     attach_perf(
         table, "auditstore", results, jobs=jobs,
         summaries={"views": views, "fleet": fleet,
                    "ablation": ablation, "recovery": recovery},
         speedups=speedups,
+        counts=counts,
     )
     return table
 
@@ -372,13 +407,16 @@ def _check(table):
     assert fleet["equal"] and fleet["results"] > 0
     assert fleet["store"]["store"] == "segmented"
     ablation = summaries["ablation"]
-    # batching beats the per-append tail rewrite, and the durable
-    # cadence rows all spilled/flushed real blobs.
+    # flushing only at seals beats hashing and writing the tail on
+    # every append; the durable cadence rows all spilled/flushed real
+    # blobs, and no flush re-serialised an entry an earlier flush had
+    # already encoded.
     assert (ablation["every-seal"]["appends_per_s"]
             > ablation["every-append"]["appends_per_s"])
     for policy in ("every-append", "every-n", "every-seal"):
         assert ablation[policy]["flushes"] > 0, policy
         assert ablation[policy]["spilled_segments"] > 0, policy
+        assert ablation[policy]["encodes_per_entry"] <= 1.0, policy
     recovery = summaries["recovery"]
     for row in recovery["per_segment"].values():
         assert row["checkpoint_used"]

@@ -10,6 +10,11 @@ The comparison runs over ``meta.speedups`` — optimized-vs-reference
 ratios measured in a single process, so they are stable across machine
 speeds (unlike absolute MB/s).  A kernel fails the check when its
 current speedup drops more than ``tolerance`` below the baseline.
+
+A baseline may also carry ``meta.counts``: machine-independent
+quantities (e.g. entry encodes per appended entry) that repeat exactly,
+so each is a ceiling with no tolerance — the current count fails the
+check as soon as it exceeds the baseline's.
 """
 
 from __future__ import annotations
@@ -36,6 +41,16 @@ def check(current: dict, baseline: dict, tolerance: float) -> list[str]:
                 f"{kernel}: speedup {cur:.2f}x regressed below "
                 f"{floor:.2f}x (baseline {base:.2f}x - {tolerance:.0%})"
             )
+    cur_counts = current.get("meta", {}).get("counts", {})
+    for name, ceiling in sorted(
+            baseline.get("meta", {}).get("counts", {}).items()):
+        cur = cur_counts.get(name)
+        if cur is None:
+            problems.append(f"{name}: missing from current run")
+        elif cur > ceiling:
+            problems.append(
+                f"{name}: count {cur:g} exceeds the ceiling {ceiling:g}"
+            )
     return problems
 
 
@@ -56,8 +71,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"PERF REGRESSION: {problem}", file=sys.stderr)
     if not problems:
         cur_speedups = current.get("meta", {}).get("speedups", {})
-        summary = ", ".join(f"{k} {v:.2f}x"
-                            for k, v in sorted(cur_speedups.items()))
+        summary = ", ".join(
+            [f"{k} {v:.2f}x" for k, v in sorted(cur_speedups.items())]
+            + [f"{k} {v:g}" for k, v in sorted(
+                current.get("meta", {}).get("counts", {}).items())])
         print(f"perf check passed ({summary})")
     return 1 if problems else 0
 

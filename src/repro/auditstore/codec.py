@@ -217,7 +217,17 @@ _FLAG_SEALED = 0x01
 
 
 def encode_segment(segment: AuditSegment) -> bytes:
-    """Serialize one segment (live or compacted; sealed or the tail)."""
+    """Serialize one segment (live or compacted; sealed or the tail).
+
+    Entries are encoded once: only those added since the segment's
+    previous encode are serialised (into its record cache), and the
+    blob is assembled from the cache.  A sealed segment is written
+    exactly once, so its cache is released here.
+    """
+    records = segment.records
+    for entry in segment.entries_from(segment.encoded):
+        records += _lp(encode_entry(entry))
+    segment.encoded = len(segment)
     parts = [
         SEGMENT_MAGIC,
         _U32.pack(segment.index),
@@ -231,9 +241,10 @@ def encode_segment(segment: AuditSegment) -> bytes:
         parts.append(_F64.pack(segment.first_timestamp))
         parts.append(_F64.pack(segment.last_timestamp))
     parts.append(_U32.pack(len(segment)))
-    for entry in segment:
-        parts.append(_lp(encode_entry(entry)))
+    parts.append(records)
     body = b"".join(parts)
+    if segment.sealed:
+        segment.drop_records()
     return body + sha256_fast(body)
 
 

@@ -278,6 +278,9 @@ class DurableAuditStore:
         """
         self.entries_at_crash = len(self.inner)
         self.crashed = True
+        # A dead store never flushes again; its successor re-encodes
+        # the recovered tail from the blobs.
+        self.inner.segments[-1].drop_records()
         return self.entries_at_crash
 
     @classmethod
@@ -367,6 +370,10 @@ class DurableAuditStore:
                     "failed after recovery — the spilled segments were "
                     "tampered with or truncated"
                 )
+            # Compact only now: verification reads every sealed entry,
+            # and packing first would just make it unpack them again.
+            if auto_compact:
+                inner.compact()
 
         recovered = len(inner)
         checkpoint_used = False

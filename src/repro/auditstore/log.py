@@ -32,6 +32,7 @@ __all__ = [
     "DISCLOSING_KINDS",
     "GENESIS_HASH",
     "entry_digest",
+    "chain_entry",
 ]
 
 #: the chain's genesis "previous hash" — 32 zero bytes.
@@ -79,6 +80,28 @@ def entry_digest(prev: bytes, entry: LogEntry) -> bytes:
 _entry_digest = entry_digest
 
 
+def chain_entry(prev: bytes, sequence: int, timestamp: float,
+                device_id: str, kind: str, fields: dict[str, Any]) -> LogEntry:
+    """Build the committed entry that follows ``prev`` on the chain.
+
+    Inlines :func:`entry_digest`'s material (same bytes) so the entry
+    is constructed exactly once — frozen-dataclass construction is half
+    the append hot path's cost.  ``fields`` is stored as-is: the caller
+    hands over a dict it owns.
+    """
+    material = repr(
+        (sequence, timestamp, device_id, kind, sorted(fields.items()))
+    ).encode()
+    return LogEntry(
+        sequence=sequence,
+        timestamp=timestamp,
+        device_id=device_id,
+        kind=kind,
+        fields=fields,
+        chain_hash=sha256_fast(prev + material),
+    )
+
+
 @dataclass
 class AppendOnlyLog:
     """A hash-chained append-only record sequence."""
@@ -91,21 +114,10 @@ class AppendOnlyLog:
     ) -> LogEntry:
         entries = self._entries
         prev = entries[-1].chain_hash if entries else GENESIS_HASH
-        sequence = len(entries)
-        # Inline entry_digest's material (same bytes) so the entry is
-        # constructed exactly once — frozen-dataclass construction is
-        # half this hot path's cost.  The kwargs dict is fresh and owned
-        # by this call, so it is stored without a defensive copy.
-        material = repr(
-            (sequence, timestamp, device_id, kind, sorted(fields.items()))
-        ).encode()
-        entry = LogEntry(
-            sequence=sequence,
-            timestamp=timestamp,
-            device_id=device_id,
-            kind=kind,
-            fields=fields,
-            chain_hash=sha256_fast(prev + material),
+        # The kwargs dict is fresh and owned by this call, so it is
+        # stored without a defensive copy.
+        entry = chain_entry(
+            prev, len(entries), timestamp, device_id, kind, fields
         )
         entries.append(entry)
         return entry

@@ -38,7 +38,7 @@ from typing import Any, Callable, Iterator, Optional
 
 from repro.crypto.sha256 import sha256_fast
 
-from .log import GENESIS_HASH, LogEntry, entry_digest
+from .log import GENESIS_HASH, LogEntry, chain_entry, entry_digest
 from .views import AuditViews
 
 __all__ = ["AuditSegment", "SegmentedAuditStore"]
@@ -66,6 +66,13 @@ class AuditSegment:
     hash (previous segment's last entry hash), last entry hash, entry
     count, time span, and a ``seal_hash`` chaining it to the previous
     seal.
+
+    A segment that is being flushed to blobs also carries the codec
+    records of the entries already written (``records``, covering the
+    first ``encoded`` entries), so each entry is serialised once:
+    :func:`~repro.auditstore.codec.encode_segment` fills the cache at
+    flush time and drops it when it encodes the sealed segment.  A
+    store that never flushes never pays for it.
     """
 
     def __init__(self, index: int, base_sequence: int, base_hash: bytes):
@@ -82,6 +89,9 @@ class AuditSegment:
         self.seal_hash: Optional[bytes] = None
         self._live: list[LogEntry] = []
         self._packed: list[tuple] = []
+        #: length-prefixed codec records of entries ``[0, encoded)``.
+        self.records = bytearray()
+        self.encoded = 0
 
     # -- write side -------------------------------------------------
 
@@ -139,6 +149,17 @@ class AuditSegment:
         if self.compacted:
             return _unpack(self._packed[offset])
         return self._live[offset]
+
+    def entries_from(self, offset: int) -> Iterator[LogEntry]:
+        """Entries at offsets >= ``offset`` within this segment."""
+        if self.compacted:
+            return (_unpack(p) for p in self._packed[offset:])
+        return iter(self._live[offset:])
+
+    def drop_records(self) -> None:
+        """Release the encoded-record cache."""
+        self.records = bytearray()
+        self.encoded = 0
 
     def verify(self, prev: bytes) -> Optional[bytes]:
         """Check this segment's entry chain starting from ``prev``.
@@ -215,9 +236,12 @@ class SegmentedAuditStore:
         ingestion happens here (the recovering caller either replays a
         checkpointed snapshot plus the tail, or rebuilds from scratch),
         and no chain math is re-run — callers MUST follow up with
-        :meth:`verify_chain` before trusting the result.  If the last
-        segment arrives sealed, a fresh empty active segment is opened
-        so the store can keep appending.
+        :meth:`verify_chain` before trusting the result.  Sealed
+        segments stay in the form they arrived in; ``auto_compact``
+        governs later seals, and a caller that wants the restored ones
+        packed calls :meth:`compact` once it is done reading them.  If
+        the last segment arrives sealed, a fresh empty active segment
+        is opened so the store can keep appending.
         """
         if not segments:
             raise ValueError("restore needs at least one segment")
@@ -257,10 +281,6 @@ class SegmentedAuditStore:
         store.group_commits = 0
         store.seals = len(sealed)
         store.compactions = 0
-        if auto_compact:
-            for segment in sealed:
-                if segment.compact():
-                    store.compactions += 1
         return store
 
     # -- write side -------------------------------------------------
@@ -286,20 +306,9 @@ class SegmentedAuditStore:
 
     def _commit(self, timestamp: float, device_id: str, kind: str,
                 fields: dict[str, Any]) -> LogEntry:
-        entry = LogEntry(
-            sequence=self._count,
-            timestamp=timestamp,
-            device_id=device_id,
-            kind=kind,
-            fields=dict(fields),
-        )
-        entry = LogEntry(
-            sequence=entry.sequence,
-            timestamp=entry.timestamp,
-            device_id=entry.device_id,
-            kind=entry.kind,
-            fields=entry.fields,
-            chain_hash=entry_digest(self._last_hash, entry),
+        """Chain and hold one record; takes ownership of ``fields``."""
+        entry = chain_entry(
+            self._last_hash, self._count, timestamp, device_id, kind, fields
         )
         self._active.hold(entry)
         self._count += 1
@@ -324,7 +333,7 @@ class SegmentedAuditStore:
         they would for individual appends."""
         self.group_commits += 1
         return [
-            self._commit(timestamp, device_id, kind, fields)
+            self._commit(timestamp, device_id, kind, dict(fields))
             for timestamp, device_id, kind, fields in records
         ]
 

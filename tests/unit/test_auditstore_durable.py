@@ -25,6 +25,7 @@ from repro.costmodel import DEFAULT_COSTS
 from repro.errors import AuditRecoveryError, ConfigError, FileExists
 from repro.sim import Simulation
 from repro.storage.backend import BlobStore, make_backend, volume_contents
+from tests.codec_oracle import encode_segment_from_scratch
 
 GENESIS = b"\x00" * 32
 
@@ -316,6 +317,148 @@ class TestCheckpoints:
         log.rebind_blobs(store.namespace("audit/elsewhere"))
         _fill(log, 5)
         assert store.namespace("audit/elsewhere").names() != []
+
+
+class TestEncodeOnce:
+    """The segment's encoded-record cache: same bytes as the
+    from-scratch encoder, and never alive longer than the flush cycle
+    that needs it."""
+
+    def test_never_flushed_compacted_segment_encodes_from_packed_form(self):
+        # every-seal + auto-compaction: the first encode a segment sees
+        # is its spill, after its entries were packed into tuples.
+        log, store = _durable(flush_policy="every-seal", segment_entries=4)
+        _fill(log, 4)
+        sealed = log.segments[0]
+        assert sealed.compacted
+        assert (store.namespace("audit/test").get(_segment_blob_name(0))
+                == encode_segment_from_scratch(sealed))
+
+    def test_partly_flushed_segment_finishes_from_packed_form(self):
+        log, store = _durable(flush_policy="every-n", flush_every=3,
+                              segment_entries=4)
+        _fill(log, 3)  # tail flushed with 3 of the 4 entries encoded
+        assert log.segments[0].encoded == 3
+        _fill(log, 1, t0=10.0)  # seals + compacts, then spills
+        assert (store.namespace("audit/test").get(_segment_blob_name(0))
+                == encode_segment_from_scratch(log.segments[0]))
+
+    def test_decoded_segment_starts_with_an_empty_cache(self):
+        inner = SegmentedAuditStore(segment_entries=4)
+        _fill(inner, 6)
+        for seg in inner.segments:
+            blob = encode_segment_from_scratch(seg)
+            back = decode_segment(blob)
+            assert back.encoded == 0 and not back.records
+            assert encode_segment(back) == blob
+
+    def test_repeated_tail_encodes_add_only_the_new_entries(self, monkeypatch):
+        from repro.auditstore import codec
+
+        encoded = []
+        real = codec.encode_entry
+        monkeypatch.setattr(
+            codec, "encode_entry",
+            lambda entry: encoded.append(entry.sequence) or real(entry))
+        inner = SegmentedAuditStore(segment_entries=100)
+        for upto in (2, 5, 5, 9):
+            _fill(inner, upto - len(inner), t0=float(len(inner)))
+            tail = inner.segments[0]
+            assert encode_segment(tail) == encode_segment_from_scratch(tail)
+        assert encoded == list(range(9))
+
+    def test_sealed_segments_hold_no_encoded_records(self):
+        for policy in FLUSH_POLICIES:
+            log, _ = _durable(flush_policy=policy, flush_every=2,
+                              segment_entries=4)
+            _fill(log, 11)
+            for segment in log.segments[:-1]:
+                assert segment.sealed
+                assert segment.encoded == 0 and not segment.records
+
+    def test_resident_encoded_bytes_are_bounded_by_one_segment(self):
+        log, store = _durable(flush_policy="every-append", segment_entries=8)
+        ns = store.namespace("audit/test")
+        high_water = 0
+        for i in range(200):
+            _fill(log, 1, t0=float(i))
+            resident = sum(len(s.records) for s in log.segments)
+            assert resident == len(log.segments[-1].records)
+            high_water = max(high_water, resident)
+        one_segment = len(ns.get(_segment_blob_name(0)))
+        assert 0 < high_water < one_segment
+
+    def test_crash_releases_the_cache(self):
+        log, _ = _durable(flush_policy="every-append", segment_entries=8)
+        _fill(log, 3)
+        assert log.segments[-1].encoded == 3
+        log.crash()
+        assert all(s.encoded == 0 and not s.records for s in log.segments)
+
+    def test_rebind_carries_no_cache_across_namespaces(self):
+        # rebinding is only legal before the first flush, and the
+        # encode is lazy, so nothing was cached for the old namespace.
+        log, store = _durable(flush_policy="every-seal", segment_entries=4)
+        _fill(log, 3)
+        log.rebind_blobs(store.namespace("audit/elsewhere"))
+        assert log.segments[-1].encoded == 0
+        _fill(log, 1, t0=10.0)
+        assert (store.namespace("audit/elsewhere").get(_segment_blob_name(0))
+                == encode_segment_from_scratch(log.segments[0]))
+
+    def test_recovered_tail_is_reencoded_once_then_cached(self):
+        log, store = _durable(flush_policy="every-append", segment_entries=8)
+        _fill(log, 3)
+        log.crash()
+        ns = store.namespace("audit/test")
+        back = DurableAuditStore.recover(
+            ns, name="key-access", segment_entries=8,
+            flush_policy="every-append")
+        assert back.segments[-1].encoded == 0
+        _fill(back, 2, t0=10.0)
+        assert back.segments[-1].encoded == 5
+        assert ns.get("tail") == encode_segment_from_scratch(
+            back.segments[-1])
+
+
+class TestRecoveryOrder:
+    """Recovery verifies the chain on the decoded entries and packs the
+    sealed segments only afterwards."""
+
+    def test_recovery_compacts_every_sealed_segment_after_verifying(self):
+        log, store = _durable(flush_policy="every-append", segment_entries=4)
+        _fill(log, 11)
+        back = _recover(store.namespace("audit/test"))
+        sealed = [s for s in back.segments if s.sealed]
+        assert len(sealed) == 2
+        assert all(s.compacted for s in sealed)
+        assert back.stats()["compactions"] == 2
+        assert back.verify_chain()
+
+    def test_recovery_without_auto_compact_leaves_segments_live(self):
+        log, store = _durable(flush_policy="every-append", segment_entries=4)
+        _fill(log, 11)
+        back = _recover(store.namespace("audit/test"), auto_compact=False)
+        assert not any(s.compacted for s in back.segments)
+        assert back.stats()["compactions"] == 0
+
+    def test_broken_chain_with_valid_checksums_is_refused(self):
+        # A forger who can recompute the footer still cannot make the
+        # entry chain close: recovery must refuse, not compact and go on.
+        log, store = _durable(flush_policy="every-append", segment_entries=4)
+        _fill(log, 9)
+        image = store.namespace("audit/test").snapshot()
+        name = _segment_blob_name(1)
+        forged = decode_segment(image[name])
+        victim = forged._live[1]
+        forged._live[1] = type(victim)(
+            sequence=victim.sequence, timestamp=victim.timestamp,
+            device_id="dev-evil", kind=victim.kind, fields=victim.fields,
+            chain_hash=victim.chain_hash)
+        image[name] = encode_segment_from_scratch(forged)
+        with pytest.raises(AuditRecoveryError, match="chain verification"):
+            DurableAuditStore.recover(BlobImage(image), name="key-access",
+                                      segment_entries=4)
 
 
 class TestMakeAuditLogDurable:
