@@ -24,10 +24,15 @@ log.  This measures the event-sourced store (``SegmentedAuditStore`` +
 * **durable-recovery** — a million-entry durable store is spilled at
   several segment sizes, then recovered from its crash image alone;
   recovery must verify the full chain and its throughput is recorded
-  per segment count.
+  per segment count, with two exact counts: ``LogEntry`` objects built
+  per recovered entry (one: decode builds each entry once and nothing
+  on the way — verify, compact, checkpoint restore — builds it again)
+  and ``_unpack`` calls per entry in the ``verify_chain`` that follows
+  (zero: a compacted segment is verified in its packed form).
 
 The machine-stable ratios (``meta.speedups``) and the exact counts
-(``meta.counts``, entry encodes per appended entry) are gated in CI by
+(``meta.counts``: entry encodes per appended entry, entry builds per
+recovered entry, unpacks per verified entry) are gated in CI by
 ``check_perf.py`` against ``baselines/BENCH_auditstore_baseline.json``.
 
 Run directly for CI smoke (reduced entry count, same asserts):
@@ -47,7 +52,8 @@ from repro.auditstore import (
     SegmentedAuditStore,
     codec,
 )
-from repro.auditstore.log import DISCLOSING_KINDS
+from repro.auditstore import store as store_module
+from repro.auditstore.log import DISCLOSING_KINDS, LogEntry
 from repro.harness.results import ResultTable
 from repro.harness.runner import attach_perf, run_tasks, write_bench_json
 from repro.storage.backend import BlobStore
@@ -210,6 +216,15 @@ def _append_rate(make_log, entries):
     return best_rate, log
 
 
+def _counting(real):
+    """``real`` behind a wrapper that counts its calls in ``.calls``."""
+    def wrapper(*args, **kwargs):
+        wrapper.calls += 1
+        return real(*args, **kwargs)
+    wrapper.calls = 0
+    return wrapper
+
+
 def run_flush_ablation(entries):
     """Append throughput per flush policy vs the plain segmented store."""
     out = {"entries": entries, "segment_entries": ABLATION_SEGMENT}
@@ -223,13 +238,8 @@ def run_flush_ablation(entries):
     for policy, kwargs in (("every-append", {}),
                            ("every-n", {"flush_every": 64}),
                            ("every-seal", {})):
-        encodes = [0]
-
-        def counting(entry, real=codec.encode_entry):
-            encodes[0] += 1
-            return real(entry)
-
-        with mock.patch.object(codec, "encode_entry", counting):
+        encode = _counting(codec.encode_entry)
+        with mock.patch.object(codec, "encode_entry", encode):
             rate, log = _append_rate(
                 lambda: DurableAuditStore.create(
                     BlobStore("memory").namespace("audit/bench"),
@@ -245,7 +255,7 @@ def run_flush_ablation(entries):
             "appends_per_s": round(rate, 1),
             "flushes": durable["flushes"],
             "spilled_segments": durable["spilled_segments"],
-            "encodes_per_entry": encodes[0] / (ABLATION_REPEATS * entries),
+            "encodes_per_entry": encode.calls / (ABLATION_REPEATS * entries),
         }
     return out
 
@@ -278,13 +288,20 @@ def run_recovery_arm(entries):
         log.checkpoint()
         image = BlobImage(ns.snapshot())
 
-        t0 = time.perf_counter()
-        recovered = DurableAuditStore.recover(
-            image, name="bench", segment_entries=segment_entries,
-            entries_before=len(log),
-        )
-        recover_s = time.perf_counter() - t0
-        assert recovered.verify_chain()
+        # Every LogEntry recovery builds comes from the decoder or from
+        # unpacking a compacted tuple.
+        build = _counting(LogEntry)
+        with mock.patch.object(codec, "LogEntry", build), \
+                mock.patch.object(store_module, "LogEntry", build):
+            t0 = time.perf_counter()
+            recovered = DurableAuditStore.recover(
+                image, name="bench", segment_entries=segment_entries,
+                entries_before=len(log),
+            )
+            recover_s = time.perf_counter() - t0
+        unpack = _counting(store_module._unpack)
+        with mock.patch.object(store_module, "_unpack", unpack):
+            assert recovered.verify_chain()
         assert len(recovered) == entries
         assert recovered.recovery["lost_entries"] == 0
         out["per_segment"][str(segment_entries)] = {
@@ -293,6 +310,8 @@ def run_recovery_arm(entries):
             "entries_per_s": round(entries / recover_s, 1)
             if recover_s > 0 else None,
             "checkpoint_used": recovered.recovery["checkpoint_used"],
+            "entry_builds_per_recovered_entry": build.calls / entries,
+            "unpacks_per_verified_entry": unpack.calls / entries,
         }
     return out
 
@@ -384,6 +403,11 @@ def auditstore_table(jobs=None, entries=N_ENTRIES,
         f"encodes_per_entry[{policy}]": ablation[policy]["encodes_per_entry"]
         for policy in ("every-append", "every-n", "every-seal")
     }
+    # likewise exact: the worst segment size of the recovery arm.
+    for name in ("entry_builds_per_recovered_entry",
+                 "unpacks_per_verified_entry"):
+        counts[name] = max(
+            row[name] for row in recovery["per_segment"].values())
     attach_perf(
         table, "auditstore", results, jobs=jobs,
         summaries={"views": views, "fleet": fleet,
@@ -421,6 +445,11 @@ def _check(table):
     for row in recovery["per_segment"].values():
         assert row["checkpoint_used"]
         assert row["segments"] > 0
+        # decode builds each entry once; the checkpoint sits at the end
+        # of the log, so its bound-hash lookup reads the live tail and
+        # the view replay is empty: nothing else may build an entry.
+        assert row["entry_builds_per_recovered_entry"] <= 1.0
+        assert row["unpacks_per_verified_entry"] == 0
 
 
 def test_auditstore(benchmark, record_table):

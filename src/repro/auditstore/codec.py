@@ -46,7 +46,6 @@ __all__ = [
     "SEGMENT_MAGIC",
     "CHECKPOINT_MAGIC",
     "encode_entry",
-    "decode_entry",
     "encode_segment",
     "decode_segment",
     "encode_checkpoint",
@@ -64,6 +63,18 @@ _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _F64 = struct.Struct(">d")
 
+# Fixed-layout runs the decoders read in one call each.
+#: magic, index, base sequence, base hash, flags
+_SEGMENT_HEAD = struct.Struct(">6sIQ32sB")
+#: last hash, seal hash, first and last timestamp
+_SEAL_RECORD = struct.Struct(">32s32sdd")
+#: record length, sequence, timestamp, device-id length
+_RECORD_HEAD = struct.Struct(">IQdH")
+#: magic, upto, bound hash, ingested, out-of-order
+_CHECKPOINT_HEAD = struct.Struct(">6sQ32sQQ")
+#: timestamp, sequence
+_WINDOW_ITEM = struct.Struct(">dQ")
+
 # Tagged field values.  ``I`` carries a length-prefixed signed
 # big-endian payload so arbitrary-precision ints survive.
 _TAG_NONE = b"N"
@@ -73,47 +84,6 @@ _TAG_INT = b"I"
 _TAG_FLOAT = b"D"
 _TAG_BYTES = b"B"
 _TAG_STR = b"S"
-
-
-class _Reader:
-    """Bounds-checked cursor over one blob."""
-
-    def __init__(self, data: bytes, what: str):
-        self.data = data
-        self.off = 0
-        self.what = what
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
-            raise AuditRecoveryError(
-                f"truncated {self.what}: wanted {n} bytes at offset "
-                f"{self.off}, blob is {len(self.data)} bytes"
-            )
-        out = self.data[self.off:self.off + n]
-        self.off += n
-        return out
-
-    def u8(self) -> int:
-        return _U8.unpack(self.take(1))[0]
-
-    def u16(self) -> int:
-        return _U16.unpack(self.take(2))[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def u64(self) -> int:
-        return _U64.unpack(self.take(8))[0]
-
-    def f64(self) -> float:
-        return _F64.unpack(self.take(8))[0]
-
-    def lp_bytes(self, width=_U32) -> bytes:
-        n = width.unpack(self.take(width.size))[0]
-        return self.take(n)
-
-    def lp_str(self, width=_U16) -> str:
-        return self.lp_bytes(width).decode("utf-8")
 
 
 def _lp(data: bytes, width=_U32) -> bytes:
@@ -148,22 +118,34 @@ def _encode_value(value: Any) -> bytes:
     )
 
 
-def _decode_value(r: _Reader) -> Any:
-    tag = r.take(1)
-    if tag == _TAG_NONE:
-        return None
-    if tag == _TAG_TRUE:
-        return True
-    if tag == _TAG_FALSE:
-        return False
-    if tag == _TAG_INT:
-        return int.from_bytes(r.lp_bytes(_U16), "big", signed=True)
-    if tag == _TAG_FLOAT:
-        return r.f64()
+def _value_at(body: bytes, pos: int) -> tuple[Any, int]:
+    """The tagged value at ``pos`` and the position just past it.
+
+    Slices never raise on a short buffer; the caller's record-end
+    equality check is what catches a value that runs off its record.
+    """
+    tag = body[pos:pos + 1]
+    pos += 1
     if tag == _TAG_BYTES:
-        return r.lp_bytes()
+        (n,) = _U32.unpack_from(body, pos)
+        pos += 4
+        return body[pos:pos + n], pos + n
     if tag == _TAG_STR:
-        return r.lp_bytes().decode("utf-8")
+        (n,) = _U32.unpack_from(body, pos)
+        pos += 4
+        return body[pos:pos + n].decode("utf-8"), pos + n
+    if tag == _TAG_INT:
+        (n,) = _U16.unpack_from(body, pos)
+        pos += 2
+        return int.from_bytes(body[pos:pos + n], "big", signed=True), pos + n
+    if tag == _TAG_FLOAT:
+        return _F64.unpack_from(body, pos)[0], pos + 8
+    if tag == _TAG_NONE:
+        return None, pos
+    if tag == _TAG_TRUE:
+        return True, pos
+    if tag == _TAG_FALSE:
+        return False, pos
     raise AuditRecoveryError(f"unknown field-value tag {tag!r}")
 
 
@@ -188,27 +170,6 @@ def encode_entry(entry: LogEntry) -> bytes:
         parts.append(_encode_value(entry.fields[key]))
     parts.append(entry.chain_hash)
     return b"".join(parts)
-
-
-def decode_entry(r: _Reader) -> LogEntry:
-    sequence = r.u64()
-    timestamp = r.f64()
-    device_id = r.lp_str()
-    kind = r.lp_str()
-    n_fields = r.u16()
-    fields = {}
-    for _ in range(n_fields):
-        key = r.lp_str()
-        fields[key] = _decode_value(r)
-    chain_hash = r.take(_HASH)
-    return LogEntry(
-        sequence=sequence,
-        timestamp=timestamp,
-        device_id=device_id,
-        kind=kind,
-        fields=fields,
-        chain_hash=chain_hash,
-    )
 
 
 # -- segments ----------------------------------------------------------------
@@ -248,6 +209,30 @@ def encode_segment(segment: AuditSegment) -> bytes:
     return body + sha256_fast(body)
 
 
+class _Texts(dict):
+    """``bytes -> str`` for one blob's device ids, kinds and field
+    keys: a handful of distinct values repeated on every record, so
+    each is decoded (and held) once."""
+
+    def __missing__(self, raw: bytes) -> str:
+        text = self[raw] = raw.decode("utf-8")
+        return text
+
+
+def _checked_body(data: bytes, magic: bytes, what: str, kind: str) -> bytes:
+    """The blob minus its footer, once length, checksum and magic hold."""
+    if len(data) < len(magic) + _HASH:
+        raise AuditRecoveryError(f"{what}: too short to be a {kind}")
+    body, footer = data[:-_HASH], data[-_HASH:]
+    if sha256_fast(body) != footer:
+        raise AuditRecoveryError(f"{what}: checksum footer mismatch")
+    if not body.startswith(magic):
+        raise AuditRecoveryError(
+            f"{what}: bad magic {body[:len(magic)]!r} (expected {magic!r})"
+        )
+    return body
+
+
 def decode_segment(data: bytes, what: str = "segment blob") -> AuditSegment:
     """Rebuild a segment; raises :class:`AuditRecoveryError` on damage.
 
@@ -256,44 +241,82 @@ def decode_segment(data: bytes, what: str = "segment blob") -> AuditSegment:
     tails and cross-checks it against the stored seal record for
     sealed segments.  Chain *verification* against neighbours is the
     caller's job (:meth:`SegmentedAuditStore.verify_chain`).
+
+    One pass over the body at explicit offsets.  A fixed-width read
+    past the end of the body raises ``struct.error``; a variable-width
+    slice cannot, so every record must end exactly where its length
+    prefix says (and inside the body) — that one equality bounds every
+    read made inside the record.
     """
-    if len(data) < len(SEGMENT_MAGIC) + _HASH:
-        raise AuditRecoveryError(f"{what}: too short to be a segment")
-    body, footer = data[:-_HASH], data[-_HASH:]
-    if sha256_fast(body) != footer:
-        raise AuditRecoveryError(f"{what}: checksum footer mismatch")
-    r = _Reader(body, what)
-    magic = r.take(len(SEGMENT_MAGIC))
-    if magic != SEGMENT_MAGIC:
-        raise AuditRecoveryError(
-            f"{what}: bad magic {magic!r} (expected {SEGMENT_MAGIC!r})"
+    body = _checked_body(data, SEGMENT_MAGIC, what, "segment")
+    size = len(body)
+    record_head = _RECORD_HEAD.unpack_from
+    u16 = _U16.unpack_from
+    texts = _Texts()
+    entries: list[LogEntry] = []
+    off = 0
+    try:
+        _, index, base_sequence, base_hash, flags = _SEGMENT_HEAD.unpack_from(
+            body
         )
-    index = r.u32()
-    base_sequence = r.u64()
-    base_hash = r.take(_HASH)
-    flags = r.u8()
-    sealed = bool(flags & _FLAG_SEALED)
-    seal_record = None
-    if sealed:
-        seal_record = (r.take(_HASH), r.take(_HASH), r.f64(), r.f64())
-    count = r.u32()
+        off = _SEGMENT_HEAD.size
+        seal_record = None
+        if flags & _FLAG_SEALED:
+            seal_record = _SEAL_RECORD.unpack_from(body, off)
+            off += _SEAL_RECORD.size
+        (count,) = _U32.unpack_from(body, off)
+        off += 4
+        for expected in range(base_sequence, base_sequence + count):
+            length, sequence, timestamp, n = record_head(body, off)
+            end = off + 4 + length
+            if end > size:
+                raise AuditRecoveryError(
+                    f"truncated {what}: entry {expected - base_sequence} "
+                    f"claims {length} bytes at offset {off}, body is "
+                    f"{size} bytes"
+                )
+            if sequence != expected:
+                raise AuditRecoveryError(
+                    f"{what}: entry {expected - base_sequence} carries "
+                    f"sequence {sequence}, expected {expected}"
+                )
+            pos = off + _RECORD_HEAD.size
+            device_id = texts[body[pos:pos + n]]
+            pos += n
+            (n,) = u16(body, pos)
+            pos += 2
+            kind = texts[body[pos:pos + n]]
+            pos += n
+            (n_fields,) = u16(body, pos)
+            pos += 2
+            fields = {}
+            for _ in range(n_fields):
+                (n,) = u16(body, pos)
+                pos += 2
+                key = texts[body[pos:pos + n]]
+                fields[key], pos = _value_at(body, pos + n)
+            if pos + _HASH != end:
+                raise AuditRecoveryError(
+                    f"{what}: entry {expected - base_sequence} ends at "
+                    f"offset {pos + _HASH}, its record at {end}"
+                )
+            entries.append(LogEntry(
+                sequence, timestamp, device_id, kind, fields, body[pos:end]
+            ))
+            off = end
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise AuditRecoveryError(
+            f"truncated or malformed {what} near offset {off}: {exc}"
+        ) from exc
+    if off != size:
+        raise AuditRecoveryError(
+            f"{what}: {size - off} trailing bytes after entries"
+        )
     segment = AuditSegment(
         index=index, base_sequence=base_sequence, base_hash=base_hash
     )
-    for i in range(count):
-        entry_bytes = r.lp_bytes()
-        entry = decode_entry(_Reader(entry_bytes, f"{what} entry {i}"))
-        if entry.sequence != base_sequence + i:
-            raise AuditRecoveryError(
-                f"{what}: entry {i} carries sequence {entry.sequence}, "
-                f"expected {base_sequence + i}"
-            )
-        segment.hold(entry)
-    if r.off != len(body):
-        raise AuditRecoveryError(
-            f"{what}: {len(body) - r.off} trailing bytes after entries"
-        )
-    if sealed:
+    segment.hold_many(entries)
+    if seal_record is not None:
         last_hash, seal_hash, first_ts, last_ts = seal_record
         if count and segment.last_hash != last_hash:
             raise AuditRecoveryError(
@@ -346,37 +369,48 @@ def encode_checkpoint(
     return body + sha256_fast(body)
 
 
-def decode_checkpoint(data: bytes, what: str = "checkpoint blob") -> dict:
-    if len(data) < len(CHECKPOINT_MAGIC) + _HASH:
-        raise AuditRecoveryError(f"{what}: too short to be a checkpoint")
-    body, footer = data[:-_HASH], data[-_HASH:]
-    if sha256_fast(body) != footer:
-        raise AuditRecoveryError(f"{what}: checksum footer mismatch")
-    r = _Reader(body, what)
-    magic = r.take(len(CHECKPOINT_MAGIC))
-    if magic != CHECKPOINT_MAGIC:
-        raise AuditRecoveryError(
-            f"{what}: bad magic {magic!r} (expected {CHECKPOINT_MAGIC!r})"
+def _sequence_lists(body: bytes, off: int, texts: bool) -> tuple[dict, int]:
+    """The ``key -> [sequence, ...]`` table at ``off`` (one unpack per
+    list) and the position just past it.  A key slice that runs off
+    the body leaves the list-length read behind it out of range."""
+    table: dict = {}
+    (keys,) = _U32.unpack_from(body, off)
+    off += 4
+    for _ in range(keys):
+        (n,) = _U16.unpack_from(body, off)
+        off += 2
+        key = body[off:off + n]
+        off += n
+        (n,) = _U32.unpack_from(body, off)
+        off += 4
+        table[key.decode("utf-8") if texts else key] = list(
+            struct.unpack_from(f">{n}Q", body, off)
         )
-    upto = r.u64()
-    bound_hash = r.take(_HASH)
-    ingested = r.u64()
-    out_of_order = r.u64()
-    timeline: dict[str, list[int]] = {}
-    for _ in range(r.u32()):
-        device_id = r.lp_str()
-        timeline[device_id] = [r.u64() for _ in range(r.u32())]
-    file_access: dict[bytes, list[int]] = {}
-    for _ in range(r.u32()):
-        audit_id = r.lp_bytes(_U16)
-        file_access[audit_id] = [r.u64() for _ in range(r.u32())]
-    window = []
-    for _ in range(r.u32()):
-        timestamp = r.f64()
-        window.append((timestamp, r.u64()))
-    if r.off != len(body):
+        off += 8 * n
+    return table, off
+
+
+def decode_checkpoint(data: bytes, what: str = "checkpoint blob") -> dict:
+    body = _checked_body(data, CHECKPOINT_MAGIC, what, "checkpoint")
+    try:
+        _, upto, bound_hash, ingested, out_of_order = (
+            _CHECKPOINT_HEAD.unpack_from(body)
+        )
+        timeline, off = _sequence_lists(
+            body, _CHECKPOINT_HEAD.size, texts=True
+        )
+        file_access, off = _sequence_lists(body, off, texts=False)
+        (n,) = _U32.unpack_from(body, off)
+        off += 4
+    except (struct.error, UnicodeDecodeError) as exc:
         raise AuditRecoveryError(
-            f"{what}: {len(body) - r.off} trailing bytes after window index"
+            f"truncated or malformed {what}: {exc}"
+        ) from exc
+    end = off + _WINDOW_ITEM.size * n
+    if end != len(body):
+        raise AuditRecoveryError(
+            f"{what}: window index of {n} items ends {end - len(body):+d} "
+            "bytes from the end of the body"
         )
     return {
         "upto": upto,
@@ -385,5 +419,5 @@ def decode_checkpoint(data: bytes, what: str = "checkpoint blob") -> dict:
         "out_of_order": out_of_order,
         "timeline": timeline,
         "file_access": file_access,
-        "window": window,
+        "window": list(_WINDOW_ITEM.iter_unpack(body[off:end])),
     }

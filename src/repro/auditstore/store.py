@@ -38,7 +38,7 @@ from typing import Any, Callable, Iterator, Optional
 
 from repro.crypto.sha256 import sha256_fast
 
-from .log import GENESIS_HASH, LogEntry, chain_entry, entry_digest
+from .log import GENESIS_HASH, LogEntry, chain_entry
 from .views import AuditViews
 
 __all__ = ["AuditSegment", "SegmentedAuditStore"]
@@ -104,6 +104,18 @@ class AuditSegment:
             self.first_timestamp = entry.timestamp
         self.last_timestamp = entry.timestamp
 
+    def hold_many(self, entries: list[LogEntry]) -> None:
+        """:meth:`hold` for a run of entries at once (blob decode)."""
+        if not entries:
+            return
+        if self.sealed:
+            raise ValueError(f"segment {self.index} is sealed")
+        if self.first_timestamp is None:
+            self.first_timestamp = entries[0].timestamp
+        self._live.extend(entries)
+        self.last_hash = entries[-1].chain_hash
+        self.last_timestamp = entries[-1].timestamp
+
     def seal(self, prev_seal: bytes) -> bytes:
         """Close the segment and chain its seal record to ``prev_seal``."""
         if self.sealed:
@@ -165,13 +177,31 @@ class AuditSegment:
         """Check this segment's entry chain starting from ``prev``.
 
         Returns the last chain hash on success, ``None`` on tamper.
+        Both loops hash :func:`~repro.auditstore.log.entry_digest`'s
+        material without calling it: a packed tuple already stores the
+        sorted field items, so a compacted segment verifies as it lies
+        — no ``LogEntry`` is rebuilt and nothing is sorted again.
         """
         if self.base_hash != prev:
             return None
-        for entry in self:
-            if entry_digest(prev, entry) != entry.chain_hash:
-                return None
-            prev = entry.chain_hash
+        if self.compacted:
+            for (sequence, timestamp, device_id, kind, items,
+                 chain_hash) in self._packed:
+                material = repr(
+                    (sequence, timestamp, device_id, kind, list(items))
+                ).encode()
+                if sha256_fast(prev + material) != chain_hash:
+                    return None
+                prev = chain_hash
+        else:
+            for entry in self._live:
+                material = repr(
+                    (entry.sequence, entry.timestamp, entry.device_id,
+                     entry.kind, sorted(entry.fields.items()))
+                ).encode()
+                if sha256_fast(prev + material) != entry.chain_hash:
+                    return None
+                prev = entry.chain_hash
         if self and self.last_hash != prev:
             return None
         return prev
@@ -389,11 +419,10 @@ class SegmentedAuditStore:
         start = max(start, 0)
         out: list[LogEntry] = []
         for segment in self.segments:
-            if segment.base_sequence + len(segment) <= start:
-                continue
-            for entry in segment:
-                if entry.sequence >= start:
-                    out.append(entry)
+            if segment.base_sequence + len(segment) > start:
+                out.extend(
+                    segment.entries_from(max(0, start - segment.base_sequence))
+                )
         return out
 
     def entries(

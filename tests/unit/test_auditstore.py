@@ -12,6 +12,7 @@ from repro.auditstore import (
     SegmentedAuditStore,
     make_audit_log,
 )
+from repro.auditstore import store as store_module
 from repro.auditstore.log import DISCLOSING_KINDS
 from repro.cluster.merge import ClusterAuditLog
 from repro.core.policy import KeypadConfig, validate_config
@@ -81,6 +82,31 @@ class TestSegmentedStore:
         assert store.tail(10) == []
         with pytest.raises(IndexError):
             store.entry_at(10)
+
+    def test_tail_starts_inside_a_segment_without_building_its_head(
+            self, monkeypatch):
+        # Three shapes in one store: compacted, sealed-but-live, active.
+        store = SegmentedAuditStore(segment_entries=4, auto_compact=False)
+        _fill(store, 8)
+        store.compact()
+        _fill(store, 6, t0=8.0)
+        assert [(s.sealed, s.compacted) for s in store.segments] == [
+            (True, True), (True, True), (True, False), (False, False)]
+        everything = list(store)
+        for k in range(len(store) + 1):
+            assert store.tail(k) == everything[k:]
+        assert store.tail(-3) == everything
+
+        store.compact()
+        built = []
+        real = store_module._unpack
+        monkeypatch.setattr(
+            store_module, "_unpack",
+            lambda packed: built.append(packed) or real(packed))
+        for k in range(len(store) + 1):
+            del built[:]
+            assert store.tail(k) == everything[k:]
+            assert len(built) <= len(store) - k
 
     def test_force_seal_empty_active_is_noop(self):
         store = SegmentedAuditStore(segment_entries=4)

@@ -25,9 +25,13 @@ from repro.costmodel import DEFAULT_COSTS
 from repro.errors import AuditRecoveryError, ConfigError, FileExists
 from repro.sim import Simulation
 from repro.storage.backend import BlobStore, make_backend, volume_contents
-from tests.codec_oracle import encode_segment_from_scratch
+from tests.codec_oracle import encode_segment_from_scratch, refooter
 
 GENESIS = b"\x00" * 32
+
+#: bytes before a sealed segment's first record: magic 6, index 4, base
+#: sequence 8, base hash 32, flags 1, seal record 80, entry count 4.
+_SEALED_HEADER = 6 + 4 + 8 + 32 + 1 + 80 + 4
 
 
 def _durable(backend="memory", segment_entries=4, flush_policy="every-seal",
@@ -129,6 +133,67 @@ class TestCodec:
         blob = encode_segment(inner.segments[0])
         with pytest.raises(AuditRecoveryError):
             decode_segment(blob[:-1])
+
+    def test_invalid_utf8_is_a_recovery_error_even_with_a_valid_footer(self):
+        # device id, kind, field key and an S-tagged field value
+        inner = SegmentedAuditStore(segment_entries=4)
+        for i in range(4):
+            inner.append(float(i), "dev-1", "fetch", note="hello")
+        blob = encode_segment(inner.segments[0])
+        for text in (b"dev-1", b"fetch", b"note", b"hello"):
+            forged = refooter(blob[:-32].replace(text, b"\xff" * len(text)))
+            with pytest.raises(AuditRecoveryError):
+                decode_segment(forged)
+        ckpt = encode_checkpoint(
+            1, b"\xab" * 32, {"dev-1": [0]}, {b"f" * 24: [0]}, [(0.5, 0)],
+            1, 0)
+        forged = refooter(ckpt[:-32].replace(b"dev-1", b"\xff" * 5))
+        with pytest.raises(AuditRecoveryError):
+            decode_checkpoint(forged)
+
+    def test_recover_refuses_invalid_utf8_with_a_recovery_error(self):
+        log, store = _durable(flush_policy="every-append", segment_entries=4)
+        _fill(log, 6)
+        image = store.namespace("audit/test").snapshot()
+        name = _segment_blob_name(0)
+        image[name] = refooter(
+            image[name][:-32].replace(b"dev-1", b"\xff" * 5))
+        with pytest.raises(AuditRecoveryError):
+            DurableAuditStore.recover(BlobImage(image), name="key-access",
+                                      segment_entries=4)
+
+    def test_slack_inside_a_record_is_refused(self):
+        inner = SegmentedAuditStore(segment_entries=4)
+        _fill(inner, 4)
+        body = encode_segment(inner.segments[0])[:-32]
+        first = _SEALED_HEADER  # then four equal-sized records
+        length = int.from_bytes(body[first:first + 4], "big")
+        last = len(body) - 4 - length
+        for at in (first, last):
+            end = at + 4 + length
+            padded = (body[:at] + (length + 5).to_bytes(4, "big")
+                      + body[at + 4:end] + b"junk!" + body[end:])
+            with pytest.raises(AuditRecoveryError, match="record"):
+                decode_segment(refooter(padded))
+        assert len(decode_segment(refooter(body))) == 4
+
+    def test_record_running_off_the_body_is_refused(self):
+        # The last record and the bytes value inside it both claim five
+        # bytes more than the body holds: every slice comes back short
+        # without raising, and the parse still "ends" on the record end.
+        inner = SegmentedAuditStore(segment_entries=4)
+        _fill(inner, 4)
+        body = encode_segment(inner.segments[0])[:-32]
+        value = len(body) - 32 - 24 - 4  # u32 length of the 24-byte audit id
+        assert body[value:value + 4] == (24).to_bytes(4, "big")
+        length = int.from_bytes(
+            body[_SEALED_HEADER:_SEALED_HEADER + 4], "big")
+        record = len(body) - 4 - length
+        forged = (body[:record] + (length + 5).to_bytes(4, "big")
+                  + body[record + 4:value] + (29).to_bytes(4, "big")
+                  + body[value + 4:])
+        with pytest.raises(AuditRecoveryError, match="truncated"):
+            decode_segment(refooter(forged))
 
     def test_checkpoint_roundtrip(self):
         blob = encode_checkpoint(
