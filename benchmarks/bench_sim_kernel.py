@@ -1,9 +1,10 @@
 """Event-kernel benchmarks: calendar-queue scheduler vs the heap oracle.
 
-The simulator ships two schedulers: the original binary-heap kernel
-(kept as the trace-equivalence oracle, ``KEYPAD_SIM_KERNEL=heap``) and
-the calendar-queue kernel with O(1) amortized insert/pop that the fleet
-arms run on.  This bench times both over three shapes and records the
+``Simulation`` runs on the calendar-queue scheduler with O(1) amortized
+insert/pop; the original binary-heap scheduler is kept in
+``repro.sim.kernel`` as the trace-equivalence oracle.  This bench times
+both — the heap patched in for the calendar queue with
+``unittest.mock.patch.object`` — over three shapes and records the
 speedup — a machine-independent ratio measured in one process — into
 ``BENCH_sim_kernel.json``, which CI compares against the checked-in
 baseline in ``benchmarks/baselines/`` (>30% regression fails).
@@ -14,33 +15,43 @@ Arms:
   of per-request deadline scheduling in a big fleet arm;
 * ``queue_churn``   — producer/consumer wait-list churn layered on
   timers (enqueue, cancel, re-enqueue traffic);
-* ``fleet_slice``   — a small end-to-end ``run_fleet`` arm, scheduler
-  selected via ``KEYPAD_SIM_KERNEL``.
+* ``fleet_slice``   — a small end-to-end ``run_fleet`` arm.
 """
 
 from __future__ import annotations
 
-import os
+import contextlib
 import time
+from unittest import mock
 
 from repro.harness.results import ResultTable
 from repro.harness.runner import ArmPerf, BenchPerf, bench_jobs
-from repro.sim import Simulation
+from repro.sim import Simulation, kernel
 from repro.workloads.fleet import run_fleet
 
 
-def _secs(fn, *args, reps: int = 3) -> float:
-    """Best-of-``reps`` wall seconds for one ``fn(*args)`` run."""
+def _scheduler(name: str):
+    """Context in which new Simulations run on the named scheduler."""
+    if name == "calendar":
+        return contextlib.nullcontext()
+    return mock.patch.object(kernel, "_CalendarScheduler",
+                             kernel._HeapScheduler)
+
+
+def _secs(fn, scheduler: str, reps: int = 3) -> float:
+    """Best-of-``reps`` wall seconds for one ``fn()`` run on
+    ``scheduler``."""
     best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn(*args)
-        best = min(best, time.perf_counter() - t0)
+    with _scheduler(scheduler):
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - t0)
     return best
 
 
-def _dense_timeout(kernel: str) -> None:
-    sim = Simulation(kernel=kernel)
+def _dense_timeout() -> None:
+    sim = Simulation()
 
     def device(i: int):
         base = (i % 997) * 1e-4 + 1e-6
@@ -52,8 +63,8 @@ def _dense_timeout(kernel: str) -> None:
     sim.run()
 
 
-def _queue_churn(kernel: str) -> None:
-    sim = Simulation(kernel=kernel)
+def _queue_churn() -> None:
+    sim = Simulation()
     queue = sim.queue()
 
     def producer(i: int):
@@ -72,17 +83,9 @@ def _queue_churn(kernel: str) -> None:
     sim.run()
 
 
-def _fleet_slice(kernel: str) -> None:
-    old = os.environ.get("KEYPAD_SIM_KERNEL")
-    os.environ["KEYPAD_SIM_KERNEL"] = kernel
-    try:
-        run_fleet(devices=250, duration=2.0, seed=b"bench-slice",
-                  frontend={"policy": "drr"}, fleet_shards=1)
-    finally:
-        if old is None:
-            os.environ.pop("KEYPAD_SIM_KERNEL", None)
-        else:
-            os.environ["KEYPAD_SIM_KERNEL"] = old
+def _fleet_slice() -> None:
+    run_fleet(devices=250, duration=2.0, seed=b"bench-slice",
+              frontend={"policy": "drr"}, fleet_shards=1)
 
 
 def _bench_rows() -> tuple[list[tuple], dict[str, float]]:

@@ -2,9 +2,15 @@
 
 Models the paper's transport: "All components are coded in C++ and
 communicate using encrypted XML-RPC with persistent connections."
-Requests and responses are really marshalled (:mod:`repro.net.wire`),
-really sealed with an AEAD session key, and really authenticated with a
-per-device secret.  Session keys ratchet every ``rekey_interval``
+Both peers live in one simulation process, so the bytes of a message
+are observable only through their length: every call charges the exact
+size of its marshalled, HMAC-authenticated, AEAD-sealed (and, on v2,
+framed) message from :func:`repro.net.wire.request_wire_len` /
+:func:`~repro.net.wire.response_wire_len`, which
+``tests/property/test_wire_fastpath.py`` holds to the real codec.
+Requests are authenticated with a per-device secret; the server
+compares it with the enrolled one, the predicate an HMAC check over the
+same message decides.  Session keys ratchet every ``rekey_interval``
 seconds, matching §6: "The keys must change every Texp seconds to
 ensure that an attacker who extracts the current network encryption key
 from the device cannot decrypt past intercepted data."
@@ -31,12 +37,12 @@ Two transport modes share one channel class:
   original implementation.
 * **pipelined (protocol v2)** — up to ``max_inflight`` concurrent
   requests share the connection.  Each request carries a 64-bit request
-  ID in a framed envelope (:func:`repro.net.wire.pack_envelope`); the
-  caller parks on a per-request completion event while the server
-  executes, so responses complete out of order.  The mode is agreed by
-  an ``rpc.hello`` handshake on first use; a v1 server (which lacks the
-  method) makes the client degrade gracefully to serial mode instead of
-  erroring.
+  ID in a framed envelope (``FRAME_OVERHEAD`` more bytes each way) that
+  keys the in-flight table; the caller parks on a per-request
+  completion event while the server executes, so responses complete
+  out of order.  The mode is agreed by an ``rpc.hello`` handshake on
+  first use; a v1 server (which lacks the method) makes the client
+  degrade gracefully to serial mode instead of erroring.
 
 The rekey ratchet is shared by both modes: it advances on wall-clock
 epochs regardless of how many requests are in flight, so pipelining
@@ -45,12 +51,9 @@ never extends the lifetime of a session key.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Generator, Optional
 
 from repro.costmodel import DEFAULT_COSTS, CostModel
-from repro.crypto.aead import NONCE_LEN, StreamHmacAead
-from repro.crypto.hmac import hmac_sha256
 from repro.crypto.kdf import hkdf_sha256
 from repro.errors import (
     AuthorizationError,
@@ -69,27 +72,22 @@ from repro.net.wire import (
     PROTOCOL_LATEST,
     PROTOCOL_V1,
     PROTOCOL_V2,
-    marshal_request,
-    marshal_request_len,
-    marshal_response,
-    marshal_response_len,
     normalize_value,
-    pack_envelope,
-    unpack_envelope,
+    request_wire_len,
+    response_wire_len,
 )
 from repro.sim import Event, Simulation
+from repro.sim.kernel import abandon_handoff
 from repro.util.retry import RetryPolicy, retrying
 
 __all__ = ["RpcServer", "RpcChannel", "HELLO_METHOD"]
 
-#: ``KEYPAD_RPC_WIRE=full`` makes serial channels build, MAC and seal
-#: the actual wire bytes (the reference path).  The default ``fast``
-#: mode charges byte-exact sizes lazily — both peers live in one
-#: process, so the bytes are observable only through their lengths;
-#: ``tests/property`` holds the two modes to identical results.
-_WIRE_FULL = os.environ.get("KEYPAD_RPC_WIRE", "fast") == "full"
+# Handler exceptions that cross the wire as typed faults (anything else
+# propagates on the server side).
+_WIRE_FAULTS = (RpcError, RevokedError, AuthorizationError,
+                ServiceUnavailableError, LockedFileError, ControlError)
 
-# Exceptions that cross the wire as typed faults.
+# Fault names back to exception types (subclasses travel by own name).
 _FAULT_TYPES: dict[str, type] = {
     "RpcError": RpcError,
     "RevokedError": RevokedError,
@@ -112,6 +110,27 @@ _RPC_RETRY_POLICY = RetryPolicy(base=0.1, cap=2.0, max_attempts=8)
 
 #: version-negotiation method; absent on protocol-v1 servers.
 HELLO_METHOD = "rpc.hello"
+
+
+def serve_request(server: "RpcServer", device_id: str, method: str,
+                  payload: dict, deadline: Optional[float]) -> Generator:
+    """The server's answer to one request, as it goes on the wire: the
+    handler's result, or a ``__fault__`` payload naming its exception."""
+    try:
+        result = yield from server.dispatch(device_id, method, payload,
+                                            deadline=deadline)
+    except _WIRE_FAULTS as exc:
+        result = {"__fault__": type(exc).__name__, "message": str(exc)}
+    return result
+
+
+def raise_if_fault(payload: Any) -> Any:
+    """Return a received payload, or raise the typed exception a
+    ``__fault__`` payload carries."""
+    if isinstance(payload, dict) and "__fault__" in payload:
+        exc_type = _FAULT_TYPES.get(payload["__fault__"], RpcError)
+        raise exc_type(payload.get("message", "remote fault"))
+    return payload
 
 
 class RpcServer:
@@ -246,14 +265,8 @@ class RpcChannel:
         self._session_key = hkdf_sha256(
             device_secret, b"", b"rpc-session-0", 32
         )
-        # The AEAD suite is derived lazily: the serial fast path only
-        # needs wire *sizes*, and a 100k-device fleet would otherwise
-        # pay 100k HKDF schedules at enrollment for suites never used.
-        self._suite_obj: Optional[StreamHmacAead] = None
-        self._wire_full = _WIRE_FULL
         self._last_rekey = sim.now
         self._epoch = 0
-        self._seq = 0
         self._connected = False
         # Pipelining state: negotiated protocol version (None until the
         # first hello), the in-flight request table, and callers waiting
@@ -265,13 +278,6 @@ class RpcChannel:
         self._slot_waiters: list[Event] = []
 
     # -- session key ratchet ---------------------------------------------------
-    @property
-    def _suite(self) -> StreamHmacAead:
-        suite = self._suite_obj
-        if suite is None:
-            suite = self._suite_obj = StreamHmacAead(self._session_key)
-        return suite
-
     def _maybe_ratchet(self) -> None:
         if self.sim._now - self._last_rekey < self.rekey_interval:
             return  # common case, checked without the property hop
@@ -280,13 +286,7 @@ class RpcChannel:
             self._session_key = hkdf_sha256(
                 self._session_key, b"", b"rpc-ratchet", 32
             )
-            self._suite_obj = None
             self._last_rekey += self.rekey_interval
-
-    def _nonce(self, direction: bytes) -> bytes:
-        self._seq += 1
-        material = direction + self._seq.to_bytes(8, "big")
-        return material.ljust(NONCE_LEN, b"\x00")[:NONCE_LEN]
 
     @property
     def negotiated_version(self) -> Optional[int]:
@@ -474,30 +474,7 @@ class RpcChannel:
 
     def _serial_body(self, method: str, params: dict, span: Any,
                      deadline: Optional[float] = None) -> Generator:
-        full = self._wire_full
-        if full:
-            # Authenticate: HMAC over device id, method, payload bytes.
-            request_plain = marshal_request(method, params)
-            auth_tag = hmac_sha256(
-                self._device_secret, self.device_id.encode() + request_plain
-            )
-            envelope = self._suite.seal(
-                self._nonce(b"req"),
-                request_plain,
-                aad=self.device_id.encode() + auth_tag,
-            )
-            wire_size = (
-                len(envelope) + len(auth_tag) + len(self.device_id) + 24
-            )
-        else:
-            # Fast mode: charge the exact same wire size (sealed body +
-            # 32-byte auth tag + framing) without building the bytes.
-            self._nonce(b"req")
-            wire_size = (
-                StreamHmacAead.sealed_len(marshal_request_len(method, params))
-                + 32 + len(self.device_id) + 24
-            )
-
+        wire_size = request_wire_len(method, params, self.device_id)
         # Client marshal + seal CPU.
         yield self.costs.rpc_marshal_time(wire_size)
         if not self._connected:
@@ -505,80 +482,47 @@ class RpcChannel:
             # after an outage) pays connection setup.
             yield self.costs.rpc_connect
 
-        try:
-            yield from self.link.transfer(wire_size)
-        except NetworkUnavailableError:
-            self._connected = False
-            raise
+        yield from self._transfer(wire_size)
         self._connected = True
         self.metrics.bytes_sent += wire_size
         if span is not None:
             span.attrs["bytes_out"] = wire_size
 
         # Server side: verify auth, unmarshal, execute.
-        server = self.server
-        if full:
-            expected = hmac_sha256(
-                server.device_secret(self.device_id),
-                self.device_id.encode() + request_plain,
-            )
-            if expected != auth_tag:
-                raise AuthorizationError("request authentication failed")
-        else:
-            # HMAC is deterministic, so over a fixed message the tags
-            # match exactly when the keys match — comparing the secrets
-            # is the same predicate without the two hash runs.
-            if server.device_secret(self.device_id) != self._device_secret:
-                raise AuthorizationError("request authentication failed")
+        self._authenticate()
         # Both peers share this process, so parsing the request bytes
         # would reproduce exactly normalize_value(params) — see wire.py.
         payload_in = normalize_value(params)
         yield self.costs.rpc_marshal_time(wire_size, server=True)
-        try:
-            result = yield from server.dispatch(
-                self.device_id, method, payload_in,
-                deadline=deadline,
-            )
-            fault: Optional[BaseException] = None
-        except (RpcError, RevokedError, AuthorizationError,
-                ServiceUnavailableError, LockedFileError,
-                ControlError) as exc:
-            result = {
-                "__fault__": type(exc).__name__,
-                "message": str(exc),
-            }
-            fault = exc
+        result = yield from serve_request(self.server, self.device_id,
+                                          method, payload_in, deadline)
 
         # Response path.
-        if full:
-            response_plain = marshal_response(result)
-            response_envelope = self._suite.seal(
-                self._nonce(b"rsp"), response_plain
-            )
-            response_size = len(response_envelope) + 16
-        else:
-            self._nonce(b"rsp")
-            response_size = (
-                StreamHmacAead.sealed_len(marshal_response_len(result)) + 16
-            )
-        try:
-            yield from self.link.transfer(response_size)
-        except NetworkUnavailableError:
-            self._connected = False
-            raise
+        response_size = response_wire_len(result)
+        yield from self._transfer(response_size)
         self.metrics.bytes_received += response_size
         if span is not None:
             span.attrs["bytes_in"] = response_size
         yield self.costs.rpc_marshal_time(response_size)
 
         # Same in-process shortcut as on the request side: the parse of
-        # response_plain would yield normalize_value(result) exactly.
-        payload = normalize_value(result)
-        if isinstance(payload, dict) and "__fault__" in payload:
-            exc_type = _FAULT_TYPES.get(payload["__fault__"], RpcError)
-            raise exc_type(payload.get("message", "remote fault"))
-        assert fault is None
-        return payload
+        # the response bytes would yield normalize_value(result) exactly.
+        return raise_if_fault(normalize_value(result))
+
+    def _authenticate(self) -> None:
+        """The server's request check.  HMAC is deterministic, so over
+        one message the device's tag and the server's match exactly when
+        the keys match: comparing the secrets is the same predicate."""
+        if self.server.device_secret(self.device_id) != self._device_secret:
+            raise AuthorizationError("request authentication failed")
+
+    def _transfer(self, n_bytes: int) -> Generator:
+        """One link crossing; an outage drops the persistent connection."""
+        try:
+            yield from self.link.transfer(n_bytes)
+        except NetworkUnavailableError:
+            self._connected = False
+            raise
 
     # -- pipelined (protocol v2) path -------------------------------------------
     def _call_pipelined(self, method: str, params: dict,
@@ -593,7 +537,12 @@ class RpcChannel:
         while len(self._inflight) >= self.max_inflight:
             slot = self.sim.event()
             self._slot_waiters.append(slot)
-            yield slot
+            try:
+                yield slot
+            except BaseException:
+                abandon_handoff(self._slot_waiters, slot,
+                                self._wake_slot_waiter)
+                raise
 
         request_id = self._next_request_id
         self._next_request_id += 1
@@ -614,121 +563,55 @@ class RpcChannel:
         self._span_end(span, owner)
         return result
 
+    def _wake_slot_waiter(self) -> None:
+        if self._slot_waiters:
+            self._slot_waiters.pop(0).succeed()
+
     def _pipelined_body(self, method: str, params: dict, request_id: int,
                         done: Event, span: Any,
                         deadline: Optional[float] = None) -> Generator:
         try:
-            request_plain = marshal_request(method, params)
-            auth_tag = hmac_sha256(
-                self._device_secret, self.device_id.encode() + request_plain
-            )
-            envelope = self._suite.seal(
-                self._nonce(b"req"),
-                request_plain,
-                aad=self.device_id.encode() + auth_tag,
-            )
-            frame = pack_envelope(PROTOCOL_V2, request_id, envelope)
-            wire_size = len(frame) + len(auth_tag) + len(self.device_id) + 24
-
+            wire_size = request_wire_len(method, params, self.device_id,
+                                         framed=True)
             yield self.costs.rpc_marshal_time(wire_size)
             if not self._connected:
                 yield self.costs.rpc_connect
-            try:
-                yield from self.link.transfer(wire_size)
-            except NetworkUnavailableError:
-                self._connected = False
-                raise
+            yield from self._transfer(wire_size)
             self._connected = True
             self.metrics.bytes_sent += wire_size
             if span is not None:
                 span.attrs["bytes_out"] = wire_size
 
             self.sim.process(
-                self._serve_pipelined(
-                    method, params, request_id, request_plain, auth_tag,
-                    wire_size, done, deadline
-                ),
+                self._serve_pipelined(method, params, wire_size, done,
+                                      deadline),
                 name=f"rpc-serve-{self.server.name}-{request_id}",
             )
-            response_frame, result = yield done
+            result = yield done
         finally:
             self._inflight.pop(request_id, None)
-            if self._slot_waiters:
-                self._slot_waiters.pop(0).succeed()
+            self._wake_slot_waiter()
+        return raise_if_fault(normalize_value(result))
 
-        version, response_id, _response_plain = unpack_envelope(response_frame)
-        if version != PROTOCOL_V2 or response_id != request_id:
-            raise RpcError(
-                f"response frame mismatch: got v{version} id={response_id}, "
-                f"expected v{PROTOCOL_V2} id={request_id}"
-            )
-        payload = normalize_value(result)
-        if isinstance(payload, dict) and "__fault__" in payload:
-            exc_type = _FAULT_TYPES.get(payload["__fault__"], RpcError)
-            raise exc_type(payload.get("message", "remote fault"))
-        return payload
-
-    def _serve_pipelined(
-        self,
-        method: str,
-        params: dict,
-        request_id: int,
-        request_plain: bytes,
-        auth_tag: bytes,
-        wire_size: int,
-        done: Event,
-        deadline: Optional[float] = None,
-    ) -> Generator:
+    def _serve_pipelined(self, method: str, params: dict, wire_size: int,
+                         done: Event,
+                         deadline: Optional[float] = None) -> Generator:
         """Server-side half of a pipelined request (its own process)."""
         try:
-            server = self.server
-            expected = hmac_sha256(
-                server.device_secret(self.device_id),
-                self.device_id.encode() + request_plain,
-            )
-            if expected != auth_tag:
-                raise AuthorizationError("request authentication failed")
-            # In-process shortcut: parsing request_plain reproduces
+            self._authenticate()
+            # In-process shortcut: parsing the request bytes reproduces
             # normalize_value(params) exactly (see wire.py).
             payload_in = normalize_value(params)
             yield self.costs.rpc_marshal_time(wire_size, server=True)
-            try:
-                result = yield from server.dispatch(
-                    self.device_id, method, payload_in,
-                    deadline=deadline,
-                )
-            except (RpcError, RevokedError, AuthorizationError,
-                    ServiceUnavailableError, LockedFileError,
-                    ControlError) as exc:
-                result = {
-                    "__fault__": type(exc).__name__,
-                    "message": str(exc),
-                }
+            result = yield from serve_request(self.server, self.device_id,
+                                              method, payload_in, deadline)
 
-            # Response path: the frame carries the sealed body, but the
-            # completion event delivers a plaintext-framed copy so the
-            # client can verify the request-ID match without a redundant
-            # unseal (the seal is still computed for byte accounting).
-            response_plain = marshal_response(result)
-            response_envelope = self._suite.seal(
-                self._nonce(b"rsp"), response_plain
-            )
-            sealed_frame = pack_envelope(
-                PROTOCOL_V2, request_id, response_envelope
-            )
-            response_size = len(sealed_frame) + 16
-            try:
-                yield from self.link.transfer(response_size)
-            except NetworkUnavailableError:
-                self._connected = False
-                raise
+            response_size = response_wire_len(result, framed=True)
+            yield from self._transfer(response_size)
             self.metrics.bytes_received += response_size
             yield self.costs.rpc_marshal_time(response_size)
             if not done.triggered:
-                done.succeed((
-                    pack_envelope(PROTOCOL_V2, request_id, response_plain),
-                    result,
-                ))
+                done.succeed(result)
         except Exception as exc:  # delivered to the parked caller
             if not done.triggered:
                 done.fail(exc)

@@ -2,11 +2,21 @@
 
 The paper's components "communicate using encrypted XML-RPC with
 persistent connections", and its Figure 6 attributes the client-side
-overhead of a key fetch chiefly to "XML-RPC marshalling overhead".  We
-therefore marshal to real XML-RPC bytes (a faithful subset: struct,
+overhead of a key fetch chiefly to "XML-RPC marshalling overhead".  The
+codec here marshals to real XML-RPC bytes (a faithful subset: struct,
 array, int, string, base64, boolean, double, nil) so that byte counts —
 which feed both the bandwidth experiment and the link transfer times —
 are honest.
+
+Both wire peers share one simulation process, so transports never
+build those bytes: :func:`request_wire_len` and :func:`response_wire_len`
+are the one place a message's wire size is computed (sealed body, auth
+tag, headers, optional v2 frame), from the tag-for-tag length mirrors
+``marshal_*_len``, and :func:`normalize_value` replays a round-trip's
+effect on values.  The byte codec (``marshal_*``, :func:`unmarshal`,
+:func:`pack_envelope` / :func:`unpack_envelope`) stays as the reference
+those mirrors are derived from and property-tested against
+(``tests/property/test_wire_fastpath.py``).
 
 Protocol versions
 -----------------
@@ -15,11 +25,11 @@ Protocol versions
   framing — the sealed XML-RPC body *is* the envelope.  Responses are
   implicitly matched to requests because only one may be outstanding.
 * **v2** (pipelined): each sealed body is wrapped in a fixed 13-byte
-  frame — magic ``KPAD``, a version byte, and a 64-bit request ID — so
-  multiple requests can share one connection and responses can complete
-  out of order.  :func:`unpack_envelope` transparently recognises bare
-  v1 bodies, which is what lets a v2 peer interoperate with (and
-  degrade to) a v1 peer.
+  frame (``FRAME_OVERHEAD``) — magic ``KPAD``, a version byte, and a
+  64-bit request ID — so multiple requests can share one connection and
+  responses can complete out of order.  :func:`unpack_envelope`
+  transparently recognises bare v1 bodies, which is what lets a v2 peer
+  interoperate with (and degrade to) a v1 peer.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ import base64
 import re
 from typing import Any, Optional
 
+from repro.crypto.aead import StreamHmacAead
 from repro.errors import RpcError
 
 __all__ = [
@@ -35,6 +46,8 @@ __all__ = [
     "marshal_request_len",
     "marshal_response",
     "marshal_response_len",
+    "request_wire_len",
+    "response_wire_len",
     "normalize_value",
     "unmarshal",
     "WireMessage",
@@ -287,6 +300,32 @@ def marshal_request_len(method: str, params: dict[str, Any]) -> int:
 def marshal_response_len(payload: Any) -> int:
     """Exactly ``len(marshal_response(payload))``, lazily."""
     return _RESPONSE_FIXED_LEN + _encoded_len(payload)
+
+
+#: HMAC-SHA256 tag authenticating a request to the device secret.
+_AUTH_TAG_LEN = 32
+#: transport header bytes beside a request's and a response's body.
+_REQUEST_HEADER_LEN = 24
+_RESPONSE_HEADER_LEN = 16
+
+
+def request_wire_len(method: str, params: dict[str, Any], device_id: str,
+                     framed: bool = False) -> int:
+    """Bytes a request occupies on the wire: the sealed
+    ``marshal_request`` body, its auth tag, the device id and the
+    header, plus a v2 frame when ``framed``."""
+    n = (StreamHmacAead.sealed_len(marshal_request_len(method, params))
+         + _AUTH_TAG_LEN + len(device_id) + _REQUEST_HEADER_LEN)
+    return n + FRAME_OVERHEAD if framed else n
+
+
+def response_wire_len(payload: Any, framed: bool = False) -> int:
+    """Bytes a response occupies on the wire: the sealed
+    ``marshal_response`` body and the header, plus a v2 frame when
+    ``framed``."""
+    n = (StreamHmacAead.sealed_len(marshal_response_len(payload))
+         + _RESPONSE_HEADER_LEN)
+    return n + FRAME_OVERHEAD if framed else n
 
 
 # A tiny recursive-descent parser over a tokenized tag stream.  We parse

@@ -21,32 +21,27 @@ The design deliberately mirrors a small subset of SimPy:
   which is how we model things like a device being stolen mid-operation
   or a background thread being cancelled.
 
-Schedulers
-----------
+Scheduler
+---------
 
-Two event-queue implementations share one firing order (the total order
-``(time, seq)`` where ``seq`` is a global schedule counter):
+Events fire in the total order ``(time, seq)`` where ``seq`` is a global
+schedule counter.  :class:`Simulation` keeps them in
+:class:`_CalendarScheduler`, a bucketed timing-wheel with a same-instant
+FIFO fast queue: zero-delay events (process starts, event triggers,
+queue hand-offs — roughly half of all scheduling under fleet load)
+bypass the priority structure entirely and ride a deque that is
+merge-compared against the wheel, and future events go to O(1)
+append/scan buckets, with a far-horizon heap for sparse long delays.
 
-* ``"heap"`` — the original ``heapq`` scheduler, kept verbatim as the
-  reference oracle (like the reference kernels in :mod:`repro.crypto`).
-* ``"calendar"`` — a bucketed timing-wheel scheduler with a same-instant
-  FIFO fast queue.  Zero-delay events (process starts, event triggers,
-  queue hand-offs — roughly half of all scheduling under fleet load)
-  bypass the priority structure entirely and ride a deque that is
-  merge-compared against the wheel, and future events go to O(1)
-  append/scan buckets, with a far-horizon heap for sparse long delays.
-
-The calendar scheduler pops events in exactly the same ``(time, seq)``
-order as the heap (property-tested in
-``tests/property/test_kernel_equivalence.py``), so every figure and
-table is byte-identical under either.  Selection:
-``Simulation(kernel="heap"|"calendar")`` or the ``KEYPAD_SIM_KERNEL``
-environment variable (default ``calendar``).
+:class:`_HeapScheduler`, the original ``heapq`` queue, stays as the
+reference oracle (like the reference kernels in :mod:`repro.crypto`).
+``tests/property/test_kernel_equivalence.py`` and
+``benchmarks/bench_sim_kernel.py`` patch it in for the calendar queue
+and hold the two to the identical firing order.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -61,12 +56,7 @@ __all__ = [
     "Semaphore",
     "Interrupt",
     "SimulationError",
-    "DEFAULT_KERNEL",
 ]
-
-#: env knob naming the default scheduler for new Simulations.
-KERNEL_ENV = "KEYPAD_SIM_KERNEL"
-DEFAULT_KERNEL = "calendar"
 
 
 class SimulationError(Exception):
@@ -284,6 +274,19 @@ class Process(Waitable):
         return f"<Process {self.name} {state}>"
 
 
+def abandon_handoff(waiters: list, event: Event, release: Callable) -> None:
+    """Withdraw a handoff ``event`` queued in ``waiters`` whose waiter
+    left by exception (an interrupt, a lost deadline race).  Still
+    queued: drop it, so ``release`` never hands ownership to a process
+    that is gone.  Already handed over (the release and the exception
+    landed at the same instant): pass the ownership on by calling
+    ``release``."""
+    if event.triggered:
+        release()
+    else:
+        waiters.remove(event)
+
+
 class Lock:
     """Cooperative mutex for processes (FIFO handoff).
 
@@ -309,7 +312,11 @@ class Lock:
             return None
         event = Event(self.sim)
         self._waiters.append(event)
-        yield event  # ownership is handed over on release
+        try:
+            yield event  # ownership is handed over on release
+        except BaseException:
+            abandon_handoff(self._waiters, event, self.release)
+            raise
         return None
 
     def release(self) -> None:
@@ -359,7 +366,11 @@ class Semaphore:
             return None
         event = Event(self.sim)
         self._waiters.append(event)
-        yield event  # the slot is handed over on release
+        try:
+            yield event  # the slot is handed over on release
+        except BaseException:
+            abandon_handoff(self._waiters, event, self.release)
+            raise
         return None
 
     def release(self) -> None:
@@ -667,32 +678,13 @@ class _CalendarScheduler:
         return cur[0][0]
 
 
-def _make_scheduler(kernel: str):
-    if kernel == "calendar":
-        return _CalendarScheduler()
-    if kernel == "heap":
-        return _HeapScheduler()
-    raise SimulationError(
-        f"unknown sim kernel {kernel!r} (expected 'calendar' or 'heap')"
-    )
-
-
 class Simulation:
-    """The event loop.  Time is in (simulated) seconds.
+    """The event loop.  Time is in (simulated) seconds."""
 
-    ``kernel`` selects the event-queue implementation (``"calendar"``,
-    the default, or ``"heap"``, the reference oracle); both fire events
-    in the identical ``(time, seq)`` order.  The default can be steered
-    globally via the ``KEYPAD_SIM_KERNEL`` environment variable.
-    """
-
-    def __init__(self, kernel: Optional[str] = None) -> None:
-        if kernel is None:
-            kernel = os.environ.get(KERNEL_ENV, DEFAULT_KERNEL)
-        self.kernel = kernel
+    def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
-        self._q = q = _make_scheduler(kernel)
+        self._q = q = _CalendarScheduler()
         # Pre-bound scheduler methods: the dispatch loop and _schedule
         # are the hottest call sites in the whole reproduction.
         self._push = q.push

@@ -574,9 +574,9 @@ def run_fleet(
                 segment_entries=segment_entries, inspect=inspect,
                 n_shards=n_shards,
             )
-        # Unsupported topology (replica cluster, zero-latency link, full
-        # wire mode): run single-process rather than fail — the result
-        # is identical either way.
+        # Unsupported topology (replica cluster, zero-latency link): run
+        # single-process rather than fail — the result is identical
+        # either way.
 
     sim = Simulation()
     frontends: list = []

@@ -20,9 +20,9 @@ whose tables are byte-identical to the single-process run at any
   and working set purely from ``(seed, i)``; two devices never interact
   except through the server.  A device shard can therefore rebuild its
   slice of the fleet bit-for-bit without seeing the rest.
-* **The serial RPC body splits cleanly.**  In fast wire mode the client
-  half (marshal/connect/transfer sleeps, byte counters, the deadline
-  race) touches only device-local state, and the server half (server
+* **The serial RPC body splits cleanly.**  The client half
+  (marshal/connect/transfer sleeps, byte counters, the deadline race)
+  touches only device-local state, and the server half (server
   unmarshal sleep, dispatch through the frontend, fault mapping,
   response sizing) touches only server state.  The stub
   :class:`ShardChannel` runs the client half on the device shard; a
@@ -30,7 +30,8 @@ whose tables are byte-identical to the single-process run at any
 * **Timestamps are exact.**  Cross-shard messages carry absolute float
   times computed by the same expressions the unsharded run evaluates
   (``Link.one_way_delay``, ``CostModel.rpc_marshal_time``,
-  ``marshal_*_len``), so every event lands at the identical instant.
+  ``request_wire_len`` / ``response_wire_len``), so every event lands
+  at the identical instant.
 
 Synchronization is conservative (no rollback).  Shards advance in
 lockstep windows ``[W, W')``; a window is safe to execute once every
@@ -60,27 +61,13 @@ staggers are continuous draws, so exact collisions have measure zero.
 from __future__ import annotations
 
 import multiprocessing
-import os
 from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from repro.costmodel import CostModel
-from repro.crypto.aead import StreamHmacAead
-from repro.errors import (
-    AuthorizationError,
-    ControlError,
-    LockedFileError,
-    RevokedError,
-    RpcError,
-    ServiceUnavailableError,
-)
 from repro.net.netem import NetEnv
-from repro.net.rpc import _FAULT_TYPES, RpcChannel
-from repro.net.wire import (
-    marshal_request_len,
-    marshal_response_len,
-    normalize_value,
-)
+from repro.net.rpc import RpcChannel, raise_if_fault, serve_request
+from repro.net.wire import normalize_value, request_wire_len, response_wire_len
 from repro.sim import Simulation
 
 __all__ = ["available", "run_fleet_sharded", "ShardChannel"]
@@ -88,25 +75,18 @@ __all__ = ["available", "run_fleet_sharded", "ShardChannel"]
 #: Seconds a shard waits on its pipe before declaring the peer dead.
 _PIPE_TIMEOUT = 600.0
 
-# The faults the serial body marshals over the wire (everything else
-# would propagate client-side in the unsharded run and is a bug here).
-_WIRE_FAULTS = (RpcError, RevokedError, AuthorizationError,
-                ServiceUnavailableError, LockedFileError, ControlError)
-
 
 def available(network: NetEnv, replicas: int = 1) -> bool:
     """Whether the sharded runner can reproduce this configuration.
 
     Requires the fork start method (the workers rebuild their world from
     a tiny picklable config, but fork keeps spawn costs negligible), a
-    positive link latency (the lookahead), the single-service topology,
-    and fast wire mode (the stub replicates the size-only serial body).
+    positive link latency (the lookahead), and the single-service
+    topology.
     """
     if replicas != 1:
         return False
     if network.rtt <= 0:
-        return False
-    if os.environ.get("KEYPAD_RPC_WIRE", "fast") == "full":
         return False
     try:
         multiprocessing.get_context("fork")
@@ -130,10 +110,10 @@ class _ServerRef:
 
 
 class ShardChannel(RpcChannel):
-    """Client half of a fast-wire serial RPC, for cross-shard calls.
+    """Client half of a serial RPC, for cross-shard calls.
 
     Inherits everything above the serial body — call dispatch, the
-    deadline race, channel metrics, the nonce/ratchet state machine —
+    deadline race, channel metrics, the session-key ratchet —
     from :class:`RpcChannel` untouched, and replaces the body with one
     that emits the request to the server shard at transfer start and
     parks on the response event instead of running the server inline.
@@ -148,12 +128,8 @@ class ShardChannel(RpcChannel):
 
     def _serial_body(self, method: str, params: dict, span: Any,
                      deadline: Optional[float] = None) -> Generator:
-        # Mirror of the fast-mode serial body in rpc.py, client half.
-        self._nonce(b"req")
-        wire_size = (
-            StreamHmacAead.sealed_len(marshal_request_len(method, params))
-            + 32 + len(self.device_id) + 24
-        )
+        # Mirror of the serial body in rpc.py, client half.
+        wire_size = request_wire_len(method, params, self.device_id)
         yield self.costs.rpc_marshal_time(wire_size)
         if not self._connected:
             yield self.costs.rpc_connect
@@ -178,18 +154,12 @@ class ShardChannel(RpcChannel):
         # stamp; the event fires one response-flight later, exactly when
         # the unsharded client would come out of link.transfer().
         t_sent, result, response_size = yield done
-        self._nonce(b"rsp")
         self.link.stats.record(t_sent, response_size)
         self.metrics.bytes_received += response_size
         if span is not None:
             span.attrs["bytes_in"] = response_size
         yield self.costs.rpc_marshal_time(response_size)
-
-        payload = normalize_value(result)
-        if isinstance(payload, dict) and "__fault__" in payload:
-            exc_type = _FAULT_TYPES.get(payload["__fault__"], RpcError)
-            raise exc_type(payload.get("message", "remote fault"))
-        return payload
+        return raise_if_fault(normalize_value(result))
 
 
 @dataclass(frozen=True)
@@ -329,26 +299,18 @@ class _ServerShard:
 
     def _serve(self, shard_index: int, msg: tuple) -> Generator:
         rid, device_id, method, params, wire_size, _arrival, deadline = msg
-        # Server half of the fast-mode serial body (rpc.py): unmarshal
-        # cost, then dispatch with the wire fault mapping.
+        # Server half of the serial body (rpc.py): unmarshal cost, then
+        # dispatch with the wire fault mapping.
         yield self.costs.rpc_marshal_time(wire_size, server=True)
         if deadline is not None and deadline < self.sim.now:
             # The client's deadline expired while we were unmarshalling:
             # in the unsharded run the interrupt lands before dispatch,
             # so the request never reaches the frontend.
             return
-        try:
-            result = yield from self.server.dispatch(
-                device_id, method, normalize_value(params),
-                deadline=deadline,
-            )
-        except _WIRE_FAULTS as exc:
-            result = {"__fault__": type(exc).__name__, "message": str(exc)}
-        response_size = (
-            StreamHmacAead.sealed_len(marshal_response_len(result)) + 16
-        )
+        result = yield from serve_request(self.server, device_id, method,
+                                          normalize_value(params), deadline)
         self.outboxes[shard_index].append(
-            (rid, self.sim.now, result, response_size)
+            (rid, self.sim.now, result, response_wire_len(result))
         )
 
 

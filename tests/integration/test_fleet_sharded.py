@@ -7,11 +7,6 @@ and every per-device stat must match the unsharded run exactly — same
 floats, same ordering — at any shard count.  These tests hold that
 contract on a small fleet with a live control plane (a Texp change and
 a mid-run revocation), the same moving parts the big arms exercise.
-
-The fast wire mode the shard transport relies on is separately pinned
-to the full codec path: a run with ``_WIRE_FULL`` forced on (channels
-really marshal, MAC and seal every message) must produce the same
-tables as the default fast mode.
 """
 
 import pytest
@@ -65,9 +60,3 @@ def test_replicas_fall_back_to_single_process():
         replicas=2, threshold=1, fleet_shards=4,
     )
     assert result.summary()["requested"] > 0
-
-
-def test_fast_wire_matches_full_codec(monkeypatch):
-    fast = _run(1)
-    monkeypatch.setattr("repro.net.rpc._WIRE_FULL", True)
-    assert _run(1) == fast

@@ -17,15 +17,16 @@ from repro.core import (
 )
 from repro.crypto.ibe import TOY
 from repro.encfs import Volume
-from repro.errors import RevokedError
+from repro.errors import AuthorizationError, RevokedError
 from repro.forensics import AuditTool
 from repro.harness import build_keypad_rig
 from repro.net import LAN, Link
+from repro.net.wire import PROTOCOL_V2
 from repro.sim import Simulation
 from repro.storage import BlockDevice, BufferCache, LocalFileSystem
 
 
-def _two_device_world():
+def _two_device_world(pipelining=False):
     """One simulation, one pair of services, two independent laptops."""
     sim = Simulation()
     key_service = KeyService(sim, seed=b"shared-ks")
@@ -40,6 +41,7 @@ def _two_device_world():
             sim, f"laptop-{name}", f"secret-{name}".encode() * 2,
             key_service, metadata_service,
             Link(sim, rtt=0.001), Link(sim, rtt=0.001),
+            pipelining=pipelining,
         )
         fs = KeypadFS(
             sim, lower, Volume(f"pw-{name}"), services,
@@ -121,30 +123,40 @@ class TestMultiDevice:
         )
         assert audit_id in report.compromised_ids
 
-    def test_one_device_cannot_fetch_while_impersonating_another(self):
-        """Requests are authenticated per device secret."""
-        world = _two_device_world()
+    @pytest.mark.parametrize("pipelining", [False, True])
+    def test_one_device_cannot_fetch_while_impersonating_another(
+            self, pipelining):
+        """Requests are authenticated per device secret, on the serial
+        and the pipelined path alike."""
+        world = _two_device_world(pipelining=pipelining)
         sim = world["sim"]
-        fs_a = world["alpha"]
+        fs_a, fs_b = world["alpha"], world["beta"]
 
         def setup():
             yield from fs_a.create("/a.txt")
             audit_id = yield from fs_a.audit_id_of("/a.txt")
+            # beta's own traffic settles its channel's protocol version.
+            yield from fs_b.create("/b.txt")
+            yield sim.timeout(1.0)
             return audit_id
 
         audit_id = sim.run_process(setup())
         # beta's channel claims to be laptop-alpha.
-        beta_channel = world["beta"].services.key_channel
+        beta_channel = fs_b.services.key_channel
+        assert beta_channel.negotiated_version == (
+            PROTOCOL_V2 if pipelining else None)
         beta_channel.device_id = "laptop-alpha"
+        pipelined = beta_channel.metrics.pipelined_calls
+        fetches = len(world["key"].access_log.entries(kind="fetch"))
 
         def impersonate():
             result = yield from beta_channel.call("key.fetch", audit_id=audit_id)
             return result
 
-        from repro.errors import AuthorizationError
-
         with pytest.raises(AuthorizationError):
             sim.run_process(impersonate())
+        assert beta_channel.metrics.pipelined_calls == pipelined + pipelining
+        assert len(world["key"].access_log.entries(kind="fetch")) == fetches
 
 
 class TestConcurrentApplications:

@@ -2,9 +2,10 @@
 
 Random fleets of interacting processes — timeouts, bare-delay sleeps,
 shared events, a queue, child joins, cross-process interrupts — run once
-under ``Simulation(kernel="heap")`` and once under ``"calendar"``.  The
-full observable trace (resume times, delivered values, interrupt causes,
-final process outcomes) must match exactly: same floats, same order.
+on the calendar queue ``Simulation`` builds and once with the heap
+oracle patched in for it.  The full observable trace (resume times,
+delivered values, interrupt causes, final process outcomes) must match
+exactly: same floats, same order.
 
 Delay pools deliberately include duplicates (same-instant FIFO ties),
 zeros (the now-deque fast path), sub-microsecond values, and far-future
@@ -12,10 +13,22 @@ magnitudes (the far heap + wheel rebase), so the structural edge cases
 of the calendar queue all get traffic.
 """
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Interrupt, Simulation
+from repro.sim import Interrupt, Simulation, kernel
+
+
+def _simulation(scheduler: str) -> Simulation:
+    """A Simulation on the calendar queue, or on the heap oracle."""
+    if scheduler == "calendar":
+        return Simulation()
+    with mock.patch.object(kernel, "_CalendarScheduler",
+                           kernel._HeapScheduler):
+        return Simulation()
+
 
 # Duplicates force (time, seq) ties; the spread forces bucket reuse,
 # far-heap promotion, and wheel rebase.
@@ -43,8 +56,8 @@ _SCRIPTS = st.lists(
 )
 
 
-def _run_world(kernel: str, scripts) -> tuple[list, list]:
-    sim = Simulation(kernel=kernel)
+def _run_world(scheduler: str, scripts) -> tuple[list, list]:
+    sim = _simulation(scheduler)
     trace: list = []
     events = [sim.event() for _ in range(_N_EVENTS)]
     queue = sim.queue()
@@ -103,6 +116,11 @@ def test_calendar_matches_heap_trace(scripts):
     assert cal_final == heap_final
 
 
+def test_heap_oracle_is_patched_in():
+    assert type(_simulation("heap")._q) is kernel._HeapScheduler
+    assert type(_simulation("calendar")._q) is kernel._CalendarScheduler
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     delays=st.lists(
@@ -113,8 +131,8 @@ def test_calendar_matches_heap_trace(scripts):
 def test_calendar_pops_arbitrary_float_delays_in_order(delays):
     """Pure scheduling: arbitrary float delays come back time-sorted and
     FIFO within ties, matching the heap exactly."""
-    def fire_order(kernel: str) -> list:
-        sim = Simulation(kernel=kernel)
+    def fire_order(scheduler: str) -> list:
+        sim = _simulation(scheduler)
         out: list = []
 
         def waiter(k: int, d: float):

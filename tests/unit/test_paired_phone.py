@@ -159,6 +159,8 @@ class TestTransportRatchet:
         channel._maybe_ratchet()
         assert channel._session_key != old_key
         # A message sealed under the current key fails under the old one.
-        sealed = channel._suite.seal(b"n" * 16, b"key material")
+        sealed = StreamHmacAead(channel._session_key).seal(
+            b"n" * 16, b"key material"
+        )
         with pytest.raises(Exception):
             StreamHmacAead(old_key).open(b"n" * 16, sealed)

@@ -1,8 +1,8 @@
-"""Tests for the cooperative Lock primitive."""
+"""Tests for the cooperative Lock and Semaphore primitives."""
 
 import pytest
 
-from repro.sim import Lock, Simulation, SimulationError
+from repro.sim import Lock, Semaphore, Simulation, SimulationError
 
 
 def test_uncontended_acquire_is_immediate():
@@ -89,3 +89,56 @@ def test_handoff_keeps_lock_held():
     assert ("after-first-release", True) in states
     assert ("second-acquired", True) in states
     assert not lock.locked
+
+
+def _abandoned_waiter_world(sim, primitive, kill_at):
+    """A holder keeps ``primitive`` for 1 s; a waiter queued behind it is
+    interrupted at ``kill_at``; a late acquirer arrives at 0.7 s.
+    Returns the list the late acquirer appends to once it gets in."""
+    got_in = []
+
+    def killer():
+        yield sim.timeout(kill_at)
+        doomed.interrupt("gone")
+
+    def holder():
+        yield from primitive.acquire()
+        yield sim.timeout(1.0)
+        primitive.release()
+
+    def waiter():
+        yield from primitive.acquire()
+        got_in.append("doomed")
+        primitive.release()
+
+    def late():
+        yield sim.timeout(0.7)
+        yield from primitive.acquire()
+        got_in.append(sim.now)
+        primitive.release()
+
+    # The killer starts first so that, at kill_at == 1.0, its interrupt
+    # is issued before the holder's release at the same instant.
+    sim.process(killer())
+    sim.process(holder())
+    doomed = sim.process(waiter())
+    sim.process(late())
+    sim.run()
+    return got_in
+
+
+@pytest.mark.parametrize("kill_at", [0.5, 1.0])
+def test_interrupted_waiter_does_not_keep_the_lock(kill_at):
+    sim = Simulation()
+    lock = Lock(sim)
+    assert _abandoned_waiter_world(sim, lock, kill_at) == [1.0]
+    assert not lock.locked
+
+
+@pytest.mark.parametrize("kill_at", [0.5, 1.0])
+def test_interrupted_waiter_does_not_keep_the_semaphore_slot(kill_at):
+    sim = Simulation()
+    sem = Semaphore(sim, capacity=1)
+    assert _abandoned_waiter_world(sim, sem, kill_at) == [1.0]
+    assert sem.in_use == 0
+    assert sem.waiting == 0

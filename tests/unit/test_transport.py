@@ -3,7 +3,8 @@ framing, negotiation fallback, coalescing, write-behind, and sharding."""
 
 import pytest
 
-from repro.errors import RpcError
+from repro.core.context import OpContext
+from repro.errors import DeadlineExpiredError, RpcError
 from repro.net import (
     FRAME_OVERHEAD,
     PROTOCOL_V1,
@@ -178,6 +179,47 @@ class TestPipelinedCalls:
         sim.run_process(driver())
         assert channel.metrics.inflight_hwm == 2
         assert channel.metrics.pipelined_calls == 7
+
+    def test_expired_slot_waiter_does_not_swallow_the_wakeup(self):
+        # A holds the only slot for 1 s; B queues behind it and gives up
+        # at its 0.1 s deadline; C queues at 0.3 s.  A's completion must
+        # wake C, not B's abandoned place in the queue.
+        sim, _link, server, channel = _make_rig(
+            rtt=0.01, pipelining=True, max_inflight=1
+        )
+
+        def handler(device, payload):
+            yield sim.timeout(payload["hold"])
+            return {"hold": payload["hold"]}
+
+        server.register("work", handler)
+        outcomes = []
+
+        def caller(hold, op_ctx=None):
+            try:
+                result = yield from channel.call("work", op_ctx=op_ctx,
+                                                 hold=hold)
+                outcomes.append(result["hold"])
+            except DeadlineExpiredError:
+                outcomes.append("expired")
+            return None
+
+        def driver():
+            yield from channel.call("work", hold=0.0)  # negotiate v2
+            procs = [
+                sim.process(caller(1.0)),
+                sim.process(caller(0.0, OpContext(
+                    sim, "b", deadline=sim.now + 0.1))),
+            ]
+            yield sim.timeout(0.3)
+            procs.append(sim.process(caller(0.5)))
+            yield sim.all_of(procs)
+            return None
+
+        sim.run_process(driver())
+        assert outcomes == ["expired", 1.0, 0.5]
+        assert channel.inflight_count == 0
+        assert channel._slot_waiters == []
 
     def test_default_serial_channel_never_handshakes(self):
         sim, _link, server, channel = _make_rig(pipelining=False)
