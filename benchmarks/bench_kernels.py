@@ -13,19 +13,35 @@ Kernels covered:
 * AEAD keystream        — resumed SHA-256 states + wide XOR
 * ``ctr_transform``     — batched AES-CTR keystream + wide XOR
 * ``_unpack_dir``       — decoded-directory cache hit vs re-parse
+* ``ibe_scalar_mult``   — Jacobian int multiply vs the affine F_p² oracle
+* ``ibe_pairing``       — int Miller loop vs the affine F_p² oracle
+
+The two IBE rows take their reference from ``tests/ibe_oracle.py``, and
+the record's ``meta.counts`` carries the field inversions
+(``numbers.invmod`` calls) one scalar multiplication and one pairing
+make — exact counts that ``check_perf.py`` holds to a ceiling.
 """
 
 from __future__ import annotations
 
+import pathlib
+import sys
 import time
+from unittest import mock
 
+from repro.crypto import numbers
 from repro.crypto.aead import StreamHmacAead
 from repro.crypto.aes import AES
 from repro.crypto.hmac import hmac_sha256, hmac_sha256_reference
+from repro.crypto.ibe import TOY, PrivateKeyGenerator
+from repro.crypto.ibe.pairing import modified_pairing
 from repro.crypto.modes import ctr_transform, ctr_transform_reference
 from repro.harness.results import ResultTable
 from repro.harness.runner import ArmPerf, BenchPerf, bench_jobs
 from repro.storage.localfs import _pack_dir, _unpack_dir
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+from tests import ibe_oracle  # noqa: E402  (repo root, for the script form)
 
 _MIN_REPS = 3
 
@@ -98,12 +114,60 @@ def _bench_rows() -> tuple[list[tuple], dict[str, float]]:
         _rate(_unpack_dir, raw),
         _rate(cache_hit, raw),
     )
+
+    curve, g, q, scalar, d_id, u = _ibe_inputs()
+    record(
+        "ibe_scalar_mult", "ops/s",
+        _rate(ibe_oracle.multiply, curve, g, scalar),
+        _rate(curve.multiply, g, scalar),
+    )
+    record(
+        "ibe_pairing", "ops/s",
+        _rate(ibe_oracle.modified_pairing, curve, d_id, u, q),
+        _rate(modified_pairing, curve, d_id, u, q),
+    )
     return rows, speedups
+
+
+def _ibe_inputs():
+    """IBE on the TOY parameters the simulations run: a 64-bit scalar
+    (the shape of encrypt's r·P) and an extracted key with a ciphertext
+    point to pair (decrypt's ê(d_ID, U))."""
+    pkg = PrivateKeyGenerator(TOY, master_seed=b"bench-kernels")
+    params = pkg.params
+    curve, g, q = params.curve, params.generator, params.q
+    scalar = q // 3
+    d_id = pkg.extract(b"dir/file|audit-id").point
+    return curve, g, q, scalar, d_id, curve.multiply(g, scalar)
+
+
+def _inversions(fn, *args) -> int:
+    """``numbers.invmod`` calls made by one ``fn(*args)``."""
+    real = numbers.invmod
+    calls = 0
+
+    def counting(a, m):
+        nonlocal calls
+        calls += 1
+        return real(a, m)
+
+    with mock.patch.object(numbers, "invmod", counting):
+        fn(*args)
+    return calls
+
+
+def _ibe_counts() -> dict[str, int]:
+    curve, g, q, scalar, d_id, u = _ibe_inputs()
+    return {
+        "inversions_per_scalar_mult": _inversions(curve.multiply, g, scalar),
+        "inversions_per_pairing": _inversions(modified_pairing, curve, d_id, u, q),
+    }
 
 
 def build_table() -> ResultTable:
     wall0, cpu0 = time.perf_counter(), time.process_time()
     rows, speedups = _bench_rows()
+    counts = _ibe_counts()
     wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
     table = ResultTable(
         "Hot-path kernel microbenchmarks (reference vs optimized)",
@@ -113,6 +177,8 @@ def build_table() -> ResultTable:
         table.add(*row)
     table.note("reference implementations are the byte-exactness oracles "
                "the optimized kernels are tested against")
+    table.note("field inversions: "
+               + ", ".join(f"{k} = {v}" for k, v in sorted(counts.items())))
     table.perf = BenchPerf(
         bench="kernels",
         jobs=bench_jobs(),
@@ -120,7 +186,8 @@ def build_table() -> ResultTable:
                       cpu_s=cpu / len(rows)) for row in rows],
         total_wall_s=wall,
         total_cpu_s=cpu,
-        meta={"speedups": {k: round(v, 3) for k, v in speedups.items()}},
+        meta={"speedups": {k: round(v, 3) for k, v in speedups.items()},
+              "counts": counts},
     )
     return table
 
@@ -134,6 +201,10 @@ def test_kernel_microbench(record_table):
     assert speedups["aead_stream_transform"] > 1.5
     assert speedups["ctr_transform"] > 1.05
     assert speedups["unpack_dir"] > 2.0
+    assert speedups["ibe_scalar_mult"] > 2.0
+    assert speedups["ibe_pairing"] > 2.0
+    assert table.perf.meta["counts"] == {
+        "inversions_per_scalar_mult": 1, "inversions_per_pairing": 1}
 
 
 if __name__ == "__main__":

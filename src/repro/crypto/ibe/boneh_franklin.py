@@ -21,6 +21,7 @@ from repro.crypto.aead import NONCE_LEN, AesCtrHmacAead
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.ibe.curve import Point
 from repro.crypto.ibe.fp2 import Fp2
+from repro.crypto.ibe.pairing import modified_pairing
 from repro.crypto.ibe.params import SMALL, BfParams, get_params
 from repro.crypto.sha256 import sha256_fast
 from repro.errors import CryptoError
@@ -70,6 +71,31 @@ def _kdf_from_gt(value: Fp2, salt: bytes) -> bytes:
     return sha256_fast(b"H2|" + salt + b"|" + value.to_bytes())
 
 
+def _ciphertext_point(params: BfParams, u_x: int, u_y: int) -> Point:
+    """U from a ciphertext's ints, refused unless it has order q.
+
+    A point of small order — (0, ±1) has order 3, (p − 1, 0) order 2 —
+    pairs to 1 with every private key, so a ciphertext built on one
+    would open under H2(1) for any identity without the PKG.  (The int
+    pair cannot encode ∞.)
+    """
+    curve = params.curve
+    u = curve.point(u_x, u_y)
+    if not curve.contains(u):
+        raise CryptoError("ciphertext point not on curve")
+    if not curve.multiply(u, params.q).infinity:
+        raise CryptoError("ciphertext point not in the order-q subgroup")
+    return u
+
+
+def _pairing(params: BfParams, a: Point, b: Point) -> Fp2:
+    """ê(A, B), refused when degenerate (0 or 1)."""
+    value = modified_pairing(params.curve, a, b, params.q)
+    if value.is_zero() or value.is_one():
+        raise CryptoError("degenerate pairing value")
+    return value
+
+
 class IbePublic:
     """The public side: system params + PKG public key; can encrypt.
 
@@ -96,12 +122,7 @@ class IbePublic:
     def _g_id(self, identity: bytes) -> Fp2:
         g = self._gid_cache.get(identity)
         if g is None:
-            from repro.crypto.ibe.pairing import modified_pairing
-
-            q_id = self.identity_point(identity)
-            g = modified_pairing(self.params.curve, q_id, self.public_point, self.params.q)
-            if g.is_zero() or g.is_one():
-                raise CryptoError("degenerate pairing for identity")
+            g = _pairing(self.params, self.identity_point(identity), self.public_point)
             self._gid_cache[identity] = g
         return g
 
@@ -120,13 +141,8 @@ def decrypt(
     params: BfParams, private_key: IbePrivateKey, ciphertext: IbeCiphertext
 ) -> bytes:
     """Unseal with d_ID; raises IntegrityError/CryptoError on mismatch."""
-    from repro.crypto.ibe.pairing import modified_pairing
-
-    p = params.p
-    u = Point(Fp2.from_int(ciphertext.u_x, p), Fp2.from_int(ciphertext.u_y, p))
-    if not params.curve.contains(u):
-        raise CryptoError("ciphertext point not on curve")
-    shared = modified_pairing(params.curve, private_key.point, u, params.q)
+    u = _ciphertext_point(params, ciphertext.u_x, ciphertext.u_y)
+    shared = _pairing(params, private_key.point, u)
     key = _kdf_from_gt(shared, private_key.identity)
     nonce = sha256_fast(b"ibe-nonce|" + u.x.to_bytes() + u.y.to_bytes())[:NONCE_LEN]
     return AesCtrHmacAead(key).open(nonce, ciphertext.sealed, aad=private_key.identity)

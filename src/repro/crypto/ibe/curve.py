@@ -4,10 +4,15 @@ For such p the curve is supersingular with #E(F_p) = p + 1, and the map
 x ↦ x³ is a bijection on F_p, giving a clean hash-to-point: pick y from
 the hash, solve x = (y² − 1)^{1/3}, then clear the cofactor.
 
-Points carry F_p² coordinates throughout so the same arithmetic serves
-both E(F_p) (b-components zero) and the distorted points in E(F_p²)
-used by the Tate pairing.  The distortion map is φ(x, y) = (ζ·x, y)
-with ζ a primitive cube root of unity in F_p² \\ F_p.
+``Point`` carries F_p² coordinates so one type holds both E(F_p) points
+(b-components zero) and the distorted points φ(P) in E(F_p²); it is the
+boundary type callers build from wire ints.  The group law itself runs
+on E(F_p) only, on plain ints: ``add``/``double`` are affine with one
+inversion, ``multiply`` works in Jacobian coordinates (x = X/Z²,
+y = Y/Z³) and inverts once, to return to affine.  A point with a
+non-zero b-component is refused.  The distortion map is φ(x, y) = (ζ·x, y)
+with ζ a primitive cube root of unity in F_p² \\ F_p; the pairing
+evaluates it inline rather than through ``distort``.
 """
 
 from __future__ import annotations
@@ -15,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.crypto import numbers
 from repro.crypto.ibe.fp2 import Fp2
 from repro.crypto.numbers import cbrt_mod, sqrt_mod
 
-__all__ = ["Point", "CurveGroup"]
+__all__ = ["Point", "CurveGroup", "coords"]
 
 
 @dataclass(frozen=True)
@@ -39,6 +45,19 @@ class Point:
 
 
 _INFINITY = Point(None, None)
+
+
+def coords(pt: Point) -> Optional[tuple[int, int]]:
+    """(x, y) of an E(F_p) point as ints, or None for ∞.
+
+    Raises ``ValueError`` for a point with an F_p² coordinate: the group
+    law and the pairing's first argument live on E(F_p).
+    """
+    if pt.x is None:
+        return None
+    if pt.x.b or pt.y.b:
+        raise ValueError("not a point of E(F_p): coordinate has an F_p² component")
+    return pt.x.a, pt.y.a
 
 
 class CurveGroup:
@@ -69,6 +88,11 @@ class CurveGroup:
         assert (zeta * zeta + zeta + Fp2.one(p)).is_zero(), "bad cube root of unity"
         return zeta
 
+    def point(self, x: int, y: int) -> Point:
+        """The E(F_p) point (x, y) in the ``Point`` boundary type."""
+        p = self.p
+        return Point(Fp2(x, 0, p), Fp2(y, 0, p))
+
     # -- membership ------------------------------------------------------------
     def contains(self, pt: Point) -> bool:
         if pt.infinity:
@@ -77,29 +101,26 @@ class CurveGroup:
         rhs = pt.x.square() * pt.x + Fp2.one(self.p)
         return lhs == rhs
 
-    # -- group law ----------------------------------------------------------------
+    # -- group law (E(F_p), ints) ---------------------------------------------------
     def add(self, p1: Point, p2: Point) -> Point:
-        if p1.infinity:
+        c1, c2 = coords(p1), coords(p2)
+        if c1 is None:
             return p2
-        if p2.infinity:
+        if c2 is None:
             return p1
-        if p1.x == p2.x:
-            if p1.y == p2.y:
-                return self.double(p1)
-            return _INFINITY  # P + (−P)
-        slope = (p2.y - p1.y) / (p2.x - p1.x)
-        x3 = slope.square() - p1.x - p2.x
-        y3 = slope * (p1.x - x3) - p1.y
-        return Point(x3, y3)
+        p = self.p
+        (x1, y1), (x2, y2) = c1, c2
+        if x1 == x2:
+            if y1 != y2 or not y1:
+                return _INFINITY  # P + (−P), or 2·P for P of order 2
+            slope = 3 * x1 * x1 * numbers.invmod(2 * y1, p)  # a = 0
+        else:
+            slope = (y2 - y1) * numbers.invmod(x2 - x1, p)
+        x3 = (slope * slope - x1 - x2) % p
+        return self.point(x3, slope * (x1 - x3) - y1)
 
     def double(self, pt: Point) -> Point:
-        if pt.infinity or pt.y.is_zero():
-            return _INFINITY
-        # slope = 3x² / 2y  (a = 0 for y² = x³ + 1)
-        slope = pt.x.square().scale(3) / pt.y.scale(2)
-        x3 = slope.square() - pt.x - pt.x
-        y3 = slope * (pt.x - x3) - pt.y
-        return Point(x3, y3)
+        return self.add(pt, pt)
 
     def negate(self, pt: Point) -> Point:
         if pt.infinity:
@@ -107,16 +128,59 @@ class CurveGroup:
         return Point(pt.x, -pt.y)
 
     def multiply(self, pt: Point, scalar: int) -> Point:
+        """scalar·pt: left-to-right double-and-add in Jacobian coordinates
+        (a = 0 doubling, mixed addition of the affine base), one inversion."""
+        base = coords(pt)
+        if base is None or not scalar:
+            return _INFINITY
+        p = self.p
+        x, y = base
         if scalar < 0:
-            return self.multiply(self.negate(pt), -scalar)
-        result = _INFINITY
-        addend = pt
-        while scalar:
-            if scalar & 1:
-                result = self.add(result, addend)
-            addend = self.double(addend)
-            scalar >>= 1
-        return result
+            scalar, y = -scalar, -y % p
+        X, Y, Z = x, y, 1
+        for bit in bin(scalar)[3:]:
+            # 2T: S = 4XY², M = 3X², X' = M² − 2S, Y' = M(S − X') − 8Y⁴,
+            # Z' = 2YZ (Z' = 0 when T is ∞ or of order 2).
+            YY = Y * Y % p
+            S = 4 * X * YY % p
+            M = 3 * X * X % p
+            X2 = (M * M - 2 * S) % p
+            Y, Z = (M * (S - X2) - 8 * YY * YY) % p, 2 * Y * Z % p
+            X = X2
+            if bit == "1":
+                if not Z:
+                    X, Y, Z = x, y, 1
+                    continue
+                # T + (x, y): H = x·Z² − X, R = y·Z³ − Y.
+                ZZ = Z * Z % p
+                H = (x * ZZ - X) % p
+                R = (y * ZZ * Z - Y) % p
+                if not H:  # T = ±(x, y): the scalar exceeds the base's order
+                    if R:
+                        Z = 0  # T = −(x, y): the sum is ∞
+                    else:
+                        X, Y, Z = self._jacobian_double(x, y)
+                    continue
+                HH = H * H % p
+                HHH = H * HH % p
+                V = X * HH % p
+                X = (R * R - HHH - 2 * V) % p
+                Y = (R * (V - X) - Y * HHH) % p
+                Z = Z * H % p
+        if not Z:
+            return _INFINITY
+        zinv = numbers.invmod(Z, p)
+        zz = zinv * zinv % p
+        return self.point(X * zz, Y * zz * zinv)
+
+    def _jacobian_double(self, x: int, y: int) -> tuple[int, int, int]:
+        """2·(x, y) for an affine E(F_p) point, in Jacobian coordinates."""
+        p = self.p
+        yy = y * y % p
+        s = 4 * x * yy % p
+        m = 3 * x * x % p
+        x2 = (m * m - 2 * s) % p
+        return x2, (m * (s - x2) - 8 * yy * yy) % p, 2 * y % p
 
     # -- maps ---------------------------------------------------------------------
     def distort(self, pt: Point) -> Point:
@@ -129,4 +193,4 @@ class CurveGroup:
         """The unique curve point over F_p with the given y-coordinate."""
         p = self.p
         x_int = cbrt_mod((y_int * y_int - 1) % p, p)
-        return Point(Fp2.from_int(x_int, p), Fp2.from_int(y_int % p, p))
+        return self.point(x_int, y_int)

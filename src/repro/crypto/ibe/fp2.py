@@ -2,14 +2,29 @@
 
 The Boneh-Franklin pairing takes values in F_p², and the distortion map
 moves curve points into E(F_p²).  Elements are immutable ``a + b·i``
-pairs of integers modulo p.
+pairs of integers modulo p.  ``Fp2`` is the boundary type (pairing
+values, H2 input, point coordinates); the pairing and ``pow`` run their
+inner loops on bare ``(a, b)`` int pairs through ``pow_pair`` and build
+one ``Fp2`` for the result.
 """
 
 from __future__ import annotations
 
-from repro.crypto.numbers import invmod
+from repro.crypto import numbers
 
-__all__ = ["Fp2"]
+__all__ = ["Fp2", "pow_pair"]
+
+
+def pow_pair(a: int, b: int, exponent: int, p: int) -> tuple[int, int]:
+    """(a + b·i)^exponent in F_p² for exponent ≥ 0, as an int pair."""
+    if not exponent:
+        return 1, 0
+    ra, rb = a, b
+    for bit in bin(exponent)[3:]:
+        ra, rb = (ra + rb) * (ra - rb) % p, 2 * ra * rb % p
+        if bit == "1":
+            ra, rb = (ra * a - rb * b) % p, (ra * b + rb * a) % p
+    return ra, rb
 
 
 class Fp2:
@@ -71,7 +86,7 @@ class Fp2:
     def inverse(self) -> "Fp2":
         # 1/(a + bi) = (a − bi)/(a² + b²)
         norm = self.a * self.a + self.b * self.b
-        inv = invmod(norm, self.p)
+        inv = numbers.invmod(norm, self.p)
         return Fp2(self.a * inv, -self.b * inv, self.p)
 
     def __truediv__(self, other: "Fp2") -> "Fp2":
@@ -80,14 +95,7 @@ class Fp2:
     def pow(self, exponent: int) -> "Fp2":
         if exponent < 0:
             return self.inverse().pow(-exponent)
-        result = Fp2.one(self.p)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base.square()
-            exponent >>= 1
-        return result
+        return Fp2(*pow_pair(self.a, self.b, exponent, self.p), self.p)
 
     def conjugate(self) -> "Fp2":
         return Fp2(self.a, -self.b, self.p)

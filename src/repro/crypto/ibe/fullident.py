@@ -16,7 +16,8 @@ rule out chosen-ciphertext access to the unlock oracle:
                      r  = H3(σ, m); reject unless U = r·P
 
 The re-encryption check makes decryption reject any mauled ciphertext,
-which is exactly what the transform buys over BasicIdent.
+which is exactly what the transform buys over BasicIdent.  A U outside
+the order-q subgroup is refused before the pairing, as in BasicIdent.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ from dataclasses import dataclass
 from repro.crypto.ibe.boneh_franklin import (
     IbePrivateKey,
     IbePublic,
+    _ciphertext_point,
+    _pairing,
 )
 from repro.crypto.ibe.curve import Point
 from repro.crypto.ibe.fp2 import Fp2
-from repro.crypto.ibe.pairing import modified_pairing
 from repro.crypto.ibe.params import BfParams
+from repro.crypto.kernels import xor_bytes
 from repro.crypto.sha256 import sha256_fast
 from repro.errors import CryptoError
 
@@ -71,10 +74,6 @@ def _h4_stream(sigma: bytes, length: int) -> bytes:
     return out[:length]
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
-
-
 class FullIdentPublic(IbePublic):
     """Encryption side of FullIdent (reuses BasicIdent's g_ID cache)."""
 
@@ -86,8 +85,8 @@ class FullIdentPublic(IbePublic):
         r = _h3(params, sigma, message)
         u = params.curve.multiply(params.generator, r)
         shared = self._g_id(identity).pow(r)
-        v = _xor(sigma, _h2(shared))
-        w = _xor(message, _h4_stream(sigma, len(message)))
+        v = xor_bytes(sigma, _h2(shared))
+        w = xor_bytes(message, _h4_stream(sigma, len(message)))
         return FullIdentCiphertext(u_x=u.x.a, u_y=u.y.a, v=v, w=w)
 
 
@@ -97,17 +96,12 @@ def fullident_decrypt(
     ciphertext: FullIdentCiphertext,
 ) -> bytes:
     """Decrypt and verify; raises CryptoError on any tampering."""
-    p = params.p
-    u = Point(
-        Fp2.from_int(ciphertext.u_x, p), Fp2.from_int(ciphertext.u_y, p)
-    )
-    if not params.curve.contains(u) or u.infinity:
-        raise CryptoError("FullIdent: ciphertext point not on curve")
+    u = _ciphertext_point(params, ciphertext.u_x, ciphertext.u_y)
     if len(ciphertext.v) != _SIGMA_LEN:
         raise CryptoError("FullIdent: malformed V component")
-    shared = modified_pairing(params.curve, private_key.point, u, params.q)
-    sigma = _xor(ciphertext.v, _h2(shared))
-    message = _xor(ciphertext.w, _h4_stream(sigma, len(ciphertext.w)))
+    shared = _pairing(params, private_key.point, u)
+    sigma = xor_bytes(ciphertext.v, _h2(shared))
+    message = xor_bytes(ciphertext.w, _h4_stream(sigma, len(ciphertext.w)))
     # Fujisaki-Okamoto re-encryption check.
     r = _h3(params, sigma, message)
     expected_u = params.curve.multiply(params.generator, r)

@@ -66,24 +66,17 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
 
 
 def invmod(a: int, m: int) -> int:
-    """Modular inverse via the extended Euclidean algorithm."""
+    """Modular inverse, ``pow(a, -1, m)``.
+
+    Every field inversion in ``repro.crypto.ibe`` calls this through the
+    module attribute (``numbers.invmod``), so wrapping it counts them.
+    Raises ``ZeroDivisionError`` for 0 and ``ValueError`` when ``a`` and
+    ``m`` share a factor.
+    """
     a %= m
     if a == 0:
         raise ZeroDivisionError("inverse of zero")
-    g, x = _egcd(a, m)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible modulo {m}")
-    return x % m
-
-
-def _egcd(a: int, b: int) -> tuple[int, int]:
-    old_r, r = a, b
-    old_x, x = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-    return old_r, old_x
+    return pow(a, -1, m)
 
 
 def sqrt_mod(a: int, p: int) -> int:

@@ -1,15 +1,20 @@
 """IBE subsystem tests: field, curve, pairing, and Boneh-Franklin."""
 
+from unittest import mock
+
 import pytest
 
+from repro.crypto import numbers
+from repro.crypto.aead import NONCE_LEN, AesCtrHmacAead
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.ibe import (
+    SMALL,
     TOY,
     PrivateKeyGenerator,
     decrypt,
     get_params,
 )
-from repro.crypto.ibe.boneh_franklin import IbeCiphertext, _hash_to_point
+from repro.crypto.ibe.boneh_franklin import IbeCiphertext, _hash_to_point, _kdf_from_gt
 from repro.crypto.ibe.fp2 import Fp2
 from repro.crypto.ibe.pairing import modified_pairing
 from repro.crypto.numbers import (
@@ -18,6 +23,7 @@ from repro.crypto.numbers import (
     is_probable_prime,
     sqrt_mod,
 )
+from repro.crypto.sha256 import sha256_fast
 from repro.errors import CryptoError, IntegrityError
 
 
@@ -193,6 +199,85 @@ class TestPairing:
         assert e.is_one()
 
 
+def _fp_pair(point):
+    assert point.x.b == 0 and point.y.b == 0
+    return point.x.a, point.y.a
+
+
+class TestKnownAnswers:
+    """Values computed with the affine F_p² implementation (extended-Euclid
+    inversions, one per group operation and Miller step) that the int
+    arithmetic replaced.  The reduced Tate pairing is unique, so every
+    value must be reproduced bit for bit."""
+
+    TOY_G = (0x286AC955868D9B124D9B4C1102A02FA2B57CC997,
+             0x1FFF484C2A53D00F9870C171F9EF1E53718A3D5D)
+    TOY_E_GG = (0x38F8EFDE072D9968702F83231F8AC0EE3A4E3DE0,
+                0x6A5B8A72C7840ABC1804553D7F9D181AB5C2C900)
+    SMALL_E_GG = (
+        int("3086dd389ceb6dc80eab91b14a5e417b47d3eb83e4d27d515f514feed9c9ed07"
+            "98dd74b9e97f793290f3fa18b61a947f107857f65228b1e0b5966a960575dda5", 16),
+        int("3cec8b99644f7d1145f76a74232eeb1ad70bcf8ff7ddec26c6d0c441950a4310"
+            "13b22d5fb9908c452b40ab39956cd9fb548be958e27e438cacd67f25f1344b7e", 16),
+    )
+    EXTRACT_ID = (0x4E5B7F8B423B6F6B7F8D5471BB0AE1F1E30FCD64,
+                  0x5B7F41DFA0822D5FA2B32853B1361F5A3177AE0A)
+    ENCRYPT_U = (0x18B6AABED22C950469B40227C80EEF97585A67EB,
+                 0x85E4444AA60856B670165452BCDEF4C6F77FD69E)
+    ENCRYPT_SEALED = bytes.fromhex(
+        "0fc786e112c5a53f9d8994b03319842a0b7d1846b49fd45312688363d59ee577"
+        "47b4eb4888cebfabb1c94905759b38e8ab15d9ab"
+    )
+
+    def test_toy_generator(self, params):
+        assert _fp_pair(params.generator) == self.TOY_G
+
+    def test_toy_pairing_of_generator(self, params):
+        e = modified_pairing(params.curve, params.generator, params.generator, params.q)
+        assert (e.a, e.b) == self.TOY_E_GG
+
+    def test_small_pairing_of_generator(self):
+        small = get_params(SMALL)
+        e = modified_pairing(small.curve, small.generator, small.generator, small.q)
+        assert (e.a, e.b) == self.SMALL_E_GG
+
+    def test_extract(self, pkg):
+        assert _fp_pair(pkg.extract(b"id").point) == self.EXTRACT_ID
+
+    def test_encrypt(self, pkg):
+        ct = pkg.public(seed=b"kat-seed").encrypt(b"id", b"the wrapped data key")
+        assert ct == IbeCiphertext(u_x=self.ENCRYPT_U[0], u_y=self.ENCRYPT_U[1],
+                                   sealed=self.ENCRYPT_SEALED)
+        assert decrypt(pkg.params, pkg.extract(b"id"), ct) == b"the wrapped data key"
+
+
+def _inversions(fn) -> int:
+    """How many times ``fn()`` calls ``numbers.invmod``."""
+    real = numbers.invmod
+    calls = []
+
+    def counting(a, m):
+        calls.append(a)
+        return real(a, m)
+
+    with mock.patch.object(numbers, "invmod", counting):
+        fn()
+    return len(calls)
+
+
+class TestInversionCounts:
+    def test_one_inversion_per_scalar_multiplication(self, params):
+        curve, g, q = params.curve, params.generator, params.q
+        for k in (q - 2, 0xDEADBEEFCAFEF00D, params.cofactor):
+            assert _inversions(lambda: curve.multiply(g, k)) == 1
+
+    def test_one_inversion_per_pairing(self, params, pkg):
+        curve, g, q = params.curve, params.generator, params.q
+        d_id = pkg.extract(b"id").point
+        assert _inversions(lambda: modified_pairing(curve, g, g, q)) == 1
+        assert _inversions(lambda: modified_pairing(curve, d_id, g, q)) == 1
+
+
 class TestBonehFranklin:
     def test_encrypt_decrypt_roundtrip(self, pkg):
         pub = pkg.public()
@@ -233,6 +318,24 @@ class TestBonehFranklin:
         bogus = IbeCiphertext(u_x=ct.u_x + 1, u_y=ct.u_y, sealed=ct.sealed)
         with pytest.raises(CryptoError):
             decrypt(pkg.params, pkg.extract(b"id"), bogus)
+
+    @pytest.mark.parametrize("order", [3, 2])
+    def test_small_order_u_forgery_refused(self, pkg, order):
+        """U of order 3 or 2 is on the curve and pairs to 1 with every
+        private key: without the subgroup check anyone could seal under
+        H2(1) and have decrypt return their bytes."""
+        p = pkg.params.p
+        u_x, u_y = (0, 1) if order == 3 else (p - 1, 0)
+        identity = b"dir7/prepared_taxes_2011.pdf|ID42"
+        u_bytes = Fp2.from_int(u_x, p).to_bytes() + Fp2.from_int(u_y, p).to_bytes()
+        nonce = sha256_fast(b"ibe-nonce|" + u_bytes)[:NONCE_LEN]
+        key = _kdf_from_gt(Fp2.one(p), identity)
+        forged = IbeCiphertext(
+            u_x=u_x, u_y=u_y,
+            sealed=AesCtrHmacAead(key).seal(nonce, b"attacker key", aad=identity),
+        )
+        with pytest.raises(CryptoError, match="order-q subgroup"):
+            decrypt(pkg.params, pkg.extract(identity), forged)
 
     def test_different_masters_incompatible(self):
         pkg_a = PrivateKeyGenerator(TOY, master_seed=b"A")

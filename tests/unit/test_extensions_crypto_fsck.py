@@ -65,6 +65,18 @@ class TestFullIdent:
         with pytest.raises(CryptoError):
             fullident_decrypt(pkg.params, pkg.extract(b"id"), bogus)
 
+    @pytest.mark.parametrize("order", [3, 2])
+    def test_small_order_u_refused_before_pairing(self, pkg, order):
+        """U of order 3 or 2 pairs to 1 with every key; it is refused up
+        front, not left to the re-encryption check."""
+        pub = self._public(pkg)
+        ct = pub.encrypt_fullident(b"id", b"payload")
+        p = pkg.params.p
+        u_x, u_y = (0, 1) if order == 3 else (p - 1, 0)
+        forged = FullIdentCiphertext(u_x=u_x, u_y=u_y, v=ct.v, w=ct.w)
+        with pytest.raises(CryptoError, match="order-q subgroup"):
+            fullident_decrypt(pkg.params, pkg.extract(b"id"), forged)
+
     def test_randomized(self, pkg):
         pub = self._public(pkg)
         c1 = pub.encrypt_fullident(b"id", b"m")
