@@ -15,33 +15,44 @@ Kernels covered:
 * ``_unpack_dir``       — decoded-directory cache hit vs re-parse
 * ``ibe_scalar_mult``   — Jacobian int multiply vs the affine F_p² oracle
 * ``ibe_pairing``       — int Miller loop vs the affine F_p² oracle
+* ``shamir_split``      — table-driven 3-of-6 split vs the per-byte oracle
+* ``shamir_combine``    — log-domain Lagrange combine vs the per-byte oracle
 
-The two IBE rows take their reference from ``tests/ibe_oracle.py``, and
-the record's ``meta.counts`` carries the field inversions
-(``numbers.invmod`` calls) one scalar multiplication and one pairing
-make — exact counts that ``check_perf.py`` holds to a ceiling.
+The two IBE rows take their reference from ``tests/ibe_oracle.py`` and
+the two Shamir rows from ``tests/secretshare_oracle.py``.  The record's
+``meta.counts`` carries exact counts that ``check_perf.py`` holds to a
+ceiling: the field inversions (``numbers.invmod`` calls) one scalar
+multiplication and one pairing make, the inverse AES key schedules one
+data-key wrap + unwrap builds, and the profiled calls one 3-of-6 split
+and one combine charge to the ledger's ``crypto.secretshare`` layer.
 """
 
 from __future__ import annotations
 
+import cProfile
+import importlib.util
 import pathlib
 import sys
 import time
 from unittest import mock
 
 from repro.crypto import numbers
-from repro.crypto.aead import StreamHmacAead
+from repro.crypto.aead import AesCtrHmacAead, StreamHmacAead
 from repro.crypto.aes import AES
+from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hmac import hmac_sha256, hmac_sha256_reference
 from repro.crypto.ibe import TOY, PrivateKeyGenerator
 from repro.crypto.ibe.pairing import modified_pairing
 from repro.crypto.modes import ctr_transform, ctr_transform_reference
+from repro.crypto.secretshare import combine_secret, split_secret
 from repro.harness.results import ResultTable
 from repro.harness.runner import ArmPerf, BenchPerf, bench_jobs
 from repro.storage.localfs import _pack_dir, _unpack_dir
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
-from tests import ibe_oracle  # noqa: E402  (repo root, for the script form)
+from tests import ibe_oracle, secretshare_oracle  # noqa: E402  (repo root, for the script form)
+
+_LAYERS_PY = pathlib.Path(__file__).resolve().parent / "ledger" / "layers.py"
 
 _MIN_REPS = 3
 
@@ -126,7 +137,27 @@ def _bench_rows() -> tuple[list[tuple], dict[str, float]]:
         _rate(ibe_oracle.modified_pairing, curve, d_id, u, q),
         _rate(modified_pairing, curve, d_id, u, q),
     )
+
+    secret, rng, held = _shamir_inputs()
+    record(
+        "shamir_split", "ops/s",
+        _rate(secretshare_oracle.split_secret, secret, 3, 6, rng),
+        _rate(split_secret, secret, 3, 6, rng),
+    )
+    record(
+        "shamir_combine", "ops/s",
+        _rate(secretshare_oracle.combine_secret, held, 3, 6),
+        _rate(combine_secret, held, 3, 6),
+    )
     return rows, speedups
+
+
+def _shamir_inputs():
+    """The cluster's shape: a 32-byte K_R split 3-of-6 from an HMAC-DRBG,
+    and three of its shares (one per region of the federated arm)."""
+    secret, rng = bytes(range(32)), HmacDrbg(b"bench-kernels", b"shamir")
+    shares = split_secret(secret, 3, 6, rng)
+    return secret, rng, {0: shares[0], 2: shares[2], 5: shares[5]}
 
 
 def _ibe_inputs():
@@ -156,18 +187,50 @@ def _inversions(fn, *args) -> int:
     return calls
 
 
-def _ibe_counts() -> dict[str, int]:
+def _secretshare_calls(fn, *args) -> int:
+    """Profiled calls one ``fn(*args)`` charges to ``crypto.secretshare``,
+    attributed exactly as the ledger's traced run does."""
+    spec = importlib.util.spec_from_file_location("_ledger_layers", _LAYERS_PY)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    profile = cProfile.Profile()
+    profile.enable()
+    fn(*args)
+    profile.disable()
+    return layers.attribute(profile)["layers"]["crypto.secretshare"]["calls"]
+
+
+def _inverse_schedules_per_key_wrap() -> int:
+    """``AES._invert_key_schedule`` calls in one data-key wrap + unwrap
+    round trip: a seal and an open, each under its own AES-CTR AEAD
+    keyed by K_R, as ``core.header.wrap_data_key`` / ``unwrap_data_key``
+    do."""
+    remote_key, nonce = b"R" * 32, b"n" * 16
+    with mock.patch.object(AES, "_invert_key_schedule", autospec=True,
+                           side_effect=AES._invert_key_schedule) as spy:
+        sealed = AesCtrHmacAead(remote_key).seal(nonce, b"D" * 32, aad=b"kd-wrap")
+        AesCtrHmacAead(remote_key).open(nonce, sealed, aad=b"kd-wrap")
+    return spy.call_count
+
+
+def _counts() -> dict[str, int]:
     curve, g, q, scalar, d_id, u = _ibe_inputs()
+    secret, rng, held = _shamir_inputs()
     return {
         "inversions_per_scalar_mult": _inversions(curve.multiply, g, scalar),
         "inversions_per_pairing": _inversions(modified_pairing, curve, d_id, u, q),
+        "inverse_schedules_per_key_wrap": _inverse_schedules_per_key_wrap(),
+        "secretshare_calls_per_split": _secretshare_calls(
+            split_secret, secret, 3, 6, rng),
+        "secretshare_calls_per_combine": _secretshare_calls(
+            combine_secret, held, 3, 6),
     }
 
 
 def build_table() -> ResultTable:
     wall0, cpu0 = time.perf_counter(), time.process_time()
     rows, speedups = _bench_rows()
-    counts = _ibe_counts()
+    counts = _counts()
     wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
     table = ResultTable(
         "Hot-path kernel microbenchmarks (reference vs optimized)",
@@ -177,7 +240,7 @@ def build_table() -> ResultTable:
         table.add(*row)
     table.note("reference implementations are the byte-exactness oracles "
                "the optimized kernels are tested against")
-    table.note("field inversions: "
+    table.note("exact counts: "
                + ", ".join(f"{k} = {v}" for k, v in sorted(counts.items())))
     table.perf = BenchPerf(
         bench="kernels",
@@ -203,8 +266,13 @@ def test_kernel_microbench(record_table):
     assert speedups["unpack_dir"] > 2.0
     assert speedups["ibe_scalar_mult"] > 2.0
     assert speedups["ibe_pairing"] > 2.0
+    assert speedups["shamir_split"] > 4.0
+    assert speedups["shamir_combine"] > 10.0
     assert table.perf.meta["counts"] == {
-        "inversions_per_scalar_mult": 1, "inversions_per_pairing": 1}
+        "inversions_per_scalar_mult": 1, "inversions_per_pairing": 1,
+        "inverse_schedules_per_key_wrap": 0,
+        "secretshare_calls_per_split": 17,
+        "secretshare_calls_per_combine": 15}
 
 
 if __name__ == "__main__":

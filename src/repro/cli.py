@@ -730,7 +730,7 @@ def _cmd_ctl_region(args: argparse.Namespace) -> int:
         # classifies as a region-split.
         import hashlib
 
-        from repro.core.client import KeyCreate
+        from repro.api import KeyCreate
 
         try:
             yield from rig.services.create(KeyCreate(

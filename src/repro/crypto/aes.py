@@ -123,7 +123,9 @@ class AES:
         self.key_size = len(key)
         self._rounds = {16: 10, 24: 12, 32: 14}[len(key)]
         self._enc_keys = self._expand_key(key)
-        self._dec_keys = self._invert_key_schedule(self._enc_keys)
+        # Built on the first decrypt_block: CTR mode (every AEAD seal and
+        # open) only ever encrypts, so most ciphers never need it.
+        self._dec_keys: list[int] | None = None
 
     # -- key schedule ---------------------------------------------------------
     def _expand_key(self, key: bytes) -> list[int]:
@@ -206,6 +208,8 @@ class AES:
         if len(block) != 16:
             raise ValueError("AES operates on exactly 16-byte blocks")
         rk = self._dec_keys
+        if rk is None:
+            rk = self._dec_keys = self._invert_key_schedule(self._enc_keys)
         s0, s1, s2, s3 = struct.unpack(">4I", block)
         s0 ^= rk[0]
         s1 ^= rk[1]

@@ -21,12 +21,25 @@ replica's index, carried implicitly — so a share fits wherever a whole
 K_R fits (:data:`~repro.core.services.keyservice.REMOTE_KEY_LEN`).
 Randomness comes from a caller-supplied DRBG so splits are
 deterministic given a seed, like everything else in the simulation.
+
+The field runs on tables built once at import from the generator 3:
+``_EXP`` (3^i, doubled so a sum of two logs needs no reduction) and
+``_LOG``, and ``_MUL_ROWS[c]``, the 256-byte multiply-by-c row that
+``bytes.translate`` applies to a whole buffer at C speed (256 rows,
+64 KiB; public field constants, nothing keyed by key or share bytes).
+A split is Horner over whole buffers — the n partial values side by
+side, each step one translate per evaluation point and one wide XOR —
+and a combine computes the k Lagrange weights in the log domain and
+XORs k translated shares as one wide int.  The share bytes, and the
+DRBG reads that produce them, are those of the bitwise per-byte code
+kept in ``tests/secretshare_oracle.py``.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from repro.crypto.kernels import xor_bytes
 from repro.errors import CryptoError
 
 __all__ = [
@@ -39,34 +52,40 @@ __all__ = [
 _GF_MODULUS = 0x11B  # the AES reduction polynomial
 
 
+def _build_tables() -> tuple[bytes, bytes]:
+    exp = bytearray(510)
+    log = bytearray(256)  # log[0] is never read: zero has no logarithm
+    x = 1
+    for i in range(255):
+        exp[i] = exp[i + 255] = x
+        log[x] = i
+        x2 = x << 1  # x · 3 = x · 2 ⊕ x
+        if x2 & 0x100:
+            x2 ^= _GF_MODULUS
+        x ^= x2
+    return bytes(exp), bytes(log)
+
+
+_EXP, _LOG = _build_tables()
+#: ``_MUL_ROWS[c][b] == gf256_mul(c, b)``: row c maps byte b to 3^(log c + log b)
+_MUL_ROWS = (bytes(256),) + tuple(
+    b"\x00" + _LOG[1:].translate(_EXP[_LOG[c]:_LOG[c] + 256])
+    for c in range(1, 256)
+)
+
+
 def gf256_mul(a: int, b: int) -> int:
-    """Carry-less multiply in GF(2⁸) reduced by the AES polynomial."""
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        if a & 0x100:
-            a ^= _GF_MODULUS
-        b >>= 1
-    return out
-
-
-def gf256_pow(a: int, e: int) -> int:
-    out = 1
-    while e:
-        if e & 1:
-            out = gf256_mul(out, a)
-        a = gf256_mul(a, a)
-        e >>= 1
-    return out
+    """Multiply in GF(2⁸) reduced by the AES polynomial (a, b < 256)."""
+    if not a or not b:
+        return 0
+    return _EXP[_LOG[a] + _LOG[b]]
 
 
 def gf256_inv(a: int) -> int:
-    """Multiplicative inverse (a²⁵⁴, by Fermat)."""
+    """Multiplicative inverse: 3^(255 − log a)."""
     if a == 0:
         raise CryptoError("no inverse of 0 in GF(256)")
-    return gf256_pow(a, 254)
+    return _EXP[255 - _LOG[a]]
 
 
 def _check_params(k: int, n: int) -> None:
@@ -87,27 +106,36 @@ def split_secret(secret: bytes, k: int, n: int, rng) -> list[bytes]:
     if n == 1:
         return [bytes(secret)]
     if k == n:  # XOR sharing: n − 1 random pads, last share closes the sum
-        shares = [rng.generate(len(secret)) for _ in range(n - 1)]
+        shares = []
         last = bytes(secret)
-        for share in shares:
-            last = bytes(a ^ b for a, b in zip(last, share))
+        for _ in range(n - 1):
+            pad = rng.generate(len(secret))
+            shares.append(pad)
+            last = xor_bytes(last, pad)
         shares.append(last)
         return shares
-    # Shamir: one random polynomial per secret byte, shared coefficients
-    # drawn up front so the split is a single DRBG read.
-    coeffs = rng.generate(len(secret) * (k - 1))
-    shares = []
-    for i in range(n):
-        x = i + 1
-        share = bytearray(len(secret))
-        for b, s in enumerate(secret):
-            acc = 0
-            # Horner, highest coefficient first: c_{k-1} x^{k-1} + … + s.
-            for j in range(k - 2, -1, -1):
-                acc = gf256_mul(acc, x) ^ coeffs[j * len(secret) + b]
-            share[b] = gf256_mul(acc, x) ^ s
-        shares.append(bytes(share))
-    return shares
+    # Shamir: one random polynomial per secret byte, all coefficients
+    # drawn in a single DRBG read; coefficient j of byte b is
+    # coeffs[j * len + b], so row j is one slice.  Horner, highest
+    # coefficient first: share x = (…(c_{k-2}·x ⊕ c_{k-3})·x ⊕ … ⊕ c_0)·x ⊕ s.
+    # The n partial values sit side by side in one buffer; a step
+    # multiplies part x by x (its translate row) and XORs the next
+    # coefficient row, repeated n times, into the whole buffer.
+    length = len(secret)
+    coeffs = rng.generate(length * (k - 1))
+    rows = [bytes(secret)] * k
+    for j in range(k - 1):
+        rows[k - 2 - j] = coeffs[j * length:(j + 1) * length]
+    acc = rows[0] * n
+    parts = [b""] * n
+    for row in rows[1:]:
+        for i in range(n):
+            parts[i] = acc[i * length:(i + 1) * length].translate(
+                _MUL_ROWS[i + 1])
+        acc = xor_bytes(b"".join(parts), row * n)
+    for i in range(n):  # part i of the last step is share i
+        parts[i] = acc[i * length:(i + 1) * length]
+    return parts
 
 
 def combine_secret(
@@ -125,30 +153,30 @@ def combine_secret(
     if len(items) < k:
         raise CryptoError(f"need {k} shares, got {len(items)}")
     items = items[:k]
-    lengths = {len(share) for _, share in items}
-    if len(lengths) != 1:
-        raise CryptoError("shares have mismatched lengths")
-    if any(not 0 <= i < n for i, _ in items):
-        raise CryptoError("share index out of range")
+    length = len(items[0][1])
+    for _, share in items[1:]:
+        if len(share) != length:
+            raise CryptoError("shares have mismatched lengths")
+    for i, _ in items:
+        if not 0 <= i < n:
+            raise CryptoError("share index out of range")
     if n == 1:
         return bytes(items[0][1])
     if k == n:
-        out = bytes(len(items[0][1]))
+        out = bytes(length)
         for _, share in items:
-            out = bytes(a ^ b for a, b in zip(out, share))
+            out = xor_bytes(out, share)
         return out
-    # Lagrange interpolation at x = 0 (in GF(2⁸), subtraction is XOR).
-    xs = [i + 1 for i, _ in items]
-    length = lengths.pop()
-    secret = bytearray(length)
-    for j, (_, share) in enumerate(items):
-        num, den = 1, 1
-        for l, x_l in enumerate(xs):
-            if l == j:
-                continue
-            num = gf256_mul(num, x_l)
-            den = gf256_mul(den, x_l ^ xs[j])
-        weight = gf256_mul(num, gf256_inv(den))
-        for b in range(length):
-            secret[b] ^= gf256_mul(share[b], weight)
-    return bytes(secret)
+    # Lagrange interpolation at x = 0 (in GF(2⁸), subtraction is XOR):
+    # weight_j = Π_{l≠j} x_l / Π_{l≠j} (x_l ⊕ x_j), summed as logs.
+    secret = 0
+    for i, share in items:
+        x_j = i + 1
+        log_w = 0
+        for l, _ in items:
+            if l != i:
+                x_l = l + 1
+                log_w += _LOG[x_l] - _LOG[x_l ^ x_j]
+        secret ^= int.from_bytes(
+            share.translate(_MUL_ROWS[_EXP[log_w % 255]]), "little")
+    return secret.to_bytes(length, "little")

@@ -138,7 +138,7 @@ class TestContentMacs:
         assert run(sim, proc()) == b"fresh"
 
     def test_keypad_supports_macs_too(self):
-        from repro.core import KeypadConfig, KeypadFS
+        from repro.api import KeypadConfig, KeypadFS
         from repro.harness.experiment import build_keypad_rig
 
         rig = build_keypad_rig(

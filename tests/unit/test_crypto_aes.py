@@ -1,7 +1,10 @@
 """AES / modes / AEAD tests against FIPS-197 and SP 800-38A vectors."""
 
+from unittest import mock
+
 import pytest
 
+from repro.core.header import unwrap_data_key, wrap_data_key
 from repro.crypto.aead import AesCtrHmacAead, StreamHmacAead
 from repro.crypto.aes import AES
 from repro.crypto.modes import (
@@ -11,7 +14,14 @@ from repro.crypto.modes import (
     pkcs7_pad,
     pkcs7_unpad,
 )
+from repro.crypto.drbg import HmacDrbg
 from repro.errors import IntegrityError
+
+
+def _inverse_schedule_spy():
+    """Patch ``AES._invert_key_schedule`` with a call-counting wrapper."""
+    return mock.patch.object(AES, "_invert_key_schedule", autospec=True,
+                             side_effect=AES._invert_key_schedule)
 
 
 class TestAesBlock:
@@ -64,6 +74,29 @@ class TestAesBlock:
             cipher.encrypt_block(b"short")
         with pytest.raises(ValueError):
             cipher.decrypt_block(b"x" * 17)
+
+
+class TestLazyInverseSchedule:
+    def test_ctr_seal_open_never_builds_it(self):
+        key, drbg = bytes(range(32)), HmacDrbg(b"aes-tests", b"lazy")
+        with _inverse_schedule_spy() as spy:
+            suite = AesCtrHmacAead(key)
+            sealed = suite.seal(b"n" * 16, b"payload", aad=b"hdr")
+            assert suite.open(b"n" * 16, sealed, aad=b"hdr") == b"payload"
+            blob = wrap_data_key(b"d" * 32, key, drbg)
+            assert unwrap_data_key(blob, key) == b"d" * 32
+        assert spy.call_count == 0
+
+    def test_first_decrypt_builds_it_once(self):
+        key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+        plain = bytes.fromhex("00112233445566778899aabbccddeeff")
+        with _inverse_schedule_spy() as spy:
+            cipher = AES(key)
+            block = cipher.encrypt_block(plain)
+            assert spy.call_count == 0
+            assert cipher.decrypt_block(block) == plain
+            assert cipher.decrypt_block(block) == plain
+        assert spy.call_count == 1
 
 
 class TestCtrMode:

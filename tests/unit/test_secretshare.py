@@ -77,3 +77,36 @@ def test_wrong_share_combination_gives_wrong_secret():
     shares = split_secret(SECRET, 2, 3, _rng())
     tampered = bytes(b ^ 0xFF for b in shares[1])
     assert combine_secret({0: shares[0], 1: tampered}, 2, 3) != SECRET
+
+
+# Shares of SECRET under HmacDrbg(b"secret-share-tests", b"kat"), computed
+# with the bitwise per-byte code (tests/secretshare_oracle.py); the
+# table-driven split must reproduce every byte.
+KNOWN_SHARES = {
+    (2, 3): [
+        "59add0f6e3aa8dca93968e8a792fd93daeb0f424bf5e64650e9fb5c05e65d1aa",
+        "b242bdf2d1400b86252c1912e649bb6b7748c57d5983f2f3340e5fb698ed9b6e",
+        "ebee6f0736ef804bbeb39d93936b6c59c9e9234af2c880812288f06dda9554db",
+    ],
+    (3, 6): [
+        "410242925682cff64eb78fca1a4f8a166adfba43b6323e1130bd52901f534349",
+        "d2c8c37933e018767ca81d0971d2ecc74aefe6fa7d288138cc86eeed8735e5cf",
+        "93cb83e86167d1873a1698c8679068de30214eaadf0fa93ee422a666847bb899",
+        "e49984e0103950f32d653c55a9df38412a092be51eb812c58d21622d73abec4f",
+        "a59ac47142be99026bdbb994bf9dbc5850c783b5bc9f3ac3a5852aa670e5b119",
+        "3650459a27dc4e8259c42b57d400da8970f7df0c778585ea59be96dbe883179f",
+    ],
+    (3, 3): [  # k == n: the XOR path
+        "59acd2f5e7af8bcd9b9f84817522d732bea1e637ab4b72721686afdb4278cfb5",
+        "5e78e5d93bd2fb0293ac7f0a75da509d7ed647b5ae08460a3f9af3aa795deb3e",
+        "07d5352fd87876c8003af1800cf589a0d066b3911156226f3105466a27383a94",
+    ],
+}
+
+
+@pytest.mark.parametrize("k,m", sorted(KNOWN_SHARES))
+def test_known_answer_shares(k, m):
+    shares = split_secret(SECRET, k, m, _rng(b"kat"))
+    assert [s.hex() for s in shares] == KNOWN_SHARES[(k, m)]
+    for subset in itertools.combinations(range(m), k):
+        assert combine_secret({i: shares[i] for i in subset}, k, m) == SECRET
