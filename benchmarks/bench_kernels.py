@@ -15,22 +15,28 @@ Kernels covered:
 * ``_unpack_dir``       — decoded-directory cache hit vs re-parse
 * ``ibe_scalar_mult``   — Jacobian int multiply vs the affine F_p² oracle
 * ``ibe_pairing``       — int Miller loop vs the affine F_p² oracle
+* ``ibe_encrypt``       — BasicIdent encrypt to a new identity on its
+  fixed arguments (P_pub's Miller lines, the cofactor in the exponent,
+  r·P from a table) vs the composition it replaced
 * ``shamir_split``      — table-driven 3-of-6 split vs the per-byte oracle
 * ``shamir_combine``    — log-domain Lagrange combine vs the per-byte oracle
 
-The two IBE rows take their reference from ``tests/ibe_oracle.py`` and
+The three IBE rows take their reference from ``tests/ibe_oracle.py`` and
 the two Shamir rows from ``tests/secretshare_oracle.py``.  The record's
 ``meta.counts`` carries exact counts that ``check_perf.py`` holds to a
 ceiling: the field inversions (``numbers.invmod`` calls) one scalar
-multiplication and one pairing make, the inverse AES key schedules one
-data-key wrap + unwrap builds, and the profiled calls one 3-of-6 split
-and one combine charge to the ledger's ``crypto.secretshare`` layer.
+multiplication and one pairing make, the ``CurveGroup.multiply`` calls
+and inversions one encrypt to a new identity makes on a warm
+``IbePublic``, the inverse AES key schedules one data-key wrap + unwrap
+builds, and the profiled calls one 3-of-6 split and one combine charge
+to the ledger's ``crypto.secretshare`` layer.
 """
 
 from __future__ import annotations
 
 import cProfile
 import importlib.util
+import itertools
 import pathlib
 import sys
 import time
@@ -42,6 +48,7 @@ from repro.crypto.aes import AES
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hmac import hmac_sha256, hmac_sha256_reference
 from repro.crypto.ibe import TOY, PrivateKeyGenerator
+from repro.crypto.ibe.curve import CurveGroup
 from repro.crypto.ibe.pairing import modified_pairing
 from repro.crypto.modes import ctr_transform, ctr_transform_reference
 from repro.crypto.secretshare import combine_secret, split_secret
@@ -138,6 +145,13 @@ def _bench_rows() -> tuple[list[tuple], dict[str, float]]:
         _rate(modified_pairing, curve, d_id, u, q),
     )
 
+    pub, fresh = _encrypt_inputs()
+    record(
+        "ibe_encrypt", "ops/s",
+        _rate(lambda: ibe_oracle.encrypt(pub, next(fresh), b"K" * 80)),
+        _rate(lambda: pub.encrypt(next(fresh), b"K" * 80)),
+    )
+
     secret, rng, held = _shamir_inputs()
     record(
         "shamir_split", "ops/s",
@@ -170,6 +184,25 @@ def _ibe_inputs():
     scalar = q // 3
     d_id = pkg.extract(b"dir/file|audit-id").point
     return curve, g, q, scalar, d_id, curve.multiply(g, scalar)
+
+
+def _encrypt_inputs():
+    """A warm ``IbePublic`` (its lines and the r·P table built) and an
+    endless supply of identities it has never seen — the shape of
+    ``meta_ibe``, where every create and rename locks to a new path.
+    The payload is an 80-byte wrapped data key."""
+    pub = PrivateKeyGenerator(TOY, master_seed=b"bench-kernels").public()
+    pub.encrypt(b"warm-up", b"K" * 80)
+    fresh = (b"dir/file-%d|audit-id" % i for i in itertools.count())
+    return pub, fresh
+
+
+def _scalar_mults(fn, *args) -> int:
+    """``CurveGroup.multiply`` calls made by one ``fn(*args)``."""
+    with mock.patch.object(CurveGroup, "multiply", autospec=True,
+                           side_effect=CurveGroup.multiply) as spy:
+        fn(*args)
+    return spy.call_count
 
 
 def _inversions(fn, *args) -> int:
@@ -216,9 +249,12 @@ def _inverse_schedules_per_key_wrap() -> int:
 def _counts() -> dict[str, int]:
     curve, g, q, scalar, d_id, u = _ibe_inputs()
     secret, rng, held = _shamir_inputs()
+    pub, fresh = _encrypt_inputs()
     return {
         "inversions_per_scalar_mult": _inversions(curve.multiply, g, scalar),
         "inversions_per_pairing": _inversions(modified_pairing, curve, d_id, u, q),
+        "scalar_mults_per_encrypt": _scalar_mults(pub.encrypt, next(fresh), b"K" * 80),
+        "inversions_per_encrypt": _inversions(pub.encrypt, next(fresh), b"K" * 80),
         "inverse_schedules_per_key_wrap": _inverse_schedules_per_key_wrap(),
         "secretshare_calls_per_split": _secretshare_calls(
             split_secret, secret, 3, 6, rng),
@@ -266,10 +302,12 @@ def test_kernel_microbench(record_table):
     assert speedups["unpack_dir"] > 2.0
     assert speedups["ibe_scalar_mult"] > 2.0
     assert speedups["ibe_pairing"] > 2.0
+    assert speedups["ibe_encrypt"] > 1.5
     assert speedups["shamir_split"] > 4.0
     assert speedups["shamir_combine"] > 10.0
     assert table.perf.meta["counts"] == {
         "inversions_per_scalar_mult": 1, "inversions_per_pairing": 1,
+        "scalar_mults_per_encrypt": 0, "inversions_per_encrypt": 2,
         "inverse_schedules_per_key_wrap": 0,
         "secretshare_calls_per_split": 17,
         "secretshare_calls_per_combine": 15}

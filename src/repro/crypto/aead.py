@@ -10,7 +10,11 @@ Two interchangeable suites sit behind one interface:
   simulations, where millions of bytes flow through the encrypted FS.
 
 Both derive independent encryption and MAC sub-keys from the caller's
-key via HKDF, and authenticate ``aad || nonce || ciphertext``.
+key via HKDF (one extract, two expands), and authenticate
+``aad || nonce || ciphertext``.  Neither sub-key nor the PRK enters the
+module HMAC cache: the caller's key is often K_R, which must not
+outlive its ``Texp``, so everything derived from it lives on the AEAD
+object.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ import hashlib
 import struct
 
 from repro.crypto.aes import AES
-from repro.crypto.hmac import constant_time_equal, hmac_sha256
-from repro.crypto.kdf import hkdf_sha256
+from repro.crypto.hmac import constant_time_equal, hmac_states, hmac_with_states
+from repro.crypto.kdf import hkdf_expand, hkdf_extract
 from repro.crypto.kernels import xor_bytes, xor_bytes_reference
 from repro.crypto.modes import ctr_transform
 from repro.errors import IntegrityError
@@ -39,8 +43,11 @@ class Aead:
     def __init__(self, key: bytes):
         if len(key) != 32:
             raise ValueError("AEAD key must be 32 bytes")
-        self._enc_key = hkdf_sha256(key, b"", self.name.encode() + b"|enc", 32)
-        self._mac_key = hkdf_sha256(key, b"", self.name.encode() + b"|mac", 32)
+        prk = hkdf_extract(b"", key)
+        label = self.name.encode()
+        self._enc_key = hkdf_expand(prk, label + b"|enc", 32)
+        # The MAC key's HMAC states live (and die) with this object.
+        self._mac_states = hmac_states(hkdf_expand(prk, label + b"|mac", 32))
 
     # subclasses supply the raw keystream transform
     def _transform(self, nonce: bytes, data: bytes) -> bytes:
@@ -75,7 +82,7 @@ class Aead:
 
     def _mac(self, nonce: bytes, ciphertext: bytes, aad: bytes) -> bytes:
         header = struct.pack(">QQ", len(aad), len(ciphertext))
-        return hmac_sha256(self._mac_key, header + aad + nonce + ciphertext)
+        return hmac_with_states(self._mac_states, header + aad + nonce + ciphertext)
 
 
 class AesCtrHmacAead(Aead):

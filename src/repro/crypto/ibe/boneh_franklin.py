@@ -11,17 +11,29 @@ without presenting the correct, up-to-date path to the audit service.
 BasicIdent is used as a KEM: the pairing value keys an AEAD that seals
 the actual payload (the file's wrapped data key), giving integrity on
 top of the textbook scheme.
+
+Encryption works on its fixed arguments.  ê(Q_ID, P_pub) is computed
+as t(P_pub, φ(P0))^(h·(h mod q)) from H1's raw point P0 = point_from_y(y)
+with P_pub's Miller lines precomputed once per ``IbePublic``, so Q_ID =
+h·P0 is never formed, and U = r·P comes from a window table of the
+generator's multiples built once per ``BfParams``.  ``IbePublic`` caches
+g_ID per identity string; neither that cache nor the lines nor the
+table hold secret material — g_ID is computable by anyone from public
+values.  The PKG side (``extract``, ``decrypt``) pairs a private key
+with a ciphertext point and keeps the general ``modified_pairing``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Iterator, Optional
 
 from repro.crypto.aead import NONCE_LEN, AesCtrHmacAead
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.ibe.curve import Point
+from repro.crypto.ibe.curve import Point, coords
 from repro.crypto.ibe.fp2 import Fp2
-from repro.crypto.ibe.pairing import modified_pairing
+from repro.crypto.ibe.pairing import MillerLines, modified_pairing
 from repro.crypto.ibe.params import SMALL, BfParams, get_params
 from repro.crypto.sha256 import sha256_fast
 from repro.errors import CryptoError
@@ -50,20 +62,24 @@ class IbeCiphertext:
         return 2 * coord + len(self.sealed)
 
 
-def _hash_to_point(params: BfParams, identity: bytes) -> Point:
-    """H1: identity → E(F_p)[q], via y-coordinate hashing + cofactor."""
-    counter = 0
+def _h1_candidates(params: BfParams, identity: bytes) -> Iterator[Point]:
+    """H1's raw points P0 = point_from_y(y), one per counter value."""
     p, curve = params.p, params.curve
-    while True:
+    for counter in itertools.count():
         digest = b""
         material = b"H1|" + identity + b"|" + counter.to_bytes(4, "big")
         while len(digest) * 8 < p.bit_length() + 128:
             digest += sha256_fast(material + len(digest).to_bytes(4, "big"))
-        y = int.from_bytes(digest, "big") % p
-        candidate = curve.multiply(curve.point_from_y(y), params.cofactor)
+        yield curve.point_from_y(int.from_bytes(digest, "big") % p)
+
+
+def _hash_to_point(params: BfParams, identity: bytes) -> Point:
+    """H1: identity → E(F_p)[q], via y-coordinate hashing + cofactor:
+    the first candidate with h·P0 ≠ ∞ (a retry has probability ~1/q)."""
+    for raw in _h1_candidates(params, identity):
+        candidate = params.curve.multiply(raw, params.cofactor)
         if not candidate.infinity:
             return candidate
-        counter += 1  # probability ~1/q
 
 
 def _kdf_from_gt(value: Fp2, salt: bytes) -> bytes:
@@ -96,13 +112,37 @@ def _pairing(params: BfParams, a: Point, b: Point) -> Fp2:
     return value
 
 
+def _folded_pairing(params: BfParams, lines: MillerLines, raw: Point) -> Optional[Fp2]:
+    """ê(h·P0, P_pub) from H1's raw point P0, without forming h·P0.
+
+    ê(h·P0, P_pub) = t(P_pub, φ(h·P0)) = t(P_pub, φ(P0))^h by symmetry
+    and linearity in the second argument, and t(P_pub, φ(P0))^h has
+    order q, so the final exponent (p + 1)/q = h becomes h·(h mod q).
+    ``None`` means h·P0 = ∞ — H1 moves to the next counter: the value 1
+    (E(F_p) is cyclic, so h·P0 ≠ ∞ has order q and pairs to a value
+    ≠ 1), and x0 = 0, whose points have order 3, which divides h.  Fp2
+    zero means φ(P0) met a line; the caller composes the pairing the
+    long way.
+    """
+    x0, y0 = coords(raw)
+    if not x0:
+        return None
+    h = params.cofactor
+    value = lines.power(x0, y0, h * (h % params.q))
+    return None if value.is_one() else value
+
+
 class IbePublic:
     """The public side: system params + PKG public key; can encrypt.
 
-    Caches both H1 hash-to-point results and the per-identity pairing
-    g_ID = ê(Q_ID, P_pub); Keypad re-encrypts to the same identities
-    (paths) frequently, so the cache turns most encryptions into one
-    scalar multiplication plus one F_p² exponentiation.
+    Caches the per-identity pairing g_ID = ê(Q_ID, P_pub): Keypad
+    re-encrypts to the same identities (paths) frequently, so the cache
+    turns most encryptions into one fixed-base r·P plus one F_p²
+    exponentiation.  A miss evaluates P_pub's Miller lines — built on
+    the first miss, once per ``IbePublic`` — at H1's raw point and folds
+    the cofactor into the final exponent, so Q_ID is never formed (see
+    ``_folded_pairing``).  Nothing here is keyed by secret bytes: the
+    lines belong to P_pub and the r·P table (on ``BfParams``) to P.
     """
 
     def __init__(self, params: BfParams, public_point: Point, seed: bytes = b"ibe-enc"):
@@ -110,26 +150,32 @@ class IbePublic:
         self.public_point = public_point
         self._drbg = HmacDrbg(seed, b"ibe-ephemeral")
         self._gid_cache: dict[bytes, Fp2] = {}
-        self._qid_cache: dict[bytes, Point] = {}
-
-    def identity_point(self, identity: bytes) -> Point:
-        point = self._qid_cache.get(identity)
-        if point is None:
-            point = _hash_to_point(self.params, identity)
-            self._qid_cache[identity] = point
-        return point
+        self._lines: Optional[MillerLines] = None
 
     def _g_id(self, identity: bytes) -> Fp2:
         g = self._gid_cache.get(identity)
         if g is None:
-            g = _pairing(self.params, self.identity_point(identity), self.public_point)
+            g = self._pair_identity(identity)
             self._gid_cache[identity] = g
         return g
+
+    def _pair_identity(self, identity: bytes) -> Fp2:
+        params = self.params
+        if self._lines is None:
+            self._lines = MillerLines(params.curve, self.public_point, params.q)
+        for raw in _h1_candidates(params, identity):
+            value = _folded_pairing(params, self._lines, raw)
+            if value is None:
+                continue
+            if value.is_zero():
+                return _pairing(params, _hash_to_point(params, identity),
+                                self.public_point)
+            return value
 
     def encrypt(self, identity: bytes, plaintext: bytes) -> IbeCiphertext:
         params = self.params
         r = 1 + self._drbg.randint_below(params.q - 1)
-        u = params.curve.multiply(params.generator, r)
+        u = params.generator_table.multiply(r)
         shared = self._g_id(identity).pow(r)
         key = _kdf_from_gt(shared, identity)
         nonce = sha256_fast(b"ibe-nonce|" + u.x.to_bytes() + u.y.to_bytes())[:NONCE_LEN]

@@ -12,7 +12,9 @@ inversion, ``multiply`` works in Jacobian coordinates (x = X/Z²,
 y = Y/Z³) and inverts once, to return to affine.  A point with a
 non-zero b-component is refused.  The distortion map is φ(x, y) = (ζ·x, y)
 with ζ a primitive cube root of unity in F_p² \\ F_p; the pairing
-evaluates it inline rather than through ``distort``.
+evaluates it inline rather than through ``distort``.  ``FixedBase``
+multiplies one fixed point by table look-ups and additions only (IBE
+encryption's r·P).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.crypto import numbers
 from repro.crypto.ibe.fp2 import Fp2
 from repro.crypto.numbers import cbrt_mod, sqrt_mod
 
-__all__ = ["Point", "CurveGroup", "coords"]
+__all__ = ["Point", "CurveGroup", "FixedBase", "coords"]
 
 
 @dataclass(frozen=True)
@@ -194,3 +196,62 @@ class CurveGroup:
         p = self.p
         x_int = cbrt_mod((y_int * y_int - 1) % p, p)
         return self.point(x_int, y_int)
+
+
+class FixedBase:
+    """k·B for one fixed B of prime order q, from a 4-bit window table.
+
+    ``rows[i][d]`` is d·16^i·B as an affine int pair (d = 1..15), so
+    k·B = Σ rows[i][k_i] over k's base-16 digits: one mixed Jacobian
+    addition per non-zero digit, no doubling, and one inversion back to
+    affine.  For 0 < k < q no partial sum meets ±(its addend) — two
+    disjoint digit sums a, b have 0 < a + b ≤ k < q and a ≠ b — so the
+    addition never degenerates.  The table holds multiples of a public
+    point only.
+    """
+
+    WINDOW = 4
+
+    def __init__(self, curve: CurveGroup, base: Point, order: int):
+        self.curve = curve
+        self.order = order
+        self.rows: list[list[Optional[tuple[int, int]]]] = []
+        start = base
+        for _ in range(-(-order.bit_length() // self.WINDOW)):
+            row: list[Optional[tuple[int, int]]] = [None]
+            point = start
+            for _ in range((1 << self.WINDOW) - 1):
+                row.append(coords(point))
+                point = curve.add(point, start)
+            self.rows.append(row)
+            start = point  # 16·start
+
+    def multiply(self, scalar: int) -> Point:
+        """scalar·B for 0 < scalar < q."""
+        if not 0 < scalar < self.order:
+            raise ValueError("fixed-base scalar must lie in (0, q)")
+        p = self.curve.p
+        mask = (1 << self.WINDOW) - 1
+        X = Y = Z = 0
+        for row in self.rows:
+            digit = scalar & mask
+            scalar >>= self.WINDOW
+            if not digit:
+                continue
+            x, y = row[digit]
+            if not Z:
+                X, Y, Z = x, y, 1
+                continue
+            # T + (x, y): H = x·Z² − X, R = y·Z³ − Y.
+            ZZ = Z * Z % p
+            H = (x * ZZ - X) % p
+            R = (y * ZZ * Z - Y) % p
+            HH = H * H % p
+            HHH = H * HH % p
+            V = X * HH % p
+            X = (R * R - HHH - 2 * V) % p
+            Y = (R * (V - X) - Y * HHH) % p
+            Z = Z * H % p
+        zinv = numbers.invmod(Z, p)
+        zz = zinv * zinv % p
+        return self.curve.point(X * zz, Y * zz * zinv)

@@ -83,7 +83,7 @@ class FullIdentPublic(IbePublic):
         params = self.params
         sigma = self._drbg.generate(_SIGMA_LEN)
         r = _h3(params, sigma, message)
-        u = params.curve.multiply(params.generator, r)
+        u = params.generator_table.multiply(r)
         shared = self._g_id(identity).pow(r)
         v = xor_bytes(sigma, _h2(shared))
         w = xor_bytes(message, _h4_stream(sigma, len(message)))

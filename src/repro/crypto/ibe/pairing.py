@@ -21,6 +21,14 @@ f = num/den and Frobenius acting as conjugation (p ≡ 3 mod 4),
 f^(p−1) = conj(f)/f = conj(g)²/N(g) for g = num·conj(den), N(g) ∈ F_p:
 the combine and the quotient share one inversion per pairing, and the
 rest is a (p + 1)/q power.
+
+``MillerLines`` is the same loop for a first argument that does not
+change — IBE encryption pairs every identity with P_pub.  It runs A's
+loop once, in affine form, and keeps each step's slope, offset and
+landing point; a pairing then only evaluates those lines at φ(B), with
+numerator and denominator in one accumulator, and takes the same
+one-inversion final exponentiation.  Its exponent is the caller's, so
+``boneh_franklin`` can fold H1's cofactor into it.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from repro.crypto.ibe.curve import CurveGroup, Point, coords
 from repro.crypto.ibe.fp2 import Fp2, pow_pair
 from repro.errors import CryptoError
 
-__all__ = ["modified_pairing"]
+__all__ = ["modified_pairing", "MillerLines"]
 
 _WRONG_ORDER = "first pairing argument does not have the given order"
 
@@ -105,10 +113,96 @@ def modified_pairing(curve: CurveGroup, a: Point, b: Point, order: int) -> Fp2:
         va, vb = (xa * ZZ - X) % p, xb * ZZ % p
         na, nb = (na * la - nb * lb) % p, (na * lb + nb * la) % p
         da, db = (da * va - db * vb) % p, (da * vb + db * va) % p
-    # g = num·conj(den); f^(p−1) = conj(g)² / (g·conj(g)).
-    ga, gb = (na * da + nb * db) % p, (nb * da - na * db) % p
+    # g = num·conj(den) ∝ num/den.
+    g = (na * da + nb * db) % p, (nb * da - na * db) % p
+    return _final_power(g, (p + 1) // order, p)
+
+
+def _final_power(g: tuple[int, int], exponent: int, p: int) -> Fp2:
+    """g^((p−1)·exponent) as ``Fp2``, or Fp2 zero when g = 0.
+
+    g^(p−1) = conj(g)/g = conj(g)²/(g·conj(g)): one inversion, in F_p.
+    """
+    ga, gb = g
     if not (ga or gb):
         return Fp2.zero(p)
     inv = numbers.invmod(ga * ga + gb * gb, p)
     ha, hb = (ga + gb) * (ga - gb) * inv % p, -2 * ga * gb * inv % p
-    return Fp2(*pow_pair(ha, hb, (p + 1) // order, p), p)
+    return Fp2(*pow_pair(ha, hb, exponent, p), p)
+
+
+class MillerLines:
+    """t(A, φ(·)) for one fixed A of prime order q, its Miller loop run once.
+
+    The loop over A does not depend on the second argument, so every
+    tangent and chord is computed once here, in affine form — the slope
+    λ, the offset c of y = λx + c, and the point (x', y') the step lands
+    on, whose vertical x − x' divides it out.  ``power`` then only
+    evaluates those lines at φ(B) = (ζ·x_B, y_B).  Numerator and
+    denominator share one accumulator: dividing by a vertical v is
+    multiplying by conj(v)/N(v), and N(v) ∈ F_p* dies in the final
+    exponentiation.  For l = y − λx − c and v = x − x' at φ(B),
+    l·conj(v) = (y_B − c − λ·x_a)(x_a − x') − λ·x_b² − x_b·(y_B + y')·i,
+    with ζ·x_B = x_a + x_b·i and y' = λ(x − x') − y the landing point's
+    y.  Building the table refuses an A whose order is not ``order``.
+    """
+
+    def __init__(self, curve: CurveGroup, a: Point, order: int):
+        pa = coords(a)
+        if pa is None:
+            raise CryptoError(_WRONG_ORDER)
+        p = curve.p
+        xp, yp = pa
+        steps = []  # (square first?, λ, c, x', y')
+        x, y = xp, yp
+        bits = bin(order)[3:]  # skip the leading 1
+        last = len(bits) - 1
+        for step, bit in enumerate(bits):
+            if not y:  # T of order 2: 2T = ∞
+                raise CryptoError(_WRONG_ORDER)
+            lam = 3 * x * x * numbers.invmod(2 * y, p) % p
+            x2 = (lam * lam - 2 * x) % p
+            y2 = (lam * (x - x2) - y) % p
+            steps.append((True, lam, (y - lam * x) % p, x2, y2))
+            x, y = x2, y2
+            if bit == "0":
+                continue
+            if step == last:
+                if x != xp or y == yp:
+                    raise CryptoError(_WRONG_ORDER)
+                break  # T = −A: the chord is the vertical x − x_A
+            if x == xp:
+                raise CryptoError(_WRONG_ORDER)
+            lam = (y - yp) * numbers.invmod(x - xp, p) % p
+            x2 = (lam * lam - x - xp) % p
+            y2 = (lam * (x - x2) - y) % p
+            steps.append((False, lam, (y - lam * x) % p, x2, y2))
+            x, y = x2, y2
+        else:
+            raise CryptoError(_WRONG_ORDER)  # an even order never closes
+        self._p = p
+        self._xp = xp
+        self._zeta = curve.zeta.a, curve.zeta.b
+        self._steps = steps
+
+    def power(self, x_b: int, y_b: int, exponent: int) -> Fp2:
+        """f_{q,A}(φ(B))^((p−1)·exponent) for B = (x_b, y_b) ∈ E(F_p).
+
+        With ``exponent`` = (p + 1)/q this is ``modified_pairing(A, B)``.
+        Fp2 zero when φ(B) lies on one of the lines.
+        """
+        p = self._p
+        za, zb = self._zeta
+        xa, xb = za * x_b % p, zb * x_b % p
+        xbb = xb * xb % p
+        ga, gb = 1, 0
+        for square, lam, c, x2, y2 in self._steps:
+            if square:
+                ga, gb = (ga + gb) * (ga - gb) % p, 2 * ga * gb % p
+            fa = ((y_b - c - lam * xa) * (xa - x2) - lam * xbb) % p
+            fb = -xb * (y_b + y2) % p
+            ga, gb = (ga * fa - gb * fb) % p, (ga * fb + gb * fa) % p
+        # The last chord, the vertical x − x_A (no vertical after it).
+        dx = xa - self._xp
+        g = (ga * dx - gb * xb) % p, (ga * xb + gb * dx) % p
+        return _final_power(g, exponent, p)

@@ -16,10 +16,10 @@ magic constants.  Three sizes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.ibe.curve import CurveGroup, Point
+from repro.crypto.ibe.curve import CurveGroup, FixedBase, Point
 from repro.crypto.numbers import find_bf_prime, generate_prime
 
 __all__ = ["BfParams", "get_params", "TOY", "SMALL", "STANDARD"]
@@ -44,6 +44,11 @@ class BfParams:
     @property
     def cofactor(self) -> int:
         return (self.p + 1) // self.q
+
+    @cached_property
+    def generator_table(self) -> FixedBase:
+        """r·P for 0 < r < q by table look-ups; built on first use."""
+        return FixedBase(self.curve, self.generator, self.q)
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 
-from repro.crypto.hmac import hmac_sha256
+from repro.crypto.hmac import hmac_sha256, hmac_states, hmac_with_states
 
 __all__ = ["pbkdf2_sha256", "hkdf_sha256", "hkdf_extract", "hkdf_expand"]
 
@@ -41,14 +41,20 @@ def hkdf_extract(salt: bytes, ikm: bytes) -> bytes:
 
 
 def hkdf_expand(prk: bytes, info: bytes, length: int) -> bytes:
-    """HKDF-Expand (RFC 5869)."""
+    """HKDF-Expand (RFC 5869).
+
+    The PRK is a secret derived per call site, so its HMAC states are
+    built here and dropped, never left in the module cache of
+    ``repro.crypto.hmac``.
+    """
     if length > 255 * _HASH_LEN:
         raise ValueError("HKDF-Expand output too long")
+    states = hmac_states(prk)
     okm = b""
     t = b""
     counter = 1
     while len(okm) < length:
-        t = hmac_sha256(prk, t + info + bytes([counter]))
+        t = hmac_with_states(states, t + info + bytes([counter]))
         okm += t
         counter += 1
     return okm[:length]

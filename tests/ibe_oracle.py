@@ -10,12 +10,25 @@ Miller step, numerator and denominator divided once and raised to
 (p² − 1)/q by plain square-and-multiply — kept so the tests can demand
 the same points and the same pairing values from both.  The reduced
 Tate pairing is unique, so "the same" means bit-identical.
+
+``encrypt`` is the BasicIdent encryption ``IbePublic.encrypt`` replaced
+with its fixed-argument path: H1 with its cofactor multiplication, a
+full pairing ê(Q_ID, P_pub) and a variable-base r·P on every call.
 """
 
 from __future__ import annotations
 
+from repro.crypto.aead import NONCE_LEN, AesCtrHmacAead
+from repro.crypto.ibe.boneh_franklin import (
+    IbeCiphertext,
+    IbePublic,
+    _hash_to_point,
+    _kdf_from_gt,
+    _pairing,
+)
 from repro.crypto.ibe.curve import CurveGroup, Point
 from repro.crypto.ibe.fp2 import Fp2
+from repro.crypto.sha256 import sha256_fast
 
 __all__ = [
     "invmod",
@@ -24,6 +37,7 @@ __all__ = [
     "multiply",
     "tate_pairing",
     "modified_pairing",
+    "encrypt",
 ]
 
 
@@ -166,3 +180,17 @@ def tate_pairing(curve: CurveGroup, p_pt: Point, q_pt: Point, order: int) -> Fp2
 def modified_pairing(curve: CurveGroup, a: Point, b: Point, order: int) -> Fp2:
     """Symmetric pairing ê(A, B) = tate(A, φ(B)) for A, B ∈ E(F_p)[q]."""
     return tate_pairing(curve, a, curve.distort(b), order)
+
+
+# -- BasicIdent encryption, composed the long way -------------------------------
+def encrypt(public: IbePublic, identity: bytes, plaintext: bytes) -> IbeCiphertext:
+    """``IbePublic.encrypt`` as composed before its fixed-argument path;
+    draws r from ``public``'s DRBG exactly as the real one does."""
+    params = public.params
+    r = 1 + public._drbg.randint_below(params.q - 1)
+    u = params.curve.multiply(params.generator, r)
+    g_id = _pairing(params, _hash_to_point(params, identity), public.public_point)
+    key = _kdf_from_gt(g_id.pow(r), identity)
+    nonce = sha256_fast(b"ibe-nonce|" + u.x.to_bytes() + u.y.to_bytes())[:NONCE_LEN]
+    sealed = AesCtrHmacAead(key).seal(nonce, plaintext, aad=identity)
+    return IbeCiphertext(u_x=u.x.a, u_y=u.y.a, sealed=sealed)

@@ -5,9 +5,11 @@ import hmac as stdlib_hmac
 
 import pytest
 
+from repro.crypto import hmac as hmac_mod
+from repro.crypto.aead import AesCtrHmacAead, StreamHmacAead
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hmac import constant_time_equal, hmac_sha256
-from repro.crypto.kdf import hkdf_sha256, pbkdf2_sha256
+from repro.crypto.kdf import hkdf_expand, hkdf_extract, hkdf_sha256, pbkdf2_sha256
 from repro.crypto.sha256 import SHA256, sha256, sha256_fast
 
 
@@ -98,6 +100,47 @@ class TestHmac:
         assert not constant_time_equal(b"abc", b"abd")
         assert not constant_time_equal(b"abc", b"abcd")
         assert constant_time_equal(b"", b"")
+        tag = hmac_sha256(b"k" * 32, b"m")
+        assert constant_time_equal(tag, bytes(tag))
+        for bit in (0, 7, 8 * 31 + 7):  # one-bit differences, first to last byte
+            flipped = bytearray(tag)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            assert not constant_time_equal(tag, bytes(flipped))
+        assert not constant_time_equal(tag, tag[:-1])
+
+
+class TestSecretsOffTheHmacCache:
+    """K_R must not outlive Texp: nothing derived from it may stay in the
+    module-level HMAC state cache after a data-key wrap and unwrap."""
+
+    def test_wrap_unwrap_leaves_no_derived_key_in_the_cache(self):
+        from repro.core.header import unwrap_data_key, wrap_data_key
+
+        remote_key = hashlib.sha256(b"a fresh K_R").digest()
+        data_key = b"D" * 32
+        blob = wrap_data_key(data_key, remote_key, HmacDrbg(b"wrap", b"nonce"))
+        assert unwrap_data_key(blob, remote_key) == data_key
+        prk = hkdf_extract(b"", remote_key)
+        mac_key = hkdf_expand(prk, AesCtrHmacAead.name.encode() + b"|mac", 32)
+        assert prk not in hmac_mod._state_cache
+        assert mac_key not in hmac_mod._state_cache
+        assert remote_key not in hmac_mod._state_cache
+
+    @pytest.mark.parametrize("suite,sealed", [
+        (AesCtrHmacAead,
+         "dacab3991343b3dec9c22055a6a358177c992905e5fdc4a016590247eeec9b7a"
+         "0913dead102b85f37cb08260f58f90ca1b6276e7"),
+        (StreamHmacAead,
+         "cae880ea96638423671ebaff18817300d58750121aa6527318670a61a5b2052d"
+         "6c00dc2a9bcf64fa2bc8e426b9dffa45450a2e6d"),
+    ])
+    def test_sealed_bytes_unchanged(self, suite, sealed):
+        """Known answers from two independent hkdf_sha256 calls per sub-key."""
+        aead = suite(bytes(range(32)))
+        assert aead.seal(b"n" * 16, b"the wrapped data key",
+                         aad=b"kd-wrap").hex() == sealed
+        label = suite.name.encode()
+        assert aead._enc_key == hkdf_sha256(bytes(range(32)), b"", label + b"|enc", 32)
 
 
 class TestPbkdf2:
