@@ -113,7 +113,7 @@ def test_transport_ablation_parallel_compile(benchmark, record_table):
     base = KeypadConfig(texp=3.0, prefetch="none", ibe_enabled=False)
     arms = (
         ("default", base),
-        ("fast-transport", base.with_fast_transport()),
+        ("fast-transport", KeypadConfig.builder(base).fast_transport().build()),
     )
 
     def run():
@@ -177,8 +177,9 @@ def test_transport_ablation_trace_reconciliation(benchmark, record_table):
     without a wire call)."""
     base = KeypadConfig(texp=3.0, prefetch="none", ibe_enabled=False)
     arms = (
-        ("default", base.with_tracing()),
-        ("fast-transport", base.with_fast_transport().with_tracing()),
+        ("default", KeypadConfig.builder(base).tracing().build()),
+        ("fast-transport",
+         KeypadConfig.builder(base).fast_transport().tracing().build()),
     )
 
     def run():

@@ -32,9 +32,6 @@ The groups:
   policy cell its verbs update; :class:`StorageBackend` is the
   pluggable lower-store contract (``ext3`` / ``memory`` / ``cas``).
 * **Errors** — the single taxonomy from :mod:`repro.errors`.
-
-Old deep-import paths (``from repro.core import KeypadConfig``, ...)
-keep working but emit :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
@@ -58,7 +55,6 @@ from repro.core.policy import (
     coverage_for_prefixes,
 )
 from repro.core.client import (
-    DeviceServices,
     KeyCreate,
     KeyFetch,
     ServiceSession,
@@ -67,8 +63,8 @@ from repro.core.context import OpContext, Span, TraceCollector
 from repro.core.fs import KeypadFS
 from repro.core.services import KeyService, MetadataService
 from repro.cluster.client import (
-    ReplicatedDeviceServices,
     ReplicatedKeyClient,
+    ReplicatedServiceSession,
 )
 from repro.cluster.federation import (
     FederatedKeyClient,
@@ -157,7 +153,6 @@ __all__ = [
     "KeypadFS",
     "KeyService",
     "MetadataService",
-    "DeviceServices",
     "ServiceSession",
     "KeyCreate",
     "KeyFetch",
@@ -167,7 +162,7 @@ __all__ = [
     # cluster
     "ReplicaGroup",
     "ReplicatedKeyClient",
-    "ReplicatedDeviceServices",
+    "ReplicatedServiceSession",
     "ClusterAuditLog",
     "Region",
     "Topology",

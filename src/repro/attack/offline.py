@@ -30,7 +30,7 @@ from repro.encfs.volume import Volume
 from repro.errors import CryptoError, KeypadError, ReproError
 from repro.storage.backend import FsInterface
 from repro.util.paths import normalize
-from repro.core.client import DeviceServices
+from repro.core.client import IbeRegistration, KeyFetch, ServiceSession
 from repro.core.header import (
     KEYPAD_HEADER_LEN,
     KeypadHeader,
@@ -68,7 +68,7 @@ class OfflineAttacker:
         lower: FsInterface,
         volume_password: str,
         memory_snapshot: Optional[dict[bytes, tuple[bytes, bytes]]] = None,
-        services: Optional[DeviceServices] = None,
+        services: Optional[ServiceSession] = None,
         volume_salt: bytes = b"keypad-volume-salt",
     ):
         # The attacker derives the volume keys from the breached
@@ -159,8 +159,8 @@ class OfflineAttacker:
 
         if header.locked:
             try:
-                private_key = yield from self.services.register_file_ibe(
-                    header.identity
+                private_key = yield from self.services.register(
+                    IbeRegistration(identity=header.identity)
                 )
             except (KeypadError, ReproError) as exc:
                 return self._lost(path, "ibe-unlock", str(exc))
@@ -175,7 +175,7 @@ class OfflineAttacker:
             header = header.unlocked_copy(wrapped)
 
         try:
-            remote_key = yield from self.services.fetch_key(audit_id)
+            remote_key = yield from self.services.fetch(KeyFetch(audit_id))
         except (KeypadError, ReproError) as exc:
             return self._lost(path, "key-fetch", str(exc))
         try:

@@ -6,8 +6,7 @@ segments; the read side (:mod:`repro.auditstore.views`) keeps CQRS
 projections — per-device timeline, per-file access set, post-theft
 window index — incrementally current so forensic queries answer in
 O(view) instead of O(log).  :mod:`repro.auditstore.log` holds the flat
-log primitives the rest of the tree shares (moved here from
-``repro.core.services.logstore``, which remains as a shim).
+log primitives the rest of the tree shares.
 
 Select the segmented store with
 ``KeypadConfig.builder().audit_store("segmented")``; the default is

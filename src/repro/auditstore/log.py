@@ -14,8 +14,7 @@ This module is the write-side foundation of :mod:`repro.auditstore`:
 splits it across independent chains, and
 :class:`~repro.auditstore.store.SegmentedAuditStore` (the event-sourced
 store) builds group-committed, compactable segments on the same chain
-math.  The historical import path ``repro.core.services.logstore``
-remains as a deprecation shim.
+math.
 """
 
 from __future__ import annotations

@@ -521,11 +521,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.harness import build_keypad_rig
     from repro.api import THREE_G
 
-    config = KeypadConfig(
-        texp=args.texp, prefetch="dir:3", ibe_enabled=True,
-    ).with_tracing(op_deadline=args.deadline)
+    builder = (KeypadConfig.builder().texp(args.texp).prefetch("dir:3")
+               .ibe(True).tracing(op_deadline=args.deadline))
     if args.fast:
-        config = config.with_fast_transport()
+        builder = builder.fast_transport()
+    config = builder.build()
     rig = build_keypad_rig(network=THREE_G, config=config)
 
     def workload():

@@ -22,14 +22,13 @@ default) never touches this package.
 """
 
 from repro.cluster.client import (
-    ReplicatedDeviceServices,
     ReplicatedKeyClient,
     ReplicatedServiceSession,
 )
 from repro.cluster.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.cluster.federation import (
-    FederatedDeviceServices,
     FederatedKeyClient,
+    FederatedServiceSession,
     FederationGroup,
     Region,
     Topology,
@@ -41,12 +40,11 @@ __all__ = [
     "ReplicaGroup",
     "ReplicatedKeyClient",
     "ReplicatedServiceSession",
-    "ReplicatedDeviceServices",
     "Region",
     "Topology",
     "FederationGroup",
     "FederatedKeyClient",
-    "FederatedDeviceServices",
+    "FederatedServiceSession",
     "FaultEvent",
     "FaultPlan",
     "FaultInjector",

@@ -64,7 +64,7 @@ from repro.net.metrics import ClusterMetrics
 from repro.net.rpc import RpcChannel
 from repro.sim import Simulation, SimRandom
 from repro.util.retry import RetryPolicy, retrying
-from repro.core.client import DeviceServices, ServiceSession
+from repro.core.client import ServiceSession
 from repro.core.services.keyservice import REMOTE_KEY_LEN
 from repro.core.services.metadataservice import MetadataService
 from repro.cluster.replica import ReplicaGroup
@@ -72,7 +72,6 @@ from repro.cluster.replica import ReplicaGroup
 __all__ = [
     "ReplicatedKeyClient",
     "ReplicatedServiceSession",
-    "ReplicatedDeviceServices",
 ]
 
 #: Failures that mean "this replica, right now" — retried elsewhere.
@@ -639,6 +638,3 @@ class ReplicatedServiceSession(ServiceSession):
         )
         return None
 
-
-class ReplicatedDeviceServices(ReplicatedServiceSession, DeviceServices):
-    """Replicated facade plus the original loose method names."""

@@ -39,8 +39,8 @@ from repro.net.netem import LAN, NetEnv
 from repro.net.rpc import RpcChannel
 from repro.sim import Simulation, SimRandom
 from repro.cluster.client import (
-    ReplicatedDeviceServices,
     ReplicatedKeyClient,
+    ReplicatedServiceSession,
 )
 from repro.cluster.election import LeaseManager
 from repro.cluster.gossip import GossipAgent
@@ -51,7 +51,7 @@ __all__ = [
     "Topology",
     "FederationGroup",
     "FederatedKeyClient",
-    "FederatedDeviceServices",
+    "FederatedServiceSession",
 ]
 
 
@@ -494,9 +494,9 @@ class FederatedKeyClient(ReplicatedKeyClient):
         return (cooling, round(endpoint.link.rtt * 1e6), endpoint.index)
 
 
-class FederatedDeviceServices(ReplicatedDeviceServices):
+class FederatedServiceSession(ReplicatedServiceSession):
     """The device-facing session facade over a federation: the
-    :class:`ReplicatedDeviceServices` surface with the cluster transport
+    :class:`ReplicatedServiceSession` surface with the cluster transport
     swapped for a geo-routing :class:`FederatedKeyClient`."""
 
     def __init__(self, *args: Any, home_region: Optional[str] = None,

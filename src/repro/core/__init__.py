@@ -1,122 +1,7 @@
 """Keypad — the paper's primary contribution.
 
-The auditing file system (:class:`KeypadFS`), its key cache and
+The auditing file system (:mod:`repro.core.fs`), its key cache and
 prefetcher, the remote audit services, the paired-device extension, and
-the client configuration.
-
-.. deprecated::
-    Importing names from ``repro.core`` directly is deprecated; the
-    stable public surface is :mod:`repro.api` (or the defining
-    submodule, for internals).  Every historical name still resolves —
-    lazily, with a :class:`DeprecationWarning` — so existing scripts
-    keep working unchanged.
+the client configuration.  The public names are in :mod:`repro.api`;
+internals are imported from their defining submodule.
 """
-
-from __future__ import annotations
-
-import importlib
-import warnings
-
-#: every name the package ever re-exported, mapped to its home module.
-_EXPORTS = {
-    "OpContext": "repro.core.context",
-    "Span": "repro.core.context",
-    "TraceCollector": "repro.core.context",
-    "DeviceServices": "repro.core.client",
-    "DirRegistration": "repro.core.client",
-    "EvictionNotice": "repro.core.client",
-    "FileRegistration": "repro.core.client",
-    "IbeRegistration": "repro.core.client",
-    "KeyCreate": "repro.core.client",
-    "KeyFetch": "repro.core.client",
-    "KeyUpload": "repro.core.client",
-    "ServiceSession": "repro.core.client",
-    "XattrRegistration": "repro.core.client",
-    "KeypadFS": "repro.core.fs",
-    "KEYPAD_HEADER_LEN": "repro.core.header",
-    "KeypadHeader": "repro.core.header",
-    "pack_header": "repro.core.header",
-    "parse_header": "repro.core.header",
-    "unwrap_data_key": "repro.core.header",
-    "wrap_data_key": "repro.core.header",
-    "CacheEntry": "repro.core.keycache",
-    "KeyCache": "repro.core.keycache",
-    "LaunchProfiler": "repro.core.launchprofile",
-    "PairedPhone": "repro.core.paired",
-    "PhoneProxy": "repro.core.paired",
-    "KeypadConfig": "repro.core.policy",
-    "KeypadConfigBuilder": "repro.core.policy",
-    "coverage_for_prefixes": "repro.core.policy",
-    "DirectoryPrefetch": "repro.core.prefetch",
-    "NoPrefetch": "repro.core.prefetch",
-    "PrefetchPolicy": "repro.core.prefetch",
-    "RandomPrefetch": "repro.core.prefetch",
-    "make_policy": "repro.core.prefetch",
-    "AUDIT_ID_LEN": "repro.core.services",
-    "ROOT_DIR_ID": "repro.core.services",
-    "KeyService": "repro.core.services",
-    "MetadataService": "repro.core.services",
-    "identity_string": "repro.core.services",
-}
-
-__all__ = [
-    "KeypadFS",
-    "KeypadConfig",
-    "KeypadConfigBuilder",
-    "OpContext",
-    "Span",
-    "TraceCollector",
-    "coverage_for_prefixes",
-    "DeviceServices",
-    "ServiceSession",
-    "KeyFetch",
-    "KeyCreate",
-    "KeyUpload",
-    "FileRegistration",
-    "DirRegistration",
-    "IbeRegistration",
-    "XattrRegistration",
-    "EvictionNotice",
-    "KeyService",
-    "MetadataService",
-    "KeyCache",
-    "CacheEntry",
-    "LaunchProfiler",
-    "PairedPhone",
-    "PhoneProxy",
-    "PrefetchPolicy",
-    "NoPrefetch",
-    "DirectoryPrefetch",
-    "RandomPrefetch",
-    "make_policy",
-    "KeypadHeader",
-    "pack_header",
-    "parse_header",
-    "wrap_data_key",
-    "unwrap_data_key",
-    "KEYPAD_HEADER_LEN",
-    "AUDIT_ID_LEN",
-    "ROOT_DIR_ID",
-    "identity_string",
-]
-
-
-def __getattr__(name: str):
-    home = _EXPORTS.get(name)
-    if home is None:
-        raise AttributeError(
-            f"module 'repro.core' has no attribute {name!r}"
-        )
-    warnings.warn(
-        f"importing {name!r} from 'repro.core' is deprecated; import it "
-        f"from 'repro.api' (the stable facade) or from '{home}'",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    # Deliberately not cached in globals(): each use warns, so stale
-    # imports stay visible instead of going quiet after the first hit.
-    return getattr(importlib.import_module(home), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(list(globals()) + __all__))

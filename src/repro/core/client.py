@@ -19,9 +19,8 @@ optimisations above the channels:
   timestamps carried in the batch payload.
 
 Requests are expressed as typed dataclasses (:class:`KeyFetch`,
-:class:`KeyCreate`, ...).  :class:`DeviceServices` subclasses the
-facade and keeps the original loose method names (``fetch_key``,
-``register_file``, ...) as thin shims for existing callers.
+:class:`KeyCreate`, ...), one per call: ``fetch``/``fetch_many``,
+``create``, ``upload``, ``notify`` and ``register``.
 
 Every request method accepts an optional ``ctx``
 (:class:`~repro.core.context.OpContext`) threaded down from the VFS
@@ -54,7 +53,6 @@ from repro.core.services.metadataservice import MetadataService
 
 __all__ = [
     "ServiceSession",
-    "DeviceServices",
     "KeyFetch",
     "KeyCreate",
     "KeyUpload",
@@ -489,71 +487,3 @@ class ServiceSession:
         )
         return IbePrivateKey(identity=response["identity"], point=point)
 
-
-class DeviceServices(ServiceSession):
-    """Back-compat surface: the original loose method names.
-
-    Each shim builds the typed request and delegates to the facade, so
-    existing callers (and the offline-attack tooling) keep working while
-    new code uses :class:`ServiceSession` directly.
-    """
-
-    # -- key service ---------------------------------------------------------
-    def fetch_key(self, audit_id: bytes, kind: str = "fetch",
-                  ctx: Optional[OpContext] = None) -> Generator:
-        key = yield from self.fetch(KeyFetch(audit_id=audit_id, kind=kind),
-                                    ctx)
-        return key
-
-    def fetch_keys(self, audit_ids: list[bytes], kind: str = "prefetch",
-                   ctx: Optional[OpContext] = None) -> Generator:
-        keys = yield from self.fetch_many(
-            [KeyFetch(audit_id=a, kind=kind) for a in audit_ids], ctx
-        )
-        return keys
-
-    def create_key(self, audit_id: bytes,
-                   ctx: Optional[OpContext] = None) -> Generator:
-        key = yield from self.create(KeyCreate(audit_id=audit_id), ctx)
-        return key
-
-    def put_key(self, audit_id: bytes, key: bytes,
-                ctx: Optional[OpContext] = None) -> Generator:
-        yield from self.upload(KeyUpload(audit_id=audit_id, key=key), ctx)
-        return None
-
-    def notify_evictions(self, count: int, reason: str,
-                         ctx: Optional[OpContext] = None) -> Generator:
-        yield from self.notify(EvictionNotice(count=count, reason=reason),
-                               ctx)
-        return None
-
-    # -- metadata service -----------------------------------------------------
-    def register_file(self, audit_id: bytes, dir_id: str, name: str) -> Generator:
-        yield from self.register(
-            FileRegistration(audit_id=audit_id, dir_id=dir_id, name=name)
-        )
-        return None
-
-    def register_file_ibe(self, identity: bytes) -> Generator:
-        """Register metadata and obtain the unlocking IBE private key.
-
-        Returns ``None`` when routed through a disconnected phone that
-        durably deferred the registration (the caller then unlocks from
-        its cached wrapped key instead of via IBE decryption).
-        """
-        result = yield from self.register(IbeRegistration(identity=identity))
-        return result
-
-    def register_dir(self, dir_id: str, parent_id: str, name: str) -> Generator:
-        yield from self.register(
-            DirRegistration(dir_id=dir_id, parent_id=parent_id, name=name)
-        )
-        return None
-
-    def register_xattr(self, audit_id: bytes, name: str, value: bytes) -> Generator:
-        """Extension: xattr metadata registration (direct channel)."""
-        yield from self.register(
-            XattrRegistration(audit_id=audit_id, name=name, value=value)
-        )
-        return None

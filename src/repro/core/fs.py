@@ -518,7 +518,7 @@ class KeypadFS(StackedCryptFs):
         self._logical_sizes[path] = 0
 
         if self._cfg(ctx).ibe_enabled:
-            yield from self._create_with_ibe(
+            yield from self._create_ibe_locked(
                 path, dir_id, name, audit_id, data_key, ctx
             )
         else:
@@ -566,7 +566,7 @@ class KeypadFS(StackedCryptFs):
                            texp=self._cfg(ctx).texp)
         return None
 
-    def _create_with_ibe(
+    def _create_ibe_locked(
         self, path: str, dir_id: str, name: str, audit_id: bytes,
         data_key: bytes, ctx: Optional[OpContext] = None
     ) -> Generator:
@@ -646,7 +646,7 @@ class KeypadFS(StackedCryptFs):
             header = yield from self._await_unlocked(old, header, ctx)
 
         if self._cfg(ctx).ibe_enabled:
-            yield from self._rename_with_ibe(old, new, header, dir_id, name)
+            yield from self._rename_ibe_locked(old, new, header, dir_id, name)
         else:
             yield from self.lower.rename(self._enc(old), self._enc(new))
             self._move_header(old, new)
@@ -682,7 +682,7 @@ class KeypadFS(StackedCryptFs):
         self.stats["async_metadata_ops"] += 1
         return None
 
-    def _rename_with_ibe(
+    def _rename_ibe_locked(
         self, old: str, new: str, header: KeypadHeader, dir_id: str, name: str
     ) -> Generator:
         identity = identity_string(dir_id, name, header.audit_id)

@@ -293,8 +293,7 @@ class PairedPhone:
 class PhoneProxy:
     """Laptop-side stub: routes :class:`ServiceSession` traffic over
     Bluetooth.  Exposes the same typed request surface as the session
-    (``fetch``/``fetch_many``/``upload``/``register``), with the
-    original loose method names kept as shims."""
+    (``fetch``/``fetch_many``/``upload``/``register``)."""
 
     def __init__(
         self,
@@ -380,34 +379,3 @@ class PhoneProxy:
             )
         raise TypeError(f"not a phone-routable registration: {request!r}")
 
-    # -- back-compat shims ---------------------------------------------------
-
-    def fetch_key(self, audit_id: bytes, kind: str = "fetch") -> Generator:
-        key = yield from self.fetch(KeyFetch(audit_id=audit_id, kind=kind))
-        return key
-
-    def fetch_keys(self, audit_ids: list[bytes], kind: str = "prefetch") -> Generator:
-        keys = yield from self.fetch_many(
-            [KeyFetch(audit_id=a, kind=kind) for a in audit_ids]
-        )
-        return keys
-
-    def put_key(self, audit_id: bytes, key: bytes) -> Generator:
-        yield from self.upload(KeyUpload(audit_id=audit_id, key=key))
-        return None
-
-    def register_file(self, audit_id: bytes, dir_id: str, name: str) -> Generator:
-        yield from self.register(
-            FileRegistration(audit_id=audit_id, dir_id=dir_id, name=name)
-        )
-        return None
-
-    def register_file_ibe(self, identity: bytes) -> Generator:
-        result = yield from self.register(IbeRegistration(identity=identity))
-        return result
-
-    def register_dir(self, dir_id: str, parent_id: str, name: str) -> Generator:
-        yield from self.register(
-            DirRegistration(dir_id=dir_id, parent_id=parent_id, name=name)
-        )
-        return None

@@ -21,7 +21,6 @@ passed as mount-time knobs.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Optional, Sequence
 
@@ -218,8 +217,7 @@ class KeypadConfig:
                       .frontend(workers=16)
                       .build())
 
-        Replaces the accumulated ``with_*`` methods (kept as delegating
-        shims); a builder with no steps builds the exact default config.
+        A builder with no steps builds the exact default config.
         """
         return KeypadConfigBuilder(base if base is not None else cls())
 
@@ -233,55 +231,6 @@ class KeypadConfig:
             "coalesce": self.frontend_coalesce,
             "quantum": self.frontend_quantum,
         }
-
-    # -- legacy one-shot helpers (thin shims over the builder) --------------
-    def with_texp(self, texp: float) -> "KeypadConfig":
-        return KeypadConfigBuilder(self).texp(texp).build()
-
-    def with_prefetch(self, spec: str) -> "KeypadConfig":
-        return KeypadConfigBuilder(self).prefetch(spec).build()
-
-    def with_ibe(self, enabled: bool) -> "KeypadConfig":
-        return KeypadConfigBuilder(self).ibe(enabled).build()
-
-    def with_fast_transport(
-        self, key_shards: int = 4, max_inflight: int = 32
-    ) -> "KeypadConfig":
-        """Shim for ``builder().fast_transport(...)`` (see there)."""
-        return (
-            KeypadConfigBuilder(self)
-            .fast_transport(key_shards=key_shards, max_inflight=max_inflight)
-            .build()
-        )
-
-    def with_tracing(
-        self,
-        op_deadline: Optional[float] = None,
-        op_retry_budget: int = 0,
-    ) -> "KeypadConfig":
-        """Shim for ``builder().tracing(...)`` (see there)."""
-        return (
-            KeypadConfigBuilder(self)
-            .tracing(op_deadline=op_deadline, op_retry_budget=op_retry_budget)
-            .build()
-        )
-
-    def with_replication(self, k: int = 2, m: int = 3, **knobs) -> "KeypadConfig":
-        """Deprecated shim for ``builder().replication(...)``.
-
-        The ad-hoc ``ReplicaGroup`` entry point predates the topology
-        API; new code should chain ``KeypadConfig.builder()
-        .replication(...)`` — or ``.federation(...)`` for a
-        multi-region cluster.
-        """
-        warnings.warn(
-            "KeypadConfig.with_replication() is deprecated; use "
-            "KeypadConfig.builder().replication(...) — or "
-            ".federation(...) for a multi-region topology",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return KeypadConfigBuilder(self).replication(k=k, m=m, **knobs).build()
 
 
 class KeypadConfigBuilder:
@@ -345,14 +294,7 @@ class KeypadConfigBuilder:
             raise ConfigError(
                 f"need 1 <= k <= m, got k={k} m={m}"
             )
-        for name in knobs:
-            _reject_runtime_verb(name)
-            if not name.startswith("replica_"):
-                raise ConfigError(
-                    f"replication() only takes replica_* knobs, got "
-                    f"{name!r} (set it through its own bundle so "
-                    "bundle order cannot silently override it)"
-                )
+        _check_replica_knobs("replication", knobs)
         self._config = replace(
             self._config, replicas=m, replica_threshold=k, **knobs
         )
@@ -386,14 +328,7 @@ class KeypadConfigBuilder:
                 threshold=k,
                 rtt_ms=rtt_ms,
             )
-        for name in knobs:
-            _reject_runtime_verb(name)
-            if not name.startswith("replica_"):
-                raise ConfigError(
-                    f"federation() only takes replica_* knobs, got "
-                    f"{name!r} (set it through its own bundle so "
-                    "bundle order cannot silently override it)"
-                )
+        _check_replica_knobs("federation", knobs)
         try:
             topology.validate()
         except ValueError as exc:
@@ -502,6 +437,18 @@ def _reject_runtime_verb(name: str) -> None:
             "not a mount-time knob; issue it through a ControlClient on "
             "the live mount instead"
         )
+
+
+def _check_replica_knobs(bundle: str, knobs: dict) -> None:
+    """Let a cluster bundle take only ``replica_*`` keyword knobs."""
+    for name in knobs:
+        _reject_runtime_verb(name)
+        if not name.startswith("replica_"):
+            raise ConfigError(
+                f"{bundle}() only takes replica_* knobs, got "
+                f"{name!r} (set it through its own bundle so "
+                "bundle order cannot silently override it)"
+            )
 
 
 def _positive(config: KeypadConfig, name: str) -> None:

@@ -1,7 +1,6 @@
 """The remote audit services: key service and metadata service (PKG)."""
 
 from repro.core.services.keyservice import AUDIT_ID_LEN, KeyService
-from repro.auditstore.log import AppendOnlyLog, LogEntry, ShardedLog
 from repro.core.services.metadataservice import (
     ROOT_DIR_ID,
     MetadataService,
@@ -12,9 +11,6 @@ from repro.core.services.metadataservice import (
 __all__ = [
     "KeyService",
     "MetadataService",
-    "AppendOnlyLog",
-    "ShardedLog",
-    "LogEntry",
     "AUDIT_ID_LEN",
     "ROOT_DIR_ID",
     "identity_string",

@@ -19,7 +19,7 @@ from repro.net.link import Link
 from repro.net.netem import BLUETOOTH, LAN, NetEnv
 from repro.sim import Simulation, SimRandom
 from repro.storage import BlockDevice, BufferCache, LocalFileSystem
-from repro.core.client import DeviceServices
+from repro.core.client import ServiceSession
 from repro.core.fs import KeypadFS
 from repro.core.paired import PairedPhone, PhoneProxy
 from repro.core.policy import KeypadConfig
@@ -59,7 +59,7 @@ class KeypadRig:
     fs: KeypadFS
     key_service: KeyService
     metadata_service: MetadataService
-    services: DeviceServices
+    services: ServiceSession
     key_link: Link
     metadata_link: Link
     config: KeypadConfig
@@ -214,7 +214,7 @@ def build_keypad_rig(
                 "a paired phone is not supported with a replicated key "
                 "service (replicas > 1)"
             )
-        from repro.cluster import ReplicaGroup, ReplicatedDeviceServices
+        from repro.cluster import ReplicaGroup, ReplicatedServiceSession
 
         replica_knobs = dict(
             costs=costs,
@@ -231,7 +231,7 @@ def build_keypad_rig(
         )
         if config.federation is not None:
             from repro.cluster.federation import (
-                FederatedDeviceServices,
+                FederatedServiceSession,
                 FederationGroup,
             )
 
@@ -244,7 +244,7 @@ def build_keypad_rig(
                 network, home_region, f"{network.name}-keys"
             )
             replica_group.start_gossip()
-            session_cls = FederatedDeviceServices
+            session_cls = FederatedServiceSession
             session_kwargs: dict = {"home_region": home_region}
         else:
             replica_group = ReplicaGroup(
@@ -257,7 +257,7 @@ def build_keypad_rig(
                 network.make_link(sim, label=f"{network.name}-keys-r{i}")
                 for i in range(config.replicas)
             ]
-            session_cls = ReplicatedDeviceServices
+            session_cls = ReplicatedServiceSession
             session_kwargs = {}
         key_service = replica_group.replicas[0]
         key_link = replica_links[0]
@@ -308,7 +308,7 @@ def build_keypad_rig(
             ),
         )
         key_link = network.make_link(sim, label=f"{network.name}-keys")
-        services = DeviceServices(
+        services = ServiceSession(
             sim,
             DEVICE_ID,
             device_secret,

@@ -1,94 +1,5 @@
 """Simulated network substrate: links, presets, wire format, RPC.
 
-.. deprecated::
-    Importing names from ``repro.net`` directly is deprecated; the
-    stable public surface is :mod:`repro.api` (or the defining
-    submodule, for internals).  Every historical name still resolves —
-    lazily, with a :class:`DeprecationWarning` — so existing scripts
-    keep working unchanged.
+The public names are in :mod:`repro.api`; internals are imported from
+their defining submodule.
 """
-
-from __future__ import annotations
-
-import importlib
-import warnings
-
-#: every name the package ever re-exported, mapped to its home module.
-_EXPORTS = {
-    "Link": "repro.net.link",
-    "LinkStats": "repro.net.link",
-    "ALL_NETWORKS": "repro.net.netem",
-    "BLUETOOTH": "repro.net.netem",
-    "BROADBAND": "repro.net.netem",
-    "DSL": "repro.net.netem",
-    "LAN": "repro.net.netem",
-    "PAPER_SWEEP_RTTS": "repro.net.netem",
-    "THREE_G": "repro.net.netem",
-    "WLAN": "repro.net.netem",
-    "NetEnv": "repro.net.netem",
-    "ChannelMetrics": "repro.net.metrics",
-    "SessionMetrics": "repro.net.metrics",
-    "merge_channel_metrics": "repro.net.metrics",
-    "HELLO_METHOD": "repro.net.rpc",
-    "RpcChannel": "repro.net.rpc",
-    "RpcServer": "repro.net.rpc",
-    "FRAME_OVERHEAD": "repro.net.wire",
-    "PROTOCOL_LATEST": "repro.net.wire",
-    "PROTOCOL_V1": "repro.net.wire",
-    "PROTOCOL_V2": "repro.net.wire",
-    "marshal_request": "repro.net.wire",
-    "marshal_response": "repro.net.wire",
-    "pack_envelope": "repro.net.wire",
-    "unmarshal": "repro.net.wire",
-    "unpack_envelope": "repro.net.wire",
-}
-
-__all__ = [
-    "ChannelMetrics",
-    "SessionMetrics",
-    "merge_channel_metrics",
-    "HELLO_METHOD",
-    "FRAME_OVERHEAD",
-    "PROTOCOL_V1",
-    "PROTOCOL_V2",
-    "PROTOCOL_LATEST",
-    "pack_envelope",
-    "unpack_envelope",
-    "Link",
-    "LinkStats",
-    "NetEnv",
-    "LAN",
-    "WLAN",
-    "BROADBAND",
-    "DSL",
-    "THREE_G",
-    "BLUETOOTH",
-    "ALL_NETWORKS",
-    "PAPER_SWEEP_RTTS",
-    "RpcChannel",
-    "RpcServer",
-    "marshal_request",
-    "marshal_response",
-    "unmarshal",
-]
-
-
-def __getattr__(name: str):
-    home = _EXPORTS.get(name)
-    if home is None:
-        raise AttributeError(
-            f"module 'repro.net' has no attribute {name!r}"
-        )
-    warnings.warn(
-        f"importing {name!r} from 'repro.net' is deprecated; import it "
-        f"from 'repro.api' (the stable facade) or from '{home}'",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    # Deliberately not cached in globals(): each use warns, so stale
-    # imports stay visible instead of going quiet after the first hit.
-    return getattr(importlib.import_module(home), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(list(globals()) + __all__))

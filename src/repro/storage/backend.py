@@ -7,8 +7,6 @@ Two things live here:
   instance and transform paths/content on the way through — the
   FUSE-style architecture of the paper's prototype.  All methods are
   sim-process generators, invoked as ``yield from fs.op(...)``.
-  (Historically this class lived in ``repro.storage.fsiface``, which
-  remains as a deprecation shim.)
 
 * :class:`StorageBackend` — the factory contract for the *bottom* of a
   rig's stack, selected by ``KeypadConfig.storage_backend`` (builder

@@ -8,10 +8,9 @@ machine — our code path never touches the victim's live objects.
 import pytest
 
 from repro.attack import OfflineAttacker
-from repro.core import KeypadConfig
+from repro.api import KeypadConfig, LAN
 from repro.forensics import AuditTool, analyze_fidelity
 from repro.harness import build_keypad_rig
-from repro.net import LAN
 from repro.storage.fsck import RawDiskFs, parse_raw_disk
 
 

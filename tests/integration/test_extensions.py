@@ -9,10 +9,9 @@
 
 import pytest
 
-from repro.core import KeypadConfig
+from repro.api import KeypadConfig, LAN, THREE_G
 from repro.forensics import AuditTool
 from repro.harness import build_keypad_rig
-from repro.net import LAN, THREE_G
 from repro.workloads import prepare_office_environment, task_by_name
 
 

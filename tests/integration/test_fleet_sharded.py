@@ -11,7 +11,7 @@ a mid-run revocation), the same moving parts the big arms exercise.
 
 import pytest
 
-from repro.net import LAN
+from repro.api import LAN
 from repro.workloads import fleet_shard
 from repro.workloads.fleet import ControlEvent, run_fleet
 

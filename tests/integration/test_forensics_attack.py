@@ -8,10 +8,9 @@ and the Texp memory-exposure window.
 import pytest
 
 from repro.attack import CuriousThief, OfflineAttacker, PettyThief, ProfessionalThief
-from repro.core import KeypadConfig
+from repro.api import KeypadConfig, LAN
 from repro.forensics import AuditTool, analyze_fidelity
 from repro.harness import build_keypad_rig
-from repro.net import LAN
 from repro.sim import SimRandom
 from repro.workloads import TreeSpec, build_tree
 

@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.core import KeypadConfig
+from repro.api import KeypadConfig, LAN, THREE_G
 from repro.errors import (
     LockedFileError,
     NetworkUnavailableError,
     RevokedError,
 )
 from repro.harness import build_keypad_rig
-from repro.net import LAN, THREE_G
 
 
 def _rig(**kwargs):

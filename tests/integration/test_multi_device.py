@@ -8,19 +8,21 @@ running applications (sim processes interleave at every yield).
 
 import pytest
 
-from repro.core import (
-    DeviceServices,
+from repro.api import (
     KeypadConfig,
     KeypadFS,
     KeyService,
     MetadataService,
+    LAN,
+    KeyFetch,
+    Link,
+    ServiceSession,
 )
 from repro.crypto.ibe import TOY
 from repro.encfs import Volume
 from repro.errors import AuthorizationError, RevokedError
 from repro.forensics import AuditTool
 from repro.harness import build_keypad_rig
-from repro.net import LAN, Link
 from repro.net.wire import PROTOCOL_V2
 from repro.sim import Simulation
 from repro.storage import BlockDevice, BufferCache, LocalFileSystem
@@ -37,7 +39,7 @@ def _two_device_world(pipelining=False):
         device = BlockDevice(sim, n_blocks=1 << 14)
         cache = BufferCache(sim, device, capacity_blocks=1 << 14)
         lower = LocalFileSystem(sim, cache)
-        services = DeviceServices(
+        services = ServiceSession(
             sim, f"laptop-{name}", f"secret-{name}".encode() * 2,
             key_service, metadata_service,
             Link(sim, rtt=0.001), Link(sim, rtt=0.001),
@@ -113,7 +115,7 @@ class TestMultiDevice:
         def noisy_attack():
             # Flood the log with unrelated fetches, then do the real read.
             for i in range(20):
-                yield from fs.services.fetch_key(audit_id, kind="fetch")
+                yield from fs.services.fetch(KeyFetch(audit_id))
             data = yield from fs.read("/secret.txt", 0, 6)
             return data
 

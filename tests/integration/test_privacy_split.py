@@ -7,9 +7,8 @@ full audit information to any audit service by using different key
 and metadata providers."
 """
 
-from repro.core import KeypadConfig
+from repro.api import KeypadConfig, LAN
 from repro.harness import build_keypad_rig
-from repro.net import LAN
 
 
 def _exercised_rig():

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.attack import run_scenario
-from repro.core import KeypadConfig
+from repro.api import KeypadConfig, LAN
 from repro.forensics import AuditTool
 from repro.harness import build_ext3_rig, build_keypad_rig
-from repro.net import LAN
 from repro.workloads import (
     ApacheCompileWorkload,
     CopyPhotoAlbumWorkload,

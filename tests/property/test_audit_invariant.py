@@ -15,11 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attack import OfflineAttacker
-from repro.core import KeypadConfig
+from repro.api import KeypadConfig, LAN
 from repro.errors import ReproError
 from repro.forensics import AuditTool, analyze_fidelity
 from repro.harness import build_keypad_rig
-from repro.net import LAN
 
 N_FILES = 6
 PATHS = [f"/home/f{i}" for i in range(N_FILES)]
@@ -141,9 +140,8 @@ def test_zero_false_negatives_with_fast_transport(
     """The invariant must survive every transport optimisation at once:
     pipelining, single-flight coalescing, write-behind batching, and a
     sharded key-service log (the ablation's 'fast' arm)."""
-    config = KeypadConfig(
-        texp=texp, prefetch=prefetch, ibe_enabled=False
-    ).with_fast_transport()
+    config = (KeypadConfig.builder().texp(texp).prefetch(prefetch)
+              .ibe(False).fast_transport().build())
     _check_zero_false_negatives(owner, attacker, texp, idle, config)
 
 
@@ -161,11 +159,8 @@ def test_zero_false_negatives_replicated_with_crashed_replica(
     over a 2-of-3 secret-shared cluster — with an arbitrary replica
     crashed inside the exposure window, judged from the merged
     per-replica timeline."""
-    config = (
-        KeypadConfig(texp=texp, prefetch=prefetch, ibe_enabled=False)
-        .with_fast_transport()
-        .with_replication(2, 3)
-    )
+    config = (KeypadConfig.builder().texp(texp).prefetch(prefetch)
+              .ibe(False).fast_transport().replication(2, 3).build())
     _check_zero_false_negatives(owner, attacker, texp, idle, config,
                                 crash_replica=crash_replica)
 

@@ -12,10 +12,16 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import KeypadConfig, KeyService, MetadataService, ServiceSession
+from repro.api import (
+    KeypadConfig,
+    KeyService,
+    MetadataService,
+    ServiceSession,
+    THREE_G,
+    Link,
+)
 from repro.core.client import KeyCreate, KeyFetch
 from repro.harness import build_keypad_rig
-from repro.net import THREE_G, Link
 from repro.sim import Simulation
 
 AUDIT_ID = b"\x42" * 24
@@ -80,9 +86,8 @@ def test_fs_level_concurrent_reads_share_one_audit_entry():
     """All transport flags on: 8 processes re-reading an expired file
     produce 8 blocking key fetches at the FS layer but one RPC (and one
     log entry) on the wire, with identical plaintext for every reader."""
-    config = KeypadConfig(
-        texp=50.0, prefetch="none", ibe_enabled=False
-    ).with_fast_transport()
+    config = (KeypadConfig.builder().texp(50.0).prefetch("none")
+              .ibe(False).fast_transport().build())
     rig = build_keypad_rig(network=THREE_G, config=config, n_blocks=1 << 14)
     path = "/home/doc"
 

@@ -22,11 +22,10 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import KeypadConfig
+from repro.api import KeypadConfig, THREE_G
 from repro.errors import DeadlineExpiredError, ReproError
 from repro.forensics import AuditTool, analyze_fidelity
 from repro.harness import build_keypad_rig
-from repro.net import THREE_G
 
 N_FILES = 6
 PATHS = [f"/home/f{i}" for i in range(N_FILES)]
@@ -146,9 +145,8 @@ def test_deadline_expiry_mid_pipelined_batch_keeps_invariant(
 ):
     """Fast transport + concurrent reads: expiries interrupt pipelined
     in-flight windows and coalesced single-flight fetches."""
-    config = KeypadConfig(
-        texp=texp, prefetch="dir:2", ibe_enabled=False
-    ).with_fast_transport()
+    config = (KeypadConfig.builder().texp(texp).prefetch("dir:2")
+              .ibe(False).fast_transport().build())
     _check_deadline_invariant(owner, reads, deadline, texp, idle, config,
                               concurrent=True)
 
@@ -162,9 +160,8 @@ def test_deadline_expiry_traced_keeps_invariant(
 ):
     """Tracing on top of deadlines: span bookkeeping through the
     interrupt path must not perturb the audit trail either."""
-    config = KeypadConfig(
-        texp=texp, prefetch="dir:2", ibe_enabled=False
-    ).with_tracing()
+    config = (KeypadConfig.builder().texp(texp).prefetch("dir:2")
+              .ibe(False).tracing().build())
     _check_deadline_invariant(owner, reads, deadline, texp, idle, config)
 
 

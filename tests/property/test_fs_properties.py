@@ -14,10 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import KeypadConfig
+from repro.api import KeypadConfig, LAN
 from repro.errors import FileSystemError
 from repro.harness import build_encfs_rig, build_ext3_rig, build_keypad_rig
-from repro.net import LAN
 
 # ---------------------------------------------------------------------------
 # A tiny model file system (dict of path -> bytes).

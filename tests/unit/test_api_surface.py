@@ -1,13 +1,11 @@
 """The stable facade contract: ``repro.api``, the config builder, the
-deprecation shims, and the CLI exit-code taxonomy.
+removed back-compat surfaces, and the CLI exit-code taxonomy.
 
 ``repro.api.__all__`` is snapshotted here on purpose — renaming or
 dropping a public name should fail a test, not a downstream script.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -35,11 +33,10 @@ API_SURFACE = sorted([
     "KeypadConfig", "KeypadConfigBuilder", "coverage_for_prefixes",
     "CostModel", "DEFAULT_COSTS",
     # core sessions / services
-    "KeypadFS", "KeyService", "MetadataService", "DeviceServices",
-    "ServiceSession", "KeyCreate", "KeyFetch", "OpContext", "Span",
-    "TraceCollector",
+    "KeypadFS", "KeyService", "MetadataService", "ServiceSession",
+    "KeyCreate", "KeyFetch", "OpContext", "Span", "TraceCollector",
     # cluster
-    "ReplicaGroup", "ReplicatedKeyClient", "ReplicatedDeviceServices",
+    "ReplicaGroup", "ReplicatedKeyClient", "ReplicatedServiceSession",
     "ClusterAuditLog", "Region", "Topology", "FederationGroup",
     "FederatedKeyClient",
     # forensics
@@ -81,98 +78,38 @@ class TestApiSurface:
         assert api.mount is api.build_keypad_rig
 
 
-class TestDeprecationShims:
-    def test_core_names_warn_but_resolve(self):
-        with pytest.warns(DeprecationWarning, match="repro.api"):
+class TestRemovedSurfaces:
+    """Each public name has one import path and one spelling; the
+    back-compat surfaces that duplicated them are gone for good."""
+
+    def test_package_reexports_are_gone(self):
+        with pytest.raises(ImportError):
             from repro.core import KeypadFS  # noqa: F401
-        from repro.core.fs import KeypadFS as direct
-
-        with pytest.warns(DeprecationWarning):
-            import repro.core as core
-
-            assert core.KeypadFS is direct
-
-    def test_net_names_warn_but_resolve(self):
-        with pytest.warns(DeprecationWarning, match="repro.net.netem"):
+        with pytest.raises(ImportError):
             from repro.net import LAN  # noqa: F401
-        from repro.net.netem import LAN as direct
 
-        with pytest.warns(DeprecationWarning):
-            import repro.net as net
+    def test_moved_modules_are_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            import repro.core.services.logstore  # noqa: F401
+        with pytest.raises(ModuleNotFoundError):
+            import repro.storage.fsiface  # noqa: F401
 
-            assert net.LAN is direct
+    def test_config_has_only_the_builder(self):
+        for name in ("texp", "prefetch", "ibe", "fast_transport",
+                     "tracing", "replication"):
+            assert not hasattr(KeypadConfig, f"with_{name}"), name
 
-    def test_every_historical_name_still_importable(self):
-        import repro.core as core
-        import repro.net as net
+    def test_sessions_take_only_typed_requests(self):
+        from repro.core.paired import PhoneProxy
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for name in core.__all__:
-                assert getattr(core, name) is not None, name
-            for name in net.__all__:
-                assert getattr(net, name) is not None, name
-
-    def test_unknown_name_raises_attribute_error(self):
-        import repro.core as core
-
-        with pytest.raises(AttributeError):
-            core.NoSuchThing  # noqa: B018
-
-    def test_services_logstore_warns_but_resolves(self):
-        import repro.core.services.logstore as logstore
-
-        with pytest.warns(DeprecationWarning, match="repro.auditstore.log"):
-            moved = logstore.AppendOnlyLog
-        from repro.auditstore.log import AppendOnlyLog as direct
-
-        assert moved is direct
-        with pytest.warns(DeprecationWarning):
-            assert logstore.ShardedLog is not None
-            assert logstore.LogEntry is not None
-        with pytest.raises(AttributeError):
-            logstore.NoSuchThing  # noqa: B018
-
-    def test_storage_fsiface_warns_but_resolves(self):
-        import repro.storage.fsiface as fsiface
-
-        with pytest.warns(DeprecationWarning, match="repro.storage.backend"):
-            moved = fsiface.FsInterface
-        from repro.storage.backend import FsInterface as direct
-
-        assert moved is direct
-        with pytest.raises(AttributeError):
-            fsiface.NoSuchThing  # noqa: B018
-
-    def test_submodule_imports_stay_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            import repro.auditstore  # noqa: F401
-            import repro.auditstore.log  # noqa: F401
-            import repro.core.fs  # noqa: F401
-            import repro.net.rpc  # noqa: F401
-            import repro.storage.backend  # noqa: F401
-            import repro.control  # noqa: F401
+        assert not hasattr(api.ServiceSession, "fetch_key")
+        assert not hasattr(PhoneProxy, "fetch_key")
+        assert not hasattr(api, "DeviceServices")
 
 
 class TestConfigBuilder:
     def test_empty_builder_is_default_config(self):
         assert KeypadConfig.builder().build() == KeypadConfig()
-
-    def test_shims_equal_builder(self):
-        base = KeypadConfig()
-        assert base.with_fast_transport() == (
-            KeypadConfig.builder().fast_transport().build()
-        )
-        with pytest.warns(DeprecationWarning, match="federation"):
-            shim = base.with_replication(2, 3)
-        assert shim == KeypadConfig.builder().replication(k=2, m=3).build()
-        assert base.with_tracing(op_deadline=5.0) == (
-            KeypadConfig.builder().tracing(op_deadline=5.0).build()
-        )
-        assert base.with_texp(30.0) == (
-            KeypadConfig.builder().texp(30.0).build()
-        )
 
     def test_bundles_chain(self):
         config = (

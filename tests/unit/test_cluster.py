@@ -7,16 +7,15 @@ import pytest
 from repro.cluster import (
     ClusterAuditLog,
     ReplicaGroup,
-    ReplicatedDeviceServices,
+    ReplicatedServiceSession,
 )
-from repro.core import KeypadConfig
+from repro.api import KeypadConfig, LAN, Link
 from repro.core.client import KeyCreate, KeyFetch
 from repro.core.services.metadataservice import MetadataService
 from repro.errors import RevokedError, ServiceUnavailableError
 from repro.forensics.audit import AuditTool
 from repro.harness import build_keypad_rig
 from repro.harness.experiment import DEVICE_ID
-from repro.net import LAN, Link
 from repro.sim import Simulation
 
 AUDIT_ID = bytes(range(24))
@@ -27,7 +26,7 @@ def _cluster(m=3, k=2, rtt=0.03, **knobs):
     sim = Simulation()
     group = ReplicaGroup(sim, m, k)
     links = [Link(sim, rtt, name=f"keys-r{i}") for i in range(m)]
-    services = ReplicatedDeviceServices(
+    services = ReplicatedServiceSession(
         sim, DEVICE_ID, SECRET, group, links,
         MetadataService(sim), Link(sim, rtt, name="meta"), **knobs,
     )
@@ -216,9 +215,8 @@ def test_merge_separates_fetches_in_different_windows():
 
 
 def test_audit_tool_runs_unchanged_over_cluster_log():
-    config = KeypadConfig(
-        texp=5.0, prefetch="none", ibe_enabled=False
-    ).with_replication(2, 3)
+    config = (KeypadConfig.builder().texp(5.0).prefetch("none")
+              .ibe(False).replication(2, 3).build())
     rig = build_keypad_rig(network=LAN, config=config, n_blocks=1 << 14)
 
     def usage():
@@ -241,11 +239,11 @@ def test_audit_tool_runs_unchanged_over_cluster_log():
 
 
 def test_rig_guards_phone_and_seed_path_is_untouched():
-    config = KeypadConfig().with_replication(2, 3)
+    config = KeypadConfig.builder().replication(2, 3).build()
     with pytest.raises(ValueError):
         build_keypad_rig(network=LAN, config=config, with_phone=True)
     with pytest.raises(ValueError):
-        KeypadConfig().with_replication(4, 3)
+        KeypadConfig.builder().replication(4, 3)
     # Default config builds the classic single-service world.
     rig = build_keypad_rig(network=LAN, n_blocks=1 << 14)
     assert rig.replica_group is None

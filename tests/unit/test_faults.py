@@ -9,7 +9,7 @@ from repro.cluster import (
     FaultInjector,
     FaultPlan,
     ReplicaGroup,
-    ReplicatedDeviceServices,
+    ReplicatedServiceSession,
 )
 from repro.core.client import KeyCreate, KeyFetch
 from repro.core.services.metadataservice import MetadataService
@@ -69,7 +69,7 @@ def _run_once(seed: int) -> tuple[list, list, list, int]:
     sim = Simulation()
     group = ReplicaGroup(sim, 3, 2)
     links = [Link(sim, 0.03, name=f"keys-r{i}") for i in range(3)]
-    services = ReplicatedDeviceServices(
+    services = ReplicatedServiceSession(
         sim, "laptop-1", b"device-secret-tests-0123", group, links,
         MetadataService(sim), Link(sim, 0.03, name="meta"),
         backoff=0.05, rng=SimRandom(seed, "cluster-client"),

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cluster import (
     FaultPlan,
-    FederatedDeviceServices,
+    FederatedServiceSession,
     FederationGroup,
     Region,
     Topology,
@@ -43,7 +43,7 @@ def _federation(topo=TOPO, home="eu", **session_knobs):
     group = FederationGroup(sim, topo)
     group.start_gossip()
     links = group.device_links(LAN, home, "keys")
-    services = FederatedDeviceServices(
+    services = FederatedServiceSession(
         sim, "laptop", SECRET, group, links,
         MetadataService(sim), Link(sim, LAN.rtt, name="meta"),
         home_region=home, **session_knobs,
@@ -259,12 +259,10 @@ def test_validate_config_catches_inconsistent_federation():
         KeypadConfig.builder(replace(config, replicas=3)).build()
 
 
-def test_federation_is_mount_frozen_and_shim_warns():
+def test_federation_is_mount_frozen():
     epoch = PolicyEpoch(KeypadConfig())
     with pytest.raises(ConfigError, match="mount-frozen"):
         epoch.update(federation=TOPO)
-    with pytest.warns(DeprecationWarning, match="federation"):
-        KeypadConfig().with_replication(2, 3)
 
 
 # -- control plane -----------------------------------------------------------

@@ -5,11 +5,10 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core import KeypadConfig
+from repro.api import KeypadConfig, LAN
 from repro.forensics import AuditTool
 from repro.forensics.export import export_logs, load_bundle
 from repro.harness import build_keypad_rig
-from repro.net import LAN
 
 
 @pytest.fixture()

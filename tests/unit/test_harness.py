@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import KeypadConfig
+from repro.api import KeypadConfig, LAN, THREE_G, WLAN
 from repro.harness import (
     build_encfs_rig,
     build_ext3_rig,
@@ -11,7 +11,6 @@ from repro.harness import (
 )
 from repro.harness.compilebench import run_compile
 from repro.harness.results import ResultTable
-from repro.net import LAN, THREE_G, WLAN
 
 
 class TestResultTable:

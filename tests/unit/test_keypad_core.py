@@ -6,19 +6,17 @@ from repro.crypto.drbg import HmacDrbg
 from repro.crypto.ibe import TOY, PrivateKeyGenerator, get_params
 from repro.encfs import Volume
 from repro.errors import CryptoError, IntegrityError, RevokedError, RpcError
-from repro.net import Link
+from repro.api import Link, KeyService, MetadataService
 from repro.net.rpc import RpcChannel
 from repro.sim import Simulation
-from repro.core import (
+from repro.core.keycache import KeyCache
+from repro.core.prefetch import (
     DirectoryPrefetch,
-    KeyCache,
-    KeyService,
-    MetadataService,
     NoPrefetch,
     RandomPrefetch,
-    identity_string,
     make_policy,
 )
+from repro.core.services import identity_string
 from repro.core.header import (
     KEYPAD_HEADER_LEN,
     KeypadHeader,

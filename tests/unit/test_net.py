@@ -8,17 +8,9 @@ from repro.errors import (
     RevokedError,
     RpcError,
 )
-from repro.net import (
-    ALL_NETWORKS,
-    LAN,
-    THREE_G,
-    Link,
-    RpcChannel,
-    RpcServer,
-    marshal_request,
-    marshal_response,
-    unmarshal,
-)
+from repro.api import ALL_NETWORKS, LAN, THREE_G, Link
+from repro.net.rpc import RpcChannel, RpcServer
+from repro.net.wire import marshal_request, marshal_response, unmarshal
 from repro.sim import Simulation
 
 

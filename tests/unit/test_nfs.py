@@ -9,7 +9,7 @@ from repro.errors import (
     InvalidArgument,
 )
 from repro.harness import build_nfs_rig
-from repro.net import LAN, THREE_G
+from repro.api import LAN, THREE_G
 
 
 class TestNfsBasics:

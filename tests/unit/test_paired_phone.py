@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.core import KeypadConfig
+from repro.api import KeypadConfig, LAN
 from repro.crypto.aead import StreamHmacAead
 from repro.errors import ServiceUnavailableError
 from repro.harness import build_keypad_rig
-from repro.net import LAN
 
 
 def _rig():

@@ -22,7 +22,7 @@ from repro.harness.runner import (
     run_tasks,
     write_bench_json,
 )
-from repro.net import LAN, THREE_G
+from repro.api import LAN, THREE_G
 
 
 def _square(x):

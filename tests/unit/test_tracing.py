@@ -14,10 +14,9 @@ Three properties the observability seam must keep:
 
 import pytest
 
-from repro.core import KeypadConfig
+from repro.api import KeypadConfig, LAN, THREE_G
 from repro.errors import DeadlineExpiredError
 from repro.harness import build_keypad_rig
-from repro.net import LAN, THREE_G
 
 FILES = ("medical.txt", "taxes.pdf", "notes.md")
 
@@ -56,13 +55,16 @@ def _counter_blocking(rig):
     )
 
 
+def _traced(config, **knobs):
+    return KeypadConfig.builder(config).tracing(**knobs).build()
+
+
 CONFIGS = {
     "default": KeypadConfig(texp=10.0, prefetch="none", ibe_enabled=False),
     "prefetch+ibe": KeypadConfig(texp=10.0, prefetch="dir:3",
                                  ibe_enabled=True),
-    "fast-transport": KeypadConfig(
-        texp=10.0, prefetch="none", ibe_enabled=False
-    ).with_fast_transport(),
+    "fast-transport": (KeypadConfig.builder().texp(10.0).prefetch("none")
+                       .ibe(False).fast_transport().build()),
 }
 
 
@@ -72,7 +74,7 @@ class TestTracingIdentity:
         config = CONFIGS[name]
         plain = build_keypad_rig(network=THREE_G, config=config)
         traced = build_keypad_rig(network=THREE_G,
-                                  config=config.with_tracing())
+                                  config=_traced(config))
 
         data_plain = _workload(plain, config.texp)
         data_traced = _workload(traced, config.texp)
@@ -91,7 +93,7 @@ class TestTracingIdentity:
         assert rig.fs._op_context("read", "/x") is None
 
     def test_traced_rig_has_collector(self):
-        rig = build_keypad_rig(config=KeypadConfig().with_tracing())
+        rig = build_keypad_rig(config=_traced(KeypadConfig()))
         assert rig.tracer is not None
         ctx = rig.fs._op_context("read", "/x")
         assert ctx is not None and ctx.traced
@@ -101,14 +103,14 @@ class TestTracingIdentity:
 class TestReconciliation:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_span_count_matches_channel_counters(self, name):
-        config = CONFIGS[name].with_tracing()
+        config = _traced(CONFIGS[name])
         rig = build_keypad_rig(network=THREE_G, config=config)
         _workload(rig, config.texp)
         assert rig.tracer.blocking_rpcs() == _counter_blocking(rig)
         assert rig.tracer.rpc_total > 0
 
     def test_summary_reflects_run(self):
-        config = CONFIGS["default"].with_tracing()
+        config = _traced(CONFIGS["default"])
         rig = build_keypad_rig(network=LAN, config=config)
         _workload(rig, config.texp)
         summary = rig.tracer.summary()
@@ -121,9 +123,9 @@ class TestReconciliation:
 class TestOpDeadlines:
     def test_deadline_shorter_than_rtt_fails_cold_read(self):
         # 3G RTT is 300ms; a 50ms op budget cannot complete a key fetch.
-        config = KeypadConfig(
+        config = _traced(KeypadConfig(
             texp=10.0, prefetch="none", ibe_enabled=False
-        ).with_tracing(op_deadline=0.05)
+        ), op_deadline=0.05)
         rig = build_keypad_rig(network=THREE_G, config=config)
 
         def proc():
@@ -142,7 +144,7 @@ class TestOpDeadlines:
         base = KeypadConfig(texp=10.0, prefetch="none", ibe_enabled=False)
         plain = build_keypad_rig(network=THREE_G, config=base)
         bounded = build_keypad_rig(
-            network=THREE_G, config=base.with_tracing(op_deadline=120.0)
+            network=THREE_G, config=_traced(base, op_deadline=120.0)
         )
         _workload(plain, base.texp)
         _workload(bounded, base.texp)

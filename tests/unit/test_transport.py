@@ -5,18 +5,16 @@ import pytest
 
 from repro.core.context import OpContext
 from repro.errors import DeadlineExpiredError, RpcError
-from repro.net import (
+from repro.api import Link, KeyService, MetadataService, ServiceSession
+from repro.net.rpc import RpcChannel, RpcServer
+from repro.net.wire import (
     FRAME_OVERHEAD,
     PROTOCOL_V1,
     PROTOCOL_V2,
-    Link,
-    RpcChannel,
-    RpcServer,
     pack_envelope,
     unpack_envelope,
 )
 from repro.sim import Simulation
-from repro.core import KeyService, MetadataService, ServiceSession
 from repro.core.client import (
     EvictionNotice,
     KeyCreate,
