@@ -53,7 +53,7 @@ from repro.auditstore import (
     codec,
 )
 from repro.auditstore import store as store_module
-from repro.auditstore.log import DISCLOSING_KINDS, LogEntry
+from repro.auditstore.log import DISCLOSING_KINDS, new_entry
 from repro.harness.results import ResultTable
 from repro.harness.runner import attach_perf, run_tasks, write_bench_json
 from repro.storage.backend import BlobStore
@@ -290,9 +290,9 @@ def run_recovery_arm(entries):
 
         # Every LogEntry recovery builds comes from the decoder or from
         # unpacking a compacted tuple.
-        build = _counting(LogEntry)
-        with mock.patch.object(codec, "LogEntry", build), \
-                mock.patch.object(store_module, "LogEntry", build):
+        build = _counting(new_entry)
+        with mock.patch.object(codec, "new_entry", build), \
+                mock.patch.object(store_module, "new_entry", build):
             t0 = time.perf_counter()
             recovered = DurableAuditStore.recover(
                 image, name="bench", segment_entries=segment_entries,

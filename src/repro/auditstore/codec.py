@@ -39,7 +39,7 @@ from typing import Any
 from repro.crypto.sha256 import sha256_fast
 from repro.errors import AuditRecoveryError
 
-from .log import LogEntry
+from .log import LogEntry, new_entry
 from .store import AuditSegment
 
 __all__ = [
@@ -300,7 +300,7 @@ def decode_segment(data: bytes, what: str = "segment blob") -> AuditSegment:
                     f"{what}: entry {expected - base_sequence} ends at "
                     f"offset {pos + _HASH}, its record at {end}"
                 )
-            entries.append(LogEntry(
+            entries.append(new_entry(
                 sequence, timestamp, device_id, kind, fields, body[pos:end]
             ))
             off = end

@@ -38,7 +38,7 @@ from typing import Any, Callable, Iterator, Optional
 
 from repro.crypto.sha256 import sha256_fast
 
-from .log import GENESIS_HASH, LogEntry, chain_entry
+from .log import GENESIS_HASH, LogEntry, chain_entry, new_entry
 from .views import AuditViews
 
 __all__ = ["AuditSegment", "SegmentedAuditStore"]
@@ -47,14 +47,8 @@ __all__ = ["AuditSegment", "SegmentedAuditStore"]
 def _unpack(packed: tuple) -> LogEntry:
     """Rebuild a ``LogEntry`` from its compacted tuple form."""
     sequence, timestamp, device_id, kind, items, chain_hash = packed
-    return LogEntry(
-        sequence=sequence,
-        timestamp=timestamp,
-        device_id=device_id,
-        kind=kind,
-        fields=dict(items),
-        chain_hash=chain_hash,
-    )
+    return new_entry(sequence, timestamp, device_id, kind, dict(items),
+                     chain_hash)
 
 
 class AuditSegment:

@@ -341,12 +341,13 @@ class KeypadFS(StackedCryptFs):
                 if h.protected and h.audit_id != audit_id
                 and parent_of(p) == directory and not h.locked
             ][:32]
+        issued_at = self.sim.now
         with maybe_span(ctx, "key-fetch", audit_id=audit_id.hex()[:8]):
             remote_key = yield from self.services.fetch(KeyFetch(audit_id), ctx)
         yield self.sim.timeout(self.costs.keypad_header_crypt)
         data_key = unwrap_data_key(header.wrapped_kd, remote_key)
         self.key_cache.put(audit_id, remote_key, data_key,
-                           texp=self._cfg(ctx).texp)
+                           texp=self._cfg(ctx).texp, issued_at=issued_at)
         yield from self._maybe_prefetch(path, ctx)
         return data_key, nonce
 
@@ -470,6 +471,7 @@ class KeypadFS(StackedCryptFs):
         )
         if not candidates:
             return None
+        issued_at = self.sim.now
         keys = yield from self.services.fetch_many(
             [KeyFetch(h.audit_id, kind="prefetch") for _, h in candidates], ctx
         )
@@ -484,6 +486,7 @@ class KeypadFS(StackedCryptFs):
                 data_key,
                 texp=self._cfg(ctx).texp,
                 prefetched=True,
+                issued_at=issued_at,
             )
             self.stats["prefetched_keys"] += 1
         return None
@@ -543,6 +546,7 @@ class KeypadFS(StackedCryptFs):
         (§3.1: "Keypad must confirm that both requests complete before
         it allows access to the new file")."""
         self.stats["blocking_metadata_ops"] += 1
+        issued_at = self.sim.now
         # Both sub-processes share the op's ctx; their RPC spans attach
         # (non-stacked) so the interleaving cannot mis-nest.
         key_proc = self.sim.process(
@@ -563,7 +567,7 @@ class KeypadFS(StackedCryptFs):
         header = KeypadHeader(protected=True, audit_id=audit_id, wrapped_kd=wrapped)
         yield from self._store_header(path, header)
         self.key_cache.put(audit_id, remote_key, data_key,
-                           texp=self._cfg(ctx).texp)
+                           texp=self._cfg(ctx).texp, issued_at=issued_at)
         return None
 
     def _create_ibe_locked(
@@ -1009,6 +1013,7 @@ class KeypadFS(StackedCryptFs):
         ctx = self._background_context("launch-prefetch")
         if ctx is not None:
             ctx.root.attrs["app"] = app
+        issued_at = self.sim.now
         try:
             keys = yield from self.services.fetch_many(
                 [KeyFetch(h.audit_id, kind="profile-prefetch")
@@ -1029,6 +1034,7 @@ class KeypadFS(StackedCryptFs):
             self.key_cache.put(
                 header.audit_id, remote_key, data_key,
                 texp=self._cfg(ctx).texp, prefetched=True,
+                issued_at=issued_at,
             )
             fetched += 1
         self.stats["prefetched_keys"] += fetched

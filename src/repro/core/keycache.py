@@ -147,14 +147,18 @@ class KeyCache:
         texp: float,
         prefetched: bool = False,
         refreshable: bool = True,
+        issued_at: Optional[float] = None,
     ) -> CacheEntry:
+        # Live from ``issued_at``, the request's send: the service logs
+        # the access no earlier, so the entry dies within Texp of the log.
+        expires_at = (self.sim.now if issued_at is None else issued_at) + texp
         existing = self._entries.get(audit_id)
         if existing is not None:
             existing.generation = self._next_generation()
             existing.remote_key = remote_key
             existing.data_key = data_key
             existing.texp = texp
-            existing.expires_at = self.sim.now + texp
+            existing.expires_at = expires_at
             existing.used_since_refresh = False
             existing.fetch_count += 1
             existing.refreshable = refreshable
@@ -165,7 +169,7 @@ class KeyCache:
             remote_key=remote_key,
             data_key=data_key,
             texp=texp,
-            expires_at=self.sim.now + texp,
+            expires_at=expires_at,
             inserted_at=self.sim.now,
             prefetched=prefetched,
             refreshable=refreshable,
@@ -309,6 +313,7 @@ class KeyCache:
 
             ctx = OpContext(self.sim, "key-refresh", collector=self.tracer)
             ctx.root.attrs["audit_id"] = audit_id.hex()[:8]
+        issued_at = self.sim.now
         try:
             if ctx is not None:
                 new_remote = yield from self.refresh_fn(audit_id, ctx=ctx)
@@ -329,7 +334,7 @@ class KeyCache:
         if self._entries.get(audit_id) is entry:
             entry.generation = self._next_generation()
             entry.remote_key = new_remote
-            entry.expires_at = self.sim.now + entry.texp
+            entry.expires_at = issued_at + entry.texp  # as in put()
             entry.used_since_refresh = False
             entry.fetch_count += 1
             self._watch(entry)

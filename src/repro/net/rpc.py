@@ -5,8 +5,8 @@ communicate using encrypted XML-RPC with persistent connections."
 Both peers live in one simulation process, so the bytes of a message
 are observable only through their length: every call charges the exact
 size of its marshalled, HMAC-authenticated, AEAD-sealed (and, on v2,
-framed) message from :func:`repro.net.wire.request_wire_len` /
-:func:`~repro.net.wire.response_wire_len`, which
+framed) message from :func:`repro.net.wire.request_wire_form` /
+:func:`~repro.net.wire.response_wire_form`, which
 ``tests/property/test_wire_fastpath.py`` holds to the real codec.
 Requests are authenticated with a per-device secret; the server
 compares it with the enrolled one, the predicate an HMAC check over the
@@ -72,9 +72,8 @@ from repro.net.wire import (
     PROTOCOL_LATEST,
     PROTOCOL_V1,
     PROTOCOL_V2,
-    normalize_value,
-    request_wire_len,
-    response_wire_len,
+    request_wire_form,
+    response_wire_form,
 )
 from repro.sim import Event, Simulation
 from repro.sim.kernel import abandon_handoff
@@ -279,8 +278,6 @@ class RpcChannel:
 
     # -- session key ratchet ---------------------------------------------------
     def _maybe_ratchet(self) -> None:
-        if self.sim._now - self._last_rekey < self.rekey_interval:
-            return  # common case, checked without the property hop
         while self.sim.now - self._last_rekey >= self.rekey_interval:
             self._epoch += 1
             self._session_key = hkdf_sha256(
@@ -348,17 +345,19 @@ class RpcChannel:
             return result
         sim = self.sim
         proc = sim.process(
-            self._call_once(method, params, op_ctx),
+            self._call_serial(method, params, op_ctx) if not self.pipelining
+            else self._call_once(method, params, op_ctx),
             name=f"rpc-deadlined-{self.server.name}-{method}",
         )
-        timer = sim.timeout(op_ctx.remaining())
         done = sim.event()
 
         # A callback-based race instead of sim.any_of: any_of spawns two
         # watcher processes per call, which at fleet scale is hundreds of
         # thousands of generator objects that exist only to relay one
-        # trigger.  The winner is identical: whichever of proc/timer
-        # triggers first (the kernel's (time, seq) order) settles `done`.
+        # trigger.  The winner is identical: whichever of the call and
+        # the deadline fires first (the kernel's (time, seq) order)
+        # settles `done`.  The deadline is a bare scheduler entry in the
+        # slot a Timeout would take, without the waitable around it.
         def _won(w, _done=done):
             if not _done.triggered:
                 if w.ok:
@@ -366,12 +365,12 @@ class RpcChannel:
                 else:
                     _done.fail(w.value)
 
-        def _expired(_w, _done=done):
+        def _expired(_done=done):
             if not _done.triggered:
                 _done.succeed(("deadline", None))
 
         proc._add_callback(_won)
-        timer._add_callback(_expired)
+        sim._schedule(op_ctx.remaining(), _expired)
         kind, value = yield done
         if kind == "call":
             return value
@@ -474,7 +473,10 @@ class RpcChannel:
 
     def _serial_body(self, method: str, params: dict, span: Any,
                      deadline: Optional[float] = None) -> Generator:
-        wire_size = request_wire_len(method, params, self.device_id)
+        # The request as the wire captures it at send: its size, and
+        # the values the server's parse of those bytes would yield.
+        payload_in, wire_size = request_wire_form(method, params,
+                                                  self.device_id)
         # Client marshal + seal CPU.
         yield self.costs.rpc_marshal_time(wire_size)
         if not self._connected:
@@ -490,24 +492,18 @@ class RpcChannel:
 
         # Server side: verify auth, unmarshal, execute.
         self._authenticate()
-        # Both peers share this process, so parsing the request bytes
-        # would reproduce exactly normalize_value(params) — see wire.py.
-        payload_in = normalize_value(params)
         yield self.costs.rpc_marshal_time(wire_size, server=True)
         result = yield from serve_request(self.server, self.device_id,
                                           method, payload_in, deadline)
 
         # Response path.
-        response_size = response_wire_len(result)
+        result, response_size = response_wire_form(result)
         yield from self._transfer(response_size)
         self.metrics.bytes_received += response_size
         if span is not None:
             span.attrs["bytes_in"] = response_size
         yield self.costs.rpc_marshal_time(response_size)
-
-        # Same in-process shortcut as on the request side: the parse of
-        # the response bytes would yield normalize_value(result) exactly.
-        return raise_if_fault(normalize_value(result))
+        return raise_if_fault(result)
 
     def _authenticate(self) -> None:
         """The server's request check.  HMAC is deterministic, so over
@@ -571,8 +567,8 @@ class RpcChannel:
                         done: Event, span: Any,
                         deadline: Optional[float] = None) -> Generator:
         try:
-            wire_size = request_wire_len(method, params, self.device_id,
-                                         framed=True)
+            payload_in, wire_size = request_wire_form(
+                method, params, self.device_id, framed=True)
             yield self.costs.rpc_marshal_time(wire_size)
             if not self._connected:
                 yield self.costs.rpc_connect
@@ -583,7 +579,7 @@ class RpcChannel:
                 span.attrs["bytes_out"] = wire_size
 
             self.sim.process(
-                self._serve_pipelined(method, params, wire_size, done,
+                self._serve_pipelined(method, payload_in, wire_size, done,
                                       deadline),
                 name=f"rpc-serve-{self.server.name}-{request_id}",
             )
@@ -591,22 +587,19 @@ class RpcChannel:
         finally:
             self._inflight.pop(request_id, None)
             self._wake_slot_waiter()
-        return raise_if_fault(normalize_value(result))
+        return raise_if_fault(result)
 
-    def _serve_pipelined(self, method: str, params: dict, wire_size: int,
+    def _serve_pipelined(self, method: str, payload_in: dict, wire_size: int,
                          done: Event,
                          deadline: Optional[float] = None) -> Generator:
         """Server-side half of a pipelined request (its own process)."""
         try:
             self._authenticate()
-            # In-process shortcut: parsing the request bytes reproduces
-            # normalize_value(params) exactly (see wire.py).
-            payload_in = normalize_value(params)
             yield self.costs.rpc_marshal_time(wire_size, server=True)
             result = yield from serve_request(self.server, self.device_id,
                                               method, payload_in, deadline)
 
-            response_size = response_wire_len(result, framed=True)
+            result, response_size = response_wire_form(result, framed=True)
             yield from self._transfer(response_size)
             self.metrics.bytes_received += response_size
             yield self.costs.rpc_marshal_time(response_size)

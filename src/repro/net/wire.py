@@ -9,13 +9,16 @@ which feed both the bandwidth experiment and the link transfer times —
 are honest.
 
 Both wire peers share one simulation process, so transports never
-build those bytes: :func:`request_wire_len` and :func:`response_wire_len`
-are the one place a message's wire size is computed (sealed body, auth
-tag, headers, optional v2 frame), from the tag-for-tag length mirrors
-``marshal_*_len``, and :func:`normalize_value` replays a round-trip's
-effect on values.  The byte codec (``marshal_*``, :func:`unmarshal`,
+build those bytes.  :func:`wire_form` walks a value once and returns
+both what the bytes would carry — the value the peer's parse yields —
+and their length; :func:`request_wire_form` and
+:func:`response_wire_form` wrap it into the whole message (sealed body,
+auth tag, headers, optional v2 frame), the one place a message's wire
+size is computed.  Transports call them at send time, so the peer gets
+the message as it was when it went on the wire, as a real wire would
+capture it.  The byte codec (``marshal_*``, :func:`unmarshal`,
 :func:`pack_envelope` / :func:`unpack_envelope`) stays as the reference
-those mirrors are derived from and property-tested against
+the walk mirrors and is property-tested against
 (``tests/property/test_wire_fastpath.py``).
 
 Protocol versions
@@ -43,12 +46,10 @@ from repro.errors import RpcError
 
 __all__ = [
     "marshal_request",
-    "marshal_request_len",
     "marshal_response",
-    "marshal_response_len",
-    "request_wire_len",
-    "response_wire_len",
-    "normalize_value",
+    "request_wire_form",
+    "response_wire_form",
+    "wire_form",
     "unmarshal",
     "WireMessage",
     "PROTOCOL_V1",
@@ -162,50 +163,6 @@ def _encode_value(value: Any) -> str:
     return "".join(out)
 
 
-def normalize_value(value: Any) -> Any:
-    """Exactly ``unmarshal(marshal(value))`` without touching bytes.
-
-    Both wire peers live in one simulation process, so the bytes a
-    channel marshals (for sizes, MACs, and sealing) would be parsed
-    straight back into the values it started from.  This replays the
-    round-trip's *semantic* effects — tuples become lists, non-str dict
-    keys become strings, subclasses collapse to builtins, strings that
-    tokenize away (whitespace-only) come back empty — so transports can
-    skip the redundant parse.  ``tests/property`` holds this function to
-    the real round-trip under randomized payloads.
-    """
-    if value is None or value is True or value is False:
-        return value
-    cls = type(value)
-    if cls is int or cls is float or cls is bytes:
-        return value
-    if cls is str:
-        # The tokenizer drops whitespace-only text nodes, so a blank
-        # string unmarshals as empty.
-        return value if not value or value.strip() else ""
-    if isinstance(value, bool):
-        return bool(value)
-    if isinstance(value, int):
-        return int(value)
-    if isinstance(value, float):
-        return float(value)
-    if isinstance(value, str):
-        return value if not value or value.strip() else ""
-    if isinstance(value, (bytes, bytearray)):
-        return bytes(value)
-    if isinstance(value, (list, tuple)):
-        return [normalize_value(v) for v in value]
-    if isinstance(value, dict):
-        # Member names tokenize away exactly like string bodies, so
-        # whitespace-only keys also come back empty.
-        return {
-            ("" if key and not key.strip() else key): normalize_value(v)
-            for k, v in value.items()
-            for key in (str(k),)
-        }
-    raise RpcError(f"cannot marshal value of type {type(value).__name__}")
-
-
 def _escaped_len(text: str) -> int:
     """UTF-8 byte length of ``_escape(text)`` without building it."""
     n = len(text)
@@ -217,38 +174,63 @@ def _escaped_len(text: str) -> int:
     return n
 
 
-def _encoded_len(value: Any) -> int:
-    """Byte length of ``_encode_value(value).encode()`` without encoding.
+def wire_form(value: Any) -> tuple[Any, int]:
+    """``(unmarshal(marshal(value)), len(_encode_value(value).encode()))``
+    in one walk, without touching bytes.
 
-    Wire *sizes* drive the simulation (transfer times, marshal CPU,
-    bandwidth tables); the bytes themselves are only needed when both
-    peers do not share a process.  This mirrors :func:`_encode_into`
-    tag for tag so transports can charge exact sizes lazily.
+    Both wire peers share one simulation process, so a transport needs a
+    value's encoded *size* (transfer times, marshal CPU, bandwidth
+    tables) and the values the peer's parse would yield — tuples become
+    lists, non-str dict keys strings, subclasses their builtin base,
+    whitespace-only strings (which tokenize away) empty — but never the
+    bytes.  The size mirrors :func:`_encode_into` tag for tag.
+    ``tests/property/test_wire_fastpath.py`` holds both halves to the
+    real codec and to the two-walk oracle in ``tests/wire_oracle.py``.
     """
-    if value is None:
-        return 6                                    # <nil/>
-    if isinstance(value, bool):
-        return 20                                   # <boolean>x</boolean>
-    if isinstance(value, int):
-        return 11 + len(format(value))              # <int>..</int>
-    if isinstance(value, float):
-        return 17 + len(repr(value))                # <double>..</double>
-    if isinstance(value, str):
-        return 17 + _escaped_len(value)             # <string>..</string>
-    if isinstance(value, (bytes, bytearray)):
-        return 17 + 4 * ((len(value) + 2) // 3)     # <base64>..</base64>
-    if isinstance(value, (list, tuple)):
-        n = 28                                      # <array><data>..</data></array>
-        for v in value:
-            n += 15 + _encoded_len(v)               # <value>..</value>
-        return n
-    if isinstance(value, dict):
+    cls = type(value)
+    if cls is str:
+        return ((value if not value or value.strip() else ""),
+                17 + _escaped_len(value))          # <string>..</string>
+    if cls is dict:
         n = 17                                      # <struct>..</struct>
+        out = {}
         for k, v in value.items():
+            key = k if type(k) is str else str(k)
+            v, m = wire_form(v)
+            # Member names tokenize away like string bodies, so
+            # whitespace-only keys also come back empty.
+            out["" if key and not key.strip() else key] = v
             # <member><name>k</name><value>v</value></member>
-            n += 45 + _escaped_len(str(k)) + _encoded_len(v)
-        return n
+            n += 45 + _escaped_len(key) + m
+        return out, n
+    if cls is int:
+        return value, 11 + len(str(value))          # <int>..</int>
+    if cls is bytes:
+        return value, 17 + 4 * ((len(value) + 2) // 3)  # <base64>..</base64>
+    if cls is float:
+        return value, 17 + len(repr(value))         # <double>..</double>
+    if value is None:
+        return None, 6                              # <nil/>
+    if cls is bool:
+        return value, 20                            # <boolean>x</boolean>
+    if cls is list or cls is tuple:
+        n = 28                                      # <array><data>..</data></array>
+        out = []
+        for v in value:
+            v, m = wire_form(v)
+            out.append(v)
+            n += 15 + m                             # <value>..</value>
+        return out, n
+    # Subclasses of the wire types (bool is final) marshal as their base.
+    for bases, builtin in _SUBCLASSABLE:
+        if isinstance(value, bases):
+            return wire_form(builtin(value))
     raise RpcError(f"cannot marshal value of type {type(value).__name__}")
+
+
+_SUBCLASSABLE = ((int, int), (float, float), (str, str),
+                 ((bytes, bytearray), bytes), ((list, tuple), list),
+                 (dict, dict))
 
 
 def _escape(text: str) -> str:
@@ -288,19 +270,8 @@ def marshal_response(payload: Any) -> bytes:
 
 #: fixed framing bytes around the method name and payload in
 #: marshal_request / marshal_response (prologue, tags, params wrapper).
-_REQUEST_FIXED_LEN = len(marshal_request("", {})) - _encoded_len({})
-_RESPONSE_FIXED_LEN = len(marshal_response(None)) - _encoded_len(None)
-
-
-def marshal_request_len(method: str, params: dict[str, Any]) -> int:
-    """Exactly ``len(marshal_request(method, params))``, lazily."""
-    return _REQUEST_FIXED_LEN + _escaped_len(method) + _encoded_len(params)
-
-
-def marshal_response_len(payload: Any) -> int:
-    """Exactly ``len(marshal_response(payload))``, lazily."""
-    return _RESPONSE_FIXED_LEN + _encoded_len(payload)
-
+_REQUEST_FIXED_LEN = len(marshal_request("", {})) - wire_form({})[1]
+_RESPONSE_FIXED_LEN = len(marshal_response(None)) - wire_form(None)[1]
 
 #: HMAC-SHA256 tag authenticating a request to the device secret.
 _AUTH_TAG_LEN = 32
@@ -309,23 +280,27 @@ _REQUEST_HEADER_LEN = 24
 _RESPONSE_HEADER_LEN = 16
 
 
-def request_wire_len(method: str, params: dict[str, Any], device_id: str,
-                     framed: bool = False) -> int:
-    """Bytes a request occupies on the wire: the sealed
-    ``marshal_request`` body, its auth tag, the device id and the
-    header, plus a v2 frame when ``framed``."""
-    n = (StreamHmacAead.sealed_len(marshal_request_len(method, params))
+def request_wire_form(method: str, params: dict[str, Any], device_id: str,
+                      framed: bool = False) -> tuple[Any, int]:
+    """``(payload, size)`` of a request as sent: the params as the
+    server's parse yields them, and the bytes the request occupies on
+    the wire — the sealed ``marshal_request`` body, its auth tag, the
+    device id and the header, plus a v2 frame when ``framed``."""
+    payload, n = wire_form(params)
+    n = (StreamHmacAead.sealed_len(_REQUEST_FIXED_LEN + _escaped_len(method)
+                                   + n)
          + _AUTH_TAG_LEN + len(device_id) + _REQUEST_HEADER_LEN)
-    return n + FRAME_OVERHEAD if framed else n
+    return payload, (n + FRAME_OVERHEAD if framed else n)
 
 
-def response_wire_len(payload: Any, framed: bool = False) -> int:
-    """Bytes a response occupies on the wire: the sealed
-    ``marshal_response`` body and the header, plus a v2 frame when
-    ``framed``."""
-    n = (StreamHmacAead.sealed_len(marshal_response_len(payload))
-         + _RESPONSE_HEADER_LEN)
-    return n + FRAME_OVERHEAD if framed else n
+def response_wire_form(payload: Any, framed: bool = False) -> tuple[Any, int]:
+    """``(payload, size)`` of a response as sent: the payload as the
+    client's parse yields it, and the bytes the response occupies on the
+    wire — the sealed ``marshal_response`` body and the header, plus a
+    v2 frame when ``framed``."""
+    payload, n = wire_form(payload)
+    n = StreamHmacAead.sealed_len(_RESPONSE_FIXED_LEN + n) + _RESPONSE_HEADER_LEN
+    return payload, (n + FRAME_OVERHEAD if framed else n)
 
 
 # A tiny recursive-descent parser over a tokenized tag stream.  We parse

@@ -33,6 +33,14 @@ bypass the priority structure entirely and ride a deque that is
 merge-compared against the wheel, and future events go to O(1)
 append/scan buckets, with a far-horizon heap for sparse long delays.
 
+A bare-delay sleep (``yield d``) takes one entry, at now+d.  When it
+fires, both schedulers answer "is anything else due at this instant?"
+(``busy_at``); if nothing is, the process resumes on the spot, because
+its resume queued at the tail of the now-queue would be the very next
+entry popped.  Otherwise the resume queues behind the others, as a
+Timeout's waiter would.  :attr:`Simulation.now` is a plain attribute
+that only the dispatch loops move.
+
 :class:`_HeapScheduler`, the original ``heapq`` queue, stays as the
 reference oracle (like the reference kernels in :mod:`repro.crypto`).
 ``tests/property/test_kernel_equivalence.py`` and
@@ -142,10 +150,14 @@ class Waitable:
         waiters, self._waiters = self._waiters, None
         self._windex = None
         if waiters:
-            schedule = self.sim._schedule
+            # Each resume queues at the tail of the now-queue: _schedule
+            # with a zero delay, inlined.
+            sim = self.sim
+            push_now, now, args = sim._push_now, sim.now, (ok, value)
             for proc in waiters:
                 if proc is not None:
-                    schedule(0.0, proc._resume, ok, value)
+                    sim._seq += 1
+                    push_now((now, sim._seq, proc._resume, args))
         callbacks, self._callbacks = self._callbacks, None
         if callbacks:
             for fn in callbacks:
@@ -184,7 +196,7 @@ class Event(Waitable):
 class Process(Waitable):
     """A running generator.  Also waitable: yielding it joins it."""
 
-    __slots__ = ("gen", "name", "_waiting_on", "_started", "_sleep_token")
+    __slots__ = ("gen", "name", "_waiting_on", "_sleep_token")
 
     def __init__(self, sim: "Simulation", gen: Generator, name: str = ""):
         super().__init__(sim)
@@ -195,7 +207,6 @@ class Process(Waitable):
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         self._waiting_on: Optional[Waitable] = None
-        self._started = False
         self._sleep_token = 0
         sim._schedule(0.0, self._resume, True, None)
 
@@ -223,7 +234,6 @@ class Process(Waitable):
         if self.triggered:
             return  # already finished (e.g. interrupt raced completion)
         self._waiting_on = None
-        self._started = True
         try:
             if ok:
                 target = self.gen.send(value)
@@ -244,18 +254,26 @@ class Process(Waitable):
             if not observed:
                 self.sim._crash(self, exc)
             return
-        if type(target) is Timeout or isinstance(target, Waitable):
+        cls = type(target)
+        if cls is float or cls is int:
+            # Bare-delay sleep: `yield d` fires in the same order as
+            # `yield sim.timeout(d)` — one entry at now+d (the slot the
+            # Timeout's _trigger would take) — minus the Timeout and
+            # waiter allocations.  Its _sleep_fire resumes the process
+            # directly when nothing else is due at that instant (see
+            # there); the push is _schedule, inlined.
+            if target > 0:
+                sim = self.sim
+                sim._seq += 1
+                sim._push((sim.now + target, sim._seq, self._sleep_fire,
+                           (self._sleep_token,)))
+                return
+            if target == 0:
+                self.sim._schedule(0.0, self._sleep_fire, self._sleep_token)
+                return
+        elif isinstance(target, Waitable):
             self._waiting_on = target
             target._add_waiter(self)
-            return
-        cls = type(target)
-        if (cls is float or cls is int) and target >= 0:
-            # Bare-delay sleep: `yield d` is event-for-event identical
-            # to `yield sim.timeout(d)` — one entry at now+d (the hop,
-            # where the Timeout's _trigger would sit) which then
-            # re-schedules the resume at the queue tail, consuming the
-            # same seq budget — minus the Timeout/waiter allocations.
-            self.sim._schedule(target, self._sleep_fire, self._sleep_token)
             return
         exc2 = SimulationError(
             f"process {self.name!r} yielded {target!r}, "
@@ -267,7 +285,15 @@ class Process(Waitable):
     def _sleep_fire(self, token: int) -> None:
         if token != self._sleep_token or self.triggered:
             return  # the sleep was interrupted away
-        self.sim._schedule(0.0, self._resume, True, None)
+        sim = self.sim
+        if sim._busy_at(sim.now):
+            # Others are due now: the resume queues behind them, as a
+            # Timeout's waiter would.
+            sim._schedule(0.0, self._resume, True, None)
+        else:
+            # Nothing else is due at this instant, so the queued resume
+            # would be the very next entry popped: run it now.
+            self._resume(True, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.triggered else "alive"
@@ -459,6 +485,11 @@ class _HeapScheduler:
 
     def peek_time(self) -> Optional[float]:
         return self._heap[0][0] if self._heap else None
+
+    def busy_at(self, t: float) -> bool:
+        """Whether an entry is queued at instant ``t`` (the current one)."""
+        heap = self._heap
+        return bool(heap) and heap[0][0] <= t
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -666,6 +697,24 @@ class _CalendarScheduler:
         self._pops += 1
         return entry
 
+    def busy_at(self, t: float) -> bool:
+        """Whether an entry is queued at instant ``t`` (the current one):
+        the now-queue is non-empty, or the active bucket's head, the
+        bucket ``t`` maps to, or (wheel empty) the far heap's head is
+        stamped ``t``.  Read-only: it never advances the wheel."""
+        if self._now:
+            return True
+        cur = self._cur
+        if cur is not None:
+            return cur[0][0] <= t
+        if self._ring_count:
+            # Equal times share a bucket, so an entry at t sits in t's.
+            idx = int((t - self._base) * self._inv_w)
+            bucket = self._buckets[idx if idx < self._nb else self._nb - 1]
+            return bool(bucket) and min(bucket)[0] <= t
+        far = self._far
+        return bool(far) and far[0][0] <= t
+
     def peek_time(self) -> Optional[float]:
         nowq = self._now
         cur = self._cur
@@ -682,7 +731,8 @@ class Simulation:
     """The event loop.  Time is in (simulated) seconds."""
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: the current simulated time; only the dispatch loops move it.
+        self.now = 0.0
         self._seq = 0
         self._q = q = _CalendarScheduler()
         # Pre-bound scheduler methods: the dispatch loop and _schedule
@@ -690,12 +740,8 @@ class Simulation:
         self._push = q.push
         self._push_now = q.push_now
         self._pop_due = q.pop_due
+        self._busy_at = q.busy_at
         self._crashed: Optional[tuple[Process, BaseException]] = None
-
-    # -- time -------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        return self._now
 
     # -- factories ---------------------------------------------------------
     def timeout(self, delay: float, value: Any = None) -> Timeout:
@@ -714,18 +760,18 @@ class Simulation:
     def _schedule(self, delay: float, fn: Callable, *args: Any) -> None:
         self._seq += 1
         if delay == 0.0:
-            self._push_now((self._now, self._seq, fn, args))
+            self._push_now((self.now, self._seq, fn, args))
         else:
-            self._push((self._now + delay, self._seq, fn, args))
+            self._push((self.now + delay, self._seq, fn, args))
 
     def _schedule_at(self, when: float, fn: Callable, *args: Any) -> None:
         """Schedule at an absolute time (>= now); used by the shard
         engine to inject cross-shard events at their arrival stamps."""
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule at {when} before now={self._now}"
+                f"cannot schedule at {when} before now={self.now}"
             )
-        self._schedule(when - self._now, fn, *args)
+        self._schedule(when - self.now, fn, *args)
 
     def _crash(self, proc: Process, exc: BaseException) -> None:
         """Record an unhandled process failure; surfaced from :meth:`run`."""
@@ -736,7 +782,7 @@ class Simulation:
     def _step(self) -> None:
         """Dispatch the single next event."""
         time, _seq, fn, args = self._q.pop()
-        self._now = time
+        self.now = time
         fn(*args)
         if self._crashed is not None:
             _proc, exc = self._crashed
@@ -758,15 +804,15 @@ class Simulation:
             entry = pop_due(until)
             if entry is None:
                 break
-            self._now = entry[0]
+            self.now = entry[0]
             entry[2](*entry[3])
             if self._crashed is not None:
                 _proc, exc = self._crashed
                 self._crashed = None
                 raise exc
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
 
     def run_below(self, limit: float) -> Optional[float]:
         """Dispatch every event with timestamp strictly below ``limit``.
@@ -783,7 +829,7 @@ class Simulation:
             entry = pop_before(limit)
             if entry is None:
                 return self._q.peek_time()
-            self._now = entry[0]
+            self.now = entry[0]
             entry[2](*entry[3])
             if self._crashed is not None:
                 _proc, exc = self._crashed
@@ -803,7 +849,7 @@ class Simulation:
                 raise SimulationError(
                     f"deadlock: waiting on {waitable!r} with an empty event heap"
                 )
-            self._now = entry[0]
+            self.now = entry[0]
             entry[2](*entry[3])
             if self._crashed is not None:
                 _proc, exc = self._crashed

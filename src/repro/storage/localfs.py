@@ -107,6 +107,10 @@ class LocalFileSystem(FsInterface):
         self._next_ino = ROOT_INO
         self._next_block = _FIRST_DATA_BLOCK
         self._free_blocks: list[int] = []
+        # Reused blocks not rewritten since: their old bytes are still
+        # on the device, but their new file must read zeros there.  A
+        # read still pays its block I/O; only the bytes are replaced.
+        self._stale_blocks: set[int] = set()
         root = self._new_inode("dir")
         assert root.ino == ROOT_INO
         root.nlink = 2
@@ -137,7 +141,9 @@ class LocalFileSystem(FsInterface):
 
     def _alloc_block(self) -> int:
         if self._free_blocks:
-            return self._free_blocks.pop()
+            block = self._free_blocks.pop()
+            self._stale_blocks.add(block)
+            return block
         block = self._next_block
         self._next_block += 1
         if block >= self.cache.device.n_blocks:
@@ -162,7 +168,10 @@ class LocalFileSystem(FsInterface):
         chunks = []
         for logical in range(first, last + 1):
             if logical < len(inode.blocks):
-                data = yield from self.cache.read(inode.blocks[logical])
+                block_no = inode.blocks[logical]
+                data = yield from self.cache.read(block_no)
+                if block_no in self._stale_blocks:
+                    data = bytes(self.block_size)
             else:
                 data = bytes(self.block_size)  # sparse hole
             chunks.append(data)
@@ -190,9 +199,12 @@ class LocalFileSystem(FsInterface):
                 block_data = data[lo - offset:hi - offset]
             else:
                 existing = yield from self.cache.read(block_no)
+                if block_no in self._stale_blocks:
+                    existing = bytes(self.block_size)
                 block = bytearray(existing)
                 block[lo - block_start:hi - block_start] = data[lo - offset:hi - offset]
                 block_data = bytes(block)
+            self._stale_blocks.discard(block_no)
             yield from self.cache.write(block_no, block_data)
         inode.size = max(inode.size, end)
         inode.mtime = self.sim.now
@@ -217,6 +229,9 @@ class LocalFileSystem(FsInterface):
             final_block = inode.blocks[needed - 1]
             keep = size - (needed - 1) * self.block_size
             existing = yield from self.cache.read(final_block)
+            if final_block in self._stale_blocks:
+                existing = bytes(self.block_size)
+            self._stale_blocks.discard(final_block)
             yield from self.cache.write(
                 final_block, existing[:keep] + bytes(self.block_size - keep)
             )

@@ -30,7 +30,7 @@ whose tables are byte-identical to the single-process run at any
 * **Timestamps are exact.**  Cross-shard messages carry absolute float
   times computed by the same expressions the unsharded run evaluates
   (``Link.one_way_delay``, ``CostModel.rpc_marshal_time``,
-  ``request_wire_len`` / ``response_wire_len``), so every event lands
+  ``request_wire_form`` / ``response_wire_form``), so every event lands
   at the identical instant.
 
 Synchronization is conservative (no rollback).  Shards advance in
@@ -67,7 +67,7 @@ from typing import Any, Generator, Optional
 from repro.costmodel import CostModel
 from repro.net.netem import NetEnv
 from repro.net.rpc import RpcChannel, raise_if_fault, serve_request
-from repro.net.wire import normalize_value, request_wire_len, response_wire_len
+from repro.net.wire import request_wire_form, response_wire_form
 from repro.sim import Simulation
 
 __all__ = ["available", "run_fleet_sharded", "ShardChannel"]
@@ -129,7 +129,8 @@ class ShardChannel(RpcChannel):
     def _serial_body(self, method: str, params: dict, span: Any,
                      deadline: Optional[float] = None) -> Generator:
         # Mirror of the serial body in rpc.py, client half.
-        wire_size = request_wire_len(method, params, self.device_id)
+        payload, wire_size = request_wire_form(method, params,
+                                               self.device_id)
         yield self.costs.rpc_marshal_time(wire_size)
         if not self._connected:
             yield self.costs.rpc_connect
@@ -141,7 +142,7 @@ class ShardChannel(RpcChannel):
         # unsharded HMAC comparison always passes.)
         done = self.sim.event()
         self._shard.emit_request(
-            done, self.link, self.device_id, method, params, wire_size,
+            done, self.link, self.device_id, method, payload, wire_size,
             self.sim.now + self.link.one_way_delay(wire_size), deadline,
         )
         yield from self.link.transfer(wire_size)
@@ -159,7 +160,7 @@ class ShardChannel(RpcChannel):
         if span is not None:
             span.attrs["bytes_in"] = response_size
         yield self.costs.rpc_marshal_time(response_size)
-        return raise_if_fault(normalize_value(result))
+        return raise_if_fault(result)
 
 
 @dataclass(frozen=True)
@@ -308,9 +309,9 @@ class _ServerShard:
             # so the request never reaches the frontend.
             return
         result = yield from serve_request(self.server, device_id, method,
-                                          normalize_value(params), deadline)
+                                          params, deadline)
         self.outboxes[shard_index].append(
-            (rid, self.sim.now, result, response_wire_len(result))
+            (rid, self.sim.now, *response_wire_form(result))
         )
 
 

@@ -215,3 +215,17 @@ def test_expired_read_retried_unbounded_is_logged(reads, deadline):
     # Sub-RTT budgets over 3G cannot complete a cold fetch.
     if deadline < 0.15:
         assert expired
+
+
+def test_read_just_past_a_refreshed_keys_window_is_logged():
+    """The in-use refresh at t≈49.7 is logged before its reply lands;
+    a thief read at t≈99.75 is past that entry's Texp and must fetch."""
+    config = KeypadConfig(texp=50.0, prefetch="dir:3", ibe_enabled=False)
+    _check_deadline_invariant([], [3], 1.0, 50.0, 97.625, config)
+
+
+def test_read_just_past_a_fetched_keys_window_is_logged():
+    """Same edge for a plain blocking fetch: the owner's read is logged
+    mid-round-trip, so the key must not live Texp from the reply."""
+    config = KeypadConfig(texp=5.0, prefetch="none", ibe_enabled=False)
+    _check_deadline_invariant([(3, 10.0)], [3], 1.0, 5.0, 4.9, config)

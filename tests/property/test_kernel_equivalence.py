@@ -13,6 +13,7 @@ magnitudes (the far heap + wheel rebase), so the structural edge cases
 of the calendar queue all get traffic.
 """
 
+import contextlib
 from unittest import mock
 
 from hypothesis import given, settings
@@ -21,13 +22,26 @@ from hypothesis import strategies as st
 from repro.sim import Interrupt, Simulation, kernel
 
 
-def _simulation(scheduler: str) -> Simulation:
-    """A Simulation on the calendar queue, or on the heap oracle."""
-    if scheduler == "calendar":
+def _simulation(scheduler: str, direct: bool = True) -> Simulation:
+    """A Simulation on the calendar queue, or on the heap oracle.
+
+    ``direct=False`` reports every instant as busy to the kernel's
+    "anything else due now" check, so every bare sleep re-queues its
+    resume instead of running it directly."""
+    with contextlib.ExitStack() as stack:
+        if scheduler == "heap":
+            stack.enter_context(mock.patch.object(
+                kernel, "_CalendarScheduler", kernel._HeapScheduler))
+        if not direct:
+            stack.enter_context(mock.patch.object(
+                kernel._CalendarScheduler, "busy_at", _always_busy))
+            stack.enter_context(mock.patch.object(
+                kernel._HeapScheduler, "busy_at", _always_busy))
         return Simulation()
-    with mock.patch.object(kernel, "_CalendarScheduler",
-                           kernel._HeapScheduler):
-        return Simulation()
+
+
+def _always_busy(_scheduler, _t: float) -> bool:
+    return True
 
 
 # Duplicates force (time, seq) ties; the spread forces bucket reuse,
@@ -56,8 +70,9 @@ _SCRIPTS = st.lists(
 )
 
 
-def _run_world(scheduler: str, scripts) -> tuple[list, list]:
-    sim = _simulation(scheduler)
+def _run_world(scheduler: str, scripts,
+               direct: bool = True) -> tuple[list, list]:
+    sim = _simulation(scheduler, direct)
     trace: list = []
     events = [sim.event() for _ in range(_N_EVENTS)]
     queue = sim.queue()

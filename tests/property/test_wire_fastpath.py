@@ -1,23 +1,26 @@
-"""Wire-size and value mirrors, held to the real codec under random
-payloads.
+"""The one-walk wire form, held to the real codec and to the two-walk
+oracle under random payloads.
 
-RPC channels never build wire bytes; they rely on exact mirrors of the
-codec:
+RPC channels never build wire bytes; they rely on one walk of each
+message:
 
-* ``marshal_request_len`` / ``marshal_response_len`` — the byte length
-  of the message the codec *would* produce, computed tag-for-tag;
-* ``request_wire_len`` / ``response_wire_len`` — the whole message on
-  the wire: the marshalled body HMAC-authenticated, sealed, and (v2)
-  framed, plus the transport headers;
-* ``normalize_value`` — the semantic effect of a marshal/unmarshal
-  round-trip (tuples→lists, dict keys→str, whitespace-only→empty).
+* ``wire_form`` — the value the peer's parse would yield (tuples→lists,
+  dict keys→str, whitespace-only→empty) and the byte length of the
+  encoding, computed tag-for-tag;
+* ``request_wire_form`` / ``response_wire_form`` — the same pair for the
+  whole message on the wire: the marshalled body HMAC-authenticated,
+  sealed, and (v2) framed, plus the transport headers.
 
-If a mirror drifts from the codec, wire sizes (and so every latency and
+``tests/wire_oracle.py`` keeps the two walks ``wire_form`` replaced
+(``normalize_value`` and ``encoded_len``), held to the codec here too.
+If the walk drifts from the codec, wire sizes (and so every latency and
 byte counter in the tables) silently stop describing the bytes the
 protocol would send — these properties pin them together.
 """
 
+import enum
 import string
+from collections import OrderedDict, namedtuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,14 +30,18 @@ from repro.crypto.hmac import hmac_sha256
 from repro.net.wire import (
     PROTOCOL_V2,
     marshal_request,
-    marshal_request_len,
     marshal_response,
+    pack_envelope,
+    request_wire_form,
+    response_wire_form,
+    unmarshal,
+    wire_form,
+)
+from tests.wire_oracle import (
+    encoded_len,
+    marshal_request_len,
     marshal_response_len,
     normalize_value,
-    pack_envelope,
-    request_wire_len,
-    response_wire_len,
-    unmarshal,
 )
 
 _TEXT = st.text(alphabet=st.characters(codec="utf-8"), max_size=40)
@@ -57,6 +64,33 @@ _VALUE = st.recursive(
         st.dictionaries(st.integers(-99, 99), children, max_size=3),
     ),
     max_leaves=14,
+)
+
+
+class _Kind(enum.IntEnum):
+    FETCH = 3
+
+
+class _Tag(str):
+    pass
+
+
+_Pair = namedtuple("_Pair", "a b")
+
+# Subclasses of the wire types travel as their builtin base.
+_SUBCLASSED = st.recursive(
+    st.one_of(
+        _SCALAR,
+        st.just(_Kind.FETCH),
+        _TEXT.map(_Tag),
+        st.binary(max_size=16).map(bytearray),
+    ),
+    lambda children: st.one_of(
+        st.tuples(children, children).map(lambda t: _Pair(*t)),
+        st.dictionaries(_TEXT, children, max_size=3).map(OrderedDict),
+        st.lists(children, max_size=3),
+    ),
+    max_leaves=10,
 )
 
 _PARAMS = st.dictionaries(_TEXT, _VALUE, max_size=4)
@@ -96,8 +130,19 @@ def test_response_len_matches_codec(payload):
 @settings(max_examples=150, deadline=None)
 @given(payload=_VALUE)
 def test_normalize_matches_roundtrip(payload):
-    assert normalize_value(payload) == \
-        unmarshal(marshal_response(payload)).payload
+    roundtrip = unmarshal(marshal_response(payload)).payload
+    assert normalize_value(payload) == roundtrip
+    assert wire_form(payload)[0] == roundtrip
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=st.one_of(_VALUE, _SUBCLASSED))
+def test_wire_form_matches_oracle(payload):
+    value, size = wire_form(payload)
+    assert size == encoded_len(payload)
+    expected = normalize_value(payload)
+    assert value == expected
+    assert repr(value) == repr(expected)    # same builtin types throughout
 
 
 @settings(max_examples=150, deadline=None)
@@ -107,17 +152,21 @@ def test_request_wire_len_matches_real_bytes(method, params, device_id,
                                              request_id):
     body, tag = _sealed_request(method, params, device_id)
     extra = len(tag) + len(device_id) + _REQUEST_HEADER
-    assert request_wire_len(method, params, device_id) == len(body) + extra
+    payload, size = request_wire_form(method, params, device_id)
+    assert size == len(body) + extra
+    assert payload == normalize_value(params)
     frame = pack_envelope(PROTOCOL_V2, request_id, body)
-    assert request_wire_len(method, params, device_id, framed=True) == \
-        len(frame) + extra
+    assert request_wire_form(method, params, device_id, framed=True) == \
+        (payload, len(frame) + extra)
 
 
 @settings(max_examples=150, deadline=None)
 @given(payload=_VALUE, request_id=_REQUEST_ID)
 def test_response_wire_len_matches_real_bytes(payload, request_id):
     body = _SUITE.seal(_NONCE, marshal_response(payload))
-    assert response_wire_len(payload) == len(body) + _RESPONSE_HEADER
+    value, size = response_wire_form(payload)
+    assert size == len(body) + _RESPONSE_HEADER
+    assert value == unmarshal(marshal_response(payload)).payload
     frame = pack_envelope(PROTOCOL_V2, request_id, body)
-    assert response_wire_len(payload, framed=True) == \
-        len(frame) + _RESPONSE_HEADER
+    assert response_wire_form(payload, framed=True) == \
+        (value, len(frame) + _RESPONSE_HEADER)

@@ -126,3 +126,30 @@ class TestRefreshLead:
         sim.run(until=12.0)
         assert cache.refreshes == 1
         assert cache.get(b"id") is not None
+
+
+class TestLifetimeStartsAtTheSend:
+    """The service logs an access when the request arrives, which is
+    after the device sent it; a lifetime counted from the reply would
+    outlive ``Texp`` after the log entry by the reply's trip."""
+
+    def test_put_counts_from_issued_at(self):
+        sim = Simulation()
+        cache = KeyCache(sim)
+        sim.run(until=3.0)
+        cache.put(b"id", b"r" * 32, b"d" * 32, texp=10.0, issued_at=2.7)
+        assert cache.peek(b"id").expires_at == pytest.approx(12.7)
+        sim.run(until=12.8)
+        assert cache.get(b"id") is None
+
+    def test_refreshed_entry_counts_from_the_refresh_send(self):
+        sim = Simulation()
+        calls = []
+        cache = KeyCache(sim, refresh_fn=_refresher(sim, log=calls),
+                         refresh_lead=2.0)
+        cache.put(b"id", b"r" * 32, b"d" * 32, texp=10.0)
+        cache.get(b"id")
+        sim.run(until=9.0)
+        assert calls[0][0] == pytest.approx(8.0)
+        # Sent at 8.0, answered at 8.3: alive until 18.0, not 18.3.
+        assert cache.peek(b"id").expires_at == pytest.approx(18.0)

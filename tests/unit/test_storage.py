@@ -217,6 +217,38 @@ class TestLocalFs:
         assert size == 5004
         assert head == bytes(10)
 
+    def test_reused_block_leaks_nothing_into_a_partial_write(self, rig):
+        sim, _, _, fs = rig
+
+        def proc():
+            yield from fs.mkdir("/d1")
+            yield from fs.mkdir("/d1/sub")
+            yield from fs.create("/b")
+            yield from fs.create("/d1/sub/a")
+            # The emptied directory frees its block; /b's write reuses it.
+            yield from fs.unlink("/d1/sub/a")
+            yield from fs.write("/b", 2, b"\x00")
+            data = yield from fs.read("/b", 0, 3)
+            return data
+
+        assert run(sim, proc()) == bytes(3)
+
+    def test_reused_blocks_leak_nothing_into_holes(self, rig):
+        sim, _, _, fs = rig
+        block = fs.block_size
+
+        def proc():
+            yield from fs.create("/old")
+            yield from fs.write("/old", 0, b"x" * (2 * block))
+            yield from fs.unlink("/old")
+            yield from fs.create("/new")
+            # Past EOF: logical blocks 0 and 1 are holes on reused blocks.
+            yield from fs.write("/new", 2 * block + 10, b"t")
+            data = yield from fs.read_all("/new")
+            return data
+
+        assert run(sim, proc()) == bytes(2 * block + 10) + b"t"
+
     def test_create_requires_parent(self, rig):
         sim, _, _, fs = rig
         with pytest.raises(FileNotFound):
