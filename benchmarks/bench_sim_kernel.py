@@ -2,7 +2,7 @@
 
 ``Simulation`` runs on the calendar-queue scheduler with O(1) amortized
 insert/pop; the original binary-heap scheduler is kept in
-``repro.sim.kernel`` as the trace-equivalence oracle.  This bench times
+``tests/sim_oracle.py`` as the trace-equivalence oracle.  This bench times
 both — the heap patched in for the calendar queue with
 ``unittest.mock.patch.object`` — over three shapes and records the
 speedup — a machine-independent ratio measured in one process — into
@@ -21,6 +21,8 @@ Arms:
 from __future__ import annotations
 
 import contextlib
+import pathlib
+import sys
 import time
 from unittest import mock
 
@@ -29,13 +31,15 @@ from repro.harness.runner import ArmPerf, BenchPerf, bench_jobs
 from repro.sim import Simulation, kernel
 from repro.workloads.fleet import run_fleet
 
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+from tests.sim_oracle import HeapScheduler  # noqa: E402  (repo root, for the script form)
+
 
 def _scheduler(name: str):
     """Context in which new Simulations run on the named scheduler."""
     if name == "calendar":
         return contextlib.nullcontext()
-    return mock.patch.object(kernel, "_CalendarScheduler",
-                             kernel._HeapScheduler)
+    return mock.patch.object(kernel, "_CalendarScheduler", HeapScheduler)
 
 
 def _secs(fn, scheduler: str, reps: int = 3) -> float:

@@ -18,10 +18,13 @@ The groups:
   :meth:`KeypadConfig.builder` for chainable feature bundles.
 * **Forensics** — :class:`AuditTool` over a key service's log,
   :class:`ClusterAuditLog` over a replica group's.
-* **Audit store** — :class:`SegmentedAuditStore` (the event-sourced,
-  seal-chained log engine) and :class:`AuditViews` (its materialized
-  forensic views); :class:`AppendOnlyLog` / :class:`ShardedLog` are the
-  flat primitives (see docs/AUDITSTORE.md).
+* **Audit store** — :class:`AuditSpec` (which store a service keeps:
+  ``flat``, ``segmented`` or ``durable``; ``KeypadConfig.audit``),
+  :class:`AppendOnlyLog` (the paper's flat log),
+  :class:`SegmentedAuditStore` (the event-sourced, seal-chained log
+  engine), :class:`AuditViews` (its materialized forensic views) and
+  :class:`DurableAuditStore` (the segmented store spilled to blobs;
+  see docs/AUDITSTORE.md).
 * **Fleet scale** — :func:`run_fleet` drives thousands of simulated
   devices against one service; :class:`ServiceFrontend` is the
   server-side scheduler it exercises; :class:`ControlEvent` scripts
@@ -39,13 +42,13 @@ from __future__ import annotations
 from repro.auditstore import (
     AppendOnlyLog,
     AuditSegment,
+    AuditSpec,
     AuditViews,
     BlobImage,
     DurableAuditStore,
     FLUSH_POLICIES,
     LogEntry,
     SegmentedAuditStore,
-    ShardedLog,
 )
 from repro.control import ControlClient, ControlServer, open_control
 from repro.core.policy import (
@@ -173,7 +176,7 @@ __all__ = [
     "AuditReport",
     # audit store (event-sourced log + materialized views)
     "AppendOnlyLog",
-    "ShardedLog",
+    "AuditSpec",
     "LogEntry",
     "SegmentedAuditStore",
     "AuditSegment",

@@ -8,12 +8,18 @@ window index — incrementally current so forensic queries answer in
 O(view) instead of O(log).  :mod:`repro.auditstore.log` holds the flat
 log primitives the rest of the tree shares.
 
-Select the segmented store with
-``KeypadConfig.builder().audit_store("segmented")``; the default is
-the paper-faithful flat log.
+Which of the three stores a service keeps is one frozen
+:class:`AuditSpec` (``KeypadConfig.audit``, built with
+``KeypadConfig.builder().audit_store("segmented")``), passed unchanged
+from the config to the store; the default is the paper-faithful flat
+log.
 """
 
-from repro.costmodel import DEFAULT_COSTS
+from dataclasses import dataclass
+from typing import Any, Optional
+
+from repro.costmodel import DEFAULT_COSTS, CostModel
+from repro.errors import ConfigError
 
 from .codec import (
     decode_checkpoint,
@@ -27,7 +33,6 @@ from .log import (
     GENESIS_HASH,
     AppendOnlyLog,
     LogEntry,
-    ShardedLog,
     entry_digest,
 )
 from .store import AuditSegment, SegmentedAuditStore
@@ -36,6 +41,7 @@ from .views import AuditViews
 __all__ = [
     "AppendOnlyLog",
     "AuditSegment",
+    "AuditSpec",
     "AuditViews",
     "BlobImage",
     "DISCLOSING_KINDS",
@@ -44,7 +50,6 @@ __all__ = [
     "GENESIS_HASH",
     "LogEntry",
     "SegmentedAuditStore",
-    "ShardedLog",
     "decode_checkpoint",
     "decode_segment",
     "encode_checkpoint",
@@ -53,56 +58,75 @@ __all__ = [
 ]
 
 
-def make_audit_log(
-    name: str,
-    store: str = "flat",
-    shards: int = 1,
-    router=None,
-    segment_entries: int = 1024,
-    auto_compact: bool = True,
-    durable: bool = False,
-    blobs=None,
-    flush_policy: str = "every-seal",
-    flush_every: int = 64,
-    costs=DEFAULT_COSTS,
-):
-    """Build the audit log a service should write to.
+#: the audit stores a service can keep.
+AUDIT_STORES = ("flat", "segmented", "durable")
 
-    ``store="flat"`` reproduces the paper's log exactly: one
-    ``AppendOnlyLog`` (or a ``ShardedLog`` when ``shards > 1``).
-    ``store="segmented"`` returns a ``SegmentedAuditStore`` — one
-    global store regardless of ``shards``, since group-committed
-    segments subsume the per-shard chain trick without changing any
-    simulated-time behavior.  ``durable=True`` (segmented only) wraps
-    the store in a :class:`DurableAuditStore` spilling into ``blobs``
-    (a ``BlobStore``/``BlobNamespace``) on ``flush_policy``.
+
+@dataclass(frozen=True)
+class AuditSpec:
+    """Which audit store a service keeps, and how.
+
+    ``store`` is ``"flat"`` (the paper's :class:`AppendOnlyLog`, the
+    default), ``"segmented"`` (:class:`SegmentedAuditStore`:
+    seal-chained segments with materialized views) or ``"durable"``
+    (:class:`DurableAuditStore`: the segmented store spilled to
+    write-once blobs, with crash recovery).  ``segment_entries`` sizes
+    a segment; ``flush_policy`` and ``flush_every`` set a durable
+    store's group commit (see docs/AUDITSTORE.md).  The spec is checked
+    once, here, and raises :class:`~repro.errors.ConfigError`.
     """
-    if durable and store != "segmented":
-        raise ValueError(
-            f"durable audit stores require store='segmented', "
-            f"not {store!r}"
-        )
-    if store == "segmented":
-        inner = SegmentedAuditStore(
-            name=name,
-            segment_entries=segment_entries,
-            auto_compact=auto_compact,
-        )
-        if not durable:
-            return inner
+
+    store: str = "flat"
+    segment_entries: int = 1024
+    flush_policy: str = "every-seal"
+    flush_every: int = 64
+
+    def __post_init__(self):
+        if self.store not in AUDIT_STORES:
+            raise ConfigError(
+                f"audit store must be one of {AUDIT_STORES}, "
+                f"got {self.store!r}"
+            )
+        if self.segment_entries < 2:
+            raise ConfigError(
+                f"audit segment_entries must be >= 2, "
+                f"got {self.segment_entries!r}"
+            )
+        if self.flush_policy not in FLUSH_POLICIES:
+            raise ConfigError(
+                f"audit flush_policy must be one of {FLUSH_POLICIES}, "
+                f"got {self.flush_policy!r}"
+            )
+        if self.flush_every < 1:
+            raise ConfigError(
+                f"audit flush_every must be >= 1, got {self.flush_every!r}"
+            )
+
+    def open(self, name: str, blobs: Any = None,
+             costs: CostModel = DEFAULT_COSTS):
+        """A fresh log of this kind; a durable one spills into
+        ``blobs`` (a ``BlobNamespace``)."""
+        if self.store == "flat":
+            return AppendOnlyLog(name=name)
+        if self.store == "segmented":
+            return SegmentedAuditStore(
+                name=name, segment_entries=self.segment_entries
+            )
         if blobs is None:
-            raise ValueError("a durable audit store needs a blob namespace")
+            raise ConfigError("a durable audit store needs a blob namespace")
         return DurableAuditStore(
-            inner,
-            blobs,
-            costs=costs,
-            flush_policy=flush_policy,
-            flush_every=flush_every,
+            blobs, name=name, segment_entries=self.segment_entries,
+            costs=costs, flush_policy=self.flush_policy,
+            flush_every=self.flush_every,
         )
-    if store != "flat":
-        raise ValueError(f"unknown audit store {store!r}")
-    if shards > 1:
-        if router is None:
-            raise ValueError("a sharded flat log needs a router")
-        return ShardedLog(name=name, shards=shards, router=router)
-    return AppendOnlyLog(name=name)
+
+    def recover(self, name: str, blobs: Any,
+                costs: CostModel = DEFAULT_COSTS,
+                entries_before: Optional[int] = None) -> DurableAuditStore:
+        """A durable store rebuilt from ``blobs`` alone (see
+        :meth:`DurableAuditStore.recover`)."""
+        return DurableAuditStore.recover(
+            blobs, name=name, segment_entries=self.segment_entries,
+            costs=costs, flush_policy=self.flush_policy,
+            flush_every=self.flush_every, entries_before=entries_before,
+        )

@@ -1,7 +1,7 @@
 """Durable audit store: segment spill, group commit, crash recovery.
 
-:class:`DurableAuditStore` wraps a
-:class:`~repro.auditstore.store.SegmentedAuditStore` and gives the
+:class:`DurableAuditStore` is a
+:class:`~repro.auditstore.store.SegmentedAuditStore` that gives the
 paper's security argument its missing leg: the forensic record now
 survives the process.  Three blob kinds land in a write-once
 :class:`~repro.storage.backend.BlobNamespace`:
@@ -41,7 +41,7 @@ silent.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from repro.costmodel import DEFAULT_COSTS, CostModel
 from repro.errors import AuditRecoveryError
@@ -98,31 +98,30 @@ class BlobImage:
         return len(self._blobs)
 
 
-class DurableAuditStore:
+class DurableAuditStore(SegmentedAuditStore):
     """A ``SegmentedAuditStore`` that persists through a blob namespace.
 
-    Presents the same log surface as the store it wraps (``append``,
-    ``append_many``, ``force_seal``, ``entry_at``, ``verify_chain``,
-    ``views``, …); write operations additionally run the spill/flush
-    machinery and bank their simulated cost in ``pending_cost``.
+    Every write (``append``, ``append_many``, ``force_seal``) runs the
+    base store's write and then the spill/flush machinery, banking its
+    simulated cost in ``pending_cost``; reads are the base store's.
     """
 
     def __init__(
         self,
-        inner: SegmentedAuditStore,
         blobs: Any,
+        name: str = "audit",
+        segment_entries: int = 1024,
+        auto_compact: bool = True,
         costs: CostModel = DEFAULT_COSTS,
         flush_policy: str = "every-seal",
         flush_every: int = 64,
     ):
-        if flush_policy not in FLUSH_POLICIES:
-            raise ValueError(
-                f"unknown flush policy {flush_policy!r}; "
-                f"choose one of {FLUSH_POLICIES}"
-            )
-        if flush_every < 1:
-            raise ValueError("flush_every must be at least 1")
-        self.inner = inner
+        super().__init__(name=name, segment_entries=segment_entries,
+                         auto_compact=auto_compact)
+        self._attach(blobs, costs, flush_policy, flush_every)
+
+    def _attach(self, blobs: Any, costs: CostModel, flush_policy: str,
+                flush_every: int) -> None:
         self.blobs = blobs
         self.costs = costs
         self.flush_policy = flush_policy
@@ -143,42 +142,25 @@ class DurableAuditStore:
         #: populated by :meth:`recover` on restored instances.
         self.recovery: Optional[dict[str, Any]] = None
 
-    # -- construction ------------------------------------------------
-
     @classmethod
-    def create(
-        cls,
-        blobs: Any,
-        name: str = "audit",
-        segment_entries: int = 1024,
-        auto_compact: bool = True,
-        costs: CostModel = DEFAULT_COSTS,
-        flush_policy: str = "every-seal",
-        flush_every: int = 64,
-    ) -> "DurableAuditStore":
-        inner = SegmentedAuditStore(
-            name=name,
-            segment_entries=segment_entries,
-            auto_compact=auto_compact,
-        )
-        return cls(
-            inner, blobs, costs=costs,
-            flush_policy=flush_policy, flush_every=flush_every,
-        )
+    def create(cls, blobs: Any, **knobs: Any) -> "DurableAuditStore":
+        """A fresh store spilling into ``blobs`` (the constructor's
+        name beside :meth:`recover`)."""
+        return cls(blobs, **knobs)
 
-    # -- write side (delegate + persist) -----------------------------
+    # -- write side (base write, then persist) -----------------------
 
     def _check_alive(self) -> None:
         if self.crashed:
             raise AuditRecoveryError(
-                f"audit store {self.inner.name!r} has crashed; "
+                f"audit store {self.name!r} has crashed; "
                 "recover before appending"
             )
 
     def append(self, timestamp: float, device_id: str, kind: str,
                **fields: Any) -> LogEntry:
         self._check_alive()
-        entry = self.inner.append(timestamp, device_id, kind, **fields)
+        entry = super().append(timestamp, device_id, kind, **fields)
         self._after_write(1)
         return entry
 
@@ -186,20 +168,15 @@ class DurableAuditStore:
         self, records: list[tuple[float, str, str, dict]]
     ) -> list[LogEntry]:
         self._check_alive()
-        entries = self.inner.append_many(records)
+        entries = super().append_many(records)
         self._after_write(len(entries))
         return entries
 
     def force_seal(self) -> Optional[int]:
         self._check_alive()
-        index = self.inner.force_seal()
+        index = super().force_seal()
         self._after_write(0)
         return index
-
-    def compact(self) -> int:
-        # Compaction re-packs in-memory form only; spilled blobs were
-        # encoded from entry *content*, so they stay valid as-is.
-        return self.inner.compact()
 
     def _after_write(self, n_appends: int) -> None:
         spilled_new = self._spill_sealed()
@@ -215,11 +192,15 @@ class DurableAuditStore:
                 self._write_tail()
 
     def _spill_sealed(self) -> bool:
-        """Spill any sealed-but-unspilled segments; True if any were."""
+        """Spill any sealed-but-unspilled segments; True if any were.
+
+        Compaction only re-packs the in-memory form; blobs are encoded
+        from entry *content*, so a spilled segment stays valid as-is.
+        """
         spilled_any = False
         # All segments but the active tail are sealed, in index order.
-        while self._spilled < len(self.inner.segments) - 1:
-            segment = self.inner.segments[self._spilled]
+        while self._spilled < len(self.segments) - 1:
+            segment = self.segments[self._spilled]
             cost = self.blobs.put(
                 _segment_blob_name(segment.index), encode_segment(segment)
             )
@@ -229,12 +210,11 @@ class DurableAuditStore:
         return spilled_any
 
     def _write_tail(self) -> None:
-        active = self.inner.segments[-1]
         cost = self.blobs.put(
-            _TAIL, encode_segment(active), overwrite=True
+            _TAIL, encode_segment(self.segments[-1]), overwrite=True
         )
         self.pending_cost += cost + self.costs.audit_fsync
-        self._flushed = len(self.inner)
+        self._flushed = len(self)
         self._dirty = 0
         self.flushes += 1
 
@@ -248,11 +228,11 @@ class DurableAuditStore:
         self._check_alive()
         self._spill_sealed()
         self._write_tail()
-        upto = len(self.inner)
-        state = self.inner.views.checkpoint_state()
+        upto = len(self)
+        state = self.views.checkpoint_state()
         blob = encode_checkpoint(
             upto=upto,
-            bound_hash=self.inner._last_hash,
+            bound_hash=self._last_hash,
             timeline=state["timeline"],
             file_access=state["file_access"],
             window=state["window"],
@@ -276,11 +256,11 @@ class DurableAuditStore:
         mark this instance dead and remember how many entries existed
         so the restart can report the exact loss.  Returns the count.
         """
-        self.entries_at_crash = len(self.inner)
+        self.entries_at_crash = len(self)
         self.crashed = True
         # A dead store never flushes again; its successor re-encodes
         # the recovered tail from the blobs.
-        self.inner.segments[-1].drop_records()
+        self.segments[-1].drop_records()
         return self.entries_at_crash
 
     @classmethod
@@ -304,7 +284,9 @@ class DurableAuditStore:
         matches, and records a ``recovery`` stats dict.  Pass
         ``entries_before`` (the pre-crash count, when known) to have
         the lost-tail size computed here; services track it through
-        :meth:`crash`.
+        :meth:`crash`.  ``auto_compact=False`` leaves the recovered
+        sealed segments live (the read-only drill of
+        :meth:`verify_blobs`, which throws the store away).
         """
         names = set(blobs.names())
         seg_names = sorted(n for n in names if n.startswith(_SEG_PREFIX))
@@ -350,21 +332,16 @@ class DurableAuditStore:
                 tail_state = "stale"
 
         segments = sealed + ([tail] if tail is not None else [])
+        knobs = dict(name=name, segment_entries=segment_entries,
+                     auto_compact=auto_compact)
         if not segments:
             # Nothing was ever flushed: an empty (or brand-new) store.
-            inner = SegmentedAuditStore(
-                name=name,
-                segment_entries=segment_entries,
-                auto_compact=auto_compact,
-            )
+            store = cls(blobs, costs=costs, flush_policy=flush_policy,
+                        flush_every=flush_every, **knobs)
         else:
-            inner = SegmentedAuditStore.restore(
-                segments,
-                name=name,
-                segment_entries=segment_entries,
-                auto_compact=auto_compact,
-            )
-            if not inner.verify_chain():
+            store = cls.restore(segments, **knobs)
+            store._attach(blobs, costs, flush_policy, flush_every)
+            if not store.verify_chain():
                 raise AuditRecoveryError(
                     f"audit store {name!r}: seal chain verification "
                     "failed after recovery — the spilled segments were "
@@ -373,9 +350,10 @@ class DurableAuditStore:
             # Compact only now: verification reads every sealed entry,
             # and packing first would just make it unpack them again.
             if auto_compact:
-                inner.compact()
+                store.compact()
 
-        recovered = len(inner)
+        recovered = len(store)
+        views = store.views
         checkpoint_used = False
         checkpoint_discarded: Optional[str] = None
         checkpoint_upto: Optional[int] = None
@@ -392,12 +370,12 @@ class DurableAuditStore:
             else:
                 bound = (
                     GENESIS_HASH if ckpt["upto"] == 0
-                    else inner.entry_at(ckpt["upto"] - 1).chain_hash
+                    else store.entry_at(ckpt["upto"] - 1).chain_hash
                 )
                 if bound != ckpt["bound_hash"]:
                     checkpoint_discarded = "binding-mismatch"
                 else:
-                    inner.views.restore_state(
+                    views.restore_state(
                         {
                             "timeline": ckpt["timeline"],
                             "file_access": ckpt["file_access"],
@@ -406,18 +384,14 @@ class DurableAuditStore:
                             "out_of_order": ckpt["out_of_order"],
                         }
                     )
-                    for entry in inner.tail(ckpt["upto"]):
-                        inner.views.ingest(entry)
+                    for entry in store.tail(ckpt["upto"]):
+                        views.ingest(entry)
                         tail_replayed += 1
                     checkpoint_used = True
         if not checkpoint_used and recovered:
-            inner.views.rebuild()
+            views.rebuild()
 
-        store = cls(
-            inner, blobs, costs=costs,
-            flush_policy=flush_policy, flush_every=flush_every,
-        )
-        store._spilled = sum(1 for s in inner.segments if s.sealed)
+        store._spilled = sum(1 for s in store.segments if s.sealed)
         store._flushed = recovered
         lost = None
         if entries_before is not None:
@@ -426,7 +400,7 @@ class DurableAuditStore:
             "recovered_entries": recovered,
             "sealed_segments": store._spilled,
             "tail_state": tail_state,
-            "tail_entries": len(inner.segments[-1]),
+            "tail_entries": len(store.segments[-1]),
             "checkpoint_used": checkpoint_used,
             "checkpoint_upto": checkpoint_upto,
             "checkpoint_discarded": checkpoint_discarded,
@@ -448,13 +422,13 @@ class DurableAuditStore:
             BlobImage(
                 {n: self.blobs.get(n) for n in self.blobs.names()}
             ),
-            name=self.inner.name,
-            segment_entries=self.inner.segment_entries,
+            name=self.name,
+            segment_entries=self.segment_entries,
             auto_compact=False,
             costs=self.costs,
             flush_policy=self.flush_policy,
             flush_every=self.flush_every,
-            entries_before=len(self.inner),
+            entries_before=len(self),
         )
         return drill.recovery
 
@@ -467,55 +441,19 @@ class DurableAuditStore:
         """
         if self._spilled or self._flushed or self.checkpoints:
             raise AuditRecoveryError(
-                f"audit store {self.inner.name!r} has flushed data; "
+                f"audit store {self.name!r} has flushed data; "
                 "cannot rebind its blob namespace"
             )
         self.blobs = blobs
 
-    # -- log surface (read side delegates) ---------------------------
-
-    @property
-    def name(self) -> str:
-        return self.inner.name
-
-    @property
-    def views(self):
-        return self.inner.views
-
-    @property
-    def segments(self):
-        return self.inner.segments
-
-    @property
-    def segment_entries(self) -> int:
-        return self.inner.segment_entries
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    def __iter__(self) -> Iterator[LogEntry]:
-        return iter(self.inner)
-
-    def entry_at(self, sequence: int) -> LogEntry:
-        return self.inner.entry_at(sequence)
-
-    def tail(self, start: int) -> list[LogEntry]:
-        return self.inner.tail(start)
-
-    def entries(self, *args: Any, **kwargs: Any) -> list[LogEntry]:
-        return self.inner.entries(*args, **kwargs)
-
-    def verify_chain(self) -> bool:
-        return self.inner.verify_chain()
-
     def stats(self) -> dict[str, Any]:
-        out = self.inner.stats()
+        out = super().stats()
         out["store"] = "durable"
         out["durable"] = {
             "flush_policy": self.flush_policy,
             "flush_every": self.flush_every,
             "flushed_entries": self._flushed,
-            "unflushed_entries": len(self.inner) - self._flushed,
+            "unflushed_entries": len(self) - self._flushed,
             "spilled_segments": self._spilled,
             "flushes": self.flushes,
             "checkpoints": self.checkpoints,

@@ -10,8 +10,7 @@ Entries are hash-chained; :meth:`AppendOnlyLog.verify_chain` lets the
 forensic tool prove the log was not truncated or rewritten in place.
 
 This module is the write-side foundation of :mod:`repro.auditstore`:
-:class:`AppendOnlyLog` is the paper's flat log, :class:`ShardedLog`
-splits it across independent chains, and
+:class:`AppendOnlyLog` is the paper's flat log, and
 :class:`~repro.auditstore.store.SegmentedAuditStore` (the event-sourced
 store) builds group-committed, compactable segments on the same chain
 math.
@@ -27,7 +26,6 @@ from repro.crypto.sha256 import sha256_fast
 __all__ = [
     "LogEntry",
     "AppendOnlyLog",
-    "ShardedLog",
     "DISCLOSING_KINDS",
     "GENESIS_HASH",
     "entry_digest",
@@ -95,10 +93,6 @@ def entry_digest(prev: bytes, entry: LogEntry) -> bytes:
          sorted(entry.fields.items()))
     ).encode()
     return sha256_fast(prev + material)
-
-
-# Backwards-compatible private alias (pre-auditstore name).
-_entry_digest = entry_digest
 
 
 def chain_entry(prev: bytes, sequence: int, timestamp: float,
@@ -199,83 +193,6 @@ class AppendOnlyLog:
             prev = entry.chain_hash
         return True
 
-
-class ShardedLog:
-    """N independent hash chains presenting one logical log.
-
-    Each shard is a full :class:`AppendOnlyLog` (its own chain, so
-    shards can be written by concurrent service workers without a
-    global serialization point), routed by a caller-supplied function
-    of the record.  Readers see the global append order: iteration,
-    ``entries`` and ``len`` behave exactly like a single log, and
-    :meth:`verify_chain` proves every shard's chain.
-    """
-
-    def __init__(self, name: str, shards: int, router: Callable[..., int]):
-        if shards < 1:
-            raise ValueError("a sharded log needs at least one shard")
-        self.name = name
-        # router(device_id, kind, fields) -> shard index (any int).
-        self._router = router
-        self.shards = [
-            AppendOnlyLog(name=f"{name}-s{i}") for i in range(shards)
-        ]
-        self._order: list[LogEntry] = []
-
-    def shard_of(self, device_id: str, kind: str, fields: dict) -> int:
-        return self._router(device_id, kind, fields) % len(self.shards)
-
-    def append(
-        self, timestamp: float, device_id: str, kind: str, **fields: Any
-    ) -> LogEntry:
-        idx = self.shard_of(device_id, kind, fields)
-        entry = self.shards[idx].append(timestamp, device_id, kind, **fields)
-        self._order.append(entry)
-        return entry
-
-    def append_many(
-        self, records: list[tuple[float, str, str, dict]]
-    ) -> list[LogEntry]:
-        """Group commit across shards; global order follows the batch."""
-        return [
-            self.append(timestamp, device_id, kind, **fields)
-            for timestamp, device_id, kind, fields in records
-        ]
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __iter__(self) -> Iterator[LogEntry]:
-        return iter(self._order)
-
-    def entry_at(self, position: int) -> LogEntry:
-        """Random access by global append position."""
-        return self._order[position]
-
-    def tail(self, start: int) -> list[LogEntry]:
-        """Entries at global append positions >= ``start``."""
-        return self._order[start:]
-
-    def entries(
-        self,
-        since: Optional[float] = None,
-        device_id: Optional[str] = None,
-        kind: Optional[str] = None,
-        predicate: Optional[Callable[[LogEntry], bool]] = None,
-    ) -> list[LogEntry]:
-        """Filtered view over the global append order."""
-        out = []
-        for entry in self._order:
-            if since is not None and entry.timestamp < since:
-                continue
-            if device_id is not None and entry.device_id != device_id:
-                continue
-            if kind is not None and entry.kind != kind:
-                continue
-            if predicate is not None and not predicate(entry):
-                continue
-            out.append(entry)
-        return out
-
-    def verify_chain(self) -> bool:
-        return all(shard.verify_chain() for shard in self.shards)
+    def stats(self) -> dict[str, Any]:
+        return {"store": "flat", "name": self.name,
+                "entries": len(self._entries)}

@@ -228,8 +228,6 @@ class SegmentedAuditStore:
         segment_entries: int = 1024,
         auto_compact: bool = True,
     ):
-        if segment_entries < 2:
-            raise ValueError("segment_entries must be at least 2")
         self.name = name
         self.segment_entries = segment_entries
         self.auto_compact = auto_compact

@@ -51,10 +51,9 @@ __all__ = ["AuditViews"]
 class AuditViews:
     """Incrementally maintained projections over one audit log.
 
-    ``source`` must expose ``entry_at(sequence)`` and iteration, with
-    globally unique sequence numbers (a ``SegmentedAuditStore`` or a
-    single flat ``AppendOnlyLog`` — not a ``ShardedLog``, whose
-    per-shard sequences collide).
+    ``source`` must expose ``entry_at(sequence)`` and iteration (a
+    ``SegmentedAuditStore`` or a flat ``AppendOnlyLog``: every log
+    numbers its entries 0, 1, 2, … in one sequence space).
     """
 
     def __init__(self, source: "_ViewSource"):

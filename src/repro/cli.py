@@ -181,7 +181,7 @@ def _forensics_export_image(args: argparse.Namespace) -> int:
         KeypadConfig.builder(
             KeypadConfig(texp=args.texp, prefetch="dir:3", ibe_enabled=True)
         )
-        .audit_store("segmented", segment_entries=4, durable=True,
+        .audit_store("durable", segment_entries=4,
                      flush_policy="every-append")
         .build()
     )

@@ -261,7 +261,7 @@ class ClusterAuditLog:
                     )
                 )
         for index, replica in enumerate(self.replicas):
-            stats = getattr(replica, "recovery_stats", None)
+            stats = replica.recovery_stats
             if stats and stats.get("lost_entries"):
                 out.append(
                     Divergence(
@@ -370,7 +370,7 @@ class ClusterAuditLog:
             last_start[key] = access.timestamp
         lost = 0
         for replica in self.replicas:
-            stats = getattr(replica, "recovery_stats", None)
+            stats = replica.recovery_stats
             if stats:
                 lost += int(stats.get("lost_entries") or 0)
         report = {

@@ -15,6 +15,7 @@ in :class:`~repro.cluster.client.ReplicatedKeyClient`.
 
 from __future__ import annotations
 
+from repro.auditstore import AuditSpec
 from repro.costmodel import DEFAULT_COSTS, CostModel
 from repro.sim import Simulation
 from repro.core.services.keyservice import KeyService
@@ -33,13 +34,7 @@ class ReplicaGroup:
         costs: CostModel = DEFAULT_COSTS,
         seed: bytes = b"replica-group",
         shards: int = 1,
-        audit_store: str = "flat",
-        segment_entries: int = 1024,
-        auto_compact: bool = True,
-        audit_durable: bool = False,
-        audit_flush_policy: str = "every-seal",
-        audit_flush_every: int = 64,
-        audit_checkpoint_every: int = 0,
+        audit: AuditSpec = AuditSpec(),
         audit_blobs=None,
     ):
         if not 1 <= k <= m:
@@ -54,21 +49,10 @@ class ReplicaGroup:
                 seed=seed + b"|r%d" % i,
                 name=f"key-replica-{i}",
                 shards=shards,
-                audit_store=audit_store,
-                segment_entries=segment_entries,
-                auto_compact=auto_compact,
-                audit_durable=audit_durable,
-                audit_flush_policy=audit_flush_policy,
-                audit_flush_every=audit_flush_every,
-                audit_checkpoint_every=audit_checkpoint_every,
+                audit=audit,
                 # Each replica spills into its own namespace on the
                 # shared store (audit/key-replica-<i>/...).
-                audit_blobs=(
-                    audit_blobs.namespace(f"audit/key-replica-{i}")
-                    if audit_blobs is not None
-                    and hasattr(audit_blobs, "namespace")
-                    else audit_blobs
-                ),
+                audit_blobs=audit_blobs,
             )
             for i in range(m)
         ]

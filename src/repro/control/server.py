@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import replace
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 from repro.costmodel import DEFAULT_COSTS, CostModel
 from repro.crypto.hmac import hmac_sha256
@@ -322,7 +322,7 @@ class ControlServer:
         # service's namespace at the new stack's blob store (legal
         # precisely because the precondition proved nothing spilled).
         for service in self.key_services:
-            if getattr(service, "audit_durable", False):
+            if service.audit.store == "durable":
                 service.rebind_audit_blobs(stack.blobs)
         self.policy.replace_config(
             replace(self.policy.config, storage_backend=name)
@@ -373,6 +373,14 @@ class ControlServer:
             )
         return [(index, self.key_services[index])]
 
+    @staticmethod
+    def _require_segments(index: int, service: Any, what: str) -> None:
+        if service.audit.store == "flat":
+            raise ControlError(
+                f"service {index} uses the flat audit store; "
+                f"{what} needs a segmented or durable one"
+            )
+
     def _audit_stats(self, device_id: str, payload: dict) -> dict:
         """Per-service audit-store and view statistics (read-only).
 
@@ -382,22 +390,9 @@ class ControlServer:
         """
         services = []
         for index, service in self._audit_targets(payload):
-            log = service.access_log
-            stats = getattr(log, "stats", None)
-            if stats is not None:
-                entry = {"index": index, **stats()}
-            else:
-                shards = getattr(log, "shards", None)
-                entry = {
-                    "index": index,
-                    "store": "flat",
-                    "name": log.name,
-                    "entries": len(log),
-                    "shards": len(shards) if isinstance(shards, list) else 1,
-                }
-            recovery = getattr(service, "recovery_stats", None)
-            if recovery is not None:
-                entry["recovery"] = dict(recovery)
+            entry = {"index": index, **service.access_log.stats()}
+            if service.recovery_stats is not None:
+                entry["recovery"] = dict(service.recovery_stats)
             services.append(entry)
         return {"at": self.sim.now, "services": services}
 
@@ -405,13 +400,10 @@ class ControlServer:
         """Force-seal the active segment on segmented stores."""
         sealed = []
         for index, service in self._audit_targets(payload):
-            log = service.access_log
-            if not hasattr(log, "force_seal"):
-                raise ControlError(
-                    f"service {index} uses the flat audit store; "
-                    "force-seal needs audit_store('segmented')"
-                )
-            sealed.append({"index": index, "segment": log.force_seal()})
+            self._require_segments(index, service, "force-seal")
+            sealed.append(
+                {"index": index, "segment": service.access_log.force_seal()}
+            )
         self._note("audit_seal", count=len(sealed))
         return {"sealed": sealed}
 
@@ -419,13 +411,10 @@ class ControlServer:
         """Rebuild materialized views from the log (recovery drill)."""
         rebuilt = []
         for index, service in self._audit_targets(payload):
-            views = getattr(service.access_log, "views", None)
-            if views is None:
-                raise ControlError(
-                    f"service {index} uses the flat audit store; "
-                    "views need audit_store('segmented')"
-                )
-            rebuilt.append({"index": index, "entries": views.rebuild()})
+            self._require_segments(index, service, "a view rebuild")
+            rebuilt.append(
+                {"index": index, "entries": service.access_log.views.rebuild()}
+            )
         self._note("audit_rebuild", count=len(rebuilt))
         return {"rebuilt": rebuilt}
 
@@ -435,10 +424,6 @@ class ControlServer:
         the admin call's timeline."""
         out = []
         for index, service in self._audit_targets(payload):
-            if not hasattr(service, "audit_checkpoint"):
-                raise ControlError(
-                    f"service {index} has no durable audit store"
-                )
             upto = service.audit_checkpoint()  # ConfigError -> ControlError
             yield from service._audit_sync()
             out.append({"index": index, "upto": upto})
@@ -453,7 +438,7 @@ class ControlServer:
         unavailable."""
         out = []
         for index, service in self._audit_targets(payload):
-            if getattr(service, "_crashed", False):
+            if service._crashed:
                 try:
                     stats = service.restart()
                 except AuditRecoveryError as exc:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Optional, Sequence
 
+from repro.auditstore import AuditSpec
 from repro.errors import ConfigError
 from repro.util.paths import is_ancestor, normalize
 
@@ -179,29 +180,14 @@ class KeypadConfig:
     # the paper's BlockDevice -> BufferCache -> LocalFileSystem stack
     # byte for byte; 'memory' and 'cas' are opt-in alternatives.
     storage_backend: str = "ext3"
-    # --- audit store (see repro.auditstore / docs/AUDITSTORE.md).
-    # 'flat' keeps the paper's single AppendOnlyLog per replica;
-    # 'segmented' is the event-sourced store with seal-chained
-    # segments and materialized forensic views.  Mount-frozen: the
-    # store holds the durable audit trail, so it cannot be swapped
-    # under a live mount.
-    audit_store: str = "flat"
-    # Records per segment before the active segment is sealed.
-    audit_segment_entries: int = 1024
-    # Compact segments to their packed form as soon as they seal.
-    audit_auto_compact: bool = True
-    # Persist the audit store through the storage backend's blob
-    # namespace (segmented only): sealed segments spill as write-once
-    # blobs and the active tail group-commits on the flush policy.
-    # Mount-frozen, like the store itself.
-    audit_durable: bool = False
-    # 'every-append' | 'every-seal' | 'every-n' (see docs/AUDITSTORE.md).
-    audit_flush_policy: str = "every-seal"
-    # Appends between tail flushes under 'every-n'.
-    audit_flush_every: int = 64
-    # Appends between automatic view checkpoints (0 = manual only,
-    # via ctl.audit_checkpoint).
-    audit_checkpoint_every: int = 0
+    # --- audit store (see repro.auditstore / docs/AUDITSTORE.md): one
+    # frozen AuditSpec — 'flat' (the paper's single AppendOnlyLog per
+    # replica, the default), 'segmented' (seal-chained segments with
+    # materialized forensic views) or 'durable' (segmented, spilled
+    # through the storage backend's blob namespace).  Mount-frozen: the
+    # store holds the audit trail, so it cannot be swapped under a live
+    # mount.
+    audit: AuditSpec = AuditSpec()
 
     def coverage(self) -> Callable[[str], bool]:
         return coverage_for_prefixes(self.protected_prefixes)
@@ -354,30 +340,23 @@ class KeypadConfigBuilder:
         self,
         store: str = "segmented",
         segment_entries: int = 1024,
-        auto_compact: bool = True,
-        durable: bool = False,
         flush_policy: str = "every-seal",
         flush_every: int = 64,
-        checkpoint_every: int = 0,
     ) -> "KeypadConfigBuilder":
-        """Select the audit-store engine (see docs/AUDITSTORE.md):
-        ``'flat'`` (the paper's append-only log, the default) or
-        ``'segmented'`` (event-sourced segments + materialized forensic
-        views).  ``durable=True`` (segmented only) spills the store
-        through the storage backend's blob namespace and enables crash
-        recovery; ``flush_policy``/``flush_every`` set the group-commit
-        cadence and ``checkpoint_every`` the automatic view-checkpoint
-        interval."""
-        self._config = replace(
-            self._config,
-            audit_store=store,
-            audit_segment_entries=segment_entries,
-            audit_auto_compact=auto_compact,
-            audit_durable=durable,
-            audit_flush_policy=flush_policy,
-            audit_flush_every=flush_every,
-            audit_checkpoint_every=checkpoint_every,
-        )
+        """Select the audit store (see docs/AUDITSTORE.md): ``'flat'``
+        (the paper's append-only log, the default), ``'segmented'``
+        (event-sourced segments + materialized forensic views) or
+        ``'durable'`` (segmented, spilled through the storage backend's
+        blob namespace, with crash recovery; ``flush_policy`` and
+        ``flush_every`` set its group-commit cadence).  Builds the
+        config's :class:`~repro.auditstore.AuditSpec`, which raises
+        :class:`~repro.errors.ConfigError` on a bad value."""
+        self._config = replace(self._config, audit=AuditSpec(
+            store=store,
+            segment_entries=segment_entries,
+            flush_policy=flush_policy,
+            flush_every=flush_every,
+        ))
         return self
 
     def tracing(
@@ -554,38 +533,6 @@ def validate_config(config: KeypadConfig) -> KeypadConfig:
         raise ConfigError(
             f"unknown storage backend {config.storage_backend!r}; "
             f"choose one of {sorted(BACKENDS)}"
-        )
-    if config.audit_store not in ("flat", "segmented"):
-        raise ConfigError(
-            f"audit_store must be 'flat' or 'segmented', "
-            f"got {config.audit_store!r}"
-        )
-    if config.audit_segment_entries < 2:
-        raise ConfigError(
-            f"audit_segment_entries must be >= 2, "
-            f"got {config.audit_segment_entries!r}"
-        )
-    if config.audit_durable and config.audit_store != "segmented":
-        raise ConfigError(
-            "audit_durable=True requires audit_store='segmented' "
-            f"(got {config.audit_store!r})"
-        )
-    if config.audit_flush_policy not in (
-        "every-append", "every-seal", "every-n"
-    ):
-        raise ConfigError(
-            f"audit_flush_policy must be 'every-append', 'every-seal', "
-            f"or 'every-n', got {config.audit_flush_policy!r}"
-        )
-    if config.audit_flush_every < 1:
-        raise ConfigError(
-            f"audit_flush_every must be >= 1, "
-            f"got {config.audit_flush_every!r}"
-        )
-    if config.audit_checkpoint_every < 0:
-        raise ConfigError(
-            f"audit_checkpoint_every must be >= 0, "
-            f"got {config.audit_checkpoint_every!r}"
         )
     return config
 

@@ -10,12 +10,13 @@ Remote control (§2, §6): keys are identified per device, so reporting a
 device missing revokes every key it owns; subsequent fetches fail with
 :class:`RevokedError` and are themselves logged.
 
-Sharding (``shards > 1``): the escrow map and the access log are split
-by audit-ID prefix, each shard with its own FIFO queue (a cooperative
+Sharding (``shards > 1``): the escrow map is split by audit-ID prefix,
+each shard with its own FIFO queue (a cooperative
 :class:`~repro.sim.Lock`), so a batched fetch fans out one worker per
 shard and the durable-log/lookup time is the *maximum* over shards
-rather than the sum.  ``shards=1`` (the default) keeps the original
-single-map, single-chain code path byte-for-byte.
+rather than the sum.  The access log stays one store with one chain and
+one sequence space, whatever the shard count.  Which store it is comes
+from one :class:`~repro.auditstore.AuditSpec` (``audit``).
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from repro.crypto.drbg import HmacDrbg
 from repro.errors import ConfigError, RevokedError, RpcError
 from repro.net.rpc import RpcServer
 from repro.sim import Lock, Simulation
-from repro.auditstore import make_audit_log
-from repro.auditstore.durable import DurableAuditStore
+from repro.auditstore import AuditSpec
 from repro.auditstore.log import DISCLOSING_KINDS, LogEntry
 from repro.storage.backend import BlobStore
 
@@ -49,21 +49,11 @@ class KeyService:
         seed: bytes = b"key-service",
         name: str = "key-service",
         shards: int = 1,
-        audit_store: str = "flat",
-        segment_entries: int = 1024,
-        auto_compact: bool = True,
-        audit_durable: bool = False,
-        audit_flush_policy: str = "every-seal",
-        audit_flush_every: int = 64,
-        audit_checkpoint_every: int = 0,
-        audit_blobs=None,
+        audit: AuditSpec = AuditSpec(),
+        audit_blobs: Optional[BlobStore] = None,
     ):
         if shards < 1:
             raise ValueError("key service needs at least one shard")
-        if audit_durable and audit_store != "segmented":
-            raise ConfigError(
-                "audit_durable requires audit_store='segmented'"
-            )
         self.sim = sim
         self.costs = costs
         self.shards = shards
@@ -74,50 +64,25 @@ class KeyService:
         ]
         self._owner: dict[bytes, str] = {}
         self._revoked_devices: set[str] = set()
-        # Shard locks model per-shard worker queues regardless of how
-        # the log is stored; the segmented store keeps one global store
-        # even with shards > 1 (group-committed segments subsume the
-        # per-shard chain trick without changing simulated time).
+        # Shard locks model per-shard worker queues; every shard appends
+        # to the one access log.
         self._shard_locks: Optional[list[Lock]] = (
             None if shards == 1 else [Lock(sim) for _ in range(shards)]
         )
         # Durability seam: a durable store spills into a write-once
-        # blob namespace (`audit/<service-name>/`) on the rig's shared
-        # BlobStore; standalone services get a private in-memory one.
-        self.audit_durable = audit_durable
+        # blob namespace (`audit/<service-name>/`) of ``audit_blobs``,
+        # the rig's shared BlobStore; standalone services get a private
+        # in-memory one.
+        self.audit = audit
         self.audit_namespace = f"audit/{name}"
-        if audit_durable and audit_blobs is None:
-            audit_blobs = BlobStore("memory", costs).namespace(
-                self.audit_namespace
-            )
-        self._audit_blobs = audit_blobs
-        self._audit_knobs = {
-            "store": audit_store,
-            "shards": shards,
-            "segment_entries": segment_entries,
-            "auto_compact": auto_compact,
-            "durable": audit_durable,
-            "flush_policy": audit_flush_policy,
-            "flush_every": audit_flush_every,
-        }
-        self.audit_checkpoint_every = max(0, int(audit_checkpoint_every))
-        self._last_checkpoint = 0
+        if audit_blobs is None:
+            audit_blobs = BlobStore("memory", costs)
         self._crashed = False
         self._entries_at_crash: Optional[int] = None
         #: set by :meth:`restart` — what the last recovery found.
         self.recovery_stats: Optional[dict] = None
-        self.access_log = make_audit_log(
-            name="key-access",
-            store=audit_store,
-            shards=shards,
-            router=self._route_record,
-            segment_entries=segment_entries,
-            auto_compact=auto_compact,
-            durable=audit_durable,
-            blobs=audit_blobs,
-            flush_policy=audit_flush_policy,
-            flush_every=audit_flush_every,
-            costs=costs,
+        self.access_log = audit.open(
+            "key-access", audit_blobs.namespace(self.audit_namespace), costs
         )
 
         # Retry dedup: token -> time of the entry it logged.  A retried
@@ -143,14 +108,6 @@ class KeyService:
     def _shard_map(self, audit_id: bytes) -> dict[bytes, bytes]:
         return self._key_shards[self._shard_of(audit_id)]
 
-    def _route_record(self, device_id: str, kind: str, fields: dict) -> int:
-        audit_id = fields.get("audit_id")
-        if isinstance(audit_id, (bytes, bytearray)) and audit_id:
-            return self._shard_of(bytes(audit_id))
-        # Non-key records (revocations, evictions) ride on a stable
-        # device-derived shard.
-        return device_id.encode()[0] if device_id else 0
-
     def _shard_queue(self, shard: int) -> Generator:
         """Enter a shard's FIFO queue (no-op with a single shard)."""
         if self._shard_locks is not None:
@@ -168,36 +125,26 @@ class KeyService:
         Called by every handler right after it appends: the durable
         store's blob writes happen synchronously (log-before-disclose),
         but their simulated cost lands here, at the handler's next
-        yield point.  Also drives the automatic checkpoint cadence.
-        With a non-durable log this yields nothing — the flags-off
-        timeline is untouched.
+        yield point.  With a non-durable log this yields nothing — the
+        flags-off timeline is untouched.
         """
-        log = self.access_log
-        take = getattr(log, "take_pending_cost", None)
-        if take is None:
-            return None
-        if (
-            self.audit_checkpoint_every
-            and len(log) - self._last_checkpoint
-            >= self.audit_checkpoint_every
-        ):
-            log.checkpoint()
-            self._last_checkpoint = len(log)
-        cost = take()
-        if cost > 0.0:
-            yield cost
+        if self.audit.store == "durable":
+            cost = self.access_log.take_pending_cost()
+            if cost > 0.0:
+                yield cost
         return None
+
+    def _require_durable(self, what: str) -> None:
+        if self.audit.store != "durable":
+            raise ConfigError(
+                f"{what} need a durable audit store "
+                "(audit_store('durable'))"
+            )
 
     def audit_checkpoint(self) -> int:
         """Persist a view snapshot now (``ctl.audit_checkpoint``)."""
-        if not hasattr(self.access_log, "checkpoint"):
-            raise ConfigError(
-                "audit checkpoints need a durable audit store "
-                "(audit_durable=True)"
-            )
-        upto = self.access_log.checkpoint()
-        self._last_checkpoint = upto
-        return upto
+        self._require_durable("audit checkpoints")
+        return self.access_log.checkpoint()
 
     def crash(self) -> int:
         """Simulate process death: the RPC server goes away and every
@@ -210,10 +157,9 @@ class KeyService:
         self.server.available = False
         self._crashed = True
         log = self.access_log
-        if hasattr(log, "crash"):
-            self._entries_at_crash = log.crash()
-        else:
-            self._entries_at_crash = len(log)
+        self._entries_at_crash = (
+            log.crash() if self.audit.store == "durable" else len(log)
+        )
         return self._entries_at_crash
 
     def restart(self) -> dict:
@@ -231,32 +177,18 @@ class KeyService:
             raise ConfigError(
                 f"service {self.server.name!r} is not crashed"
             )
-        knobs = self._audit_knobs
         before = self._entries_at_crash or 0
-        if knobs["durable"]:
+        if self.audit.store == "durable":
             # Raises AuditRecoveryError on damage; server.available
             # stays False in that case (refuse to serve).
-            self.access_log = DurableAuditStore.recover(
-                self._audit_blobs,
-                name="key-access",
-                segment_entries=knobs["segment_entries"],
-                auto_compact=knobs["auto_compact"],
-                costs=self.costs,
-                flush_policy=knobs["flush_policy"],
-                flush_every=knobs["flush_every"],
+            self.access_log = self.audit.recover(
+                "key-access", self.access_log.blobs, self.costs,
                 entries_before=before,
             )
             self.recovery_stats = dict(self.access_log.recovery)
             self.recovery_stats["durable"] = True
         else:
-            self.access_log = make_audit_log(
-                name="key-access",
-                store=knobs["store"],
-                shards=knobs["shards"],
-                router=self._route_record,
-                segment_entries=knobs["segment_entries"],
-                auto_compact=knobs["auto_compact"],
-            )
+            self.access_log = self.audit.open("key-access")
             self.recovery_stats = {
                 "durable": False,
                 "recovered_entries": 0,
@@ -264,9 +196,6 @@ class KeyService:
                 "lost_entries": before,
                 "checkpoint_used": False,
             }
-        self._last_checkpoint = min(
-            self._last_checkpoint, len(self.access_log)
-        )
         self._fetch_tokens.clear()
         self._crashed = False
         self._entries_at_crash = None
@@ -277,28 +206,15 @@ class KeyService:
         """Dry-run recovery against the live blobs (``ctl.audit_recover``
         on a healthy service): proves the spilled state would recover,
         without touching the serving log."""
-        if not hasattr(self.access_log, "verify_blobs"):
-            raise ConfigError(
-                "recovery drills need a durable audit store "
-                "(audit_durable=True)"
-            )
+        self._require_durable("recovery drills")
         return self.access_log.verify_blobs()
 
-    def rebind_audit_blobs(self, blobs) -> None:
-        """Re-point the audit namespace after a backend swap.
-
-        ``blobs`` is the new stack's :class:`BlobStore` (or an
-        already-prefixed namespace).  Only reachable when nothing was
-        spilled — spilled segments veto the swap itself.
+    def rebind_audit_blobs(self, blobs: BlobStore) -> None:
+        """Re-point a durable store at ``blobs`` (the new stack's
+        :class:`BlobStore`) after a backend swap.  Only reachable when
+        nothing was spilled — spilled segments veto the swap itself.
         """
-        ns = (
-            blobs.namespace(self.audit_namespace)
-            if hasattr(blobs, "namespace")
-            else blobs
-        )
-        self._audit_blobs = ns
-        if hasattr(self.access_log, "rebind_blobs"):
-            self.access_log.rebind_blobs(ns)
+        self.access_log.rebind_blobs(blobs.namespace(self.audit_namespace))
 
     # -- server-side frontend (fleet scale; see repro.server) ---------------
     def install_frontend(
@@ -673,18 +589,17 @@ class KeyService:
     ) -> list[LogEntry]:
         """All key-disclosing log entries at or after time ``t``.
 
-        With the segmented store this answers from the post-theft
+        A segmented or durable store answers from the post-theft
         window view (one bisect, O(answer)); the flat log scans.
         Both return identical entries in append order.
         """
-        views = getattr(self.access_log, "views", None)
-        if views is not None:
-            return views.accesses_after(t, device_id=device_id)
-        return [
-            e
-            for e in self.access_log.entries(since=t, device_id=device_id)
-            if e.kind in DISCLOSING_KINDS
-        ]
+        if self.audit.store == "flat":
+            return [
+                e
+                for e in self.access_log.entries(since=t, device_id=device_id)
+                if e.kind in DISCLOSING_KINDS
+            ]
+        return self.access_log.views.accesses_after(t, device_id=device_id)
 
     def known_audit_ids(self) -> set[bytes]:
         out: set[bytes] = set()

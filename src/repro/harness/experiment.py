@@ -220,14 +220,8 @@ def build_keypad_rig(
             costs=costs,
             seed=seed + b"|replica",
             shards=config.key_shards,
-            audit_store=config.audit_store,
-            segment_entries=config.audit_segment_entries,
-            auto_compact=config.audit_auto_compact,
-            audit_durable=config.audit_durable,
-            audit_flush_policy=config.audit_flush_policy,
-            audit_flush_every=config.audit_flush_every,
-            audit_checkpoint_every=config.audit_checkpoint_every,
-            audit_blobs=stack.blobs if config.audit_durable else None,
+            audit=config.audit,
+            audit_blobs=stack.blobs,
         )
         if config.federation is not None:
             from repro.cluster.federation import (
@@ -295,17 +289,8 @@ def build_keypad_rig(
             costs=costs,
             seed=seed + b"|ks",
             shards=config.key_shards,
-            audit_store=config.audit_store,
-            segment_entries=config.audit_segment_entries,
-            auto_compact=config.audit_auto_compact,
-            audit_durable=config.audit_durable,
-            audit_flush_policy=config.audit_flush_policy,
-            audit_flush_every=config.audit_flush_every,
-            audit_checkpoint_every=config.audit_checkpoint_every,
-            audit_blobs=(
-                stack.blobs.namespace("audit/key-service")
-                if config.audit_durable else None
-            ),
+            audit=config.audit,
+            audit_blobs=stack.blobs,
         )
         key_link = network.make_link(sim, label=f"{network.name}-keys")
         services = ServiceSession(

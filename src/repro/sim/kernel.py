@@ -41,8 +41,8 @@ entry popped.  Otherwise the resume queues behind the others, as a
 Timeout's waiter would.  :attr:`Simulation.now` is a plain attribute
 that only the dispatch loops move.
 
-:class:`_HeapScheduler`, the original ``heapq`` queue, stays as the
-reference oracle (like the reference kernels in :mod:`repro.crypto`).
+The original ``heapq`` queue is the reference oracle and lives in
+``tests/sim_oracle.py`` (``HeapScheduler``);
 ``tests/property/test_kernel_equivalence.py`` and
 ``benchmarks/bench_sim_kernel.py`` patch it in for the calendar queue
 and hold the two to the identical firing order.
@@ -448,51 +448,6 @@ class Queue:
 
     def __len__(self) -> int:
         return len(self._items)
-
-
-class _HeapScheduler:
-    """The original ``heapq`` event queue (the reference oracle)."""
-
-    __slots__ = ("_heap",)
-    name = "heap"
-
-    def __init__(self) -> None:
-        self._heap: list[tuple] = []
-
-    def push(self, entry: tuple) -> None:
-        heappush(self._heap, entry)
-
-    # The reference kernel kept zero-delay events on the same heap.
-    push_now = push
-
-    def pop(self) -> tuple:
-        return heappop(self._heap)
-
-    def pop_due(self, until: Optional[float]) -> Optional[tuple]:
-        """Pop the next entry, or None if the queue is empty or the next
-        entry fires after ``until`` (inclusive bound; None = no bound)."""
-        heap = self._heap
-        if not heap or (until is not None and heap[0][0] > until):
-            return None
-        return heappop(heap)
-
-    def pop_before(self, limit: float) -> Optional[tuple]:
-        """Pop the next entry strictly below ``limit``, else None."""
-        heap = self._heap
-        if not heap or heap[0][0] >= limit:
-            return None
-        return heappop(heap)
-
-    def peek_time(self) -> Optional[float]:
-        return self._heap[0][0] if self._heap else None
-
-    def busy_at(self, t: float) -> bool:
-        """Whether an entry is queued at instant ``t`` (the current one)."""
-        heap = self._heap
-        return bool(heap) and heap[0][0] <= t
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
 
 class _CalendarScheduler:

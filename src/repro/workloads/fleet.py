@@ -32,6 +32,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional
 
+from repro.auditstore import AuditSpec
 from repro.core.context import OpContext
 from repro.core.services.keyservice import (
     AUDIT_ID_LEN,
@@ -43,6 +44,7 @@ from repro.crypto.drbg import HmacDrbg
 from repro.crypto.secretshare import split_secret
 from repro.crypto.sha256 import sha256_fast
 from repro.errors import (
+    ConfigError,
     ControlError,
     DeadlineExpiredError,
     KeypadError,
@@ -477,7 +479,6 @@ def run_fleet(
     audit_durable: bool = False,
     audit_flush_policy: str = "every-seal",
     audit_flush_every: int = 64,
-    audit_checkpoint_every: int = 0,
     faults=None,
     inspect: Optional[Callable] = None,
     fleet_shards: Optional[int] = None,
@@ -514,11 +515,12 @@ def run_fleet(
     examine server-side state (audit log contents, store stats, ...)
     once :func:`run_fleet` returns.
 
-    ``audit_durable=True`` (segmented store only) persists each
+    ``audit_durable=True`` with ``audit_store="segmented"`` (or
+    ``audit_store="durable"``) persists each
     service's audit log through a write-once blob store, with
     ``audit_flush_policy``/``audit_flush_every`` setting the group
-    commit cadence and ``audit_checkpoint_every`` the automatic view
-    checkpoint interval.  ``faults`` is an optional
+    commit cadence; the audit knobs become one
+    :class:`~repro.auditstore.AuditSpec` here.  ``faults`` is an optional
     :class:`~repro.cluster.faults.FaultPlan` replayed against the
     replica group mid-run — including ``kill`` events, whose
     auto-revert restarts the replica through real audit recovery.
@@ -558,11 +560,20 @@ def run_fleet(
         replicas = topology.total_replicas
         threshold = topology.threshold
 
+    if audit_durable and audit_store not in ("segmented", "durable"):
+        raise ConfigError("audit_durable=True needs audit_store='segmented'")
+    audit = AuditSpec(
+        store="durable" if audit_durable else audit_store,
+        segment_entries=segment_entries,
+        flush_policy=audit_flush_policy,
+        flush_every=audit_flush_every,
+    )
+
     requested = fleet_shards
     if requested is None:
         requested = int(os.environ.get("KEYPAD_FLEET_SHARDS", "1") or "1")
     n_shards = max(1, min(int(requested), devices))
-    if n_shards > 1 and not audit_durable and faults is None:
+    if n_shards > 1 and audit.store != "durable" and faults is None:
         from repro.workloads import fleet_shard
 
         if fleet_shard.available(net, replicas=replicas):
@@ -570,8 +581,7 @@ def run_fleet(
                 devices=devices, duration=duration, seed=seed,
                 scanner_fraction=scanner_fraction, network=net,
                 costs=costs, frontend=frontend, shards=shards,
-                control=control, audit_store=audit_store,
-                segment_entries=segment_entries, inspect=inspect,
+                control=control, audit=audit, inspect=inspect,
                 n_shards=n_shards,
             )
         # Unsupported topology (replica cluster, zero-latency link): run
@@ -587,15 +597,8 @@ def run_fleet(
 
         replica_knobs = dict(
             costs=costs, seed=derive_arm_seed(seed, "cluster"),
-            shards=shards,
-            audit_store=audit_store, segment_entries=segment_entries,
-            audit_durable=audit_durable,
-            audit_flush_policy=audit_flush_policy,
-            audit_flush_every=audit_flush_every,
-            audit_checkpoint_every=audit_checkpoint_every,
-            audit_blobs=(
-                BlobStore("memory", costs) if audit_durable else None
-            ),
+            shards=shards, audit=audit,
+            audit_blobs=BlobStore("memory", costs),
         )
         if topology is not None:
             from repro.cluster.federation import (
@@ -616,12 +619,7 @@ def run_fleet(
     else:
         service = KeyService(
             sim, costs=costs, seed=derive_arm_seed(seed, "ks"),
-            name="fleet-keys", shards=shards,
-            audit_store=audit_store, segment_entries=segment_entries,
-            audit_durable=audit_durable,
-            audit_flush_policy=audit_flush_policy,
-            audit_flush_every=audit_flush_every,
-            audit_checkpoint_every=audit_checkpoint_every,
+            name="fleet-keys", shards=shards, audit=audit,
         )
         if frontend is not None:
             frontends = [service.install_frontend(**frontend)]

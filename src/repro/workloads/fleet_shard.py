@@ -64,6 +64,7 @@ import multiprocessing
 from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
+from repro.auditstore import AuditSpec
 from repro.costmodel import CostModel
 from repro.net.netem import NetEnv
 from repro.net.rpc import RpcChannel, raise_if_fault, serve_request
@@ -334,8 +335,7 @@ def run_fleet_sharded(
     frontend: Optional[dict],
     shards: int,
     control: Optional[list],
-    audit_store: str,
-    segment_entries: int,
+    audit: AuditSpec,
     inspect,
     n_shards: int,
 ):
@@ -382,8 +382,7 @@ def run_fleet_sharded(
         sim = Simulation()
         service = KeyService(
             sim, costs=costs, seed=derive_arm_seed(seed, "ks"),
-            name=server_name, shards=shards,
-            audit_store=audit_store, segment_entries=segment_entries,
+            name=server_name, shards=shards, audit=audit,
         )
         frontends = (
             [service.install_frontend(**frontend)]

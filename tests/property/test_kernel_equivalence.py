@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Interrupt, Simulation, kernel
+from tests.sim_oracle import HeapScheduler
 
 
 def _simulation(scheduler: str, direct: bool = True) -> Simulation:
@@ -31,12 +32,12 @@ def _simulation(scheduler: str, direct: bool = True) -> Simulation:
     with contextlib.ExitStack() as stack:
         if scheduler == "heap":
             stack.enter_context(mock.patch.object(
-                kernel, "_CalendarScheduler", kernel._HeapScheduler))
+                kernel, "_CalendarScheduler", HeapScheduler))
         if not direct:
             stack.enter_context(mock.patch.object(
                 kernel._CalendarScheduler, "busy_at", _always_busy))
             stack.enter_context(mock.patch.object(
-                kernel._HeapScheduler, "busy_at", _always_busy))
+                HeapScheduler, "busy_at", _always_busy))
         return Simulation()
 
 
@@ -132,7 +133,7 @@ def test_calendar_matches_heap_trace(scripts):
 
 
 def test_heap_oracle_is_patched_in():
-    assert type(_simulation("heap")._q) is kernel._HeapScheduler
+    assert type(_simulation("heap")._q) is HeapScheduler
     assert type(_simulation("calendar")._q) is kernel._CalendarScheduler
 
 

@@ -42,7 +42,7 @@ API_SURFACE = sorted([
     # forensics
     "AuditTool", "AuditReport",
     # audit store (event-sourced log + materialized views)
-    "AppendOnlyLog", "ShardedLog", "LogEntry",
+    "AppendOnlyLog", "AuditSpec", "LogEntry",
     "SegmentedAuditStore", "AuditSegment", "AuditViews",
     # durable audit store (segment spill + crash recovery)
     "DurableAuditStore", "BlobImage", "FLUSH_POLICIES",

@@ -8,9 +8,9 @@ import pytest
 
 from repro.auditstore import (
     AppendOnlyLog,
+    AuditSpec,
     AuditViews,
     SegmentedAuditStore,
-    make_audit_log,
 )
 from repro.auditstore import store as store_module
 from repro.auditstore.log import DISCLOSING_KINDS
@@ -29,21 +29,22 @@ def _fill(log, n=10, kind="fetch", device="dev-1", t0=0.0):
 
 
 class TestMakeAuditLog:
-    def test_flat_single(self):
-        log = make_audit_log("x", store="flat")
-        assert isinstance(log, AppendOnlyLog)
+    """``AuditSpec.open``: the one place a store is chosen."""
 
-    def test_flat_sharded_needs_router(self):
-        with pytest.raises(ValueError, match="router"):
-            make_audit_log("x", store="flat", shards=2)
+    def test_flat_single(self):
+        log = AuditSpec().open("x")
+        assert type(log) is AppendOnlyLog and log.name == "x"
 
     def test_segmented_ignores_shards(self):
-        log = make_audit_log("x", store="segmented", shards=4)
-        assert isinstance(log, SegmentedAuditStore)
+        # A sharded key service still keeps one segmented store.
+        sim = Simulation()
+        service = KeyService(sim, shards=4,
+                             audit=AuditSpec(store="segmented"))
+        assert type(service.access_log) is SegmentedAuditStore
 
     def test_unknown_store_rejected(self):
-        with pytest.raises(ValueError, match="unknown audit store"):
-            make_audit_log("x", store="cloud")
+        with pytest.raises(ConfigError, match="audit store"):
+            AuditSpec(store="cloud")
 
 
 class TestSegmentedStore:
@@ -177,8 +178,8 @@ class TestKeyServiceWiring:
     def test_segmented_service_answers_identically(self):
         flat_sim, seg_sim = Simulation(), Simulation()
         flat_ks = KeyService(flat_sim)
-        seg_ks = KeyService(seg_sim, audit_store="segmented",
-                            segment_entries=4)
+        seg_ks = KeyService(
+            seg_sim, audit=AuditSpec(store="segmented", segment_entries=4))
         for ks in (flat_ks, seg_ks):
             for i in range(12):
                 ks.access_log.append(
@@ -288,31 +289,34 @@ class TestIncrementalMerge:
 class TestConfig:
     def test_builder_bundle(self):
         config = (KeypadConfig.builder()
-                  .audit_store("segmented", segment_entries=64,
-                               auto_compact=False)
+                  .audit_store("durable", segment_entries=64,
+                               flush_policy="every-n", flush_every=8)
                   .build())
-        assert config.audit_store == "segmented"
-        assert config.audit_segment_entries == 64
-        assert not config.audit_auto_compact
+        assert config.audit == AuditSpec(store="durable", segment_entries=64,
+                                         flush_policy="every-n",
+                                         flush_every=8)
 
     def test_defaults_flags_off(self):
-        config = KeypadConfig()
-        assert config.audit_store == "flat"
-        assert config.audit_segment_entries == 1024
-        assert config.audit_auto_compact
+        assert KeypadConfig().audit == AuditSpec(store="flat")
+        assert AuditSpec().segment_entries == 1024
 
     def test_validation(self):
-        with pytest.raises(ConfigError, match="audit_store"):
-            validate_config(KeypadConfig(audit_store="parquet"))
-        with pytest.raises(ConfigError, match="audit_segment_entries"):
-            validate_config(KeypadConfig(audit_segment_entries=1))
+        with pytest.raises(ConfigError, match="audit store"):
+            AuditSpec(store="parquet")
+        with pytest.raises(ConfigError, match="segment_entries"):
+            KeypadConfig.builder().audit_store(segment_entries=1)
+        with pytest.raises(ConfigError, match="flush_policy"):
+            AuditSpec(store="durable", flush_policy="sometimes")
+        with pytest.raises(ConfigError, match="flush_every"):
+            AuditSpec(store="durable", flush_every=0)
+        assert validate_config(KeypadConfig()).audit.store == "flat"
 
     def test_mount_frozen(self):
         from repro.core.policy import PolicyEpoch
 
         epoch = PolicyEpoch(KeypadConfig())
         with pytest.raises(ConfigError, match="mount-frozen"):
-            epoch.update(audit_store="segmented")
+            epoch.update(audit=AuditSpec(store="segmented"))
 
 
 class TestControlVerbs:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.auditstore import (
+    AuditSpec,
     BlobImage,
     DurableAuditStore,
     FLUSH_POLICIES,
@@ -15,7 +16,6 @@ from repro.auditstore import (
     decode_segment,
     encode_checkpoint,
     encode_segment,
-    make_audit_log,
 )
 from repro.auditstore.durable import _segment_blob_name
 from repro.cluster.merge import ClusterAuditLog
@@ -209,8 +209,8 @@ class TestCodec:
 class TestFlushPolicies:
     def test_policy_names_are_closed(self):
         assert FLUSH_POLICIES == ("every-append", "every-seal", "every-n")
-        with pytest.raises(ValueError):
-            _durable(flush_policy="sometimes")
+        with pytest.raises(ConfigError):
+            AuditSpec(store="durable", flush_policy="sometimes")
 
     def test_every_append_never_lags(self):
         log, _ = _durable(flush_policy="every-append")
@@ -527,39 +527,48 @@ class TestRecoveryOrder:
 
 
 class TestMakeAuditLogDurable:
+    """``AuditSpec(store="durable").open``."""
+
     def test_durable_needs_segmented(self):
-        with pytest.raises(ValueError, match="segmented"):
-            make_audit_log("x", store="flat", durable=True,
-                           blobs=BlobStore("memory").namespace("a"))
+        # "durable" is its own store; the fleet's legacy pair of knobs
+        # cannot ask for a durable flat log.
+        from repro.workloads.fleet import run_fleet
+
+        with pytest.raises(ConfigError, match="segmented"):
+            run_fleet(devices=1, duration=0.1, audit_store="flat",
+                      audit_durable=True)
 
     def test_durable_needs_blobs(self):
-        with pytest.raises(ValueError, match="blob"):
-            make_audit_log("x", store="segmented", durable=True)
+        with pytest.raises(ConfigError, match="blob"):
+            AuditSpec(store="durable").open("x")
 
     def test_durable_wraps_segmented(self):
-        log = make_audit_log(
-            "x", store="segmented", durable=True,
-            blobs=BlobStore("memory").namespace("audit/x"),
-        )
+        log = AuditSpec(store="durable", segment_entries=4).open(
+            "x", BlobStore("memory").namespace("audit/x"))
         assert isinstance(log, DurableAuditStore)
-        assert isinstance(log.inner, SegmentedAuditStore)
+        assert isinstance(log, SegmentedAuditStore)
+        assert not hasattr(log, "inner")
+        _fill(log, 5)
+        assert log.stats()["durable"]["spilled_segments"] == 1
+        assert log.views.accesses_after(0.0) == list(log)
 
 
 class TestServiceCrashRestart:
-    def _service(self, **kwargs):
+    def _service(self, flush_policy="every-append"):
         sim = Simulation()
-        kwargs.setdefault("audit_flush_policy", "every-append")
         service = KeyService(
-            sim, name="svc", audit_store="segmented",
-            segment_entries=4, audit_durable=True, **kwargs
+            sim, name="svc", audit=AuditSpec(
+                store="durable", segment_entries=4,
+                flush_policy=flush_policy),
         )
         return sim, service
 
     def test_durable_needs_segmented_store(self):
-        sim = Simulation()
-        with pytest.raises(ConfigError, match="segmented"):
-            KeyService(sim, name="svc", audit_store="flat",
-                       audit_durable=True)
+        # The durable store is the segmented one; a standalone service
+        # spills into a private in-memory namespace.
+        _, service = self._service()
+        assert isinstance(service.access_log, SegmentedAuditStore)
+        assert service.access_log.blobs.prefix == "audit/svc/"
 
     def test_restart_requires_a_prior_crash(self):
         _, service = self._service()
@@ -579,7 +588,7 @@ class TestServiceCrashRestart:
         assert service.recovery_stats == stats
 
     def test_unflushed_tail_loss_is_reported(self):
-        _, service = self._service(audit_flush_policy="every-seal")
+        _, service = self._service(flush_policy="every-seal")
         _fill(service.access_log, 6)  # 4 flushed at the seal
         service.crash()
         stats = service.restart()
@@ -590,8 +599,9 @@ class TestServiceCrashRestart:
         _, service = self._service()
         _fill(service.access_log, 5)
         service.crash()
-        blob = service._audit_blobs.get(_segment_blob_name(0))
-        service._audit_blobs.put(
+        blobs = service.access_log.blobs
+        blob = blobs.get(_segment_blob_name(0))
+        blobs.put(
             _segment_blob_name(0), blob[:-1] + b"\x00", overwrite=True
         )
         with pytest.raises(AuditRecoveryError):
@@ -600,8 +610,8 @@ class TestServiceCrashRestart:
 
     def test_non_durable_restart_starts_empty(self):
         sim = Simulation()
-        service = KeyService(sim, name="svc", audit_store="segmented",
-                             segment_entries=4)
+        service = KeyService(sim, name="svc", audit=AuditSpec(
+            store="segmented", segment_entries=4))
         _fill(service.access_log, 5)
         service.crash()
         stats = service.restart()
@@ -611,7 +621,8 @@ class TestServiceCrashRestart:
 
     def test_recover_drill_without_durability_is_refused(self):
         sim = Simulation()
-        service = KeyService(sim, name="svc", audit_store="segmented")
+        service = KeyService(sim, name="svc",
+                             audit=AuditSpec(store="segmented"))
         with pytest.raises(ConfigError):
             service.recover_drill()
 
@@ -620,8 +631,8 @@ class TestClusterKillRestart:
     def _group(self, flush_policy="every-seal"):
         sim = Simulation()
         group = ReplicaGroup(
-            sim, 3, 2, audit_store="segmented", segment_entries=4,
-            audit_durable=True, audit_flush_policy=flush_policy,
+            sim, 3, 2, audit=AuditSpec(store="durable", segment_entries=4,
+                                       flush_policy=flush_policy),
             audit_blobs=BlobStore("memory", DEFAULT_COSTS),
         )
         return sim, group
@@ -630,7 +641,7 @@ class TestClusterKillRestart:
         _, group = self._group(flush_policy="every-append")
         for replica in group.replicas:
             _fill(replica.access_log, 2)
-        prefixes = {r._audit_blobs.prefix for r in group.replicas}
+        prefixes = {r.access_log.blobs.prefix for r in group.replicas}
         assert len(prefixes) == 3
 
     def test_kill_restart_names_the_loss_as_stale_recovery(self):

@@ -400,8 +400,7 @@ class TestFleetControlEvents:
 class TestDurableAuditControl:
     def _durable_rig(self, flush_policy="every-append"):
         return _rig(audit_store=dict(
-            store="segmented", segment_entries=8, durable=True,
-            flush_policy=flush_policy,
+            store="durable", segment_entries=8, flush_policy=flush_policy,
         ))
 
     def _seed_audit(self, rig, names=("a.txt", "b.txt")):

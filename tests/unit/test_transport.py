@@ -21,7 +21,6 @@ from repro.core.client import (
     KeyFetch,
     XattrRegistration,
 )
-from repro.auditstore.log import AppendOnlyLog, ShardedLog
 
 
 class TestEnvelope:
@@ -233,46 +232,6 @@ class TestPipelinedCalls:
         assert channel.negotiated_version is None
 
 
-class TestShardedLog:
-    def _router(self, device_id, kind, fields):
-        audit_id = fields.get("audit_id", b"\x00")
-        return audit_id[0]
-
-    def test_duck_compatible_with_append_only_log(self):
-        plain = AppendOnlyLog(name="a")
-        sharded = ShardedLog(name="b", shards=4, router=self._router)
-        for log in (plain, sharded):
-            log.append(1.0, "dev", "fetch", audit_id=b"\x01" * 4)
-            log.append(2.0, "dev", "fetch", audit_id=b"\x02" * 4)
-            log.append(3.0, "other", "create", audit_id=b"\x03" * 4)
-        assert len(sharded) == len(plain) == 3
-        assert [e.kind for e in sharded] == [e.kind for e in plain]
-        assert (
-            [e.timestamp for e in sharded.entries(since=2.0)]
-            == [e.timestamp for e in plain.entries(since=2.0)]
-        )
-        assert (
-            [e.kind for e in sharded.entries(device_id="dev")]
-            == ["fetch", "fetch"]
-        )
-        assert sharded.verify_chain()
-
-    def test_shards_have_independent_chains(self):
-        sharded = ShardedLog(name="s", shards=2, router=self._router)
-        sharded.append(1.0, "dev", "fetch", audit_id=b"\x00")
-        sharded.append(1.5, "dev", "fetch", audit_id=b"\x01")
-        assert len(sharded.shards[0]) == 1
-        assert len(sharded.shards[1]) == 1
-        assert all(s.verify_chain() for s in sharded.shards)
-
-    def test_tampering_one_shard_fails_verification(self):
-        sharded = ShardedLog(name="s", shards=2, router=self._router)
-        sharded.append(1.0, "dev", "fetch", audit_id=b"\x00")
-        sharded.append(2.0, "dev", "fetch", audit_id=b"\x00")
-        sharded.shards[0]._entries.pop(0)
-        assert not sharded.verify_chain()
-
-
 def _key_service_rig(shards):
     sim = Simulation()
     service = KeyService(sim, shards=shards)
@@ -315,6 +274,34 @@ class TestShardedKeyService:
         assert all(len(k) == 32 for k in results[1])
         # Same DRBG seed => identical escrowed keys regardless of shards.
         assert results[1] == results[4]
+
+    def test_fast_transport_rig_logs_one_sequence_space(self):
+        # key_shards=4 (the fast-transport bundle) still appends to one
+        # log: one chain, and entry i carries sequence i.
+        from repro.api import LAN, KeypadConfig, build_keypad_rig
+
+        config = KeypadConfig.builder().texp(1.0).fast_transport().build()
+        assert config.key_shards == 4
+        rig = build_keypad_rig(network=LAN, config=config, n_blocks=1 << 14)
+        paths = [f"/home/f{i}" for i in range(12)]
+
+        def workload():
+            yield from rig.fs.mkdir("/home")
+            for path in paths:
+                yield from rig.fs.create(path)
+                yield from rig.fs.write(path, 0, b"secret")
+            yield rig.sim.timeout(30.0)
+            for path in paths:
+                yield from rig.fs.read(path, 0, 6)
+
+        rig.run(workload())
+        log = rig.key_service.access_log
+        assert len(log.entries(kind="create")) >= 12
+        assert len(log) > 24
+        assert [e.sequence for e in log] == list(range(len(log)))
+        assert [log.entry_at(i).sequence for i in range(len(log))] == (
+            list(range(len(log))))
+        assert log.verify_chain()
 
     def test_sharded_fetch_batch_is_faster(self):
         elapsed = {}

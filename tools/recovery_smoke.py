@@ -49,7 +49,7 @@ def _mount(backend: str, flush_policy: str = "every-append"):
         KeypadConfig.builder()
         .texp(5.0)
         .storage(backend)
-        .audit_store("segmented", segment_entries=4, durable=True,
+        .audit_store("durable", segment_entries=4,
                      flush_policy=flush_policy)
         .build()
     )
@@ -172,9 +172,8 @@ def fleet_arm() -> None:
         seed=b"ci-recovery-smoke",
         replicas=3,
         threshold=2,
-        audit_store="segmented",
+        audit_store="durable",
         segment_entries=16,
-        audit_durable=True,
         audit_flush_policy="every-append",
         faults=FaultPlan.replica_kill(1, at=2.0, duration=1.0),
         inspect=lambda group: (
