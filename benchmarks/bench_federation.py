@@ -9,9 +9,9 @@ rest of the way to a geo-replicated fleet:
   so most fetches cross an ocean even though home-region replicas are
   healthy;
 * the **geo** arm is byte-identical wiring with geo-routing enabled:
-  the :class:`~repro.cluster.federation.FederatedKeyClient` ranks
-  endpoints by live link RTT, so devices gather shares from their home
-  region and the median fetch gets faster;
+  each :class:`~repro.cluster.client.ReplicatedKeyClient` gets its
+  home region and ranks endpoints by live link RTT, so devices gather
+  shares from their home region and the median fetch gets faster;
 * the **partition** arm raises the threshold to 3-of-6 (every fetch
   must cross a region boundary) and severs the ``eu`` region mid-run.
   The healed :class:`~repro.cluster.merge.ClusterAuditLog` merge must

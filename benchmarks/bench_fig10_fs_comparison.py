@@ -1,6 +1,5 @@
 """Figure 10 / §5.1.3: Keypad vs ext3, EncFS, and NFS."""
 
-from repro.api import KeypadConfig
 from repro.harness import build_nfs_rig
 from repro.harness.compilebench import fig10_fs_comparison
 from repro.api import THREE_G

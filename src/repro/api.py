@@ -69,12 +69,7 @@ from repro.cluster.client import (
     ReplicatedKeyClient,
     ReplicatedServiceSession,
 )
-from repro.cluster.federation import (
-    FederatedKeyClient,
-    FederationGroup,
-    Region,
-    Topology,
-)
+from repro.cluster.federation import Region, Topology
 from repro.cluster.merge import ClusterAuditLog
 from repro.cluster.replica import ReplicaGroup
 from repro.costmodel import DEFAULT_COSTS, CostModel
@@ -169,8 +164,6 @@ __all__ = [
     "ClusterAuditLog",
     "Region",
     "Topology",
-    "FederationGroup",
-    "FederatedKeyClient",
     # forensics
     "AuditTool",
     "AuditReport",

@@ -10,15 +10,16 @@ backoff with jitter, hedged requests, and health-tracking failover;
 out, and :mod:`repro.cluster.merge` folds the per-replica audit logs
 back into one forensic timeline with divergence detection.
 
-On top of the flat cluster, :mod:`repro.cluster.federation` adds the
-multi-region layer: a declarative :class:`Topology` (regions,
-replicas-per-region, k/m, inter-region RTT matrix), gossip-based
-membership (:mod:`repro.cluster.gossip`), per-shard leader leases
-(:mod:`repro.cluster.election`), and a geo-routing
-:class:`FederatedKeyClient` that prefers the nearest healthy region.
+The group's shape is one declarative :class:`Topology`
+(:mod:`repro.cluster.federation`: regions, replicas-per-region, k/m,
+inter-region RTT matrix).  A flat k-of-m cluster is a one-region
+topology; with several regions the same group adds gossip-based
+membership (:mod:`repro.cluster.gossip`) and per-shard leader leases
+(:mod:`repro.cluster.election`), and a client given a home region
+prefers the nearest healthy one.
 
-Everything here is flag-gated: ``KeypadConfig(replicas=1)`` (the
-default) never touches this package.
+Everything here is flag-gated: a ``KeypadConfig`` whose ``cluster`` is
+``None`` (the default) never touches this package.
 """
 
 from repro.cluster.client import (
@@ -26,13 +27,7 @@ from repro.cluster.client import (
     ReplicatedServiceSession,
 )
 from repro.cluster.faults import FaultEvent, FaultInjector, FaultPlan
-from repro.cluster.federation import (
-    FederatedKeyClient,
-    FederatedServiceSession,
-    FederationGroup,
-    Region,
-    Topology,
-)
+from repro.cluster.federation import Region, Topology
 from repro.cluster.merge import ClusterAuditLog, Divergence, MergedAccess
 from repro.cluster.replica import ReplicaGroup
 
@@ -42,9 +37,6 @@ __all__ = [
     "ReplicatedServiceSession",
     "Region",
     "Topology",
-    "FederationGroup",
-    "FederatedKeyClient",
-    "FederatedServiceSession",
     "FaultEvent",
     "FaultPlan",
     "FaultInjector",

@@ -37,6 +37,10 @@ The failure model, all deterministic under seeded jitter:
 * **health tracking** — ``failure_threshold`` consecutive failures put
   a replica in a ``cooldown`` during which it ranks last; any later
   success (or an explicit ``key.health`` probe) restores it.
+* **routing** — healthy replicas are tried in index order; a client
+  given a ``home_region`` ranks them by live link RTT instead, so a
+  device prefers its nearest healthy region and crosses regions only
+  when its own degrades.
 
 :class:`ReplicatedServiceSession` drops this client underneath the
 standard :class:`~repro.core.client.ServiceSession` facade, so
@@ -78,6 +82,20 @@ __all__ = [
 _REPLICA_FAILURES = (NetworkUnavailableError, ServiceUnavailableError)
 #: Failures that are answers, not outages — never retried.
 _FATAL_FAILURES = (RevokedError, AuthorizationError, RpcError)
+
+
+def _index_rank(endpoint: "_Endpoint", now: float) -> tuple:
+    # The flat order: healthy endpoints first in stable index order,
+    # cooling-down ones last (still contacted as a last resort).
+    return (0 if endpoint.down_until <= now else 1, endpoint.index)
+
+
+def _rtt_rank(endpoint: "_Endpoint", now: float) -> tuple:
+    # Geo-routing: live RTT (microsecond-quantized for a stable total
+    # order) instead of replica index, so the nearest region comes
+    # first and cross-region fallback is ordered by distance.
+    cooling = 0 if endpoint.down_until <= now else 1
+    return (cooling, round(endpoint.link.rtt * 1e6), endpoint.index)
 
 
 class _Endpoint:
@@ -123,9 +141,14 @@ class ReplicatedKeyClient:
         rng: Optional[SimRandom] = None,
         share_seed: bytes = b"cluster-shares",
         tracer=None,
+        home_region: Optional[str] = None,
     ):
         if len(links) != group.m:
             raise ValueError(f"{group.m} replicas need {group.m} links")
+        if home_region is not None:
+            group.topology.region_index(home_region)  # validates the name
+        self.home_region = home_region
+        self._rank_key = _index_rank if home_region is None else _rtt_rank
         self.sim = sim
         self.device_id = device_id
         self.group = group
@@ -182,20 +205,10 @@ class ReplicatedKeyClient:
             ep.down_until = self.sim.now + self.cooldown
             self.metrics.marked_down += 1
 
-    def _rank_key(self, endpoint: _Endpoint, now: float) -> tuple:
-        """Ordering key for :meth:`_ranked` — the routing seam.
-
-        The base policy is PR 2's: healthy endpoints first in stable
-        index order, cooling-down ones last (still contacted as a last
-        resort).  Geo-aware subclasses override this to rank by link
-        RTT instead of index.
-        """
-        return (0 if endpoint.down_until <= now else 1, endpoint.index)
-
     def _ranked(self) -> list[_Endpoint]:
         now = self.sim.now
-        return sorted(self.endpoints,
-                      key=lambda ep: self._rank_key(ep, now))
+        rank = self._rank_key
+        return sorted(self.endpoints, key=lambda ep: rank(ep, now))
 
     def health(self) -> dict[int, bool]:
         now = self.sim.now
@@ -544,7 +557,8 @@ class ReplicatedServiceSession(ServiceSession):
     :class:`ReplicatedKeyClient`; metadata traffic, single-flight
     coalescing, and write-behind batching are inherited unchanged.
     ``create`` mints K_R on the device (like the IBE path) because no
-    single replica may ever see the whole key.
+    single replica may ever see the whole key.  ``home_region`` (on a
+    multi-region topology) makes the transport geo-routing.
     """
 
     def __init__(
@@ -574,8 +588,7 @@ class ReplicatedServiceSession(ServiceSession):
         mint_seed: bytes = b"cluster-mint",
         rng: Optional[SimRandom] = None,
         tracer=None,
-        cluster_cls: Optional[type] = None,
-        cluster_kwargs: Optional[dict] = None,
+        home_region: Optional[str] = None,
     ):
         super().__init__(
             sim, device_id, device_secret, replica_group.replicas[0],
@@ -587,10 +600,7 @@ class ReplicatedServiceSession(ServiceSession):
             tracer=tracer,
         )
         self.replica_group = replica_group
-        # The transport is pluggable so a federated session can swap in
-        # a geo-routing FederatedKeyClient without re-deriving the rest
-        # of the facade.
-        self.cluster = (cluster_cls or ReplicatedKeyClient)(
+        self.cluster = ReplicatedKeyClient(
             sim, device_id, device_secret, replica_group, replica_links,
             costs=costs, rekey_interval=rekey_interval, pipelining=pipelining,
             max_inflight=max_inflight, deadline=deadline,
@@ -598,7 +608,7 @@ class ReplicatedServiceSession(ServiceSession):
             backoff_cap=backoff_cap, failure_threshold=failure_threshold,
             cooldown=cooldown, dedup_window=dedup_window,
             rng=rng, share_seed=mint_seed + b"|shares", tracer=tracer,
-            **(cluster_kwargs or {}),
+            home_region=home_region,
         )
         self._mint_drbg = HmacDrbg(mint_seed, b"cluster-remote-keys")
 

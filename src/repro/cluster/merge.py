@@ -19,11 +19,11 @@ records when their stories disagree:
   produce (a fetch completes only after k replicas durably logged);
 * ``revocation-divergence`` — some replicas consider the device
   revoked and others do not;
-* ``region-split`` — with region labels attached (a federation), the
-  under-replicated IDs that were witnessed *only inside one region* are
-  folded into a single per-region record: the signature of a region
-  partition, where devices kept reaching their local replicas but the
-  shares could not cross the cut.  :meth:`convergence_report` proves
+* ``region-split`` — on a multi-region group (its replicas carry
+  region labels), the under-replicated IDs that were witnessed *only
+  inside one region* are folded into a single per-region record: the
+  signature of a region partition, where devices kept reaching their
+  local replicas but the shares could not cross the cut.  :meth:`convergence_report` proves
   the post-heal property — every entry appended on either side of the
   partition appears exactly once in the merged timeline;
 * ``stale-recovery`` — a replica came back from a crash+restart with
@@ -105,12 +105,11 @@ class ClusterAuditLog:
         replicas: Union[ReplicaGroup, Iterable[KeyService]],
         threshold: int,
         window: float = 5.0,
-        regions: Optional[Iterable[str]] = None,
     ):
-        if regions is None:
-            # A FederationGroup carries its own labels.
-            regions = getattr(replicas, "region_labels", None)
+        #: per-replica region labels; None for a one-region cluster
+        self.regions: Optional[list[str]] = None
         if isinstance(replicas, ReplicaGroup):
+            self.regions = replicas.region_labels
             self.replicas = list(replicas.replicas)
         else:
             self.replicas = list(replicas)
@@ -118,12 +117,6 @@ class ClusterAuditLog:
             raise ValueError("a cluster audit log needs at least one replica")
         if not 1 <= threshold <= len(self.replicas):
             raise ValueError("threshold must be within the replica count")
-        #: per-replica region labels; None for a flat (PR 2) cluster
-        self.regions: Optional[list[str]] = (
-            list(regions) if regions is not None else None
-        )
-        if self.regions is not None and len(self.regions) != len(self.replicas):
-            raise ValueError("need one region label per replica")
         self.threshold = threshold
         self.window = window
         # Incremental-merge state: per-replica high-water marks over the

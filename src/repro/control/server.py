@@ -461,7 +461,7 @@ class ControlServer:
     def _federation(self):
         """The attached federated replica group, or ControlError."""
         group = self.replica_group
-        if group is None or getattr(group, "topology", None) is None:
+        if group is None or not group.topology.multi_region:
             raise ControlError(
                 "no federated replica group attached "
                 "(mount with KeypadConfig.builder().federation(...))"
@@ -483,8 +483,7 @@ class ControlServer:
 
         group = self._federation()
         window = float(payload.get("window") or 5.0)
-        log = ClusterAuditLog(group, group.k, window=window,
-                              regions=group.region_labels)
+        log = ClusterAuditLog(group, group.k, window=window)
         report = log.region_report()
         self._note("region_partition_report",
                    splits=report["split_count"])

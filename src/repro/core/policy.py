@@ -22,11 +22,14 @@ passed as mount-time knobs.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.auditstore import AuditSpec
 from repro.errors import ConfigError
 from repro.util.paths import is_ancestor, normalize
+
+if TYPE_CHECKING:
+    from repro.cluster.federation import Topology
 
 __all__ = [
     "KeypadConfig",
@@ -124,12 +127,14 @@ class KeypadConfig:
     # Key-service escrow-map/log shards (1 = the paper's single queue).
     key_shards: int = 1
     # --- replicated key-service cluster (§ "Improving Availability /
-    # Multiple Key Services"; replicas=1 keeps the paper's single
-    # service, byte-for-byte).  K_R is secret-shared k-of-m across the
-    # replicas; a fetch needs replica_threshold shares, each of which
-    # is independently audited.
-    replicas: int = 1
-    replica_threshold: int = 1
+    # Multiple Key Services"; None keeps the paper's single service,
+    # byte-for-byte).  A frozen
+    # :class:`~repro.cluster.federation.Topology`: K_R is secret-shared
+    # k-of-m across its replicas, and a fetch needs ``threshold``
+    # shares, each independently audited.  One region is the flat
+    # cluster (``builder().replication(k, m)``); several regions add
+    # gossip, leases and geo-routing (``builder().federation(...)``).
+    cluster: Optional["Topology"] = None
     # Failure-aware client: per-request deadline, hedging delay for
     # lagging replicas, retry budget with exponential backoff + jitter,
     # and health-tracking cooldown for replicas that keep failing.
@@ -140,13 +145,6 @@ class KeypadConfig:
     replica_backoff_cap: float = 4.0
     replica_failure_threshold: int = 2
     replica_cooldown: float = 8.0
-    # Multi-region federation: a frozen
-    # :class:`~repro.cluster.federation.Topology` (regions,
-    # replicas-per-region, k/m, inter-region RTT matrix, gossip/lease
-    # knobs).  None (the default) keeps the flat single-service or
-    # plain-cluster paths; set it through ``builder().federation(...)``
-    # which also aligns ``replicas``/``replica_threshold``.
-    federation: Optional[Any] = None
     # --- observability: the per-operation context seam (see
     # docs/OBSERVABILITY.md).  All off by default so flags-off runs
     # stay byte-identical with the pre-context tree.
@@ -266,7 +264,8 @@ class KeypadConfigBuilder:
         return self
 
     def replication(self, k: int = 2, m: int = 3, **knobs) -> "KeypadConfigBuilder":
-        """A k-of-m replicated key-service cluster (default 2-of-3).
+        """A k-of-m replicated key-service cluster (default 2-of-3): a
+        one-region :class:`~repro.cluster.federation.Topology`.
 
         Extra keyword arguments override the ``replica_*`` client knobs
         (deadline, hedging, retries, cooldown) — and *only* those.
@@ -274,21 +273,21 @@ class KeypadConfigBuilder:
         dataclass, so ``.frontend(...).replication(..., frontend_enabled=
         False)`` silently undid an earlier bundle depending on call
         order; now a non-``replica_*`` name raises
-        :class:`~repro.errors.ConfigError` immediately.
+        :class:`~repro.errors.ConfigError` immediately, as does a bad
+        k/m (the topology checks itself).
         """
-        if not 1 <= k <= m:
-            raise ConfigError(
-                f"need 1 <= k <= m, got k={k} m={m}"
-            )
+        from repro.cluster.federation import Topology
+
         _check_replica_knobs("replication", knobs)
-        self._config = replace(
-            self._config, replicas=m, replica_threshold=k, **knobs
+        topology = Topology.symmetric(
+            regions=("local",), replicas_per_region=m, threshold=k
         )
+        self._config = replace(self._config, cluster=topology, **knobs)
         return self
 
     def federation(
         self,
-        topology: Optional[Any] = None,
+        topology: Optional["Topology"] = None,
         regions: Sequence[str] | int = 3,
         replicas_per_region: int = 2,
         k: int = 2,
@@ -299,14 +298,13 @@ class KeypadConfigBuilder:
 
         Pass a ready :class:`~repro.cluster.federation.Topology`, or
         let the bundle build a symmetric one from ``regions`` /
-        ``replicas_per_region`` / ``k`` / ``rtt_ms``.  The bundle also
-        sets ``replicas`` and ``replica_threshold`` from the topology,
-        so the cluster knobs can never disagree with the region shape.
-        Extra keyword arguments are restricted to the ``replica_*``
-        client knobs, exactly like :meth:`replication`.
+        ``replicas_per_region`` / ``k`` / ``rtt_ms``.  Extra keyword
+        arguments are restricted to the ``replica_*`` client knobs,
+        exactly like :meth:`replication`.
         """
         from repro.cluster.federation import Topology
 
+        _check_replica_knobs("federation", knobs)
         if topology is None:
             topology = Topology.symmetric(
                 regions=regions,
@@ -314,18 +312,7 @@ class KeypadConfigBuilder:
                 threshold=k,
                 rtt_ms=rtt_ms,
             )
-        _check_replica_knobs("federation", knobs)
-        try:
-            topology.validate()
-        except ValueError as exc:
-            raise ConfigError(f"invalid federation topology: {exc}") from exc
-        self._config = replace(
-            self._config,
-            federation=topology,
-            replicas=topology.total_replicas,
-            replica_threshold=topology.threshold,
-            **knobs,
-        )
+        self._config = replace(self._config, cluster=topology, **knobs)
         return self
 
     def storage(self, backend: str = "ext3") -> "KeypadConfigBuilder":
@@ -465,37 +452,6 @@ def validate_config(config: KeypadConfig) -> KeypadConfig:
         raise ConfigError("max_inflight must be >= 1")
     if config.key_shards < 1:
         raise ConfigError("key_shards must be >= 1")
-    if not 1 <= config.replica_threshold <= config.replicas:
-        raise ConfigError(
-            f"need 1 <= threshold <= replicas, got "
-            f"threshold={config.replica_threshold} "
-            f"replicas={config.replicas}"
-        )
-    if config.federation is not None:
-        # Lazy import: flags-off configs never touch the cluster pkg.
-        from repro.cluster.federation import Topology
-
-        if not isinstance(config.federation, Topology):
-            raise ConfigError(
-                "federation must be a repro.cluster.federation.Topology "
-                f"(got {type(config.federation).__name__}); build it "
-                "through KeypadConfig.builder().federation(...)"
-            )
-        try:
-            config.federation.validate()
-        except ValueError as exc:
-            raise ConfigError(
-                f"invalid federation topology: {exc}"
-            ) from exc
-        if (config.replicas != config.federation.total_replicas
-                or config.replica_threshold != config.federation.threshold):
-            raise ConfigError(
-                "federation topology disagrees with replicas/"
-                f"replica_threshold ({config.federation.total_replicas}/"
-                f"{config.federation.threshold} vs {config.replicas}/"
-                f"{config.replica_threshold}); set both through "
-                "builder().federation(...)"
-            )
     if config.replica_max_retries < 0:
         raise ConfigError("replica_max_retries must be >= 0")
     if config.replica_failure_threshold < 1:

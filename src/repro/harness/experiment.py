@@ -70,7 +70,7 @@ class KeypadRig:
     bluetooth_link: Optional[Link] = None
     phone_key_uplink: Optional[Link] = None
     phone_metadata_uplink: Optional[Link] = None
-    # Replicated key-service cluster (config.replicas > 1); when set,
+    # Replicated key-service cluster (config.cluster); when set,
     # ``key_service`` is replica 0 and ``key_link`` is its link.
     replica_group: Optional[Any] = None
     replica_links: list = field(default_factory=list)
@@ -105,7 +105,7 @@ class KeypadRig:
         from repro.cluster import ClusterAuditLog
 
         return ClusterAuditLog(
-            self.replica_group, self.config.replica_threshold, window=window
+            self.replica_group, self.replica_group.k, window=window
         )
 
     def attach_phone(self) -> None:
@@ -208,54 +208,35 @@ def build_keypad_rig(
 
     replica_group = None
     replica_links: list[Link] = []
-    if config.replicas > 1:
+    topology = config.cluster
+    if topology is not None:
         if with_phone:
             raise ValueError(
                 "a paired phone is not supported with a replicated key "
-                "service (replicas > 1)"
+                "service (config.cluster)"
             )
         from repro.cluster import ReplicaGroup, ReplicatedServiceSession
 
-        replica_knobs = dict(
+        replica_group = ReplicaGroup(
+            sim,
+            topology,
             costs=costs,
             seed=seed + b"|replica",
             shards=config.key_shards,
             audit=config.audit,
             audit_blobs=stack.blobs,
         )
-        if config.federation is not None:
-            from repro.cluster.federation import (
-                FederatedServiceSession,
-                FederationGroup,
-            )
-
-            replica_group = FederationGroup(
-                sim, config.federation, **replica_knobs
-            )
-            if home_region is None:
-                home_region = config.federation.region_names[0]
-            replica_links = replica_group.device_links(
-                network, home_region, f"{network.name}-keys"
-            )
+        if topology.multi_region:
+            home_region = home_region or topology.region_names[0]
             replica_group.start_gossip()
-            session_cls = FederatedServiceSession
-            session_kwargs: dict = {"home_region": home_region}
         else:
-            replica_group = ReplicaGroup(
-                sim,
-                config.replicas,
-                config.replica_threshold,
-                **replica_knobs,
-            )
-            replica_links = [
-                network.make_link(sim, label=f"{network.name}-keys-r{i}")
-                for i in range(config.replicas)
-            ]
-            session_cls = ReplicatedServiceSession
-            session_kwargs = {}
+            home_region = None
+        replica_links = replica_group.device_links(
+            network, home_region, f"{network.name}-keys"
+        )
         key_service = replica_group.replicas[0]
         key_link = replica_links[0]
-        services = session_cls(
+        services = ReplicatedServiceSession(
             sim,
             DEVICE_ID,
             device_secret,
@@ -281,7 +262,7 @@ def build_keypad_rig(
             mint_seed=b"cluster-mint|" + seed,
             rng=SimRandom(seed, "cluster-client"),
             tracer=tracer,
-            **session_kwargs,
+            home_region=home_region,
         )
     else:
         key_service = KeyService(

@@ -15,7 +15,7 @@ bytes are stored.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.costmodel import DEFAULT_COSTS, CostModel
 from repro.errors import (

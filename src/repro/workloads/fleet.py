@@ -33,6 +33,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional
 
 from repro.auditstore import AuditSpec
+from repro.cluster.client import ReplicatedKeyClient
+from repro.cluster.federation import Topology
+from repro.cluster.replica import ReplicaGroup
 from repro.core.context import OpContext
 from repro.core.services.keyservice import (
     AUDIT_ID_LEN,
@@ -533,18 +536,18 @@ def run_fleet(
     synchronization contract and the configurations that fall back to
     the single-process path.
 
-    ``topology`` runs the fleet against a multi-region
-    :class:`~repro.cluster.federation.FederationGroup` instead of a
-    flat cluster (mutually exclusive with ``replicas``/``threshold`` —
-    the topology carries both): devices are homed round-robin across
-    the regions, their per-replica links carry the access RTT plus the
+    ``topology`` runs the fleet against a
+    :class:`~repro.cluster.replica.ReplicaGroup` over that
+    :class:`~repro.cluster.federation.Topology` (mutually exclusive with
+    ``replicas``/``threshold``, which build a one-region topology).  On
+    a multi-region topology devices are homed round-robin across the
+    regions, their per-replica links carry the access RTT plus the
     topology's inter-region RTT, and ``geo_routing=True`` gives each
-    device a geo-ranking
-    :class:`~repro.cluster.federation.FederatedKeyClient`
-    (``False`` keeps the flat index-order client, for A/B latency
-    comparisons over identical links).  ``region:<name>`` partition
-    targets in ``faults`` are wired automatically to every link
-    crossing that region's boundary, gossip mesh included.
+    client its home region so it ranks replicas by live RTT (``False``
+    keeps the index-order client, for A/B latency comparisons over
+    identical links).  ``region:<name>`` partition targets in
+    ``faults`` are wired automatically to every link crossing that
+    region's boundary, gossip mesh included.
     """
     from repro.harness.runner import derive_arm_seed
 
@@ -556,9 +559,10 @@ def run_fleet(
         if replicas != 1 or threshold != 1:
             raise ValueError(
                 "pass either topology=... or replicas/threshold, not both")
-        topology.validate()
-        replicas = topology.total_replicas
-        threshold = topology.threshold
+    elif replicas > 1:
+        topology = Topology.symmetric(
+            regions=("local",), replicas_per_region=replicas,
+            threshold=threshold)
 
     if audit_durable and audit_store not in ("segmented", "durable"):
         raise ConfigError("audit_durable=True needs audit_store='segmented'")
@@ -573,10 +577,11 @@ def run_fleet(
     if requested is None:
         requested = int(os.environ.get("KEYPAD_FLEET_SHARDS", "1") or "1")
     n_shards = max(1, min(int(requested), devices))
-    if n_shards > 1 and audit.store != "durable" and faults is None:
+    if (n_shards > 1 and topology is None and audit.store != "durable"
+            and faults is None):
         from repro.workloads import fleet_shard
 
-        if fleet_shard.available(net, replicas=replicas):
+        if fleet_shard.available(net):
             return fleet_shard.run_fleet_sharded(
                 devices=devices, duration=duration, seed=seed,
                 scanner_fraction=scanner_fraction, network=net,
@@ -584,33 +589,19 @@ def run_fleet(
                 control=control, audit=audit, inspect=inspect,
                 n_shards=n_shards,
             )
-        # Unsupported topology (replica cluster, zero-latency link): run
-        # single-process rather than fail — the result is identical
-        # either way.
+        # Unsupported (zero-latency link, no fork): run single-process
+        # rather than fail — the result is identical either way.
 
     sim = Simulation()
     frontends: list = []
 
-    if replicas > 1:
-        from repro.cluster.client import ReplicatedKeyClient
-        from repro.cluster.replica import ReplicaGroup
-
-        replica_knobs = dict(
-            costs=costs, seed=derive_arm_seed(seed, "cluster"),
-            shards=shards, audit=audit,
-            audit_blobs=BlobStore("memory", costs),
+    if topology is not None:
+        group = ReplicaGroup(
+            sim, topology, costs=costs, seed=derive_arm_seed(seed, "cluster"),
+            shards=shards, audit=audit, audit_blobs=BlobStore("memory", costs),
         )
-        if topology is not None:
-            from repro.cluster.federation import (
-                FederatedKeyClient,
-                FederationGroup,
-            )
-
-            group = FederationGroup(sim, topology, **replica_knobs)
+        if topology.multi_region:
             group.start_gossip()
-        else:
-            group = ReplicaGroup(sim, m=replicas, k=threshold,
-                                 **replica_knobs)
         if frontend is not None:
             frontends = group.install_frontends(**frontend)
         share_drbg = HmacDrbg(derive_arm_seed(seed, "shares"),
@@ -636,39 +627,27 @@ def run_fleet(
         pairs = _derive_working_set(seed, index, profile.working_set)
         home = ""
         if group is not None:
-            client_kwargs = dict(
-                costs=costs,
+            if topology.multi_region:
+                home = topology.region_names[
+                    index % len(topology.region_names)]
+            links = group.device_links(net, home or None, f"fleet-{index}")
+            for j, link in enumerate(links):
+                fault_links[link.name] = link
+                far = topology.region_of(j)
+                if home and far != home:
+                    # A cross-region device link sits on both
+                    # regions' partition boundaries.
+                    region_boundary.setdefault(home, []).append(link)
+                    region_boundary.setdefault(far, []).append(link)
+            transport = ReplicatedKeyClient(
+                sim, device_id, secret, group, links, costs=costs,
                 rng=SimRandom(derive_arm_seed(seed, "rng", index),
                               "fleet-client"),
                 share_seed=derive_arm_seed(seed, "client-shares", index),
-            )
-            if topology is not None:
-                home = topology.region_names[
-                    index % len(topology.region_names)]
-                links = group.device_links(net, home, f"fleet-{index}")
-                for j, link in enumerate(links):
-                    fault_links[link.name] = link
-                    far = group.region_labels[j]
-                    if far != home:
-                        # A cross-region device link sits on both
-                        # regions' partition boundaries.
-                        region_boundary.setdefault(home, []).append(link)
-                        region_boundary.setdefault(far, []).append(link)
-                client_cls = (FederatedKeyClient if geo_routing
-                              else ReplicatedKeyClient)
-                if geo_routing:
-                    client_kwargs["home_region"] = home
-            else:
-                links = [
-                    net.make_link(sim, label=f"fleet-{index}-r{j}")
-                    for j in range(replicas)
-                ]
-                client_cls = ReplicatedKeyClient
-            transport = client_cls(
-                sim, device_id, secret, group, links, **client_kwargs,
+                home_region=(home or None) if geo_routing else None,
             )
             for audit_id, key in pairs:
-                shares = split_secret(key, threshold, replicas, share_drbg)
+                shares = split_secret(key, group.k, group.m, share_drbg)
                 for j, replica in enumerate(group.replicas):
                     replica.preload_key(device_id, audit_id, shares[j])
         else:
@@ -704,18 +683,15 @@ def run_fleet(
                              "(replicas > 1)")
         from repro.cluster.faults import FaultInjector
 
-        if topology is not None:
-            all_links = dict(fault_links)
-            all_links.update(group.gossip_links)
-            injector = FaultInjector(sim, links=all_links, group=group)
+        injector = FaultInjector(
+            sim, links={**fault_links, **group.gossip_links}, group=group)
+        if topology.multi_region:
             for name in topology.region_names:
                 injector.register_region(
                     name,
                     region_boundary.get(name, [])
                     + group.gossip_links_crossing(name),
                 )
-        else:
-            injector = FaultInjector(sim, group=group)
         procs.extend(injector.run(faults))
 
     sim.run_until(sim.all_of(procs))

@@ -77,16 +77,14 @@ __all__ = ["available", "run_fleet_sharded", "ShardChannel"]
 _PIPE_TIMEOUT = 600.0
 
 
-def available(network: NetEnv, replicas: int = 1) -> bool:
+def available(network: NetEnv) -> bool:
     """Whether the sharded runner can reproduce this configuration.
 
     Requires the fork start method (the workers rebuild their world from
-    a tiny picklable config, but fork keeps spawn costs negligible), a
-    positive link latency (the lookahead), and the single-service
-    topology.
+    a tiny picklable config, but fork keeps spawn costs negligible) and
+    a positive link latency (the lookahead).  Only the single-service
+    fleet shards; :func:`~repro.workloads.fleet.run_fleet` checks that.
     """
-    if replicas != 1:
-        return False
     if network.rtt <= 0:
         return False
     try:

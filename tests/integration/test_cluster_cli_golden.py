@@ -1,0 +1,44 @@
+"""The cluster CLI demos' stdout, pinned byte for byte.
+
+Each demo runs in a fresh interpreter (as a user would run it) and its
+stdout must equal the file under ``tests/golden/``.  The four demos
+cover the flat k-of-m cluster (``cluster-demo``, a replicated
+``fleet``) and the multi-region one (``ctl region-status``,
+``ctl partition-report``); simulated time makes their output
+deterministic, so any difference is a behaviour change.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[2]
+GOLDEN = ROOT / "tests" / "golden"
+
+DEMOS = {
+    "cli_cluster_demo.txt": ["cluster-demo", "--crash", "0", "--steal"],
+    "cli_fleet_replicas.txt": ["fleet", "--devices", "200", "--duration",
+                               "5", "--replicas", "3", "--threshold", "2"],
+    "cli_ctl_region_status.txt": ["ctl", "region-status"],
+    "cli_ctl_partition_report.txt": ["ctl", "partition-report",
+                                     "--duration", "10"],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(DEMOS))
+def test_cluster_demo_output_is_pinned(golden):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env.pop("KEYPAD_FLEET_SHARDS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", *DEMOS[golden]],
+        cwd=ROOT, env=env, capture_output=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / golden).read_bytes()

@@ -5,8 +5,6 @@ zero false negatives, remote control, IBE-forced metadata correctness,
 and the Texp memory-exposure window.
 """
 
-import pytest
-
 from repro.attack import CuriousThief, OfflineAttacker, PettyThief, ProfessionalThief
 from repro.api import KeypadConfig, LAN
 from repro.forensics import AuditTool, analyze_fidelity

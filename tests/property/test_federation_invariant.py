@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 
 from repro.cluster import (
     FaultPlan,
-    FederatedKeyClient,
-    FederationGroup,
+    ReplicaGroup,
+    ReplicatedKeyClient,
     Topology,
 )
 from repro.cluster.faults import FaultEvent, FaultInjector
@@ -75,7 +75,7 @@ def _key_for(audit_id: bytes) -> bytes:
 
 def _run_world(schedule):
     sim = Simulation()
-    group = FederationGroup(sim, TOPO, seed=b"fed-prop")
+    group = ReplicaGroup(sim, TOPO, seed=b"fed-prop")
     group.start_gossip()
 
     share_drbg = HmacDrbg(b"fed-prop-shares", b"fleet-shares")
@@ -92,7 +92,7 @@ def _run_world(schedule):
             if far != region:
                 boundary.setdefault(region, []).append(link)
                 boundary.setdefault(far, []).append(link)
-        clients[region] = FederatedKeyClient(
+        clients[region] = ReplicatedKeyClient(
             sim, device_id, b"secret-" + region.encode(), group, links,
             home_region=region, dedup_window=30.0,
         )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -37,8 +37,7 @@ API_SURFACE = sorted([
     "KeyCreate", "KeyFetch", "OpContext", "Span", "TraceCollector",
     # cluster
     "ReplicaGroup", "ReplicatedKeyClient", "ReplicatedServiceSession",
-    "ClusterAuditLog", "Region", "Topology", "FederationGroup",
-    "FederatedKeyClient",
+    "ClusterAuditLog", "Region", "Topology",
     # forensics
     "AuditTool", "AuditReport",
     # audit store (event-sourced log + materialized views)
@@ -121,7 +120,9 @@ class TestConfigBuilder:
             .build()
         )
         assert config.pipelining and config.key_shards == 2
-        assert config.replicas == 3 and config.replica_threshold == 2
+        assert config.cluster.total_replicas == 3
+        assert config.cluster.threshold == 2
+        assert not config.cluster.multi_region
         assert config.replica_deadline == 1.5
         assert config.tracing
         assert config.frontend_enabled
@@ -148,7 +149,7 @@ class TestConfigBuilder:
             KeypadConfig.builder().texp(0.5).build()
         with pytest.raises(ConfigError):
             # a contradictory base is caught at build, not at mount
-            base = KeypadConfig(replicas=1, replica_threshold=2)
+            base = KeypadConfig(replica_deadline=0.0)
             KeypadConfig.builder(base).build()
         with pytest.raises(ConfigError):
             KeypadConfig.builder().storage("floppy").build()
@@ -170,7 +171,7 @@ class TestConfigBuilder:
 
         epoch = PolicyEpoch(KeypadConfig())
         with pytest.raises(ConfigError, match="mount-frozen"):
-            epoch.update(replicas=3)
+            epoch.update(key_shards=3)
         epoch.update(texp=7.0)
         assert epoch.config.texp == 7.0 and epoch.epoch == 1
 
@@ -178,7 +179,7 @@ class TestConfigBuilder:
         config = KeypadConfig()
         assert not config.frontend_enabled
         assert not config.pipelining
-        assert config.replicas == 1
+        assert config.cluster is None
         assert not config.tracing
         assert config.storage_backend == "ext3"
 

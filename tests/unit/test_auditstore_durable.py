@@ -18,6 +18,7 @@ from repro.auditstore import (
     encode_segment,
 )
 from repro.auditstore.durable import _segment_blob_name
+from repro.cluster.federation import Topology
 from repro.cluster.merge import ClusterAuditLog
 from repro.cluster.replica import ReplicaGroup
 from repro.core.services.keyservice import KeyService
@@ -631,7 +632,7 @@ class TestClusterKillRestart:
     def _group(self, flush_policy="every-seal"):
         sim = Simulation()
         group = ReplicaGroup(
-            sim, 3, 2, audit=AuditSpec(store="durable", segment_entries=4,
+            sim, Topology.symmetric(("local",), 3, 2), audit=AuditSpec(store="durable", segment_entries=4,
                                        flush_policy=flush_policy),
             audit_blobs=BlobStore("memory", DEFAULT_COSTS),
         )

@@ -8,6 +8,7 @@ from repro.cluster import (
     ClusterAuditLog,
     ReplicaGroup,
     ReplicatedServiceSession,
+    Topology,
 )
 from repro.api import KeypadConfig, LAN, Link
 from repro.core.client import KeyCreate, KeyFetch
@@ -24,7 +25,7 @@ SECRET = b"device-secret-tests-0123"
 
 def _cluster(m=3, k=2, rtt=0.03, **knobs):
     sim = Simulation()
-    group = ReplicaGroup(sim, m, k)
+    group = ReplicaGroup(sim, Topology.symmetric(("local",), m, k))
     links = [Link(sim, rtt, name=f"keys-r{i}") for i in range(m)]
     services = ReplicatedServiceSession(
         sim, DEVICE_ID, SECRET, group, links,

@@ -6,7 +6,6 @@ import pytest
 
 from repro.crypto import numbers
 from repro.crypto.aead import NONCE_LEN, AesCtrHmacAead
-from repro.crypto.drbg import HmacDrbg
 from repro.crypto.ibe import (
     SMALL,
     TOY,

@@ -10,6 +10,7 @@ from repro.cluster import (
     FaultPlan,
     ReplicaGroup,
     ReplicatedServiceSession,
+    Topology,
 )
 from repro.core.client import KeyCreate, KeyFetch
 from repro.core.services.metadataservice import MetadataService
@@ -67,7 +68,7 @@ def _run_once(seed: int) -> tuple[list, list, list, int]:
     failure count) — everything that could differ between runs.
     """
     sim = Simulation()
-    group = ReplicaGroup(sim, 3, 2)
+    group = ReplicaGroup(sim, Topology.symmetric(("local",), 3, 2))
     links = [Link(sim, 0.03, name=f"keys-r{i}") for i in range(3)]
     services = ReplicatedServiceSession(
         sim, "laptop-1", b"device-secret-tests-0123", group, links,
@@ -118,7 +119,7 @@ def test_different_seeds_diverge():
 
 def test_windowed_faults_revert_and_are_traced():
     sim = Simulation()
-    group = ReplicaGroup(sim, 3, 2)
+    group = ReplicaGroup(sim, Topology.symmetric(("local",), 3, 2))
     link = Link(sim, 0.03, name="keys-r0")
     injector = FaultInjector(sim, {"keys-r0": link}, group)
     injector.run(FaultPlan([

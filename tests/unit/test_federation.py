@@ -1,15 +1,19 @@
 """Multi-region federation: topology, gossip, election, geo-routing,
-region partitions, and the config/control surface."""
+region partitions, and the config/control surface — plus the
+one-region topology that is the flat k-of-m cluster."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.cluster import (
+    FaultEvent,
+    FaultInjector,
     FaultPlan,
-    FederatedServiceSession,
-    FederationGroup,
     Region,
+    ReplicaGroup,
+    ReplicatedKeyClient,
+    ReplicatedServiceSession,
     Topology,
 )
 from repro.cluster.gossip import ALIVE, DEAD
@@ -40,10 +44,10 @@ def _sleep(sim, seconds):
 
 def _federation(topo=TOPO, home="eu", **session_knobs):
     sim = Simulation()
-    group = FederationGroup(sim, topo)
+    group = ReplicaGroup(sim, topo)
     group.start_gossip()
     links = group.device_links(LAN, home, "keys")
-    services = FederatedServiceSession(
+    services = ReplicatedServiceSession(
         sim, "laptop", SECRET, group, links,
         MetadataService(sim), Link(sim, LAN.rtt, name="meta"),
         home_region=home, **session_knobs,
@@ -54,23 +58,24 @@ def _federation(topo=TOPO, home="eu", **session_knobs):
 # -- Topology ----------------------------------------------------------------
 
 def test_topology_validates_shape():
+    # A topology checks itself once, at construction.
+    with pytest.raises(ConfigError):
+        Topology(regions=(), threshold=1)
     with pytest.raises(ValueError):
-        Topology(regions=(), threshold=1).validate()
-    with pytest.raises(ValueError):
-        Topology.symmetric(regions=("us", "us")).validate()
+        Topology.symmetric(regions=("us", "us"))
     with pytest.raises(ValueError):
         Topology.symmetric(regions=("us", "eu"), replicas_per_region=2,
-                           threshold=5).validate()
+                           threshold=5)
     with pytest.raises(ValueError):  # non-square matrix
         Topology(regions=(Region("us"), Region("eu")), threshold=2,
-                 rtt_ms=((0.0,),)).validate()
+                 rtt_ms=((0.0,),))
     with pytest.raises(ValueError):  # asymmetric
         Topology(regions=(Region("us"), Region("eu")), threshold=2,
-                 rtt_ms=((0.0, 10.0), (20.0, 0.0))).validate()
+                 rtt_ms=((0.0, 10.0), (20.0, 0.0)))
     with pytest.raises(ValueError):  # non-zero diagonal
         Topology(regions=(Region("us"), Region("eu")), threshold=2,
-                 rtt_ms=((1.0, 10.0), (10.0, 0.0))).validate()
-    TOPO.validate()  # the shared shape is well-formed
+                 rtt_ms=((1.0, 10.0), (10.0, 0.0)))
+    assert TOPO.multi_region  # the shared shape is well-formed
 
 
 def test_topology_indexing_roundtrip_and_hashability():
@@ -90,7 +95,7 @@ def test_topology_indexing_roundtrip_and_hashability():
 
 def test_region_labels_and_device_link_rtts():
     sim = Simulation()
-    group = FederationGroup(sim, TOPO)
+    group = ReplicaGroup(sim, TOPO)
     assert group.region_labels == ["us", "us", "eu", "eu", "ap", "ap"]
     links = group.device_links(WLAN, "eu", "dev")
     assert [link.name for link in links] == [f"dev-r{j}" for j in range(6)]
@@ -102,7 +107,7 @@ def test_region_labels_and_device_link_rtts():
 
 def test_gossip_converges_then_decays_crash_then_recovers():
     sim = Simulation()
-    group = FederationGroup(sim, TOPO)
+    group = ReplicaGroup(sim, TOPO)
     group.start_gossip()
     observer = group.agents[3]
 
@@ -124,7 +129,7 @@ def test_gossip_converges_then_decays_crash_then_recovers():
 def test_gossip_transitions_are_seed_deterministic():
     def run_once():
         sim = Simulation()
-        group = FederationGroup(sim, TOPO)
+        group = ReplicaGroup(sim, TOPO)
         group.start_gossip()
 
         def scenario():
@@ -152,7 +157,7 @@ def test_gossip_transitions_are_seed_deterministic():
 def test_leaders_elected_deterministically_and_reelected_on_crash():
     def run_once():
         sim = Simulation()
-        group = FederationGroup(sim, TOPO)
+        group = ReplicaGroup(sim, TOPO)
         group.start_gossip()
         sim.run_process(_sleep(sim, 6.0))
         before = dict(group.region_status()["leaders"])
@@ -180,7 +185,7 @@ def test_leaders_elected_deterministically_and_reelected_on_crash():
 
 def test_geo_routing_fetches_from_home_region():
     sim, group, services = _federation(home="eu")
-    assert services.home_region == "eu"
+    assert services.cluster.home_region == "eu"
     ranked = services.cluster._ranked()
     assert [ep.index for ep in ranked] == [2, 3, 0, 1, 4, 5]
     key = sim.run_process(services.create(KeyCreate(audit_id=AUDIT_ID)))
@@ -239,30 +244,25 @@ def test_fleet_rejects_topology_plus_replica_args():
 # -- config surface ----------------------------------------------------------
 
 def test_builder_federation_sets_replication_from_topology():
-    config = (KeypadConfig.builder()
-              .federation(regions=("us", "eu"), replicas_per_region=2,
-                          k=2, rtt_ms=40.0)
-              .build())
-    assert config.federation.total_replicas == 4
-    assert config.replicas == 4 and config.replica_threshold == 2
+    topo = Topology.symmetric(regions=("us", "eu"), replicas_per_region=2,
+                              threshold=2, rtt_ms=40.0)
+    config = KeypadConfig.builder().federation(topology=topo).build()
+    assert config.cluster is topo
+    built = (KeypadConfig.builder()
+             .federation(regions=("us", "eu"), replicas_per_region=2,
+                         k=2, rtt_ms=40.0)
+             .build())
+    assert built.cluster == topo
     # An invalid hand-built topology fails as ConfigError at the step.
     with pytest.raises(ConfigError):
         KeypadConfig.builder().federation(
             topology=Topology(regions=(Region("us"),), threshold=9))
 
 
-def test_validate_config_catches_inconsistent_federation():
-    from dataclasses import replace
-
-    config = KeypadConfig.builder().federation(topology=TOPO).build()
-    with pytest.raises(ConfigError, match="federation"):
-        KeypadConfig.builder(replace(config, replicas=3)).build()
-
-
 def test_federation_is_mount_frozen():
     epoch = PolicyEpoch(KeypadConfig())
     with pytest.raises(ConfigError, match="mount-frozen"):
-        epoch.update(federation=TOPO)
+        epoch.update(cluster=TOPO)
 
 
 # -- control plane -----------------------------------------------------------
@@ -288,6 +288,64 @@ def test_ctl_region_verbs_over_a_federated_rig():
     assert set(status["leaders"]) == {"0", "1", "2", "3"}
     assert report["split_count"] == 0
     assert report["convergence"]["converged"]
+
+
+def _delay_first_choice(sim, links, index, seconds=0.5):
+    """Delay one replica link by ``seconds`` through a fault plan."""
+    injector = FaultInjector(sim, {link.name: link for link in links})
+    injector.run(FaultPlan([FaultEvent(
+        0.0, "delay", f"link:{links[index].name}", duration=60.0,
+        value=seconds)]))
+    sim.run_process(_sleep(sim, 1.0))
+    assert injector.trace == [(0.0, f"delay link:{links[index].name} "
+                                    f"+{seconds:g}")]
+
+
+def test_one_region_topology_is_the_flat_cluster():
+    config = KeypadConfig.builder().replication(2, 3).build()
+    assert not config.cluster.multi_region
+    rig = build_keypad_rig(network=LAN, config=config)
+    group = rig.replica_group
+    # No gossip, no region labels: the flat cluster.
+    assert group.agents == [] and group.gossip_links == {}
+    assert group.region_labels is None
+    assert rig.services.cluster.home_region is None
+    # Device links match NetEnv.make_link's, name and RTT.
+    assert [link.name for link in rig.replica_links] == [
+        f"LAN-keys-r{j}" for j in range(3)]
+    assert all(link.rtt == LAN.rtt for link in rig.replica_links)
+
+    # A delayed replica 0 is still asked first: index order, not RTT.
+    _delay_first_choice(rig.sim, rig.replica_links, 0)
+    assert rig.replica_links[0].rtt > rig.replica_links[1].rtt
+    assert [ep.index for ep in rig.services.cluster._ranked()] == [0, 1, 2]
+
+    # The same delay on a three-region client homed in eu: RTT order.
+    sim, _group, services = _federation(home="eu")
+    _delay_first_choice(
+        sim, [ep.link for ep in services.cluster.endpoints], 2)
+    assert [ep.index for ep in services.cluster._ranked()] == [
+        3, 0, 1, 4, 5, 2]
+
+
+def test_flat_fleet_has_no_regions():
+    from repro.workloads.fleet import run_fleet
+
+    result = run_fleet(devices=6, duration=2.0, seed=b"flat",
+                       replicas=3, threshold=2)
+    assert {stat.region for stat in result.stats} == {""}
+    summary = result.summary()
+    assert summary["completed"] > 0
+    assert "per_region" not in summary
+
+
+def test_replica_client_rejects_unknown_home_region():
+    sim = Simulation()
+    group = ReplicaGroup(sim, TOPO)
+    links = group.device_links(LAN, None, "dev")
+    with pytest.raises(ValueError, match="mars"):
+        ReplicatedKeyClient(sim, "dev", SECRET, group, links,
+                            home_region="mars")
 
 
 def test_ctl_region_verbs_refuse_flat_clusters():

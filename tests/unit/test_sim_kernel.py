@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Event, Interrupt, Simulation, SimulationError
+from repro.sim import Interrupt, Simulation, SimulationError
 
 
 def test_timeout_advances_clock():
