@@ -27,8 +27,9 @@ The groups:
   see docs/AUDITSTORE.md).
 * **Fleet scale** — :func:`run_fleet` drives thousands of simulated
   devices against one service; :class:`ServiceFrontend` is the
-  server-side scheduler it exercises; :class:`ControlEvent` scripts
-  mid-run admin actions.
+  server-side scheduler it exercises, built from one
+  :class:`FrontendSpec` (``KeypadConfig.frontend``);
+  :class:`ControlEvent` scripts mid-run admin actions.
 * **Runtime control** — :func:`open_control` attaches a
   :class:`ControlServer` to a mounted rig and returns a
   :class:`ControlClient`; :class:`PolicyEpoch` is the mount-held live
@@ -110,7 +111,7 @@ from repro.net.netem import (
     WLAN,
     NetEnv,
 )
-from repro.server import ServiceFrontend
+from repro.server import FrontendSpec, ServiceFrontend
 from repro.sim import Simulation
 from repro.storage.backend import (
     BACKENDS,
@@ -183,6 +184,7 @@ __all__ = [
     "FleetResult",
     "DeviceProfile",
     "ServiceFrontend",
+    "FrontendSpec",
     "ControlEvent",
     # runtime control plane
     "open_control",

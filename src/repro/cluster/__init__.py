@@ -5,7 +5,8 @@ direction: K_R is secret-shared k-of-m across a :class:`ReplicaGroup`
 of key services, so a fetch needs k shares and *every* contacted
 share-holder independently logs the access.  The failure-aware
 :class:`ReplicatedKeyClient` adds per-request deadlines, exponential
-backoff with jitter, hedged requests, and health-tracking failover;
+backoff with jitter, hedged requests, and health-tracking failover,
+all tuned by one frozen :class:`ReplicaPolicy`;
 :mod:`repro.cluster.faults` injects deterministic outages to prove it
 out, and :mod:`repro.cluster.merge` folds the per-replica audit logs
 back into one forensic timeline with divergence detection.
@@ -23,6 +24,7 @@ Everything here is flag-gated: a ``KeypadConfig`` whose ``cluster`` is
 """
 
 from repro.cluster.client import (
+    ReplicaPolicy,
     ReplicatedKeyClient,
     ReplicatedServiceSession,
 )
@@ -33,6 +35,7 @@ from repro.cluster.replica import ReplicaGroup
 
 __all__ = [
     "ReplicaGroup",
+    "ReplicaPolicy",
     "ReplicatedKeyClient",
     "ReplicatedServiceSession",
     "Region",

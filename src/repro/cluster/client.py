@@ -16,6 +16,8 @@ the single-service key protocol into a k-of-m share protocol:
 
 The failure model, all deterministic under seeded jitter:
 
+The client's tuning is one frozen :class:`ReplicaPolicy`:
+
 * **per-request deadline** — each replica call races a timeout
   (:meth:`Simulation.any_of`); expiry interrupts the call and counts
   as a replica failure.
@@ -29,7 +31,7 @@ The failure model, all deterministic under seeded jitter:
   negatives.
 * **retries** — a gather that still fails is retried under the shared
   :class:`repro.util.retry.RetryPolicy` (exponential backoff plus
-  seeded jitter, up to ``max_retries`` times); when the caller passes
+  seeded jitter, up to ``retry.max_attempts`` times); when the caller passes
   an :class:`~repro.core.context.OpContext`, its operation-wide retry
   budget caps the attempts and its deadline shortens each per-request
   race, so a spent deadline surfaces as one uniform
@@ -50,6 +52,7 @@ call path work unchanged on top of the cluster.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Generator, Optional
 
 from repro.costmodel import DEFAULT_COSTS, CostModel
@@ -57,6 +60,7 @@ from repro.crypto.drbg import HmacDrbg
 from repro.crypto.secretshare import combine_secret, split_secret
 from repro.errors import (
     AuthorizationError,
+    ConfigError,
     DeadlineExpiredError,
     NetworkUnavailableError,
     RevokedError,
@@ -74,6 +78,7 @@ from repro.core.services.metadataservice import MetadataService
 from repro.cluster.replica import ReplicaGroup
 
 __all__ = [
+    "ReplicaPolicy",
     "ReplicatedKeyClient",
     "ReplicatedServiceSession",
 ]
@@ -82,6 +87,45 @@ __all__ = [
 _REPLICA_FAILURES = (NetworkUnavailableError, ServiceUnavailableError)
 #: Failures that are answers, not outages — never retried.
 _FATAL_FAILURES = (RevokedError, AuthorizationError, RpcError)
+
+#: Share repair: seconds between re-upload passes, and passes before a
+#: share that keeps failing is abandoned.
+_REPAIR_INTERVAL = 2.0
+_REPAIR_MAX_ATTEMPTS = 6
+
+
+@dataclass(frozen=True)
+class ReplicaPolicy:
+    """How a replicated client rides out failing replicas.
+
+    ``deadline`` seconds per replica call; a duplicate request to a
+    spare replica every ``hedge_delay`` seconds while a gather is short
+    (0 disables hedging); ``failure_threshold`` consecutive failures
+    start a ``cooldown`` during which the replica ranks last; and
+    ``retry`` is the backoff for whole gathers.  Raises
+    :class:`~repro.errors.ConfigError` on a bad value.
+    """
+
+    deadline: float = 2.0
+    hedge_delay: float = 0.75
+    failure_threshold: int = 2
+    cooldown: float = 8.0
+    retry: RetryPolicy = RetryPolicy()
+
+    def __post_init__(self) -> None:
+        retry = self.retry
+        if not (self.deadline > 0 and self.cooldown > 0
+                and self.hedge_delay >= 0 and self.failure_threshold >= 1):
+            raise ConfigError(
+                "replica policy needs deadline > 0, cooldown > 0, "
+                f"hedge_delay >= 0 and failure_threshold >= 1: {self!r}"
+            )
+        if (not isinstance(retry, RetryPolicy) or not retry.base > 0
+                or not retry.cap > 0 or retry.max_attempts < 0):
+            raise ConfigError(
+                "replica policy retry needs a RetryPolicy with base > 0, "
+                f"cap > 0 and max_attempts >= 0, got {retry!r}"
+            )
 
 
 def _index_rank(endpoint: "_Endpoint", now: float) -> tuple:
@@ -128,16 +172,8 @@ class ReplicatedKeyClient:
         rekey_interval: float = 100.0,
         pipelining: bool = False,
         max_inflight: int = 8,
-        deadline: float = 2.0,
-        hedge_delay: float = 0.75,
-        max_retries: int = 4,
-        backoff: float = 0.25,
-        backoff_cap: float = 4.0,
-        failure_threshold: int = 2,
-        cooldown: float = 8.0,
+        policy: ReplicaPolicy = ReplicaPolicy(),
         dedup_window: float = 0.0,
-        repair_interval: float = 2.0,
-        repair_max_attempts: int = 6,
         rng: Optional[SimRandom] = None,
         share_seed: bytes = b"cluster-shares",
         tracer=None,
@@ -154,21 +190,8 @@ class ReplicatedKeyClient:
         self.group = group
         self.k = group.k
         self.m = group.m
-        self.deadline = deadline
-        self.hedge_delay = hedge_delay
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.backoff_cap = backoff_cap
-        # The legacy private backoff loop, as a shared policy object
-        # (identical delay math and jitter draw order).
-        self.retry_policy = RetryPolicy(
-            base=backoff, cap=backoff_cap, max_attempts=max_retries
-        )
-        self.failure_threshold = failure_threshold
-        self.cooldown = cooldown
+        self.policy = policy
         self.dedup_window = dedup_window
-        self.repair_interval = repair_interval
-        self.repair_max_attempts = repair_max_attempts
         self.metrics = ClusterMetrics()
         group.enroll_device(device_id, device_secret)
         self.endpoints = [
@@ -200,9 +223,9 @@ class ReplicatedKeyClient:
 
     def _mark_fail(self, ep: _Endpoint) -> None:
         ep.failures += 1
-        if (ep.failures >= self.failure_threshold
+        if (ep.failures >= self.policy.failure_threshold
                 and ep.down_until <= self.sim.now):
-            ep.down_until = self.sim.now + self.cooldown
+            ep.down_until = self.sim.now + self.policy.cooldown
             self.metrics.marked_down += 1
 
     def _ranked(self) -> list[_Endpoint]:
@@ -249,16 +272,13 @@ class ReplicatedKeyClient:
         (the channel also enforces the context deadline underneath, so
         spans attribute the expiry wherever it actually fired).
         """
-        deadline = self.deadline if self.deadline > 0 else float("inf")
+        deadline = self.policy.deadline
         if ctx is not None and ctx.deadline is not None:
             deadline = min(deadline, max(0.0, ctx.remaining()))
         proc = self.sim.process(
             self._raw_call(ep, method, params, ctx),
             name=f"cluster-call-{method}-r{ep.index}",
         )
-        if deadline == float("inf"):
-            outcome = yield proc
-            return outcome
         winner, value = yield self.sim.any_of(
             [proc, self.sim.timeout(deadline)]
         )
@@ -329,10 +349,11 @@ class ReplicatedKeyClient:
         for _ in range(need):
             launch_next()
 
-        if self.hedge_delay > 0 and queue:
+        hedge_delay = self.policy.hedge_delay
+        if hedge_delay > 0 and queue:
             def hedger() -> Generator:
                 while queue and not done.triggered:
-                    yield self.sim.timeout(self.hedge_delay)
+                    yield self.sim.timeout(hedge_delay)
                     if done.triggered:
                         return
                     if launch_next():
@@ -363,7 +384,7 @@ class ReplicatedKeyClient:
         responses = yield from retrying(
             self.sim,
             lambda _attempt: self._gather(need, method, params, label, ctx),
-            self.retry_policy,
+            self.policy.retry,
             self._rng,
             retry_on=(ServiceUnavailableError,),
             ctx=ctx,
@@ -528,11 +549,11 @@ class ReplicatedKeyClient:
         """Bounded anti-entropy: re-upload shares that missed a replica.
 
         ``key.put`` is idempotent, so repeats are harmless; items that
-        keep failing are abandoned after ``repair_max_attempts`` passes
+        keep failing are abandoned after ``_REPAIR_MAX_ATTEMPTS`` passes
         (the loop always terminates, keeping sim runs finite).
         """
         while self._repair_queue:
-            yield self.sim.timeout(self.repair_interval)
+            yield self.sim.timeout(_REPAIR_INTERVAL)
             batch, self._repair_queue = self._repair_queue, []
             for attempts, index, audit_id, share in batch:
                 ep = self.endpoints[index]
@@ -542,7 +563,7 @@ class ReplicatedKeyClient:
                 if tag == "ok":
                     self._mark_ok(ep)
                     self.metrics.repairs += 1
-                elif attempts + 1 >= self.repair_max_attempts:
+                elif attempts + 1 >= _REPAIR_MAX_ATTEMPTS:
                     self.metrics.repairs_abandoned += 1
                 else:
                     self._repair_queue.append(
@@ -577,13 +598,7 @@ class ReplicatedServiceSession(ServiceSession):
         coalesce_fetches: bool = False,
         write_behind: bool = False,
         write_behind_interval: float = 1.0,
-        deadline: float = 2.0,
-        hedge_delay: float = 0.75,
-        max_retries: int = 4,
-        backoff: float = 0.25,
-        backoff_cap: float = 4.0,
-        failure_threshold: int = 2,
-        cooldown: float = 8.0,
+        policy: ReplicaPolicy = ReplicaPolicy(),
         dedup_window: float = 0.0,
         mint_seed: bytes = b"cluster-mint",
         rng: Optional[SimRandom] = None,
@@ -603,10 +618,8 @@ class ReplicatedServiceSession(ServiceSession):
         self.cluster = ReplicatedKeyClient(
             sim, device_id, device_secret, replica_group, replica_links,
             costs=costs, rekey_interval=rekey_interval, pipelining=pipelining,
-            max_inflight=max_inflight, deadline=deadline,
-            hedge_delay=hedge_delay, max_retries=max_retries, backoff=backoff,
-            backoff_cap=backoff_cap, failure_threshold=failure_threshold,
-            cooldown=cooldown, dedup_window=dedup_window,
+            max_inflight=max_inflight, policy=policy,
+            dedup_window=dedup_window,
             rng=rng, share_seed=mint_seed + b"|shares", tracer=tracer,
             home_region=home_region,
         )

@@ -29,6 +29,7 @@ from repro.costmodel import DEFAULT_COSTS, CostModel
 from repro.net.link import Link
 from repro.net.netem import LAN, NetEnv
 from repro.net.rpc import RpcChannel
+from repro.server import FrontendSpec
 from repro.sim import Simulation, SimRandom
 from repro.core.services.keyservice import KeyService
 from repro.cluster.election import LeaseManager
@@ -102,16 +103,15 @@ class ReplicaGroup:
     def is_revoked(self, device_id: str) -> bool:
         return any(r.is_revoked(device_id) for r in self.replicas)
 
-    def install_frontends(self, **knobs) -> list:
-        """Install a scheduler frontend on every replica (fleet scale).
+    def install_frontends(self, spec: FrontendSpec) -> list:
+        """Install a scheduler frontend built from ``spec`` on every
+        replica (fleet scale).
 
-        Keyword arguments are forwarded to
-        :meth:`~repro.core.services.keyservice.KeyService.install_frontend`;
-        each replica gets its own independent scheduler (fair queueing
+        Each replica gets its own independent scheduler (fair queueing
         and group commit are per-replica concerns — shares of one fetch
         still land on k distinct logs).  Returns the frontends.
         """
-        return [replica.install_frontend(**knobs) for replica in self.replicas]
+        return [replica.install_frontend(spec) for replica in self.replicas]
 
     # -- introspection -------------------------------------------------------
     def available_count(self) -> int:

@@ -15,8 +15,8 @@ VFS op never observes a mix of old and new policy.  Everything outside
 ``RUNTIME_MUTABLE`` is mount-frozen: :meth:`PolicyEpoch.update`
 refuses it with :class:`~repro.errors.ConfigError`, the same uniform
 error :meth:`KeypadConfigBuilder.build` raises for contradictory
-bundles and that the builder raises for runtime-only control verbs
-passed as mount-time knobs.
+bundles; a runtime-only control verb passed to it as a knob gets a
+targeted error.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.auditstore import AuditSpec
 from repro.errors import ConfigError
+from repro.server import FrontendSpec
 from repro.util.paths import is_ancestor, normalize
 
 if TYPE_CHECKING:
@@ -135,16 +136,6 @@ class KeypadConfig:
     # cluster (``builder().replication(k, m)``); several regions add
     # gossip, leases and geo-routing (``builder().federation(...)``).
     cluster: Optional["Topology"] = None
-    # Failure-aware client: per-request deadline, hedging delay for
-    # lagging replicas, retry budget with exponential backoff + jitter,
-    # and health-tracking cooldown for replicas that keep failing.
-    replica_deadline: float = 2.0
-    replica_hedge_delay: float = 0.75
-    replica_max_retries: int = 4
-    replica_backoff: float = 0.25
-    replica_backoff_cap: float = 4.0
-    replica_failure_threshold: int = 2
-    replica_cooldown: float = 8.0
     # --- observability: the per-operation context seam (see
     # docs/OBSERVABILITY.md).  All off by default so flags-off runs
     # stay byte-identical with the pre-context tree.
@@ -158,22 +149,11 @@ class KeypadConfig:
     # (cluster backoff and per-RPC retries draw from one pool);
     # 0 = no explicit budget (each layer's own policy governs).
     op_retry_budget: int = 0
-    # --- server-side frontend (fleet scale; see docs/PROTOCOL.md §10).
-    # Off by default: without it the key service keeps the paper's
-    # infinite-capacity model (every request served on arrival).
-    frontend_enabled: bool = False
-    # Concurrent server workers (the service's capacity).
-    frontend_workers: int = 8
-    # Per-device pending-request bound; arrivals beyond it are shed.
-    frontend_queue_limit: int = 64
-    # 'drr' (deficit-round-robin fair queueing) or 'fifo'.
-    frontend_policy: str = "drr"
-    # Deadline-based admission control (queue-limit shedding is always on).
-    frontend_shed: bool = True
-    # Max cross-device group-commit size for key.fetch (1 disables).
-    frontend_coalesce: int = 8
-    # DRR credit units granted per scheduling round.
-    frontend_quantum: int = 1
+    # --- server-side frontend (fleet scale; see docs/PROTOCOL.md §10):
+    # one frozen FrontendSpec (workers, queue limit, policy, group
+    # size).  None keeps the paper's infinite-capacity model (every
+    # request served on arrival).
+    frontend: Optional[FrontendSpec] = None
     # --- storage backend (see repro.storage.backend).  'ext3' keeps
     # the paper's BlockDevice -> BufferCache -> LocalFileSystem stack
     # byte for byte; 'memory' and 'cas' are opt-in alternatives.
@@ -204,17 +184,6 @@ class KeypadConfig:
         A builder with no steps builds the exact default config.
         """
         return KeypadConfigBuilder(base if base is not None else cls())
-
-    def frontend_knobs(self) -> dict:
-        """The ``install_frontend`` kwargs this config encodes."""
-        return {
-            "workers": self.frontend_workers,
-            "queue_limit": self.frontend_queue_limit,
-            "policy": self.frontend_policy,
-            "shed": self.frontend_shed,
-            "coalesce": self.frontend_coalesce,
-            "quantum": self.frontend_quantum,
-        }
 
 
 class KeypadConfigBuilder:
@@ -263,26 +232,16 @@ class KeypadConfigBuilder:
         )
         return self
 
-    def replication(self, k: int = 2, m: int = 3, **knobs) -> "KeypadConfigBuilder":
+    def replication(self, k: int = 2, m: int = 3) -> "KeypadConfigBuilder":
         """A k-of-m replicated key-service cluster (default 2-of-3): a
-        one-region :class:`~repro.cluster.federation.Topology`.
-
-        Extra keyword arguments override the ``replica_*`` client knobs
-        (deadline, hedging, retries, cooldown) — and *only* those.
-        Historically this escape hatch forwarded anything to the
-        dataclass, so ``.frontend(...).replication(..., frontend_enabled=
-        False)`` silently undid an earlier bundle depending on call
-        order; now a non-``replica_*`` name raises
-        :class:`~repro.errors.ConfigError` immediately, as does a bad
-        k/m (the topology checks itself).
-        """
+        one-region :class:`~repro.cluster.federation.Topology`, which
+        raises :class:`~repro.errors.ConfigError` on a bad k/m."""
         from repro.cluster.federation import Topology
 
-        _check_replica_knobs("replication", knobs)
         topology = Topology.symmetric(
             regions=("local",), replicas_per_region=m, threshold=k
         )
-        self._config = replace(self._config, cluster=topology, **knobs)
+        self._config = replace(self._config, cluster=topology)
         return self
 
     def federation(
@@ -292,19 +251,15 @@ class KeypadConfigBuilder:
         replicas_per_region: int = 2,
         k: int = 2,
         rtt_ms: float = 80.0,
-        **knobs,
     ) -> "KeypadConfigBuilder":
         """A multi-region federated key-service cluster.
 
         Pass a ready :class:`~repro.cluster.federation.Topology`, or
         let the bundle build a symmetric one from ``regions`` /
-        ``replicas_per_region`` / ``k`` / ``rtt_ms``.  Extra keyword
-        arguments are restricted to the ``replica_*`` client knobs,
-        exactly like :meth:`replication`.
+        ``replicas_per_region`` / ``k`` / ``rtt_ms``.
         """
         from repro.cluster.federation import Topology
 
-        _check_replica_knobs("federation", knobs)
         if topology is None:
             topology = Topology.symmetric(
                 regions=regions,
@@ -312,7 +267,7 @@ class KeypadConfigBuilder:
                 threshold=k,
                 rtt_ms=rtt_ms,
             )
-        self._config = replace(self._config, cluster=topology, **knobs)
+        self._config = replace(self._config, cluster=topology)
         return self
 
     def storage(self, backend: str = "ext3") -> "KeypadConfigBuilder":
@@ -360,29 +315,15 @@ class KeypadConfigBuilder:
         )
         return self
 
-    def frontend(
-        self,
-        workers: int = 8,
-        queue_limit: int = 64,
-        policy: str = "drr",
-        shed: bool = True,
-        coalesce: int = 8,
-        quantum: int = 1,
-    ) -> "KeypadConfigBuilder":
+    def frontend(self, **knobs: Any) -> "KeypadConfigBuilder":
         """Install the server-side scheduler frontend on the rig's key
         service(s): bounded workers, per-device fair queueing, deadline
         admission control, and cross-device group commit (PROTOCOL.md
-        §10)."""
-        self._config = replace(
-            self._config,
-            frontend_enabled=True,
-            frontend_workers=workers,
-            frontend_queue_limit=queue_limit,
-            frontend_policy=policy,
-            frontend_shed=shed,
-            frontend_coalesce=coalesce,
-            frontend_quantum=quantum,
-        )
+        §10).  The keyword knobs build the config's
+        :class:`~repro.server.FrontendSpec` (``workers``,
+        ``queue_limit``, ``policy``, ``coalesce``), which raises
+        :class:`~repro.errors.ConfigError` on a bad value."""
+        self._config = replace(self._config, frontend=FrontendSpec(**knobs))
         return self
 
     def build(self) -> KeypadConfig:
@@ -405,36 +346,52 @@ def _reject_runtime_verb(name: str) -> None:
         )
 
 
-def _check_replica_knobs(bundle: str, knobs: dict) -> None:
-    """Let a cluster bundle take only ``replica_*`` keyword knobs."""
-    for name in knobs:
-        _reject_runtime_verb(name)
-        if not name.startswith("replica_"):
-            raise ConfigError(
-                f"{bundle}() only takes replica_* knobs, got "
-                f"{name!r} (set it through its own bundle so "
-                "bundle order cannot silently override it)"
-            )
+#: knobs ``validate_config`` checks, by type: times in seconds (any
+#: real number) and counts (ints); ``bool`` is neither.
+_SECONDS = ("texp", "texp_inflight", "rekey_interval",
+            "registration_retry_delay", "write_behind_interval")
+_COUNTS = ("registration_max_retries", "max_inflight", "key_shards",
+           "op_retry_budget")
 
 
-def _positive(config: KeypadConfig, name: str) -> None:
+def _typed(config: KeypadConfig, name: str, kind, what: str) -> None:
     value = getattr(config, name)
-    if not value > 0:
-        raise ConfigError(f"{name} must be > 0, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 def validate_config(config: KeypadConfig) -> KeypadConfig:
     """Cross-feature validation shared by ``build()`` and mount.
 
     Raises :class:`~repro.errors.ConfigError` (the one uniform type)
-    on any contradiction; returns the config unchanged otherwise so
-    call sites can chain it.
+    on any contradiction or wrongly typed value; returns the config
+    unchanged otherwise so call sites can chain it.
     """
+    from repro.cluster.federation import Topology
+
+    for name in _SECONDS:
+        _typed(config, name, (int, float), "a number")
+    for name in _COUNTS:
+        _typed(config, name, int, "an int")
+    if config.op_deadline is not None:
+        _typed(config, "op_deadline", (int, float), "a number or None")
+    if config.cluster is not None:
+        _typed(config, "cluster", Topology, "a Topology or None")
+    if config.frontend is not None:
+        _typed(config, "frontend", FrontendSpec, "a FrontendSpec or None")
+    _typed(config, "audit", AuditSpec, "an AuditSpec")
+    prefixes = config.protected_prefixes
+    if (not isinstance(prefixes, (tuple, list))
+            or not all(isinstance(p, str) for p in prefixes)):
+        # A bare string would iterate as one-letter "prefixes" and
+        # silently unprotect every real path.
+        raise ConfigError(f"protected_prefixes must be a tuple of path "
+                          f"strings, got {prefixes!r}")
     for name in ("texp_inflight", "rekey_interval",
-                 "registration_retry_delay", "write_behind_interval",
-                 "replica_deadline", "replica_backoff",
-                 "replica_backoff_cap", "replica_cooldown"):
-        _positive(config, name)
+                 "registration_retry_delay", "write_behind_interval"):
+        value = getattr(config, name)
+        if not value > 0:
+            raise ConfigError(f"{name} must be > 0, got {value!r}")
     # texp=0.0 is the paper's no-caching arm ("unoptimized"), so zero
     # is meaningful; only negatives are contradictions.
     if config.texp < 0:
@@ -452,24 +409,11 @@ def validate_config(config: KeypadConfig) -> KeypadConfig:
         raise ConfigError("max_inflight must be >= 1")
     if config.key_shards < 1:
         raise ConfigError("key_shards must be >= 1")
-    if config.replica_max_retries < 0:
-        raise ConfigError("replica_max_retries must be >= 0")
-    if config.replica_failure_threshold < 1:
-        raise ConfigError("replica_failure_threshold must be >= 1")
     if config.op_deadline is not None and not config.op_deadline > 0:
         raise ConfigError(f"op_deadline must be > 0 or None, "
                           f"got {config.op_deadline!r}")
     if config.op_retry_budget < 0:
         raise ConfigError("op_retry_budget must be >= 0")
-    if config.frontend_policy not in ("drr", "fifo"):
-        raise ConfigError(
-            f"frontend_policy must be 'drr' or 'fifo', "
-            f"got {config.frontend_policy!r}"
-        )
-    for name in ("frontend_workers", "frontend_queue_limit",
-                 "frontend_coalesce", "frontend_quantum"):
-        if getattr(config, name) < 1:
-            raise ConfigError(f"{name} must be >= 1")
     if not config.protected_prefixes:
         raise ConfigError(
             "protected_prefixes must not be empty — use an unprotected "
@@ -485,7 +429,8 @@ def validate_config(config: KeypadConfig) -> KeypadConfig:
         ) from None
     from repro.storage.backend import BACKENDS
 
-    if config.storage_backend not in BACKENDS:
+    if (not isinstance(config.storage_backend, str)
+            or config.storage_backend not in BACKENDS):
         raise ConfigError(
             f"unknown storage backend {config.storage_backend!r}; "
             f"choose one of {sorted(BACKENDS)}"
@@ -551,10 +496,9 @@ class PolicyEpoch:
                     "remount (runtime-mutable knobs: "
                     f"{sorted(RUNTIME_MUTABLE)})"
                 )
-        if "protected_prefixes" in changes:
-            changes["protected_prefixes"] = tuple(
-                changes["protected_prefixes"]
-            )
+        prefixes = changes.get("protected_prefixes")
+        if isinstance(prefixes, list):  # a tuple crosses the wire as a list
+            changes["protected_prefixes"] = tuple(prefixes)
         return self._install(replace(self._config, **changes))
 
     def replace_config(self, config: KeypadConfig) -> KeypadConfig:

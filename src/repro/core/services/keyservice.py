@@ -30,6 +30,7 @@ from repro.net.rpc import RpcServer
 from repro.sim import Lock, Simulation
 from repro.auditstore import AuditSpec
 from repro.auditstore.log import DISCLOSING_KINDS, LogEntry
+from repro.server import FrontendSpec, ServiceFrontend
 from repro.storage.backend import BlobStore
 
 __all__ = ["KeyService", "AUDIT_ID_LEN", "REMOTE_KEY_LEN", "DISCLOSING_KINDS"]
@@ -217,35 +218,20 @@ class KeyService:
         self.access_log.rebind_blobs(blobs.namespace(self.audit_namespace))
 
     # -- server-side frontend (fleet scale; see repro.server) ---------------
-    def install_frontend(
-        self,
-        workers: int = 8,
-        queue_limit: int = 64,
-        policy: str = "drr",
-        shed: bool = True,
-        coalesce: int = 8,
-        quantum: int = 1,
-    ):
+    def install_frontend(self, spec: FrontendSpec = FrontendSpec()):
         """Bound this service's concurrency with a scheduler frontend.
 
         The legacy server runs every request the moment it arrives; a
-        frontend gives the service ``workers`` of real capacity, fair
-        queueing across devices, deadline-aware load shedding, and
+        frontend gives the service ``spec.workers`` of real capacity,
+        fair queueing across devices, deadline-aware load shedding, and
         cross-device group commit of ``key.fetch`` (one durable-log
         write amortised over the group via :meth:`fetch_group`).
         Returns the installed :class:`~repro.server.ServiceFrontend`.
         """
-        from repro.server import ServiceFrontend
-
         frontend = ServiceFrontend(
             self.sim,
             self.server,
-            workers=workers,
-            queue_limit=queue_limit,
-            policy=policy,
-            shed=shed,
-            coalesce=coalesce,
-            quantum=quantum,
+            spec,
             service_estimate=(
                 self.costs.service_log_append + self.costs.service_key_lookup
             ),

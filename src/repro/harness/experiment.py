@@ -251,13 +251,6 @@ def build_keypad_rig(
             coalesce_fetches=config.coalesce_fetches,
             write_behind=config.write_behind,
             write_behind_interval=config.write_behind_interval,
-            deadline=config.replica_deadline,
-            hedge_delay=config.replica_hedge_delay,
-            max_retries=config.replica_max_retries,
-            backoff=config.replica_backoff,
-            backoff_cap=config.replica_backoff_cap,
-            failure_threshold=config.replica_failure_threshold,
-            cooldown=config.replica_cooldown,
             dedup_window=config.texp,
             mint_seed=b"cluster-mint|" + seed,
             rng=SimRandom(seed, "cluster-client"),
@@ -292,12 +285,11 @@ def build_keypad_rig(
             tracer=tracer,
         )
     frontends: list = []
-    if config.frontend_enabled:
-        knobs = config.frontend_knobs()
+    if config.frontend is not None:
         if replica_group is not None:
-            frontends = replica_group.install_frontends(**knobs)
+            frontends = replica_group.install_frontends(config.frontend)
         else:
-            frontends = [key_service.install_frontend(**knobs)]
+            frontends = [key_service.install_frontend(config.frontend)]
 
     fs = KeypadFS(
         sim, lower, volume, services, config=config, costs=costs,

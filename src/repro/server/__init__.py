@@ -4,14 +4,16 @@ Everything a *fleet*-facing key service needs beyond the paper's
 single-device evaluation: per-device fair queueing with bounded
 queues (:mod:`repro.server.scheduler`), deadline-aware admission
 control, and cross-device group commit of audited fetches
-(:mod:`repro.server.frontend`).  Flag-gated end to end:
-``KeypadConfig.frontend_enabled`` defaults to off and nothing in this
-package is imported on the legacy path.
+(:mod:`repro.server.frontend`).  Off by default: a frontend is built
+only when ``KeypadConfig.frontend`` holds a :class:`FrontendSpec` (or a
+caller installs one), and without it the key service keeps the legacy
+unbounded dispatch.
 """
 
 from repro.server.frontend import (
     DEFAULT_BYPASS,
     FrontendMetrics,
+    FrontendSpec,
     ServiceFrontend,
     default_request_cost,
 )
@@ -23,6 +25,7 @@ from repro.server.scheduler import (
 )
 
 __all__ = [
+    "FrontendSpec",
     "ServiceFrontend",
     "FrontendMetrics",
     "DEFAULT_BYPASS",

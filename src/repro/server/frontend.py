@@ -32,21 +32,29 @@ shared key service scale (see PROTOCOL.md §10):
   fetches — across tenants, where requests are *not* identical and must
   each keep their own evidence.
 
-Nothing here is wired up by default: ``KeypadConfig.frontend_enabled``
-is off, and a server without ``install_frontend`` keeps the legacy
-unbounded dispatch byte for byte.
+A :class:`FrontendSpec` holds the frontend's four settings and checks
+itself once.  Nothing here is wired up by default:
+``KeypadConfig.frontend`` is ``None``, and a server without
+``install_frontend`` keeps the legacy unbounded dispatch byte for byte.
+Deadline admission control is always on, and ``rpc.hello`` /
+``key.health`` always bypass the queue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterable, Mapping, Optional
+from typing import Any, Callable, Generator, Mapping, Optional
 
-from repro.errors import OverloadSheddedError, ServiceUnavailableError
+from repro.errors import (
+    ConfigError,
+    OverloadSheddedError,
+    ServiceUnavailableError,
+)
 from repro.server.scheduler import Request, make_scheduler
 from repro.sim import Simulation
 
 __all__ = [
+    "FrontendSpec",
     "ServiceFrontend",
     "FrontendMetrics",
     "DEFAULT_BYPASS",
@@ -70,6 +78,37 @@ def default_request_cost(method: str, payload: Mapping) -> int:
     if method == "key.report_batch":
         return max(1, len(payload.get("records") or ()))
     return 1
+
+
+@dataclass(frozen=True)
+class FrontendSpec:
+    """The server frontend's settings (PROTOCOL.md §10).
+
+    ``workers`` concurrent worker processes (the service's capacity);
+    a per-device bound of ``queue_limit`` pending requests, beyond
+    which arrivals are shed; ``policy`` ``'drr'`` (deficit round robin,
+    fair) or ``'fifo'`` (arrival order, the unfair baseline the fleet
+    benchmark contrasts); and groups of at most ``coalesce`` cross-device
+    ``key.fetch`` requests per durable-log write (1 disables grouping).
+    Raises :class:`~repro.errors.ConfigError` on a bad value.
+    """
+
+    workers: int = 8
+    queue_limit: int = 64
+    policy: str = "drr"
+    coalesce: int = 8
+
+    def __post_init__(self) -> None:
+        if self.policy not in ("drr", "fifo"):
+            raise ConfigError(
+                f"frontend policy must be 'drr' or 'fifo', got {self.policy!r}"
+            )
+        for name in ("workers", "queue_limit", "coalesce"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ConfigError(
+                    f"frontend {name} must be an int >= 1, got {value!r}"
+                )
 
 
 @dataclass
@@ -114,21 +153,9 @@ class ServiceFrontend:
 
     Parameters
     ----------
-    workers:
-        Concurrent worker processes (the service's capacity model).
-    queue_limit:
-        Per-device pending-request bound; arrivals beyond it are shed.
-    policy:
-        ``'drr'`` (deficit round robin, fair) or ``'fifo'`` (arrival
-        order — the unfair baseline the fleet benchmark contrasts).
-    shed:
-        Enable deadline-based admission control.  Queue-limit shedding
-        is always on (a bounded queue is what makes the model honest).
-    coalesce:
-        Max cross-device group size for methods in ``group_methods``
-        (1 disables grouping).
-    quantum:
-        DRR credit units granted per round.
+    spec:
+        The :class:`FrontendSpec` (workers, queue limit, policy,
+        group size).
     service_estimate:
         Initial per-cost-unit service time (seconds) for the admission
         estimate; refined by an EWMA of observed service times.
@@ -143,33 +170,18 @@ class ServiceFrontend:
         self,
         sim: Simulation,
         server: Any,
-        workers: int = 8,
-        queue_limit: int = 64,
-        policy: str = "drr",
-        shed: bool = True,
-        coalesce: int = 8,
-        quantum: int = 1,
+        spec: FrontendSpec,
         service_estimate: float = 0.001,
         group_methods: Optional[Mapping[str, Callable]] = None,
-        bypass: Iterable[str] = DEFAULT_BYPASS,
-        cost_fn: Callable[[str, Mapping], int] = default_request_cost,
     ):
-        if workers < 1:
-            raise ValueError("frontend needs at least one worker")
-        if queue_limit < 1:
-            raise ValueError("queue_limit must be >= 1")
         self.sim = sim
         self.server = server
-        self.workers = workers
-        self.queue_limit = queue_limit
-        self.shed = shed
-        self.coalesce = max(1, int(coalesce))
-        self.bypass = frozenset(bypass)
-        self.cost_fn = cost_fn
+        self.workers = spec.workers
+        self.queue_limit = spec.queue_limit
+        self.coalesce = spec.coalesce
         self._group_methods = dict(group_methods or {})
-        self._sched = make_scheduler(policy, quantum)
+        self._sched = make_scheduler(spec.policy)
         self._busy = 0
-        self._queued_cost = 0
         self._est = max(1e-9, float(service_estimate))
         self.metrics = FrontendMetrics()
         # Runtime drain flag (control channel): while set, every
@@ -195,7 +207,7 @@ class ServiceFrontend:
         return len(self._sched)
 
     def handles(self, method: str) -> bool:
-        return method not in self.bypass
+        return method not in DEFAULT_BYPASS
 
     # -- admission ----------------------------------------------------------
     def estimated_delay(self, device_id: str = "", cost: int = 1) -> float:
@@ -233,8 +245,8 @@ class ServiceFrontend:
                 f"{self.server.name}: {device_id} already has "
                 f"{self.queue_limit} requests queued"
             )
-        cost = max(1, int(self.cost_fn(method, payload)))
-        if self.shed and deadline is not None:
+        cost = default_request_cost(method, payload)
+        if deadline is not None:
             finish_estimate = (
                 self.sim.now + self.estimated_delay(device_id, cost)
             )
@@ -251,11 +263,9 @@ class ServiceFrontend:
             payload=payload,
             deadline=deadline,
             done=self.sim.event(),
-            enqueued_at=self.sim.now,
             cost=cost,
         )
         self._sched.push(request)
-        self._queued_cost += cost
         self.metrics.admitted += 1
         if len(self._sched) > self.metrics.max_backlog:
             self.metrics.max_backlog = len(self._sched)
@@ -277,7 +287,6 @@ class ServiceFrontend:
                     lambda r: r.method == leader.method,
                     self.coalesce - 1,
                 )
-            self._queued_cost -= sum(r.cost for r in batch)
             self._busy += 1
             if self._busy > self.metrics.busy_hwm:
                 self.metrics.busy_hwm = self._busy

@@ -7,8 +7,8 @@ Two interchangeable policies behind one small interface (``push`` /
   behaviour of a naive multi-tenant server.  A device that floods the
   service pushes everyone else's requests behind its own.
 * :class:`DrrScheduler` — deficit round robin (Shreedhar & Varghese)
-  over per-device queues.  Each backlogged device accrues ``quantum``
-  cost units of credit per scheduling round and may only be served
+  over per-device queues.  Each backlogged device accrues one cost
+  unit of credit (``QUANTUM``) per scheduling round and may only be served
   while its credit covers the head request's cost, so a scanner
   hammering ``key.fetch_batch`` gets its fair share and no more, while
   a device that asks rarely is served within about one round of
@@ -26,7 +26,7 @@ given arrival sequence always yields the same service order.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Callable, Deque, Dict, Optional
 
@@ -44,10 +44,8 @@ class Request:
     deadline: Optional[float]
     #: sim Event the frontend triggers with the handler's result/fault.
     done: Any
-    enqueued_at: float
     #: abstract service-cost units (1 = one lookup+append's worth).
     cost: int = 1
-    attrs: dict = field(default_factory=dict)
 
 
 class FifoScheduler:
@@ -55,8 +53,7 @@ class FifoScheduler:
 
     policy = "fifo"
 
-    def __init__(self, quantum: int = 1):
-        del quantum  # FIFO has no rounds
+    def __init__(self):
         self._queue: Deque[Request] = deque()
         self._counts: Dict[str, int] = {}
         self._total_cost = 0
@@ -114,8 +111,10 @@ class DrrScheduler:
     #: 10,000-device backlog never turns one take into an O(n) walk).
     GROUP_SCAN_FACTOR = 4
 
-    def __init__(self, quantum: int = 1):
-        self.quantum = max(1, int(quantum))
+    #: credit units granted per scheduling round.
+    QUANTUM = 1
+
+    def __init__(self):
         self._queues: Dict[str, Deque[Request]] = {}
         #: round-robin ring of device ids; may hold devices whose queue
         #: already drained (retired lazily when they reach the head, so
@@ -140,9 +139,9 @@ class DrrScheduler:
     def wait_units(self, device_id: str, cost: int) -> float:
         """Cost units served before a new request would finish.
 
-        Under DRR a request of cost ``c`` needs about ``ceil(c/quantum)``
+        Under DRR a request of cost ``c`` needs about ``ceil(c/QUANTUM)``
         scheduling rounds (plus rounds for work already queued by the
-        same device), and each round serves at most ``quantum`` units to
+        same device), and each round serves at most ``QUANTUM`` units to
         every backlogged device — so a single fetch from a light tenant
         waits roughly one round even when a scanner has megabytes of
         batches queued, while the scanner's own batch waits ``c`` rounds.
@@ -155,11 +154,11 @@ class DrrScheduler:
         own = sum(r.cost for r in queue) if queue else 0
         credit = self._credit.get(device_id, 0.0)
         need = max(0.0, own + cost - credit)
-        rounds = -(-need // self.quantum)  # ceil
+        rounds = -(-need // self.QUANTUM)  # ceil
         active = len(self._queues)
         if device_id not in self._queues:
             active += 1
-        return min(rounds * active * self.quantum, self._total_cost) + cost
+        return min(rounds * active * self.QUANTUM, self._total_cost) + cost
 
     def push(self, request: Request) -> None:
         queue = self._queues.get(request.device_id)
@@ -207,7 +206,7 @@ class DrrScheduler:
                     self._ring.rotate(-1)
                     self._head_granted = None
                     continue
-                credit += self.quantum
+                credit += self.QUANTUM
                 self._credit[device_id] = credit
                 self._head_granted = device_id
                 if credit < head.cost:
@@ -251,16 +250,16 @@ class DrrScheduler:
             self._backlog -= 1
             self._total_cost -= head.cost
             self._credit[device_id] = (
-                self._credit.get(device_id, 0.0) + self.quantum - head.cost
+                self._credit.get(device_id, 0.0) + self.QUANTUM - head.cost
             )
             out.append(head)
         return out
 
 
-def make_scheduler(policy: str, quantum: int = 1):
+def make_scheduler(policy: str):
     """Factory: ``'drr'`` (fair) or ``'fifo'`` (arrival order)."""
     if policy == "drr":
-        return DrrScheduler(quantum)
+        return DrrScheduler()
     if policy == "fifo":
-        return FifoScheduler(quantum)
+        return FifoScheduler()
     raise ValueError(f"unknown scheduler policy {policy!r}")

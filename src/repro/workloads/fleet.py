@@ -56,6 +56,7 @@ from repro.errors import (
 )
 from repro.net.netem import LAN, NetEnv
 from repro.net.rpc import RpcChannel
+from repro.server import FrontendSpec
 from repro.sim import SimRandom, Simulation
 from repro.storage.backend import BlobStore
 
@@ -493,12 +494,13 @@ def run_fleet(
     ``frontend`` is ``None`` for the legacy unbounded server (every
     request served concurrently on arrival — the paper's one-device
     model scaled naively), or a dict of
-    :meth:`~repro.core.services.keyservice.KeyService.install_frontend`
-    knobs (``workers``, ``policy``, ``queue_limit``, ``coalesce``, ...).
-    ``replicas > 1`` runs the fleet against a :class:`ReplicaGroup`
-    with ``threshold``-of-``replicas`` secret sharing instead of a
-    single service; keys are pre-split so each replica escrows one
-    share, exactly as ``put_key`` would have left them.
+    :class:`~repro.server.FrontendSpec` knobs (``workers``, ``policy``,
+    ``queue_limit``, ``coalesce``), built into the spec once here.
+    A cluster (``replicas``/``threshold`` or ``topology``, below) runs
+    the fleet against a :class:`ReplicaGroup` with k-of-m secret
+    sharing instead of a single service; keys are pre-split so each
+    replica escrows one share, exactly as ``put_key`` would have left
+    them.
 
     Devices are pre-provisioned out of band (``preload_key``): the
     benchmark measures the steady-state fetch path, not enrolment.
@@ -511,8 +513,8 @@ def run_fleet(
     to the pre-control fleet.
 
     ``inspect`` is an optional callable invoked once after the run with
-    the provisioned key service (or the :class:`ReplicaGroup` when
-    ``replicas > 1``); whatever it returns lands in
+    the provisioned key service (or the :class:`ReplicaGroup` of a
+    cluster run); whatever it returns lands in
     ``FleetResult.inspection``.  The simulated world is torn down with
     the call frame, so this is the only supported way for benchmarks to
     examine server-side state (audit log contents, store stats, ...)
@@ -564,6 +566,7 @@ def run_fleet(
             regions=("local",), replicas_per_region=replicas,
             threshold=threshold)
 
+    spec = FrontendSpec(**frontend) if frontend is not None else None
     if audit_durable and audit_store not in ("segmented", "durable"):
         raise ConfigError("audit_durable=True needs audit_store='segmented'")
     audit = AuditSpec(
@@ -585,7 +588,7 @@ def run_fleet(
             return fleet_shard.run_fleet_sharded(
                 devices=devices, duration=duration, seed=seed,
                 scanner_fraction=scanner_fraction, network=net,
-                costs=costs, frontend=frontend, shards=shards,
+                costs=costs, frontend=spec, shards=shards,
                 control=control, audit=audit, inspect=inspect,
                 n_shards=n_shards,
             )
@@ -602,8 +605,8 @@ def run_fleet(
         )
         if topology.multi_region:
             group.start_gossip()
-        if frontend is not None:
-            frontends = group.install_frontends(**frontend)
+        if spec is not None:
+            frontends = group.install_frontends(spec)
         share_drbg = HmacDrbg(derive_arm_seed(seed, "shares"),
                               b"fleet-shares")
         service = None
@@ -612,8 +615,8 @@ def run_fleet(
             sim, costs=costs, seed=derive_arm_seed(seed, "ks"),
             name="fleet-keys", shards=shards, audit=audit,
         )
-        if frontend is not None:
-            frontends = [service.install_frontend(**frontend)]
+        if spec is not None:
+            frontends = [service.install_frontend(spec)]
         group = None
         share_drbg = None
 
@@ -680,7 +683,7 @@ def run_fleet(
     if faults is not None and len(faults):
         if group is None:
             raise ValueError("a fault plan needs a replica cluster "
-                             "(replicas > 1)")
+                             "(replicas/threshold or topology)")
         from repro.cluster.faults import FaultInjector
 
         injector = FaultInjector(

@@ -69,6 +69,7 @@ from repro.costmodel import CostModel
 from repro.net.netem import NetEnv
 from repro.net.rpc import RpcChannel, raise_if_fault, serve_request
 from repro.net.wire import request_wire_form, response_wire_form
+from repro.server import FrontendSpec
 from repro.sim import Simulation
 
 __all__ = ["available", "run_fleet_sharded", "ShardChannel"]
@@ -330,7 +331,7 @@ def run_fleet_sharded(
     scanner_fraction: float,
     network: NetEnv,
     costs: CostModel,
-    frontend: Optional[dict],
+    frontend: Optional[FrontendSpec],
     shards: int,
     control: Optional[list],
     audit: AuditSpec,
@@ -383,7 +384,7 @@ def run_fleet_sharded(
             name=server_name, shards=shards, audit=audit,
         )
         frontends = (
-            [service.install_frontend(**frontend)]
+            [service.install_frontend(frontend)]
             if frontend is not None else []
         )
         for index in range(devices):

@@ -1,11 +1,12 @@
 """The cluster CLI demos' stdout, pinned byte for byte.
 
 Each demo runs in a fresh interpreter (as a user would run it) and its
-stdout must equal the file under ``tests/golden/``.  The four demos
-cover the flat k-of-m cluster (``cluster-demo``, a replicated
-``fleet``) and the multi-region one (``ctl region-status``,
-``ctl partition-report``); simulated time makes their output
-deterministic, so any difference is a behaviour change.
+stdout must equal the file under ``tests/golden/``.  The demos cover
+the flat k-of-m cluster (``cluster-demo``, a replicated ``fleet``), the
+multi-region one (``ctl region-status``, ``ctl partition-report``) and
+a rig mounted with the config's server frontend (``ctl drain``);
+simulated time makes their output deterministic, so any difference is
+a behaviour change.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ DEMOS = {
     "cli_ctl_region_status.txt": ["ctl", "region-status"],
     "cli_ctl_partition_report.txt": ["ctl", "partition-report",
                                      "--duration", "10"],
+    "cli_ctl_drain.txt": ["ctl", "drain"],
 }
 
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.core.services import KeyService
 from repro.costmodel import DEFAULT_COSTS
 from repro.errors import OverloadSheddedError, ReproError
+from repro.server import FrontendSpec
 from repro.sim import Simulation
 
 AUDIT_IDS = [bytes([tag]) * 24 for tag in range(4)]
@@ -58,10 +59,10 @@ def test_shedding_never_loses_audit_records(
         service.enroll_device(device, b"s" * 16)
         for audit_id in AUDIT_IDS:
             service.preload_key(device, audit_id, b"k" * 32)
-    frontend = service.install_frontend(
+    frontend = service.install_frontend(FrontendSpec(
         workers=workers, queue_limit=queue_limit, policy=policy,
         coalesce=coalesce,
-    )
+    ))
 
     got_key: dict[tuple[str, bytes], int] = {}
     outcomes = {"completed": 0, "shed": 0, "failed": 0}

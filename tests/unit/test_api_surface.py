@@ -47,7 +47,7 @@ API_SURFACE = sorted([
     "DurableAuditStore", "BlobImage", "FLUSH_POLICIES",
     # fleet scale
     "run_fleet", "FleetResult", "DeviceProfile", "ServiceFrontend",
-    "ControlEvent",
+    "FrontendSpec", "ControlEvent",
     # runtime control plane
     "open_control", "ControlServer", "ControlClient", "PolicyEpoch",
     # pluggable storage backends
@@ -114,7 +114,7 @@ class TestConfigBuilder:
         config = (
             KeypadConfig.builder()
             .fast_transport(key_shards=2)
-            .replication(k=2, m=3, replica_deadline=1.5)
+            .replication(k=2, m=3)
             .tracing()
             .frontend(workers=16, policy="fifo")
             .build()
@@ -123,16 +123,14 @@ class TestConfigBuilder:
         assert config.cluster.total_replicas == 3
         assert config.cluster.threshold == 2
         assert not config.cluster.multi_region
-        assert config.replica_deadline == 1.5
         assert config.tracing
-        assert config.frontend_enabled
-        assert config.frontend_workers == 16
-        assert config.frontend_knobs()["policy"] == "fifo"
+        assert config.frontend == api.FrontendSpec(workers=16, policy="fifo")
 
     def test_builder_from_base(self):
         base = KeypadConfig(texp=42.0)
         built = KeypadConfig.builder(base).frontend().build()
-        assert built.texp == 42.0 and built.frontend_enabled
+        assert built.texp == 42.0
+        assert built.frontend == api.FrontendSpec()
 
     def test_replication_validates(self):
         with pytest.raises(ValueError):
@@ -149,7 +147,7 @@ class TestConfigBuilder:
             KeypadConfig.builder().texp(0.5).build()
         with pytest.raises(ConfigError):
             # a contradictory base is caught at build, not at mount
-            base = KeypadConfig(replica_deadline=0.0)
+            base = KeypadConfig(rekey_interval=0.0)
             KeypadConfig.builder(base).build()
         with pytest.raises(ConfigError):
             KeypadConfig.builder().storage("floppy").build()
@@ -160,11 +158,27 @@ class TestConfigBuilder:
         assert KeypadConfig.builder().texp(0.0).build().texp == 0.0
 
     def test_bundle_steps_reject_runtime_verbs(self):
-        # Control-channel verbs are not config knobs; naming one in a
-        # builder step must fail at the step, with a pointer to the
-        # control channel, not silently ride into the mount.
+        # Control-channel verbs are not config knobs; naming one as a
+        # knob must fail with a pointer to the control channel, not a
+        # generic unknown-field complaint.
+        from repro.core.policy import PolicyEpoch
+
         with pytest.raises(ConfigError, match="control"):
-            KeypadConfig.builder().replication(k=2, m=3, drain=True)
+            PolicyEpoch(KeypadConfig()).update(drain=True)
+
+    @pytest.mark.parametrize("bad", [
+        {"cluster": "us"},
+        {"audit": "durable"},
+        {"frontend": {"workers": 4}},
+        {"protected_prefixes": "/home"},
+        {"texp": "5"},
+        {"key_shards": 2.0},
+    ])
+    def test_build_rejects_wrongly_typed_fields(self, bad):
+        # A wrongly typed field fails at build with the one uniform
+        # error, not later at mount with an AttributeError/TypeError.
+        with pytest.raises(ConfigError):
+            KeypadConfig.builder(KeypadConfig(**bad)).build()
 
     def test_mount_freezes_runtime_only_knobs(self):
         from repro.core.policy import PolicyEpoch
@@ -177,7 +191,7 @@ class TestConfigBuilder:
 
     def test_flags_off_defaults_unchanged(self):
         config = KeypadConfig()
-        assert not config.frontend_enabled
+        assert config.frontend is None
         assert not config.pipelining
         assert config.cluster is None
         assert not config.tracing

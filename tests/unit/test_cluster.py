@@ -7,6 +7,7 @@ import pytest
 from repro.cluster import (
     ClusterAuditLog,
     ReplicaGroup,
+    ReplicaPolicy,
     ReplicatedServiceSession,
     Topology,
 )
@@ -18,18 +19,21 @@ from repro.forensics.audit import AuditTool
 from repro.harness import build_keypad_rig
 from repro.harness.experiment import DEVICE_ID
 from repro.sim import Simulation
+from repro.util.retry import RetryPolicy
 
 AUDIT_ID = bytes(range(24))
 SECRET = b"device-secret-tests-0123"
 
 
 def _cluster(m=3, k=2, rtt=0.03, **knobs):
+    """A session over a k-of-m group; ``knobs`` tune its ReplicaPolicy."""
     sim = Simulation()
     group = ReplicaGroup(sim, Topology.symmetric(("local",), m, k))
     links = [Link(sim, rtt, name=f"keys-r{i}") for i in range(m)]
     services = ReplicatedServiceSession(
         sim, DEVICE_ID, SECRET, group, links,
-        MetadataService(sim), Link(sim, rtt, name="meta"), **knobs,
+        MetadataService(sim), Link(sim, rtt, name="meta"),
+        policy=ReplicaPolicy(**knobs),
     )
     return sim, group, links, services
 
@@ -71,7 +75,8 @@ def test_failover_survives_any_single_crashed_replica():
 
 
 def test_fetch_fails_below_threshold_with_retries_counted():
-    sim, group, _links, services = _cluster(max_retries=2, backoff=0.01)
+    sim, group, _links, services = _cluster(
+        retry=RetryPolicy(base=0.01, max_attempts=2))
     sim.run_process(services.create(KeyCreate(audit_id=AUDIT_ID)))
     group.crash(0)
     group.crash(1)

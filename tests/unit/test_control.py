@@ -98,6 +98,25 @@ class TestControlVerbs:
         status = rig.run(scenario())
         assert status["epoch"] == 0  # nothing changed
 
+    def test_update_rejects_wrongly_typed_values_over_the_wire(self):
+        # A bare string would iterate as one-letter prefixes and drop
+        # /home from the protected domain: later reads would go
+        # unaudited.  Both updates must be refused as a ControlError.
+        rig = mount(config=KeypadConfig(protected_prefixes=("/home",)))
+        ctl = open_control(rig)
+
+        def scenario():
+            with pytest.raises(ControlError, match="protected_prefixes"):
+                yield from ctl.update(protected_prefixes="home")
+            with pytest.raises(ControlError, match="texp"):
+                yield from ctl.update(texp="5")
+            status = yield from ctl.status()
+            return status
+
+        status = rig.run(scenario())
+        assert status["epoch"] == 0  # nothing changed
+        assert rig.fs.is_protected("/home/alice/taxes.pdf")
+
     def test_add_and_remove_protected_dir(self):
         config = KeypadConfig(protected_prefixes=("/vault",), texp=30.0)
         rig = mount(config=config)

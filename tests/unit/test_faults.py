@@ -9,6 +9,7 @@ from repro.cluster import (
     FaultInjector,
     FaultPlan,
     ReplicaGroup,
+    ReplicaPolicy,
     ReplicatedServiceSession,
     Topology,
 )
@@ -17,6 +18,7 @@ from repro.core.services.metadataservice import MetadataService
 from repro.errors import KeypadError
 from repro.net.link import Link
 from repro.sim import Simulation, SimRandom, SimulationError
+from repro.util.retry import RetryPolicy
 
 AUDIT_ID = bytes(range(24))
 
@@ -73,7 +75,8 @@ def _run_once(seed: int) -> tuple[list, list, list, int]:
     services = ReplicatedServiceSession(
         sim, "laptop-1", b"device-secret-tests-0123", group, links,
         MetadataService(sim), Link(sim, 0.03, name="meta"),
-        backoff=0.05, rng=SimRandom(seed, "cluster-client"),
+        policy=ReplicaPolicy(retry=RetryPolicy(base=0.05)),
+        rng=SimRandom(seed, "cluster-client"),
     )
     plan = FaultPlan.random_outages(
         SimRandom(seed, "fault-plan"), horizon=60.0, replica_count=3,

@@ -8,8 +8,8 @@ import json
 import pytest
 
 from repro.core.services import KeyService
-from repro.errors import OverloadSheddedError
-from repro.server import ServiceFrontend
+from repro.errors import ConfigError, OverloadSheddedError
+from repro.server import FrontendSpec, ServiceFrontend
 from repro.server.scheduler import (
     DrrScheduler,
     FifoScheduler,
@@ -23,13 +23,13 @@ from repro.workloads.fleet import profile_for_index, run_fleet
 def _req(device, cost=1, method="key.fetch"):
     return Request(
         device_id=device, method=method, payload={}, deadline=None,
-        done=None, enqueued_at=0.0, cost=cost,
+        done=None, cost=cost,
     )
 
 
 class TestDrrScheduler:
     def test_round_robin_across_devices(self):
-        sched = DrrScheduler(quantum=1)
+        sched = DrrScheduler()
         for _ in range(3):
             sched.push(_req("a"))
         sched.push(_req("b"))
@@ -38,7 +38,7 @@ class TestDrrScheduler:
         assert "b" in order[:2]
 
     def test_light_tenant_not_starved_by_batches(self):
-        sched = DrrScheduler(quantum=1)
+        sched = DrrScheduler()
         for _ in range(4):
             sched.push(_req("scanner", cost=8))
         sched.push(_req("office", cost=1))
@@ -49,7 +49,7 @@ class TestDrrScheduler:
         # Two backlogged devices, one sending cost-2 requests: over a
         # long horizon they get equal *work*, so the cost-2 device is
         # served half as often.
-        sched = DrrScheduler(quantum=1)
+        sched = DrrScheduler()
         for _ in range(20):
             sched.push(_req("heavy", cost=2))
             sched.push(_req("light", cost=1))
@@ -63,7 +63,7 @@ class TestDrrScheduler:
         assert abs(work["heavy"] - work["light"]) <= 2
 
     def test_wait_units_charges_own_appetite(self):
-        sched = DrrScheduler(quantum=1)
+        sched = DrrScheduler()
         for _ in range(50):
             sched.push(_req("scanner", cost=8))
         # A light tenant's single fetch waits ~one round, not the
@@ -79,12 +79,12 @@ class TestDrrScheduler:
         assert fifo.wait_units("office", 1) == 401
 
     def test_wait_units_bounded_by_backlog(self):
-        sched = DrrScheduler(quantum=1)
+        sched = DrrScheduler()
         sched.push(_req("a", cost=1))
         assert sched.wait_units("b", 1) <= 1 + 1
 
     def test_group_fill_is_charged(self):
-        sched = DrrScheduler(quantum=1)
+        sched = DrrScheduler()
         sched.push(_req("a"))
         sched.push(_req("b"))
         sched.push(_req("b"))
@@ -100,7 +100,7 @@ class TestDrrScheduler:
         assert len(sched) == 1
 
     def test_lazy_retirement_keeps_len_consistent(self):
-        sched = DrrScheduler(quantum=1)
+        sched = DrrScheduler()
         for device in ("a", "b", "c"):
             sched.push(_req(device))
         taken = []
@@ -152,8 +152,8 @@ class TestServiceFrontend:
     def test_queue_limit_sheds(self):
         sim = Simulation()
         server = _SlowServer(sim, service_time=1.0)
-        frontend = ServiceFrontend(sim, server, workers=1, queue_limit=1,
-                                   coalesce=1)
+        frontend = ServiceFrontend(
+            sim, server, FrontendSpec(workers=1, queue_limit=1, coalesce=1))
         results = []
         procs = [self._submit(sim, frontend, "dev", results=results)
                  for _ in range(4)]
@@ -168,8 +168,9 @@ class TestServiceFrontend:
     def test_deadline_shed_is_upfront_not_silent_delay(self):
         sim = Simulation()
         server = _SlowServer(sim, service_time=1.0)
-        frontend = ServiceFrontend(sim, server, workers=1, queue_limit=64,
-                                   coalesce=1, service_estimate=1.0)
+        frontend = ServiceFrontend(
+            sim, server, FrontendSpec(workers=1, queue_limit=64, coalesce=1),
+            service_estimate=1.0)
         results = []
         first = self._submit(sim, frontend, "busy", results=results)
         # An impossible deadline behind a 1s backlog: shed immediately
@@ -183,7 +184,8 @@ class TestServiceFrontend:
 
     def test_bypass_methods_skip_the_queue(self):
         sim = Simulation()
-        frontend = ServiceFrontend(sim, _SlowServer(sim), workers=1)
+        frontend = ServiceFrontend(sim, _SlowServer(sim),
+                                   FrontendSpec(workers=1))
         assert not frontend.handles("rpc.hello")
         assert not frontend.handles("key.health")
         assert frontend.handles("key.fetch")
@@ -198,7 +200,8 @@ class TestServiceFrontend:
             service.enroll_device(device, b"s" * 16)
             service.preload_key(device, audit_id, b"k" * 32)
             ids[device] = audit_id
-        frontend = service.install_frontend(workers=1, coalesce=4)
+        frontend = service.install_frontend(
+            FrontendSpec(workers=1, coalesce=4))
 
         results = []
 
@@ -223,7 +226,7 @@ class TestServiceFrontend:
     def test_unavailable_server_fails_batch(self):
         sim = Simulation()
         server = _SlowServer(sim)
-        frontend = ServiceFrontend(sim, server, workers=1)
+        frontend = ServiceFrontend(sim, server, FrontendSpec(workers=1))
         server.available = False
         results = []
         proc = self._submit(sim, frontend, "dev", results=results)
@@ -232,11 +235,11 @@ class TestServiceFrontend:
         assert not isinstance(results[0], dict)
 
     def test_validates_parameters(self):
-        sim = Simulation()
-        with pytest.raises(ValueError):
-            ServiceFrontend(sim, _SlowServer(sim), workers=0)
-        with pytest.raises(ValueError):
-            ServiceFrontend(sim, _SlowServer(sim), queue_limit=0)
+        for bad in ({"workers": 0}, {"queue_limit": 0}, {"coalesce": 0},
+                    {"policy": "priority"}, {"workers": "8"}):
+            with pytest.raises(ConfigError):  # a ValueError
+                FrontendSpec(**bad)
+        assert issubclass(ConfigError, ValueError)
 
 
 class TestFleet:
