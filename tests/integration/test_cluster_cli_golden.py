@@ -4,7 +4,9 @@ Each demo runs in a fresh interpreter (as a user would run it) and its
 stdout must equal the file under ``tests/golden/``.  The demos cover
 the flat k-of-m cluster (``cluster-demo``, a replicated ``fleet``), the
 multi-region one (``ctl region-status``, ``ctl partition-report``) and
-a rig mounted with the config's server frontend (``ctl drain``);
+a rig mounted with the config's server frontend (``ctl drain``) and
+the per-op span trees of ``trace``, over the paper's transport and
+over the fast one (``trace --fast``);
 simulated time makes their output deterministic, so any difference is
 a behaviour change.
 """
@@ -29,6 +31,8 @@ DEMOS = {
     "cli_ctl_partition_report.txt": ["ctl", "partition-report",
                                      "--duration", "10"],
     "cli_ctl_drain.txt": ["ctl", "drain"],
+    "cli_trace.txt": ["trace"],
+    "cli_trace_fast.txt": ["trace", "--fast"],
 }
 
 
