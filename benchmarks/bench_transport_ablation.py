@@ -2,8 +2,9 @@
 
 Not a figure from the paper — the paper's prototype issues one blocking
 RPC per key-service interaction.  This ablation quantifies the
-flag-gated transport extensions (protocol-v2 pipelining, single-flight
-coalescing, write-behind batching, sharded key service) two ways:
+v2 transport (``KeypadConfig.fast_transport``: protocol-v2 pipelining,
+single-flight coalescing, write-behind batching, sharded key service)
+two ways:
 
 * a **coalescing burst**: rounds of 16 sim processes missing on the
   same audit ID concurrently over 3G — the access pattern of N
@@ -50,8 +51,7 @@ def _run_burst(fast: bool) -> tuple[float, int, int]:
     metadata_service = MetadataService(sim)
     session = ServiceSession(
         sim, "laptop-1", b"secret" * 6, key_service, metadata_service,
-        Link(sim, rtt=0.3), Link(sim, rtt=0.3),
-        pipelining=fast, max_inflight=32, coalesce_fetches=fast,
+        Link(sim, rtt=0.3), Link(sim, rtt=0.3), fast_transport=fast,
     )
     audit_id = b"\x07" * 24
 

@@ -45,9 +45,10 @@ The client's tuning is one frozen :class:`ReplicaPolicy`:
   when its own degrades.
 
 :class:`ReplicatedServiceSession` drops this client underneath the
-standard :class:`~repro.core.client.ServiceSession` facade, so
-single-flight coalescing, write-behind batching, and every KeypadFS
-call path work unchanged on top of the cluster.
+standard :class:`~repro.core.client.ServiceSession` facade, so every
+KeypadFS call path works unchanged on top of the cluster.  Its one
+``fast_transport`` flag pipelines the replica channels and keeps the
+facade's single-flight coalescing and write-behind batching.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from repro.net.metrics import ClusterMetrics
 from repro.net.rpc import RpcChannel
 from repro.sim import Simulation, SimRandom
 from repro.util.retry import RetryPolicy, retrying
-from repro.core.client import ServiceSession
+from repro.core.client import PIPELINE_WINDOW, ServiceSession
 from repro.core.services.keyservice import REMOTE_KEY_LEN
 from repro.core.services.metadataservice import MetadataService
 from repro.cluster.replica import ReplicaGroup
@@ -171,7 +172,6 @@ class ReplicatedKeyClient:
         costs: CostModel = DEFAULT_COSTS,
         rekey_interval: float = 100.0,
         pipelining: bool = False,
-        max_inflight: int = 8,
         policy: ReplicaPolicy = ReplicaPolicy(),
         dedup_window: float = 0.0,
         rng: Optional[SimRandom] = None,
@@ -201,7 +201,7 @@ class ReplicatedKeyClient:
                 RpcChannel(
                     sim, links[i], replica.server, device_id, device_secret,
                     costs=costs, rekey_interval=rekey_interval,
-                    pipelining=pipelining, max_inflight=max_inflight,
+                    pipelining=pipelining, max_inflight=PIPELINE_WINDOW,
                     tracer=tracer,
                 ),
                 links[i],
@@ -593,11 +593,7 @@ class ReplicatedServiceSession(ServiceSession):
         metadata_link: Link,
         costs: CostModel = DEFAULT_COSTS,
         rekey_interval: float = 100.0,
-        pipelining: bool = False,
-        max_inflight: int = 8,
-        coalesce_fetches: bool = False,
-        write_behind: bool = False,
-        write_behind_interval: float = 1.0,
+        fast_transport: bool = False,
         policy: ReplicaPolicy = ReplicaPolicy(),
         dedup_window: float = 0.0,
         mint_seed: bytes = b"cluster-mint",
@@ -608,17 +604,14 @@ class ReplicatedServiceSession(ServiceSession):
         super().__init__(
             sim, device_id, device_secret, replica_group.replicas[0],
             metadata_service, replica_links[0], metadata_link, costs=costs,
-            rekey_interval=rekey_interval, pipelining=pipelining,
-            max_inflight=max_inflight, coalesce_fetches=coalesce_fetches,
-            write_behind=write_behind,
-            write_behind_interval=write_behind_interval,
+            rekey_interval=rekey_interval, fast_transport=fast_transport,
             tracer=tracer,
         )
         self.replica_group = replica_group
         self.cluster = ReplicatedKeyClient(
             sim, device_id, device_secret, replica_group, replica_links,
-            costs=costs, rekey_interval=rekey_interval, pipelining=pipelining,
-            max_inflight=max_inflight, policy=policy,
+            costs=costs, rekey_interval=rekey_interval,
+            pipelining=fast_transport, policy=policy,
             dedup_window=dedup_window,
             rng=rng, share_seed=mint_seed + b"|shares", tracer=tracer,
             home_region=home_region,

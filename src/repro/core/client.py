@@ -4,19 +4,20 @@
 channels from the client device to the key service and the metadata
 service (deliberately separate channels — distinct providers see
 disjoint information, §3.1), optionally routes through a paired phone
-(§3.5) when one is attached, and layers two flag-gated transport
-optimisations above the channels:
+(§3.5) when one is attached, and with ``fast_transport`` on
+(:attr:`KeypadConfig.fast_transport`) pipelines both channels and
+layers two transport optimisations above them:
 
-* **single-flight coalescing** (``coalesce_fetches``): when N sim
-  processes miss on the same audit ID concurrently, one RPC goes out
-  and the rest join its completion event.  Joiners only share a fetch
-  that is genuinely in flight, so every delivered key still has a
-  service log entry inside the current Texp window — the audit
-  invariant (zero false negatives) is preserved.
-* **write-behind batching** (``write_behind``): non-blocking traffic
-  (eviction notices, xattr registrations) is queued and flushed as
-  batch RPCs by a background process, with the original enqueue
-  timestamps carried in the batch payload.
+* **single-flight coalescing**: when N sim processes miss on the same
+  audit ID concurrently, one RPC goes out and the rest join its
+  completion event.  Joiners only share a fetch that is genuinely in
+  flight, so every delivered key still has a service log entry inside
+  the current Texp window — the audit invariant (zero false
+  negatives) is preserved.
+* **write-behind batching**: non-blocking traffic (eviction notices,
+  xattr registrations) is queued and flushed as batch RPCs by a
+  background process, with the original enqueue timestamps carried in
+  the batch payload.
 
 Requests are expressed as typed dataclasses (:class:`KeyFetch`,
 :class:`KeyCreate`, ...), one per call: ``fetch``/``fetch_many``,
@@ -62,6 +63,15 @@ __all__ = [
     "XattrRegistration",
     "EvictionNotice",
 ]
+
+#: The fast transport's fixed settings: the window of outstanding
+#: requests per pipelined channel (generous: the paper's serial mode
+#: bounds nothing, so a tight window would *add* queuing the prototype
+#: never had), the key service's escrow-map shard count, and the
+#: write-behind flusher's period in sim-seconds.
+PIPELINE_WINDOW = 32
+KEY_SHARDS = 4
+WRITE_BEHIND_INTERVAL = 1.0
 
 
 # -- typed request surface ----------------------------------------------------
@@ -150,11 +160,7 @@ class ServiceSession:
         metadata_link: Link,
         costs: CostModel = DEFAULT_COSTS,
         rekey_interval: float = 100.0,
-        pipelining: bool = False,
-        max_inflight: int = 8,
-        coalesce_fetches: bool = False,
-        write_behind: bool = False,
-        write_behind_interval: float = 1.0,
+        fast_transport: bool = False,
         tracer=None,
     ):
         self.sim = sim
@@ -167,16 +173,16 @@ class ServiceSession:
         self.key_channel = RpcChannel(
             sim, key_link, key_service.server, device_id, device_secret,
             costs=costs, rekey_interval=rekey_interval,
-            pipelining=pipelining, max_inflight=max_inflight, tracer=tracer,
+            pipelining=fast_transport, max_inflight=PIPELINE_WINDOW,
+            tracer=tracer,
         )
         self.metadata_channel = RpcChannel(
             sim, metadata_link, metadata_service.server, device_id,
             device_secret, costs=costs, rekey_interval=rekey_interval,
-            pipelining=pipelining, max_inflight=max_inflight, tracer=tracer,
+            pipelining=fast_transport, max_inflight=PIPELINE_WINDOW,
+            tracer=tracer,
         )
-        self.coalesce_fetches = coalesce_fetches
-        self.write_behind = write_behind
-        self.write_behind_interval = write_behind_interval
+        self.fast_transport = fast_transport
         self.metrics = SessionMetrics()
         # audit_id -> completion Event for the single RPC in flight.
         self._inflight_fetches: dict[bytes, object] = {}
@@ -212,7 +218,7 @@ class ServiceSession:
     def fetch(self, request: KeyFetch,
               ctx: Optional[OpContext] = None) -> Generator:
         """Fetch one escrowed key; coalesces with in-flight fetches."""
-        if not self.coalesce_fetches:
+        if not self.fast_transport:
             key = yield from self._fetch_direct(request.audit_id,
                                                 request.kind, ctx)
             return key
@@ -253,7 +259,7 @@ class ServiceSession:
         if not requests:
             return []
         kind = requests[0].kind
-        if not self.coalesce_fetches:
+        if not self.fast_transport:
             keys = yield from self._fetch_batch_direct(
                 [r.audit_id for r in requests], kind, ctx
             )
@@ -390,12 +396,12 @@ class ServiceSession:
     def enqueue(self, request: DeferrableRequest) -> None:
         """Accept a non-blocking request for batched delivery (not a generator).
 
-        Requires ``write_behind=True``; the background flusher wakes
-        every ``write_behind_interval`` sim-seconds and folds queued
-        items into batch RPCs carrying their original timestamps.
+        Requires ``fast_transport``; the background flusher wakes every
+        ``WRITE_BEHIND_INTERVAL`` sim-seconds and folds queued items
+        into batch RPCs carrying their original timestamps.
         """
-        if not self.write_behind:
-            raise RpcError("write_behind is disabled for this session")
+        if not self.fast_transport:
+            raise RpcError("write-behind needs the fast transport")
         if not isinstance(request, (XattrRegistration, EvictionNotice)):
             raise TypeError(f"not a deferrable request: {request!r}")
         self._wb_queue.append((self.sim.now, request))
@@ -412,7 +418,7 @@ class ServiceSession:
 
     def _flush_loop(self) -> Generator:
         while True:
-            yield self.sim.timeout(self.write_behind_interval)
+            yield self.sim.timeout(WRITE_BEHIND_INTERVAL)
             if not self._wb_queue:
                 return  # idle: exit; the next enqueue restarts us
             yield from self._flush_once()

@@ -124,7 +124,7 @@ class KeypadFS(StackedCryptFs):
         self.key_cache = KeyCache(
             sim,
             refresh_fn=self._refresh_key,
-            on_evict=self._note_eviction if services.write_behind else None,
+            on_evict=self._note_eviction if services.fast_transport else None,
             tracer=self.tracer,
         )
         self.prefetch_policy = make_policy(self.policy.config.prefetch)
@@ -965,7 +965,7 @@ class KeypadFS(StackedCryptFs):
                     request = XattrRegistration(
                         audit_id=header.audit_id, name=name, value=value
                     )
-                    if self.services.write_behind:
+                    if self.services.fast_transport:
                         # Xattr registrations need not block the caller;
                         # the session flushes them in batches.
                         self.stats["async_metadata_ops"] += 1
@@ -1053,7 +1053,7 @@ class KeypadFS(StackedCryptFs):
         count = self.key_cache.evict_all()
         ctx = self._background_context("hibernate")
         try:
-            if self.services.write_behind:
+            if self.services.fast_transport:
                 # Drain deferred traffic before sleeping: the notice
                 # must not sit in a queue on a powered-down device.
                 yield from self.services.flush()

@@ -31,6 +31,7 @@ from repro.net.link import Link
 from repro.net.rpc import RpcChannel, RpcServer
 from repro.sim import Simulation
 from repro.core.client import (
+    PIPELINE_WINDOW,
     DirRegistration,
     FileRegistration,
     IbeRegistration,
@@ -59,7 +60,6 @@ class PairedPhone:
         hoard_texp: float = 600.0,
         flush_interval: float = 10.0,
         pipelining: bool = False,
-        max_inflight: int = 8,
     ):
         self.sim = sim
         self.phone_id = phone_id
@@ -73,12 +73,12 @@ class PairedPhone:
         self.metadata_uplink = metadata_uplink
         self._key_channel = RpcChannel(
             sim, key_uplink, key_service.server, phone_id, phone_secret, costs,
-            pipelining=pipelining, max_inflight=max_inflight,
+            pipelining=pipelining, max_inflight=PIPELINE_WINDOW,
         )
         self._meta_channel = RpcChannel(
             sim, metadata_uplink, metadata_service.server, phone_id,
             phone_secret, costs,
-            pipelining=pipelining, max_inflight=max_inflight,
+            pipelining=pipelining, max_inflight=PIPELINE_WINDOW,
         )
 
         # The phone's own RPC endpoint (laptop connects over Bluetooth).
@@ -305,7 +305,6 @@ class PhoneProxy:
         costs: CostModel = DEFAULT_COSTS,
         ibe_params=None,
         pipelining: bool = False,
-        max_inflight: int = 8,
         tracer=None,
     ):
         phone.server.enroll_device(device_id, device_secret)
@@ -313,7 +312,7 @@ class PhoneProxy:
         self.phone = phone
         self.channel = RpcChannel(
             sim, bluetooth_link, phone.server, device_id, device_secret, costs,
-            pipelining=pipelining, max_inflight=max_inflight, tracer=tracer,
+            pipelining=pipelining, max_inflight=PIPELINE_WINDOW, tracer=tracer,
         )
         self._ibe_params = ibe_params or phone.metadata_service.pkg.params
         # Directory hint support: the FS sets this before a fetch so

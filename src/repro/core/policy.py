@@ -114,19 +114,11 @@ class KeypadConfig:
     # ("Handling updates for other types of file metadata functions
     # (such as setfattr) works similarly").
     track_xattrs: bool = False
-    # --- transport extensions (all off by default so the paper's
-    # figures reproduce unchanged; see docs/PROTOCOL.md) ---
-    # Protocol-v2 pipelining: multiple in-flight RPCs per channel.
-    pipelining: bool = False
-    # Bound on concurrently outstanding requests per channel.
-    max_inflight: int = 8
-    # Single-flight coalescing of concurrent same-audit-ID fetches.
-    coalesce_fetches: bool = False
-    # Write-behind batching of eviction notices / xattr registrations.
-    write_behind: bool = False
-    write_behind_interval: float = 1.0
-    # Key-service escrow-map/log shards (1 = the paper's single queue).
-    key_shards: int = 1
+    # --- the v2 transport (off by default so the paper's figures
+    # reproduce unchanged; see docs/PROTOCOL.md §8): pipelined
+    # channels, single-flight coalescing of same-audit-ID fetches,
+    # write-behind batching and a sharded key service, all at once.
+    fast_transport: bool = False
     # --- replicated key-service cluster (§ "Improving Availability /
     # Multiple Key Services"; None keeps the paper's single service,
     # byte-for-byte).  A frozen
@@ -213,23 +205,9 @@ class KeypadConfigBuilder:
         return self
 
     # -- feature bundles -----------------------------------------------------
-    def fast_transport(
-        self, key_shards: int = 4, max_inflight: int = 32
-    ) -> "KeypadConfigBuilder":
-        """All transport optimisations on (the ablation's 'fast' arm).
-
-        The window default is generous: the seed's serial mode places no
-        bound on concurrent calls, so a tight window would *add* queuing
-        that the paper's prototype never had.
-        """
-        self._config = replace(
-            self._config,
-            pipelining=True,
-            max_inflight=max_inflight,
-            coalesce_fetches=True,
-            write_behind=True,
-            key_shards=key_shards,
-        )
+    def fast_transport(self) -> "KeypadConfigBuilder":
+        """The v2 transport on (the ablation's 'fast' arm)."""
+        self._config = replace(self._config, fast_transport=True)
         return self
 
     def replication(self, k: int = 2, m: int = 3) -> "KeypadConfigBuilder":
@@ -347,11 +325,13 @@ def _reject_runtime_verb(name: str) -> None:
 
 
 #: knobs ``validate_config`` checks, by type: times in seconds (any
-#: real number) and counts (ints); ``bool`` is neither.
+#: real number), counts (ints; ``bool`` is neither) and switches (only
+#: ``bool``: the string "false" is truthy).
 _SECONDS = ("texp", "texp_inflight", "rekey_interval",
-            "registration_retry_delay", "write_behind_interval")
-_COUNTS = ("registration_max_retries", "max_inflight", "key_shards",
-           "op_retry_budget")
+            "registration_retry_delay")
+_COUNTS = ("registration_max_retries", "op_retry_budget")
+_SWITCHES = ("ibe_enabled", "ibe_for_directories", "track_xattrs",
+             "tracing", "fast_transport")
 
 
 def _typed(config: KeypadConfig, name: str, kind, what: str) -> None:
@@ -373,6 +353,10 @@ def validate_config(config: KeypadConfig) -> KeypadConfig:
         _typed(config, name, (int, float), "a number")
     for name in _COUNTS:
         _typed(config, name, int, "an int")
+    for name in _SWITCHES:
+        value = getattr(config, name)
+        if not isinstance(value, bool):
+            raise ConfigError(f"{name} must be a bool, got {value!r}")
     if config.op_deadline is not None:
         _typed(config, "op_deadline", (int, float), "a number or None")
     if config.cluster is not None:
@@ -388,7 +372,7 @@ def validate_config(config: KeypadConfig) -> KeypadConfig:
         raise ConfigError(f"protected_prefixes must be a tuple of path "
                           f"strings, got {prefixes!r}")
     for name in ("texp_inflight", "rekey_interval",
-                 "registration_retry_delay", "write_behind_interval"):
+                 "registration_retry_delay"):
         value = getattr(config, name)
         if not value > 0:
             raise ConfigError(f"{name} must be > 0, got {value!r}")
@@ -405,10 +389,6 @@ def validate_config(config: KeypadConfig) -> KeypadConfig:
         )
     if config.registration_max_retries < 1:
         raise ConfigError("registration_max_retries must be >= 1")
-    if config.max_inflight < 1:
-        raise ConfigError("max_inflight must be >= 1")
-    if config.key_shards < 1:
-        raise ConfigError("key_shards must be >= 1")
     if config.op_deadline is not None and not config.op_deadline > 0:
         raise ConfigError(f"op_deadline must be > 0 or None, "
                           f"got {config.op_deadline!r}")

@@ -19,7 +19,7 @@ from repro.net.link import Link
 from repro.net.netem import BLUETOOTH, LAN, NetEnv
 from repro.sim import Simulation, SimRandom
 from repro.storage import BlockDevice, BufferCache, LocalFileSystem
-from repro.core.client import ServiceSession
+from repro.core.client import KEY_SHARDS, ServiceSession
 from repro.core.fs import KeypadFS
 from repro.core.paired import PairedPhone, PhoneProxy
 from repro.core.policy import KeypadConfig
@@ -206,6 +206,7 @@ def build_keypad_rig(
 
         tracer = TraceCollector()
 
+    key_shards = KEY_SHARDS if config.fast_transport else 1
     replica_group = None
     replica_links: list[Link] = []
     topology = config.cluster
@@ -222,7 +223,7 @@ def build_keypad_rig(
             topology,
             costs=costs,
             seed=seed + b"|replica",
-            shards=config.key_shards,
+            shards=key_shards,
             audit=config.audit,
             audit_blobs=stack.blobs,
         )
@@ -246,11 +247,7 @@ def build_keypad_rig(
             metadata_link,
             costs=costs,
             rekey_interval=config.rekey_interval,
-            pipelining=config.pipelining,
-            max_inflight=config.max_inflight,
-            coalesce_fetches=config.coalesce_fetches,
-            write_behind=config.write_behind,
-            write_behind_interval=config.write_behind_interval,
+            fast_transport=config.fast_transport,
             dedup_window=config.texp,
             mint_seed=b"cluster-mint|" + seed,
             rng=SimRandom(seed, "cluster-client"),
@@ -262,7 +259,7 @@ def build_keypad_rig(
             sim,
             costs=costs,
             seed=seed + b"|ks",
-            shards=config.key_shards,
+            shards=key_shards,
             audit=config.audit,
             audit_blobs=stack.blobs,
         )
@@ -277,11 +274,7 @@ def build_keypad_rig(
             metadata_link,
             costs=costs,
             rekey_interval=config.rekey_interval,
-            pipelining=config.pipelining,
-            max_inflight=config.max_inflight,
-            coalesce_fetches=config.coalesce_fetches,
-            write_behind=config.write_behind,
-            write_behind_interval=config.write_behind_interval,
+            fast_transport=config.fast_transport,
             tracer=tracer,
         )
     frontends: list = []
@@ -335,13 +328,11 @@ def build_keypad_rig(
             phone_key_uplink,
             phone_meta_uplink,
             costs=costs,
-            pipelining=config.pipelining,
-            max_inflight=config.max_inflight,
+            pipelining=config.fast_transport,
         )
         proxy = PhoneProxy(
             sim, phone, bt_link, DEVICE_ID, device_secret, costs=costs,
-            pipelining=config.pipelining, max_inflight=config.max_inflight,
-            tracer=tracer,
+            pipelining=config.fast_transport, tracer=tracer,
         )
         rig.phone = phone
         rig.phone_proxy = proxy

@@ -28,7 +28,7 @@ from repro.sim import Simulation
 from repro.storage import BlockDevice, BufferCache, LocalFileSystem
 
 
-def _two_device_world(pipelining=False):
+def _two_device_world(fast_transport=False):
     """One simulation, one pair of services, two independent laptops."""
     sim = Simulation()
     key_service = KeyService(sim, seed=b"shared-ks")
@@ -43,11 +43,12 @@ def _two_device_world(pipelining=False):
             sim, f"laptop-{name}", f"secret-{name}".encode() * 2,
             key_service, metadata_service,
             Link(sim, rtt=0.001), Link(sim, rtt=0.001),
-            pipelining=pipelining,
+            fast_transport=fast_transport,
         )
         fs = KeypadFS(
             sim, lower, Volume(f"pw-{name}"), services,
-            config=KeypadConfig(texp=20.0, prefetch="none", ibe_enabled=False),
+            config=KeypadConfig(texp=20.0, prefetch="none", ibe_enabled=False,
+                                fast_transport=fast_transport),
             drbg_seed=f"dev-{name}".encode(),
         )
         world[name] = fs
@@ -125,12 +126,12 @@ class TestMultiDevice:
         )
         assert audit_id in report.compromised_ids
 
-    @pytest.mark.parametrize("pipelining", [False, True])
+    @pytest.mark.parametrize("fast_transport", [False, True])
     def test_one_device_cannot_fetch_while_impersonating_another(
-            self, pipelining):
+            self, fast_transport):
         """Requests are authenticated per device secret, on the serial
         and the pipelined path alike."""
-        world = _two_device_world(pipelining=pipelining)
+        world = _two_device_world(fast_transport=fast_transport)
         sim = world["sim"]
         fs_a, fs_b = world["alpha"], world["beta"]
 
@@ -146,7 +147,7 @@ class TestMultiDevice:
         # beta's channel claims to be laptop-alpha.
         beta_channel = fs_b.services.key_channel
         assert beta_channel.negotiated_version == (
-            PROTOCOL_V2 if pipelining else None)
+            PROTOCOL_V2 if fast_transport else None)
         beta_channel.device_id = "laptop-alpha"
         pipelined = beta_channel.metrics.pipelined_calls
         fetches = len(world["key"].access_log.entries(kind="fetch"))
@@ -157,7 +158,7 @@ class TestMultiDevice:
 
         with pytest.raises(AuthorizationError):
             sim.run_process(impersonate())
-        assert beta_channel.metrics.pipelined_calls == pipelined + pipelining
+        assert beta_channel.metrics.pipelined_calls == pipelined + fast_transport
         assert len(world["key"].access_log.entries(kind="fetch")) == fetches
 
 

@@ -27,14 +27,14 @@ from repro.sim import Simulation
 AUDIT_ID = b"\x42" * 24
 
 
-def _session(rtt: float, pipelining: bool) -> tuple[Simulation, KeyService, ServiceSession]:
+def _session(rtt: float) -> tuple[Simulation, KeyService, ServiceSession]:
     sim = Simulation()
     key_service = KeyService(sim)
     metadata_service = MetadataService(sim)
     session = ServiceSession(
         sim, "laptop-1", b"secret" * 6, key_service, metadata_service,
         Link(sim, rtt=rtt), Link(sim, rtt=rtt),
-        pipelining=pipelining, coalesce_fetches=True,
+        fast_transport=True,
     )
     return sim, key_service, session
 
@@ -43,13 +43,12 @@ def _session(rtt: float, pipelining: bool) -> tuple[Simulation, KeyService, Serv
     n_readers=st.integers(min_value=2, max_value=12),
     rounds=st.integers(min_value=1, max_value=3),
     rtt=st.sampled_from([0.0015, 0.025, 0.3]),
-    pipelining=st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
 def test_concurrent_fetches_log_exactly_once_per_window(
-    n_readers, rounds, rtt, pipelining
+    n_readers, rounds, rtt
 ):
-    sim, key_service, session = _session(rtt, pipelining)
+    sim, key_service, session = _session(rtt)
 
     def setup():
         yield from session.create(KeyCreate(AUDIT_ID))
@@ -83,7 +82,7 @@ def test_concurrent_fetches_log_exactly_once_per_window(
 
 
 def test_fs_level_concurrent_reads_share_one_audit_entry():
-    """All transport flags on: 8 processes re-reading an expired file
+    """The fast transport: 8 processes re-reading an expired file
     produce 8 blocking key fetches at the FS layer but one RPC (and one
     log entry) on the wire, with identical plaintext for every reader."""
     config = (KeypadConfig.builder().texp(50.0).prefetch("none")

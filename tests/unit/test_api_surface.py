@@ -113,13 +113,13 @@ class TestConfigBuilder:
     def test_bundles_chain(self):
         config = (
             KeypadConfig.builder()
-            .fast_transport(key_shards=2)
+            .fast_transport()
             .replication(k=2, m=3)
             .tracing()
             .frontend(workers=16, policy="fifo")
             .build()
         )
-        assert config.pipelining and config.key_shards == 2
+        assert config.fast_transport
         assert config.cluster.total_replicas == 3
         assert config.cluster.threshold == 2
         assert not config.cluster.multi_region
@@ -172,7 +172,11 @@ class TestConfigBuilder:
         {"frontend": {"workers": 4}},
         {"protected_prefixes": "/home"},
         {"texp": "5"},
-        {"key_shards": 2.0},
+        {"fast_transport": "yes"},
+        {"ibe_enabled": "false"},
+        {"ibe_for_directories": 1},
+        {"track_xattrs": None},
+        {"tracing": "on"},
     ])
     def test_build_rejects_wrongly_typed_fields(self, bad):
         # A wrongly typed field fails at build with the one uniform
@@ -185,14 +189,14 @@ class TestConfigBuilder:
 
         epoch = PolicyEpoch(KeypadConfig())
         with pytest.raises(ConfigError, match="mount-frozen"):
-            epoch.update(key_shards=3)
+            epoch.update(fast_transport=True)
         epoch.update(texp=7.0)
         assert epoch.config.texp == 7.0 and epoch.epoch == 1
 
     def test_flags_off_defaults_unchanged(self):
         config = KeypadConfig()
         assert config.frontend is None
-        assert not config.pipelining
+        assert not config.fast_transport
         assert config.cluster is None
         assert not config.tracing
         assert config.storage_backend == "ext3"

@@ -91,7 +91,7 @@ class TestControlVerbs:
 
         def scenario():
             with pytest.raises(ControlError, match="mount-frozen"):
-                yield from ctl.update(key_shards=5)
+                yield from ctl.update(fast_transport=True)
             status = yield from ctl.status()
             return status
 

@@ -16,6 +16,7 @@ from repro.net.wire import (
 )
 from repro.sim import Simulation
 from repro.core.client import (
+    KEY_SHARDS,
     EvictionNotice,
     KeyCreate,
     KeyFetch,
@@ -276,13 +277,13 @@ class TestShardedKeyService:
         assert results[1] == results[4]
 
     def test_fast_transport_rig_logs_one_sequence_space(self):
-        # key_shards=4 (the fast-transport bundle) still appends to one
+        # The fast transport's sharded key service still appends to one
         # log: one chain, and entry i carries sequence i.
         from repro.api import LAN, KeypadConfig, build_keypad_rig
 
         config = KeypadConfig.builder().texp(1.0).fast_transport().build()
-        assert config.key_shards == 4
         rig = build_keypad_rig(network=LAN, config=config, n_blocks=1 << 14)
+        assert rig.key_service.shards == KEY_SHARDS > 1
         paths = [f"/home/f{i}" for i in range(12)]
 
         def workload():
@@ -354,7 +355,7 @@ class TestShardedKeyService:
         assert [e.fields["count"] for e in evictions] == [1, 2]
 
 
-def _session_rig(coalesce=False, write_behind=False, pipelining=False):
+def _session_rig(fast_transport=False):
     sim = Simulation()
     key_service = KeyService(sim)
     metadata_service = MetadataService(sim)
@@ -362,18 +363,14 @@ def _session_rig(coalesce=False, write_behind=False, pipelining=False):
     meta_link = Link(sim, rtt=0.1)
     session = ServiceSession(
         sim, "laptop-1", b"secret" * 6, key_service, metadata_service,
-        key_link, meta_link,
-        pipelining=pipelining,
-        coalesce_fetches=coalesce,
-        write_behind=write_behind,
-        write_behind_interval=0.5,
+        key_link, meta_link, fast_transport=fast_transport,
     )
     return sim, key_service, metadata_service, session
 
 
 class TestCoalescing:
     def test_concurrent_fetches_share_one_rpc(self):
-        sim, key_service, _meta, session = _session_rig(coalesce=True)
+        sim, key_service, _meta, session = _session_rig(fast_transport=True)
         audit_id = b"\x01" * 24
 
         def setup():
@@ -403,7 +400,7 @@ class TestCoalescing:
         assert len(fetches) == 1
 
     def test_sequential_fetches_do_not_coalesce(self):
-        sim, key_service, _meta, session = _session_rig(coalesce=True)
+        sim, key_service, _meta, session = _session_rig(fast_transport=True)
         audit_id = b"\x02" * 24
 
         def proc():
@@ -417,7 +414,7 @@ class TestCoalescing:
         assert len(key_service.access_log.entries(kind="fetch")) == 2
 
     def test_failure_propagates_to_joiners(self):
-        sim, _ks, _meta, session = _session_rig(coalesce=True)
+        sim, _ks, _meta, session = _session_rig(fast_transport=True)
         missing = b"\xee" * 24
         outcomes = []
 
@@ -437,7 +434,7 @@ class TestCoalescing:
         assert outcomes == ["error"] * 3
 
     def test_batch_joins_inflight_single_fetch(self):
-        sim, key_service, _meta, session = _session_rig(coalesce=True)
+        sim, key_service, _meta, session = _session_rig(fast_transport=True)
         ids = [bytes([i]) + b"\x01" * 23 for i in range(3)]
 
         def setup():
@@ -479,14 +476,13 @@ class TestCoalescing:
 
 class TestWriteBehind:
     def test_enqueue_requires_flag(self):
-        _sim, _ks, _meta, session = _session_rig(write_behind=False)
+        _sim, _ks, _meta, session = _session_rig()
         with pytest.raises(RpcError):
             session.enqueue(EvictionNotice(count=1, reason="expired"))
 
     def test_flusher_batches_and_keeps_timestamps(self):
         sim, key_service, meta_service, session = _session_rig(
-            write_behind=True
-        )
+            fast_transport=True)
 
         def proc():
             session.enqueue(EvictionNotice(count=1, reason="expired"))
@@ -509,7 +505,7 @@ class TestWriteBehind:
         assert meta_service.xattrs_of(b"\x03" * 24) == {"user.label": b"secret"}
 
     def test_flush_drains_synchronously(self):
-        sim, key_service, _meta, session = _session_rig(write_behind=True)
+        sim, key_service, _meta, session = _session_rig(fast_transport=True)
 
         def proc():
             session.enqueue(EvictionNotice(count=4, reason="hibernate"))
