@@ -11,9 +11,10 @@ layers two transport optimisations above them:
 * **single-flight coalescing**: when N sim processes miss on the same
   audit ID concurrently, one RPC goes out and the rest join its
   completion event.  Joiners only share a fetch that is genuinely in
-  flight, so every delivered key still has a service log entry inside
-  the current Texp window — the audit invariant (zero false
-  negatives) is preserved.
+  flight, and a joiner caches the key from the leader's send
+  (:meth:`ServiceSession.sent_at`), so every delivered key still has a
+  service log entry inside the current Texp window — the audit
+  invariant (zero false negatives) is preserved.
 * **write-behind batching**: non-blocking traffic (eviction notices,
   xattr registrations) is queued and flushed as batch RPCs by a
   background process, with the original enqueue timestamps carried in
@@ -184,8 +185,9 @@ class ServiceSession:
         )
         self.fast_transport = fast_transport
         self.metrics = SessionMetrics()
-        # audit_id -> completion Event for the single RPC in flight.
-        self._inflight_fetches: dict[bytes, object] = {}
+        # audit_id -> (completion Event, send time) for the single RPC
+        # in flight.
+        self._inflight_fetches: dict[bytes, tuple[object, float]] = {}
         self._wb_queue: list[tuple[float, DeferrableRequest]] = []
         self._flusher = None
         # When a paired phone is attached, requests route through it.
@@ -203,6 +205,14 @@ class ServiceSession:
     def inflight_fetch_ids(self) -> set[bytes]:
         """Audit IDs with a fetch RPC currently on the wire."""
         return set(self._inflight_fetches)
+
+    def sent_at(self, audit_id: bytes) -> float:
+        """When a fetch of ``audit_id`` issued now goes out: the send
+        time of the in-flight fetch it would join, else now.  A joiner
+        must cache the key from the leader's send, which the service
+        logged, or the key would outlive that log entry's ``Texp``."""
+        pending = self._inflight_fetches.get(audit_id)
+        return self.sim.now if pending is None else pending[1]
 
     def channel_metrics(self):
         """Aggregate counters across the key and metadata channels."""
@@ -227,16 +237,16 @@ class ServiceSession:
             self.metrics.coalesced_hits += 1
             if ctx is not None and ctx.traced:
                 with ctx.span("coalesced-wait"):
-                    key = yield pending
+                    key = yield pending[0]
             else:
-                key = yield pending
+                key = yield pending[0]
             if key == b"":
                 # The leader was a batch fetch and the service did not
                 # know this ID; a lone fetch would have faulted.
                 raise RpcError(f"unknown audit ID (coalesced): {request.audit_id!r}")
             return key
         done = self.sim.event()
-        self._inflight_fetches[request.audit_id] = done
+        self._inflight_fetches[request.audit_id] = (done, self.sim.now)
         try:
             key = yield from self._fetch_direct(request.audit_id,
                                                 request.kind, ctx)
@@ -277,10 +287,11 @@ class ServiceSession:
             pending = self._inflight_fetches.get(audit_id)
             if pending is not None:
                 self.metrics.coalesced_batch_hits += 1
-                joins.append((audit_id, pending))
+                joins.append((audit_id, pending[0]))
             else:
                 registered[audit_id] = self.sim.event()
-                self._inflight_fetches[audit_id] = registered[audit_id]
+                self._inflight_fetches[audit_id] = (registered[audit_id],
+                                                    self.sim.now)
                 to_fetch.append(audit_id)
         try:
             keys = []

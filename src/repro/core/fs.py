@@ -341,7 +341,7 @@ class KeypadFS(StackedCryptFs):
                 if h.protected and h.audit_id != audit_id
                 and parent_of(p) == directory and not h.locked
             ][:32]
-        issued_at = self.sim.now
+        issued_at = self.services.sent_at(audit_id)
         with maybe_span(ctx, "key-fetch", audit_id=audit_id.hex()[:8]):
             remote_key = yield from self.services.fetch(KeyFetch(audit_id), ctx)
         yield self.sim.timeout(self.costs.keypad_header_crypt)
@@ -1013,7 +1013,8 @@ class KeypadFS(StackedCryptFs):
         ctx = self._background_context("launch-prefetch")
         if ctx is not None:
             ctx.root.attrs["app"] = app
-        issued_at = self.sim.now
+        issued_at = min(self.services.sent_at(h.audit_id)
+                        for _, h in candidates)
         try:
             keys = yield from self.services.fetch_many(
                 [KeyFetch(h.audit_id, kind="profile-prefetch")

@@ -229,3 +229,47 @@ def test_read_just_past_a_fetched_keys_window_is_logged():
     mid-round-trip, so the key must not live Texp from the reply."""
     config = KeypadConfig(texp=5.0, prefetch="none", ibe_enabled=False)
     _check_deadline_invariant([(3, 10.0)], [3], 1.0, 5.0, 4.9, config)
+
+
+def test_coalesced_joiners_key_expires_texp_after_the_leaders_send():
+    """Fast transport over 3G: reader B joins reader A's in-flight fetch
+    0.2 s after A sent it.  The service logged that fetch mid-round-trip,
+    so B's cached key must die Texp after A's send, and a read just past
+    the logged entry's window must fetch (and be logged) again."""
+    texp = 5.0
+    config = (KeypadConfig.builder().texp(texp).prefetch("none")
+              .ibe(False).fast_transport().build())
+    rig = build_keypad_rig(network=THREE_G, config=config, n_blocks=1 << 14)
+    path = PATHS[0]
+
+    def setup():
+        yield from rig.fs.mkdir("/home")
+        yield from rig.fs.create(path)
+        yield from rig.fs.write(path, 0, b"secret")
+        yield rig.sim.timeout(20.0)  # the cached key expires
+
+    def read_after(delay):
+        yield rig.sim.timeout(delay)
+        data = yield from rig.fs.read(path, 0, 6)
+        return data
+
+    def burst():
+        readers = [rig.sim.process(read_after(d)) for d in (0.0, 0.2)]
+        results = yield rig.sim.all_of(readers)
+        return results
+
+    rig.run(setup())
+    assert rig.run(burst()) == [b"secret", b"secret"]
+    assert rig.services.metrics.coalesced_hits == 1
+    fetches = rig.key_service.access_log.entries(kind="fetch")
+    logged_at = fetches[-1].timestamp
+
+    def thief():
+        yield rig.sim.timeout(logged_at + texp + 0.01 - rig.sim.now)
+        data = yield from rig.fs.read(path, 0, 6)
+        return data
+
+    assert rig.run(thief()) == b"secret"
+    refetched = len(rig.key_service.access_log.entries(kind="fetch"))
+    assert refetched == len(fetches) + 1, (
+        "a read past the logged fetch's Texp hit the joiner's cached key")
