@@ -325,8 +325,8 @@ def _reject_runtime_verb(name: str) -> None:
 
 
 #: knobs ``validate_config`` checks, by type: times in seconds (any
-#: real number), counts (ints; ``bool`` is neither) and switches (only
-#: ``bool``: the string "false" is truthy).
+#: real number), counts (ints) and switches (bools only: the string
+#: "false" is truthy).  A ``bool`` is neither a time nor a count.
 _SECONDS = ("texp", "texp_inflight", "rekey_interval",
             "registration_retry_delay")
 _COUNTS = ("registration_max_retries", "op_retry_budget")
