@@ -6,7 +6,8 @@ the flat k-of-m cluster (``cluster-demo``, a replicated ``fleet``), the
 multi-region one (``ctl region-status``, ``ctl partition-report``) and
 a rig mounted with the config's server frontend (``ctl drain``) and
 the per-op span trees of ``trace``, over the paper's transport and
-over the fast one (``trace --fast``);
+over the fast one (``trace --fast``) and under a per-op deadline that
+expires (``trace --deadline 0.05``);
 simulated time makes their output deterministic, so any difference is
 a behaviour change.
 """
@@ -33,6 +34,7 @@ DEMOS = {
     "cli_ctl_drain.txt": ["ctl", "drain"],
     "cli_trace.txt": ["trace"],
     "cli_trace_fast.txt": ["trace", "--fast"],
+    "cli_trace_deadline.txt": ["trace", "--deadline", "0.05"],
 }
 
 

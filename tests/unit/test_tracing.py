@@ -168,3 +168,14 @@ class TestOpDeadlines:
         with pytest.raises(DeadlineExpiredError):
             rig.run(proc())
         assert rig.services.channel_metrics().deadline_expiries >= 1
+
+    @pytest.mark.parametrize("deadline", ["0.05", "0.5"])
+    def test_trace_cli_counts_its_own_expiries(self, deadline, capsys):
+        # `trace --deadline` asks for expiries: each expired demo op is
+        # counted and the run still reconciles and exits 0.
+        from repro.cli import main
+
+        assert main(["trace", "--check", "--deadline", deadline]) == 0
+        out = capsys.readouterr().out
+        assert "deadline expiries: 0" not in out
+        assert "reconciled:" in out
