@@ -32,9 +32,8 @@ The client's tuning is one frozen :class:`ReplicaPolicy`:
 * **retries** — a gather that still fails is retried under the shared
   :class:`repro.util.retry.RetryPolicy` (exponential backoff plus
   seeded jitter, up to ``retry.max_attempts`` times); when the caller passes
-  an :class:`~repro.core.context.OpContext`, its operation-wide retry
-  budget caps the attempts and its deadline shortens each per-request
-  race, so a spent deadline surfaces as one uniform
+  an :class:`~repro.core.context.OpContext`, its deadline is checked
+  before each attempt and shortens each per-request race, so a spent deadline surfaces as one uniform
   :class:`~repro.errors.DeadlineExpiredError`.
 * **health tracking** — ``failure_threshold`` consecutive failures put
   a replica in a ``cooldown`` during which it ranks last; any later
@@ -73,7 +72,7 @@ from repro.net.metrics import ClusterMetrics
 from repro.net.rpc import RpcChannel
 from repro.sim import Simulation, SimRandom
 from repro.util.retry import RetryPolicy, retrying
-from repro.core.client import PIPELINE_WINDOW, ServiceSession
+from repro.core.client import ServiceSession
 from repro.core.services.keyservice import REMOTE_KEY_LEN
 from repro.core.services.metadataservice import MetadataService
 from repro.cluster.replica import ReplicaGroup
@@ -201,8 +200,7 @@ class ReplicatedKeyClient:
                 RpcChannel(
                     sim, links[i], replica.server, device_id, device_secret,
                     costs=costs, rekey_interval=rekey_interval,
-                    pipelining=pipelining, max_inflight=PIPELINE_WINDOW,
-                    tracer=tracer,
+                    pipelining=pipelining, tracer=tracer,
                 ),
                 links[i],
             )
@@ -375,7 +373,7 @@ class ReplicatedKeyClient:
         """A gather wrapped in the shared backoff/jitter retry policy.
 
         The context (when present) contributes its deadline (checked
-        before every attempt) and its operation-wide retry budget.
+        before every attempt).
         """
 
         def note_retry(_attempt: int, _delay: float) -> None:

@@ -27,7 +27,7 @@ Requests are expressed as typed dataclasses (:class:`KeyFetch`,
 Every request method accepts an optional ``ctx``
 (:class:`~repro.core.context.OpContext`) threaded down from the VFS
 operation that triggered it; the session forwards it to the RPC
-channels (deadlines, retry budget, per-call spans) and tags
+channels (deadlines, per-call spans) and tags
 session-level events — coalesced joins, write-behind flushes — as
 child spans.  ``ctx=None`` is the exact legacy path.
 
@@ -65,12 +65,9 @@ __all__ = [
     "EvictionNotice",
 ]
 
-#: The fast transport's fixed settings: the window of outstanding
-#: requests per pipelined channel (generous: the paper's serial mode
-#: bounds nothing, so a tight window would *add* queuing the prototype
-#: never had), the key service's escrow-map shard count, and the
-#: write-behind flusher's period in sim-seconds.
-PIPELINE_WINDOW = 32
+#: The fast transport's fixed settings: the key service's escrow-map
+#: shard count and the write-behind flusher's period in sim-seconds
+#: (its window is :data:`repro.net.rpc.PIPELINE_WINDOW`).
 KEY_SHARDS = 4
 WRITE_BEHIND_INTERVAL = 1.0
 
@@ -174,14 +171,12 @@ class ServiceSession:
         self.key_channel = RpcChannel(
             sim, key_link, key_service.server, device_id, device_secret,
             costs=costs, rekey_interval=rekey_interval,
-            pipelining=fast_transport, max_inflight=PIPELINE_WINDOW,
-            tracer=tracer,
+            pipelining=fast_transport, tracer=tracer,
         )
         self.metadata_channel = RpcChannel(
             sim, metadata_link, metadata_service.server, device_id,
             device_secret, costs=costs, rekey_interval=rekey_interval,
-            pipelining=fast_transport, max_inflight=PIPELINE_WINDOW,
-            tracer=tracer,
+            pipelining=fast_transport, tracer=tracer,
         )
         self.fast_transport = fast_transport
         self.metrics = SessionMetrics()

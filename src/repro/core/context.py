@@ -1,25 +1,22 @@
-"""Per-operation context: deadline, retry budget, identity, trace spans.
+"""Per-operation context: deadline, identity, trace spans.
 
 Every VFS operation mints one :class:`OpContext` (when observability is
 enabled) and threads it down through the key cache, the service session,
 and the RPC channels to the simulated wire.  The context is the single
-seam that carries three concerns which previously lived in three
-different layers:
+seam that carries the concerns which previously lived in different
+layers:
 
 * **Deadline** — an *absolute* sim-time budget for the whole operation.
   Any layer may call :meth:`OpContext.check` to fail fast, and
   :class:`~repro.net.rpc.RpcChannel` races in-flight calls against the
   remaining budget, raising
   :class:`~repro.errors.DeadlineExpiredError` uniformly.
-* **Retry budget** — how many *extra* attempts the whole operation may
-  spend across all layers (per-RPC retries and cluster backoff share
-  one pool), so retries cannot multiply across layers.
 * **Trace spans** — a structured span tree (cache hit vs. blocking RPC
   vs. IBE cost) aggregated by :class:`TraceCollector` and rendered by
   ``keypad-audit trace``.  Span accounting never yields to the
   simulator, so enabling tracing cannot change simulated timings.
 
-With no deadline, no retry budget, and no collector the context is never
+With no deadline and no collector the context is never
 minted at all — the flags-off code paths are structurally identical to
 the pre-context tree.
 """
@@ -86,7 +83,7 @@ class OpContext:
     """Explicit per-operation context threaded from FS ops to the wire."""
 
     __slots__ = ("sim", "op", "device_id", "path", "op_id", "deadline",
-                 "retry_budget", "collector", "blocking", "config", "root",
+                 "collector", "blocking", "config", "root",
                  "_stack", "_finished")
 
     def __init__(
@@ -96,7 +93,6 @@ class OpContext:
         device_id: str = "",
         path: Optional[str] = None,
         deadline: Optional[float] = None,
-        retry_budget: Optional[int] = None,
         collector: Optional["TraceCollector"] = None,
         blocking: bool = True,
         config: Optional[Any] = None,
@@ -106,7 +102,6 @@ class OpContext:
         self.device_id = device_id
         self.path = path
         self.deadline = deadline
-        self.retry_budget = retry_budget
         self.collector = collector
         #: the op's policy snapshot (a frozen KeypadConfig from the
         #: mount's PolicyEpoch) — one VFS op never mixes two epochs.
@@ -194,21 +189,6 @@ class OpContext:
                 f"op {self.op}#{self.op_id} exceeded its deadline "
                 f"({self.deadline:.3f}s){suffix}"
             )
-
-    # -- retry budget --------------------------------------------------------
-    def try_consume_retry(self) -> bool:
-        """Spend one retry from the operation-wide pool.
-
-        ``None`` means "no explicit budget": the caller's own policy
-        governs, so this returns True without accounting.  An integer
-        budget is shared by every layer under this op.
-        """
-        if self.retry_budget is None:
-            return True
-        if self.retry_budget <= 0:
-            return False
-        self.retry_budget -= 1
-        return True
 
     # -- completion ----------------------------------------------------------
     def finish(self, error: Optional[BaseException] = None) -> None:

@@ -198,7 +198,7 @@ class KeypadFS(StackedCryptFs):
             self.prefetch_policy = make_policy(new.prefetch)
 
     # ------------------------------------------------------------------
-    # Per-operation contexts (deadline / retry budget / trace spans).
+    # Per-operation contexts (deadline / trace spans).
     # ------------------------------------------------------------------
     def _op_context(self, op: str, path: str) -> Optional[OpContext]:
         """Mint the op's context, or None when observability is off.
@@ -209,7 +209,7 @@ class KeypadFS(StackedCryptFs):
         """
         cfg = self.policy.snapshot()
         if (self.tracer is None and cfg.op_deadline is None
-                and not cfg.op_retry_budget and not self.control_enabled):
+                and not self.control_enabled):
             return None
         deadline = (
             None if cfg.op_deadline is None else self.sim.now + cfg.op_deadline
@@ -220,7 +220,6 @@ class KeypadFS(StackedCryptFs):
             device_id=self.services.device_id,
             path=normalize(path),
             deadline=deadline,
-            retry_budget=cfg.op_retry_budget or None,
             collector=self.tracer,
             config=cfg,
         )

@@ -31,7 +31,6 @@ from repro.net.link import Link
 from repro.net.rpc import RpcChannel, RpcServer
 from repro.sim import Simulation
 from repro.core.client import (
-    PIPELINE_WINDOW,
     DirRegistration,
     FileRegistration,
     IbeRegistration,
@@ -73,13 +72,10 @@ class PairedPhone:
         self.metadata_uplink = metadata_uplink
         self._key_channel = RpcChannel(
             sim, key_uplink, key_service.server, phone_id, phone_secret, costs,
-            pipelining=pipelining, max_inflight=PIPELINE_WINDOW,
-        )
+            pipelining=pipelining)
         self._meta_channel = RpcChannel(
             sim, metadata_uplink, metadata_service.server, phone_id,
-            phone_secret, costs,
-            pipelining=pipelining, max_inflight=PIPELINE_WINDOW,
-        )
+            phone_secret, costs, pipelining=pipelining)
 
         # The phone's own RPC endpoint (laptop connects over Bluetooth).
         self.server = RpcServer(sim, f"{phone_id}-daemon", costs)
@@ -312,7 +308,7 @@ class PhoneProxy:
         self.phone = phone
         self.channel = RpcChannel(
             sim, bluetooth_link, phone.server, device_id, device_secret, costs,
-            pipelining=pipelining, max_inflight=PIPELINE_WINDOW, tracer=tracer,
+            pipelining=pipelining, tracer=tracer,
         )
         self._ibe_params = ibe_params or phone.metadata_service.pkg.params
         # Directory hint support: the FS sets this before a fetch so
@@ -321,7 +317,7 @@ class PhoneProxy:
 
     # -- typed surface -------------------------------------------------------
     # ``ctx`` is the laptop-side operation context; the Bluetooth hop
-    # honours its deadline/budget and records the per-call span.  The
+    # honours its deadline and records the per-call span.  The
     # phone's own uplink traffic stays unattributed (a different trust
     # domain does not share the laptop's budget).
 

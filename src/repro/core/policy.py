@@ -137,10 +137,6 @@ class KeypadConfig:
     # When set, RPC layers race against it and raise
     # DeadlineExpiredError uniformly.
     op_deadline: Optional[float] = None
-    # Extra retry attempts the whole op may spend across all layers
-    # (cluster backoff and per-RPC retries draw from one pool);
-    # 0 = no explicit budget (each layer's own policy governs).
-    op_retry_budget: int = 0
     # --- server-side frontend (fleet scale; see docs/PROTOCOL.md §10):
     # one frozen FrontendSpec (workers, queue limit, policy, group
     # size).  None keeps the paper's infinite-capacity model (every
@@ -280,17 +276,11 @@ class KeypadConfigBuilder:
         return self
 
     def tracing(
-        self,
-        op_deadline: Optional[float] = None,
-        op_retry_budget: int = 0,
+        self, op_deadline: Optional[float] = None
     ) -> "KeypadConfigBuilder":
-        """Enable trace collection (and optionally op deadlines/budgets)."""
-        self._config = replace(
-            self._config,
-            tracing=True,
-            op_deadline=op_deadline,
-            op_retry_budget=op_retry_budget,
-        )
+        """Enable trace collection (and optionally op deadlines)."""
+        self._config = replace(self._config, tracing=True,
+                               op_deadline=op_deadline)
         return self
 
     def frontend(self, **knobs: Any) -> "KeypadConfigBuilder":
@@ -329,7 +319,7 @@ def _reject_runtime_verb(name: str) -> None:
 #: "false" is truthy).  A ``bool`` is neither a time nor a count.
 _SECONDS = ("texp", "texp_inflight", "rekey_interval",
             "registration_retry_delay")
-_COUNTS = ("registration_max_retries", "op_retry_budget")
+_COUNTS = ("registration_max_retries",)
 _SWITCHES = ("ibe_enabled", "ibe_for_directories", "track_xattrs",
              "tracing", "fast_transport")
 
@@ -392,8 +382,6 @@ def validate_config(config: KeypadConfig) -> KeypadConfig:
     if config.op_deadline is not None and not config.op_deadline > 0:
         raise ConfigError(f"op_deadline must be > 0 or None, "
                           f"got {config.op_deadline!r}")
-    if config.op_retry_budget < 0:
-        raise ConfigError("op_retry_budget must be >= 0")
     if not config.protected_prefixes:
         raise ConfigError(
             "protected_prefixes must not be empty — use an unprotected "

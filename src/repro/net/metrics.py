@@ -29,7 +29,9 @@ class ChannelMetrics:
     bytes_received: int = 0
     negotiated_version: Optional[int] = None
     handshakes: int = 0
-    retries: int = 0            # per-RPC retry attempts (context-budgeted)
+    # RpcChannel never retries, so this reads 0; the frozen ledger still
+    # reads it (ChannelMetrics.retries, as_dict()["retries"]).
+    retries: int = 0
     deadline_expiries: int = 0  # op-context deadlines that fired mid-call
 
     def note_inflight(self, outstanding: int) -> None:

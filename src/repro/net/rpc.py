@@ -19,14 +19,13 @@ Latency per call: client marshal CPU + one-way transfer + server
 handler time + return transfer + client unmarshal CPU, all charged from
 the :class:`~repro.costmodel.CostModel`.
 
-Deadlines, retries, and tracing ride in on an optional per-operation
-context (:class:`repro.core.context.OpContext`): ``call(...,
-op_ctx=ctx)`` races the call against the context's remaining deadline
-budget (raising :class:`~repro.errors.DeadlineExpiredError` uniformly,
-never an ad-hoc ``RpcError``), optionally retries transient transport
-failures under the shared :class:`repro.util.retry.RetryPolicy` when
-the context carries a retry budget, and stamps a span per wire call
-(wire sizes + simulated latency) into the context's trace tree.  With
+Deadlines and tracing ride in on an optional per-operation context
+(:class:`repro.core.context.OpContext`): ``call(..., op_ctx=ctx)``
+races the call against the context's remaining deadline budget
+(raising :class:`~repro.errors.DeadlineExpiredError` uniformly, never
+an ad-hoc ``RpcError``) and stamps a span per wire call (wire sizes +
+simulated latency) into the context's trace tree.  A call is never
+retried here; a transport failure surfaces to the caller.  With
 ``op_ctx=None`` the code path is exactly the legacy one.
 
 Two transport modes share one channel class:
@@ -35,14 +34,13 @@ Two transport modes share one channel class:
   outstanding per connection turn, bare sealed bodies on the wire.
   This is the default and is byte- and latency-identical to the
   original implementation.
-* **pipelined (protocol v2)** — up to ``max_inflight`` concurrent
-  requests share the connection.  Each request carries a 64-bit request
-  ID in a framed envelope (``FRAME_OVERHEAD`` more bytes each way) that
-  keys the in-flight table; the caller parks on a per-request
-  completion event while the server executes, so responses complete
-  out of order.  The mode is agreed by an ``rpc.hello`` handshake on
-  first use; a v1 server (which lacks the method) makes the client
-  degrade gracefully to serial mode instead of erroring.
+* **pipelined (protocol v2)** — up to :data:`PIPELINE_WINDOW`
+  concurrent requests share the connection.  Each request carries a
+  64-bit request ID in a framed envelope (``FRAME_OVERHEAD`` more bytes
+  each way) that keys the in-flight table; the caller parks on a
+  per-request completion event while the server executes, so responses
+  complete out of order.  One ``rpc.hello`` round trip on first use
+  opens the mode.
 
 The rekey ratchet is shared by both modes: it advances on wall-clock
 epochs regardless of how many requests are in flight, so pipelining
@@ -71,15 +69,13 @@ from repro.net.metrics import ChannelMetrics
 from repro.net.wire import (
     PROTOCOL_LATEST,
     PROTOCOL_V1,
-    PROTOCOL_V2,
     request_wire_form,
     response_wire_form,
 )
 from repro.sim import Event, Simulation
 from repro.sim.kernel import abandon_handoff
-from repro.util.retry import RetryPolicy, retrying
 
-__all__ = ["RpcServer", "RpcChannel", "HELLO_METHOD"]
+__all__ = ["RpcServer", "RpcChannel", "HELLO_METHOD", "PIPELINE_WINDOW"]
 
 # Handler exceptions that cross the wire as typed faults (anything else
 # propagates on the server side).
@@ -103,12 +99,13 @@ _FAULT_TYPES: dict[str, type] = {
 #: transport layer never imports the core package).
 _RPC_SPAN = "rpc:"
 
-#: default backoff for the per-RPC retry path; only consulted when the
-#: operation context carries an explicit retry budget.
-_RPC_RETRY_POLICY = RetryPolicy(base=0.1, cap=2.0, max_attempts=8)
-
-#: version-negotiation method; absent on protocol-v1 servers.
+#: the hello round trip that opens a pipelined channel.
 HELLO_METHOD = "rpc.hello"
+
+#: most requests one pipelined channel keeps outstanding at once
+#: (generous: the paper's serial mode bounds nothing, so a tight window
+#: would *add* queuing the prototype never had).
+PIPELINE_WINDOW = 32
 
 
 def serve_request(server: "RpcServer", device_id: str, method: str,
@@ -140,22 +137,17 @@ class RpcServer:
         sim: Simulation,
         name: str,
         costs: CostModel = DEFAULT_COSTS,
-        protocol_version: int = PROTOCOL_LATEST,
     ):
         self.sim = sim
         self.name = name
         self.costs = costs
-        self.protocol_version = protocol_version
         self._handlers: dict[str, Callable] = {}
         self._device_secrets: dict[str, bytes] = {}
         self.available = True
         #: optional server-side scheduler (repro.server.ServiceFrontend);
         #: None keeps the legacy unbounded-concurrency dispatch path.
         self.frontend: Any = None
-        if protocol_version >= PROTOCOL_V2:
-            # v1 servers predate negotiation; they simply lack the
-            # method, which is what v2 clients detect and degrade on.
-            self.register(HELLO_METHOD, self._handle_hello)
+        self.register(HELLO_METHOD, self._handle_hello)
 
     def register(self, method: str, handler: Callable) -> None:
         """Register a handler.
@@ -168,7 +160,7 @@ class RpcServer:
 
     def _handle_hello(self, device_id: str, payload: dict) -> dict:
         client_version = int(payload.get("version", PROTOCOL_V1))
-        return {"version": min(self.protocol_version, client_version)}
+        return {"version": min(PROTOCOL_LATEST, client_version)}
 
     def enroll_device(self, device_id: str, device_secret: bytes) -> None:
         """Provision a device's shared authentication secret."""
@@ -242,9 +234,7 @@ class RpcChannel:
         costs: CostModel = DEFAULT_COSTS,
         rekey_interval: float = 100.0,
         pipelining: bool = False,
-        max_inflight: int = 8,
         tracer: Any = None,
-        retry_policy: Optional[RetryPolicy] = None,
     ):
         self.sim = sim
         self.link = link
@@ -254,13 +244,10 @@ class RpcChannel:
         self.costs = costs
         self.rekey_interval = rekey_interval
         self.pipelining = pipelining
-        self.max_inflight = max(1, max_inflight)
         self.metrics = ChannelMetrics()
         #: optional TraceCollector; calls made without an op context
         #: still account their spans here as orphans.
         self.tracer = tracer
-        self.retry_policy = retry_policy or _RPC_RETRY_POLICY
-        self._retry_rng: Any = None
         self._session_key = hkdf_sha256(
             device_secret, b"", b"rpc-session-0", 32
         )
@@ -299,41 +286,24 @@ class RpcChannel:
 
         ``op_ctx`` is an optional :class:`repro.core.context.OpContext`.
         When present, the call honours the context's deadline (raising
-        :class:`DeadlineExpiredError` if the budget expires mid-flight),
-        draws on its retry budget for transient transport failures, and
-        records a per-call trace span.  ``op_ctx=None`` is the exact
+        :class:`DeadlineExpiredError` if the budget expires mid-flight)
+        and records a per-call trace span.  ``op_ctx=None`` is the exact
         legacy path.
         """
         if op_ctx is None:
             result = yield from self._call_once(method, params, None)
-            return result
-        if op_ctx.retry_budget is None:
+        else:
             result = yield from self._call_deadlined(method, params, op_ctx)
-            return result
-        result = yield from retrying(
-            self.sim,
-            lambda _attempt: self._call_deadlined(method, params, op_ctx),
-            self.retry_policy,
-            self._rng(),
-            retry_on=(NetworkUnavailableError, ServiceUnavailableError),
-            ctx=op_ctx,
-            on_retry=lambda attempt, delay: self._note_retry(
-                op_ctx, method, attempt, delay
-            ),
-        )
         return result
 
     def _call_once(self, method: str, params: dict, op_ctx: Any) -> Generator:
-        """Mode selection (the pre-context ``call`` body)."""
+        """Serial, or one hello and then pipelined."""
         if not self.pipelining:
             result = yield from self._call_serial(method, params, op_ctx)
             return result
         if self._negotiated is None:
             yield from self._negotiate(op_ctx)
-        if self._negotiated >= PROTOCOL_V2:
-            result = yield from self._call_pipelined(method, params, op_ctx)
-        else:
-            result = yield from self._call_serial(method, params, op_ctx)
+        result = yield from self._call_pipelined(method, params, op_ctx)
         return result
 
     def _call_deadlined(self, method: str, params: dict,
@@ -345,8 +315,7 @@ class RpcChannel:
             return result
         sim = self.sim
         proc = sim.process(
-            self._call_serial(method, params, op_ctx) if not self.pipelining
-            else self._call_once(method, params, op_ctx),
+            self._call_once(method, params, op_ctx),
             name=f"rpc-deadlined-{self.server.name}-{method}",
         )
         done = sim.event()
@@ -384,24 +353,6 @@ class RpcChannel:
             f"deadline at t={self.sim.now:.3f}"
         )
 
-    def _rng(self) -> Any:
-        """Seeded per-channel jitter source for the retry path (created
-        lazily so channels that never retry draw nothing)."""
-        if self._retry_rng is None:
-            import random
-
-            self._retry_rng = random.Random(
-                f"rpc-retry|{self.device_id}|{self.server.name}"
-            )
-        return self._retry_rng
-
-    def _note_retry(self, op_ctx: Any, method: str, attempt: int,
-                    delay: float) -> None:
-        self.metrics.retries += 1
-        if op_ctx.traced:
-            op_ctx.event("rpc-retry", method=method, attempt=attempt + 1,
-                         delay=round(delay, 6), server=self.server.name)
-
     # -- trace spans --------------------------------------------------------------
     def _span_begin(self, op_ctx: Any, method: str, transport: str):
         """Open the per-call span: on the op context when one is traced,
@@ -428,10 +379,8 @@ class RpcChannel:
     def _negotiate(self, op_ctx: Any = None) -> Generator:
         """One hello round-trip; concurrent callers share the attempt.
 
-        A server without :data:`HELLO_METHOD` (a v1 peer) answers with
-        an RpcError fault, which settles the channel into serial mode —
-        graceful degradation rather than failure.  Network errors leave
-        the version unresolved so a later call retries.
+        A failed hello leaves the version unresolved, so the next call
+        says hello again.
         """
         while self._negotiating is not None:
             yield self._negotiating
@@ -444,10 +393,7 @@ class RpcChannel:
             response = yield from self._call_serial(
                 HELLO_METHOD, {"version": PROTOCOL_LATEST}, op_ctx
             )
-            version = int(response.get("version", PROTOCOL_V1))
-            self._negotiated = max(PROTOCOL_V1, min(PROTOCOL_LATEST, version))
-        except RpcError:
-            self._negotiated = PROTOCOL_V1
+            self._negotiated = response["version"]
         finally:
             self.metrics.handshakes += 1
             self.metrics.negotiated_version = self._negotiated
@@ -527,10 +473,10 @@ class RpcChannel:
 
         The server side runs in its own process, so other requests may
         be issued on this channel while this one is pending; the send
-        window is bounded by ``max_inflight``.
+        window is bounded by :data:`PIPELINE_WINDOW`.
         """
         self._maybe_ratchet()
-        while len(self._inflight) >= self.max_inflight:
+        while len(self._inflight) >= PIPELINE_WINDOW:
             slot = self.sim.event()
             self._slot_waiters.append(slot)
             try:

@@ -31,8 +31,8 @@ Protocol versions
   frame (``FRAME_OVERHEAD``) — magic ``KPAD``, a version byte, and a
   64-bit request ID — so multiple requests can share one connection and
   responses can complete out of order.  :func:`unpack_envelope`
-  transparently recognises bare v1 bodies, which is what lets a v2 peer
-  interoperate with (and degrade to) a v1 peer.
+  recognises bare v1 bodies, so one peer reads both framings: the
+  serial channel's and the pipelined one's.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ def pack_envelope(version: int, request_id: Optional[int], body: bytes) -> bytes
 def unpack_envelope(data: bytes) -> tuple[int, Optional[int], bytes]:
     """Split an envelope into ``(version, request_id, body)``.
 
-    Bare bodies (no frame magic) parse as v1 with ``request_id=None``,
-    which is how a v2 peer recognises a v1 peer's traffic.
+    Bare bodies (no frame magic) parse as v1 with ``request_id=None``:
+    the serial channel's framing.
     """
     if not data.startswith(_FRAME_MAGIC):
         return PROTOCOL_V1, None, data

@@ -1,8 +1,6 @@
 """Shared retry policy: exponential backoff with seeded jitter.
 
-One policy object replaces the private backoff loops that used to live
-in ``cluster/client.py`` (and would otherwise be re-grown by every new
-remote-calling layer).  The delay math is exactly the legacy cluster
+One policy object holds the cluster client's backoff.  The delay math is exactly the legacy cluster
 formula so extraction changes no simulated timeline:
 
     delay = min(cap, base * 2**attempt) * (0.5 + 0.5 * u)
@@ -10,10 +8,10 @@ formula so extraction changes no simulated timeline:
 with ``u`` drawn from the caller's seeded RNG — the jitter *source*
 stays with the caller so determinism (and RNG call order) is preserved.
 
-:func:`retrying` is the generator-shaped loop both the cluster client
-and the per-RPC retry path drive; it honours an optional
-:class:`~repro.core.context.OpContext` (deadline checks before every
-attempt, operation-wide retry budget shared across layers).
+:func:`retrying` is the generator-shaped loop the cluster client
+drives; it honours an optional :class:`~repro.core.context.OpContext`
+(a deadline check before every attempt, and no backoff sleep past the
+deadline).
 """
 
 from __future__ import annotations
@@ -69,9 +67,8 @@ def retrying(
 
     Retries on ``retry_on`` exceptions, except that an end-to-end
     :class:`DeadlineExpiredError` always propagates — a spent deadline
-    must fail the operation, not burn the retry budget.  When ``ctx``
-    is given, its deadline is checked before every attempt and its
-    operation-wide retry budget is consumed per retry.
+    must fail the operation, not burn more attempts.  When ``ctx``
+    is given, its deadline is checked before every attempt.
     ``on_retry(attempt, delay)`` fires before each backoff sleep.
     """
     attempt = 0
@@ -85,8 +82,6 @@ def retrying(
             if isinstance(exc, DeadlineExpiredError):
                 raise
             if not policy.should_retry(attempt):
-                raise
-            if ctx is not None and not ctx.try_consume_retry():
                 raise
             delay = policy.delay(attempt, rng.random())
             if ctx is not None:

@@ -115,18 +115,6 @@ class TestOpContext:
         assert not ctx.expired()
         ctx.check()
 
-    def test_retry_budget(self):
-        ctx = OpContext(Clock(), "read", retry_budget=2)
-        assert ctx.try_consume_retry()
-        assert ctx.try_consume_retry()
-        assert not ctx.try_consume_retry()
-
-    def test_no_budget_means_caller_policy(self):
-        ctx = OpContext(Clock(), "read")
-        for _ in range(10):
-            assert ctx.try_consume_retry()
-        assert ctx.retry_budget is None
-
     def test_finish_is_idempotent_and_closes_open_spans(self):
         clock = Clock()
         collector = TraceCollector()

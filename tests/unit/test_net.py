@@ -392,29 +392,8 @@ class TestRpcDeadlines:
 
 
 class TestRpcRetryBudget:
-    """Transient failures retried under the op's shared budget."""
-
-    def test_budgeted_call_rides_out_outage(self):
-        from repro.core.context import OpContext
-
-        sim, _link, server, channel = _make_rig(rtt=0.01)
-        server.register("ping", lambda d, p: {"ok": True})
-        server.available = False
-
-        def restorer():
-            yield sim.timeout(0.5)
-            server.available = True
-
-        ctx = OpContext(sim, "read", retry_budget=8)
-
-        def proc():
-            sim.process(restorer())
-            result = yield from channel.call("ping", op_ctx=ctx)
-            return result
-
-        assert sim.run_process(proc()) == {"ok": True}
-        assert channel.metrics.retries > 0
-        assert ctx.retry_budget < 8
+    """An RPC under an op context is tried once: a transport failure
+    surfaces to the caller, never a retry."""
 
     def test_no_budget_means_no_retries(self):
         from repro.core.context import OpContext
@@ -423,28 +402,12 @@ class TestRpcRetryBudget:
         sim, _link, server, channel = _make_rig(rtt=0.01)
         server.register("ping", lambda d, p: {})
         server.available = False
-        ctx = OpContext(sim, "read", deadline=10.0)  # budget unset
+        ctx = OpContext(sim, "read", deadline=10.0)
 
         def proc():
             yield from channel.call("ping", op_ctx=ctx)
 
         with pytest.raises(ServiceUnavailableError):
             sim.run_process(proc())
+        assert channel.metrics.calls == 1
         assert channel.metrics.retries == 0
-
-    def test_exhausted_budget_surfaces_failure(self):
-        from repro.core.context import OpContext
-        from repro.errors import ServiceUnavailableError
-
-        sim, _link, server, channel = _make_rig(rtt=0.01)
-        server.register("ping", lambda d, p: {})
-        server.available = False
-        ctx = OpContext(sim, "read", retry_budget=2)
-
-        def proc():
-            yield from channel.call("ping", op_ctx=ctx)
-
-        with pytest.raises(ServiceUnavailableError):
-            sim.run_process(proc())
-        assert ctx.retry_budget == 0
-        assert channel.metrics.retries == 2

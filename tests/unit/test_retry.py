@@ -97,19 +97,6 @@ class TestRetrying:
             self._run(sim, retrying(sim, attempt, policy, random.Random(0)))
         assert calls == [0]
 
-    def test_ctx_budget_caps_retries(self):
-        sim = Simulation()
-        attempt, calls = _flaky(99)
-        policy = RetryPolicy(base=0.1, max_attempts=10, jitter=0.0)
-        ctx = OpContext(sim, "read", retry_budget=2)
-        with pytest.raises(ServiceUnavailableError):
-            self._run(
-                sim,
-                retrying(sim, attempt, policy, random.Random(0), ctx=ctx),
-            )
-        assert calls == [0, 1, 2]  # initial try + 2 budgeted retries
-        assert ctx.retry_budget == 0
-
     def test_ctx_deadline_checked_before_attempt(self):
         sim = Simulation()
         attempt, calls = _flaky(99)

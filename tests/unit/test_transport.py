@@ -1,12 +1,12 @@
 """Tests for the pipelined transport: versioned envelopes, request-ID
-framing, negotiation fallback, coalescing, write-behind, and sharding."""
+framing, the hello handshake, coalescing, write-behind, and sharding."""
 
 import pytest
 
 from repro.core.context import OpContext
 from repro.errors import DeadlineExpiredError, RpcError
 from repro.api import Link, KeyService, MetadataService, ServiceSession
-from repro.net.rpc import RpcChannel, RpcServer
+from repro.net.rpc import PIPELINE_WINDOW, RpcChannel, RpcServer
 from repro.net.wire import (
     FRAME_OVERHEAD,
     PROTOCOL_V1,
@@ -50,16 +50,15 @@ class TestEnvelope:
             pack_envelope(PROTOCOL_V2, None, b"x")
 
 
-def _make_rig(rtt=0.3, pipelining=False, max_inflight=8,
-              server_version=PROTOCOL_V2):
+def _make_rig(rtt=0.3, pipelining=False):
     sim = Simulation()
     link = Link(sim, rtt=rtt)
-    server = RpcServer(sim, "key-service", protocol_version=server_version)
+    server = RpcServer(sim, "key-service")
     secret = b"s" * 32
     server.enroll_device("laptop-1", secret)
     channel = RpcChannel(
         sim, link, server, device_id="laptop-1", device_secret=secret,
-        pipelining=pipelining, max_inflight=max_inflight,
+        pipelining=pipelining,
     )
     return sim, link, server, channel
 
@@ -101,24 +100,6 @@ class TestPipelinedCalls:
         # hello itself rides the serial path.
         assert channel.metrics.serial_calls == 1
 
-    def test_v1_server_degrades_to_serial(self):
-        sim, _link, server, channel = _make_rig(
-            pipelining=True, server_version=PROTOCOL_V1
-        )
-        server.register("ping", lambda device, payload: {"pong": True})
-
-        def proc():
-            first = yield from channel.call("ping")
-            second = yield from channel.call("ping")
-            return first, second
-
-        first, second = sim.run_process(proc())
-        assert first == {"pong": True} and second == {"pong": True}
-        assert channel.negotiated_version == PROTOCOL_V1
-        assert channel.metrics.pipelined_calls == 0
-        # hello (failed) + two real calls, all serial.
-        assert channel.metrics.serial_calls == 3
-
     def test_out_of_order_completion(self):
         sim, _link, server, channel = _make_rig(rtt=0.01, pipelining=True)
         order = []
@@ -154,9 +135,8 @@ class TestPipelinedCalls:
         assert channel.metrics.inflight_hwm == 2
 
     def test_max_inflight_bounds_window(self):
-        sim, _link, server, channel = _make_rig(
-            rtt=0.01, pipelining=True, max_inflight=2
-        )
+        # One caller more than the window: it waits for a free slot.
+        sim, _link, server, channel = _make_rig(rtt=0.01, pipelining=True)
 
         def handler(device, payload):
             yield sim.timeout(0.2)
@@ -170,21 +150,21 @@ class TestPipelinedCalls:
 
         def driver():
             yield from channel.call("work")  # negotiate + prime
-            procs = [sim.process(caller()) for _ in range(6)]
+            procs = [sim.process(caller())
+                     for _ in range(PIPELINE_WINDOW + 1)]
             yield sim.all_of(procs)
             return None
 
         sim.run_process(driver())
-        assert channel.metrics.inflight_hwm == 2
-        assert channel.metrics.pipelined_calls == 7
+        assert channel.metrics.inflight_hwm == PIPELINE_WINDOW
+        assert channel.metrics.pipelined_calls == PIPELINE_WINDOW + 2
 
     def test_expired_slot_waiter_does_not_swallow_the_wakeup(self):
-        # A holds the only slot for 1 s; B queues behind it and gives up
-        # at its 0.1 s deadline; C queues at 0.3 s.  A's completion must
-        # wake C, not B's abandoned place in the queue.
-        sim, _link, server, channel = _make_rig(
-            rtt=0.01, pipelining=True, max_inflight=1
-        )
+        # A holds one slot for 1 s and the rest of the window is held
+        # for 5 s; B queues behind them and gives up at its 0.1 s
+        # deadline; C queues at 0.3 s.  A's completion must wake C, not
+        # B's abandoned place in the queue.
+        sim, _link, server, channel = _make_rig(rtt=0.01, pipelining=True)
 
         def handler(device, payload):
             yield sim.timeout(payload["hold"])
@@ -204,18 +184,19 @@ class TestPipelinedCalls:
 
         def driver():
             yield from channel.call("work", hold=0.0)  # negotiate v2
-            procs = [
-                sim.process(caller(1.0)),
-                sim.process(caller(0.0, OpContext(
-                    sim, "b", deadline=sim.now + 0.1))),
-            ]
+            procs = [sim.process(caller(1.0))]
+            procs += [sim.process(caller(5.0))
+                      for _ in range(PIPELINE_WINDOW - 1)]
+            procs.append(sim.process(caller(0.0, OpContext(
+                sim, "b", deadline=sim.now + 0.1))))
             yield sim.timeout(0.3)
             procs.append(sim.process(caller(0.5)))
             yield sim.all_of(procs)
             return None
 
         sim.run_process(driver())
-        assert outcomes == ["expired", 1.0, 0.5]
+        assert outcomes == (["expired", 1.0, 0.5]
+                            + [5.0] * (PIPELINE_WINDOW - 1))
         assert channel.inflight_count == 0
         assert channel._slot_waiters == []
 
