@@ -836,7 +836,9 @@ class KeypadFS(StackedCryptFs):
                 new_header = current.unlocked_copy(pending.wrapped)
                 yield from self._store_header(path_hint, new_header)
                 self.stats["ibe_unlocks"] += 1
-                # Restore the full expiration now that metadata is safe.
+                # Metadata is safe: restore the key's full Texp window,
+                # counted from when a logged access last vouched for
+                # it, not from now.
                 self.key_cache.extend(audit_id, self._cfg(ctx).texp)
         self._pending_unlocks.pop(audit_id, None)
         if not pending.event.triggered:

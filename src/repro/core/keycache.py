@@ -36,6 +36,10 @@ class CacheEntry:
     texp: float
     expires_at: float
     inserted_at: float
+    # When a logged access last vouched for this key: the send of the
+    # fetch (or refresh) that brought it, or the put of a key created
+    # here, which precedes its upload's log entry.
+    vouched_at: float
     prefetched: bool = False
     used_since_refresh: bool = False
     generation: int = 0
@@ -151,7 +155,8 @@ class KeyCache:
     ) -> CacheEntry:
         # Live from ``issued_at``, the request's send: the service logs
         # the access no earlier, so the entry dies within Texp of the log.
-        expires_at = (self.sim.now if issued_at is None else issued_at) + texp
+        vouched_at = self.sim.now if issued_at is None else issued_at
+        expires_at = vouched_at + texp
         existing = self._entries.get(audit_id)
         if existing is not None:
             existing.generation = self._next_generation()
@@ -159,6 +164,7 @@ class KeyCache:
             existing.data_key = data_key
             existing.texp = texp
             existing.expires_at = expires_at
+            existing.vouched_at = vouched_at
             existing.used_since_refresh = False
             existing.fetch_count += 1
             existing.refreshable = refreshable
@@ -171,6 +177,7 @@ class KeyCache:
             texp=texp,
             expires_at=expires_at,
             inserted_at=self.sim.now,
+            vouched_at=vouched_at,
             prefetched=prefetched,
             refreshable=refreshable,
             generation=self._next_generation(),
@@ -181,13 +188,23 @@ class KeyCache:
         return entry
 
     def extend(self, audit_id: bytes, texp: float) -> None:
-        """Reset an entry's lifetime (after unlock / refresh)."""
+        """Restore an entry's full lifetime after an IBE unlock.
+
+        The lifetime runs from when the key was last vouched for, never
+        from now: an unlock logs no key access, so restarting ``texp``
+        here would grant lifetime no audited fetch vouched for.  An
+        entry whose window has already passed expires instead.
+        """
         entry = self._entries.get(audit_id)
         if entry is None:
             return
+        expires_at = entry.vouched_at + texp
+        if expires_at <= self.sim.now:
+            self._expire(audit_id, "expired")
+            return
         entry.generation = self._next_generation()
         entry.texp = texp
-        entry.expires_at = self.sim.now + texp
+        entry.expires_at = expires_at
         entry.used_since_refresh = False
         entry.refreshable = True
         self._watch(entry)
@@ -226,10 +243,7 @@ class KeyCache:
             # Caching disabled mid-run: erase everything now.
             count = len(self._entries)
             for audit_id in list(self._entries):
-                self.expirations += 1
-                self.evict(audit_id)
-                if self.on_evict is not None:
-                    self.on_evict(audit_id, "texp-retarget")
+                self._expire(audit_id, "texp-retarget")
             return count
         shortened = 0
         for entry in self._entries.values():
@@ -250,6 +264,14 @@ class KeyCache:
             entry.generation = self._next_generation()
             entry.erase()
             self.occupancy.update(self.sim.now, len(self._entries))
+
+    def _expire(self, audit_id: bytes, reason: str) -> None:
+        """Evict an entry the purge thread (or a policy) expired, and
+        tell ``on_evict`` why."""
+        self.expirations += 1
+        self.evict(audit_id)
+        if self.on_evict is not None:
+            self.on_evict(audit_id, reason)
 
     def evict_all(self) -> int:
         """Hibernate/shutdown: erase everything; returns count evicted."""
@@ -295,10 +317,7 @@ class KeyCache:
             # arriving mid-round-trip may block on a fresh fetch).
             yield from self._refresh(entry)
             return
-        self.expirations += 1
-        self.evict(audit_id)
-        if self.on_evict is not None:
-            self.on_evict(audit_id, "expired")
+        self._expire(audit_id, "expired")
 
     def _refresh(self, entry: CacheEntry) -> Generator:
         """Re-fetch an in-use key, re-logging the access on the service."""
@@ -324,10 +343,7 @@ class KeyCache:
         except (NetworkUnavailableError, KeypadError) as exc:
             if ctx is not None:
                 ctx.finish(exc)
-            self.expirations += 1
-            self.evict(audit_id)
-            if self.on_evict is not None:
-                self.on_evict(audit_id, "refresh-failed")
+            self._expire(audit_id, "refresh-failed")
             return None
         if ctx is not None:
             ctx.finish()
@@ -335,6 +351,7 @@ class KeyCache:
             entry.generation = self._next_generation()
             entry.remote_key = new_remote
             entry.expires_at = issued_at + entry.texp  # as in put()
+            entry.vouched_at = issued_at
             entry.used_since_refresh = False
             entry.fetch_count += 1
             self._watch(entry)

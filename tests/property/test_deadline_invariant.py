@@ -22,7 +22,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import KeypadConfig, THREE_G
+from repro.api import KeypadConfig, LAN, THREE_G
 from repro.errors import DeadlineExpiredError, ReproError
 from repro.forensics import AuditTool, analyze_fidelity
 from repro.harness import build_keypad_rig
@@ -273,3 +273,64 @@ def test_coalesced_joiners_key_expires_texp_after_the_leaders_send():
     refetched = len(rig.key_service.access_log.entries(kind="fetch"))
     assert refetched == len(fetches) + 1, (
         "a read past the logged fetch's Texp hit the joiner's cached key")
+
+
+def _thief_read_is_reported(rig, path, t_thief, texp):
+    """A thief reads ``path`` at ``t_thief`` (the loss); the report for
+    that loss must list the file."""
+
+    def thief():
+        yield rig.sim.timeout(t_thief - rig.sim.now)
+        data = yield from rig.fs.read(path, 0, 6)
+        audit_id = yield from rig.fs.audit_id_of(path)
+        return data, audit_id
+
+    data, audit_id = rig.run(thief())
+    assert data == b"secret"
+    report = AuditTool(rig.key_service, rig.metadata_service).report(
+        t_loss=t_thief, texp=texp)
+    assert analyze_fidelity(report, {audit_id}).zero_false_negatives, (
+        "a cached key outlived every logged access's Texp window")
+
+
+def test_unlock_after_rename_keeps_the_keys_logged_window():
+    """LAN, IBE on, Texp = 100 s: the file's only key-service entry is
+    its create at t ≈ 0.03.  Renaming it at t = 90 locks and then
+    unlocks the key; the unlock must not restart Texp at t ≈ 90, or a
+    thief's read at t = 150 hits the cache and logs nothing."""
+    texp = 100.0
+    config = KeypadConfig(texp=texp, prefetch="none", ibe_enabled=True)
+    rig = build_keypad_rig(network=LAN, config=config, n_blocks=1 << 14)
+
+    def owner():
+        yield from rig.fs.mkdir("/home")
+        yield from rig.fs.create("/home/a.txt")
+        yield from rig.fs.write("/home/a.txt", 0, b"secret")
+        yield rig.sim.timeout(90.0 - rig.sim.now)
+        yield from rig.fs.rename("/home/a.txt", "/home/b.txt")
+
+    rig.run(owner())
+    _thief_read_is_reported(rig, "/home/b.txt", 150.0, texp)
+
+
+def test_unlock_after_create_keeps_the_keys_logged_window():
+    """3G, IBE on, Texp = 5 s: the create's key upload is the file's
+    one key-service entry (t ≈ 0.48) and the unlock lands about 0.5 s
+    later.  The key must die
+    within Texp of the create, so a read just past the logged entry's
+    window fetches (and is logged) again."""
+    texp = 5.0
+    config = KeypadConfig(texp=texp, prefetch="none", ibe_enabled=True)
+    rig = build_keypad_rig(network=THREE_G, config=config, n_blocks=1 << 14)
+
+    def owner():
+        yield from rig.fs.mkdir("/home")
+        yield from rig.fs.create("/home/a.txt")
+        yield from rig.fs.write("/home/a.txt", 0, b"secret")
+        yield rig.sim.timeout(2.0)  # the upload and the unlock land
+
+    rig.run(owner())
+    (created,) = rig.key_service.access_log.entries()
+    _thief_read_is_reported(rig, "/home/a.txt",
+                            created.timestamp + texp + 0.01, texp)
+

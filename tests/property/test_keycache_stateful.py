@@ -5,6 +5,8 @@ evict/advance-time and checks the cache against a simple timestamp
 model:
 
 * an entry is visible iff its modelled expiry is in the future,
+* ``extend`` restores Texp from the put, never from now, and evicts an
+  entry whose window has passed,
 * secure erasure: evicted key material is zeroed,
 * occupancy accounting never goes negative and matches the live count.
 """
@@ -34,6 +36,7 @@ class KeyCacheMachine(RuleBasedStateMachine):
         # which is what the model can mirror exactly.
         self.cache = KeyCache(self.sim, refresh_fn=None)
         self.model_expiry: dict[bytes, float] = {}
+        self.model_vouched: dict[bytes, float] = {}
 
     ids = Bundle("ids")
 
@@ -45,6 +48,7 @@ class KeyCacheMachine(RuleBasedStateMachine):
     def put(self, audit_id, texp):
         self.cache.put(audit_id, b"r" * 32, b"d" * 32, texp=texp)
         self.model_expiry[audit_id] = self.sim.now + texp
+        self.model_vouched[audit_id] = self.sim.now
 
     @rule(audit_id=ids)
     def get(self, audit_id):
@@ -62,17 +66,19 @@ class KeyCacheMachine(RuleBasedStateMachine):
 
     @rule(audit_id=ids, texp=st.floats(min_value=0.5, max_value=50.0))
     def extend(self, audit_id, texp):
-        alive = self.model_expiry.get(audit_id, 0.0) > self.sim.now
         present = self.cache.peek(audit_id) is not None
         self.cache.extend(audit_id, texp)
         # extend only affects entries still physically present (watchers
-        # may not have purged an expired one yet — it stays invisible).
-        if present and alive:
-            self.model_expiry[audit_id] = self.sim.now + texp
-        elif present and not alive:
-            # Extending an expired-but-unpurged entry revives it; the
-            # implementation allows this only until the watcher runs.
-            self.model_expiry[audit_id] = self.sim.now + texp
+        # may not have purged an expired one yet).  The new life runs
+        # from the put; an entry already past it is evicted, never
+        # revived.
+        if present:
+            expiry = self.model_vouched[audit_id] + texp
+            if expiry > self.sim.now:
+                self.model_expiry[audit_id] = expiry
+            else:
+                self.model_expiry.pop(audit_id)
+                assert self.cache.peek(audit_id) is None
 
     @rule(audit_id=ids)
     def evict(self, audit_id):
