@@ -7,7 +7,6 @@ from repro.storage.backend import (
     StorageBackend,
     StorageStack,
     make_backend,
-    volume_is_empty,
 )
 from repro.storage.blockdev import BlockDevice
 from repro.storage.buffercache import BufferCache
@@ -25,7 +24,6 @@ __all__ = [
     "StorageStack",
     "BACKENDS",
     "make_backend",
-    "volume_is_empty",
     "FileHandle",
     "Vfs",
 ]

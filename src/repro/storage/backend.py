@@ -44,7 +44,6 @@ __all__ = [
     "CasBackend",
     "BACKENDS",
     "make_backend",
-    "volume_is_empty",
     "volume_contents",
 ]
 
@@ -343,19 +342,6 @@ def make_backend(name: str) -> StorageBackend:
         ) from None
 
 
-def volume_is_empty(fs: FsInterface) -> Generator:
-    """True iff the volume root holds no entries (sim-process generator).
-
-    The control channel's ``swap_backend`` precondition: a backend swap
-    does not migrate data, so it is only legal before anything was
-    written.  Note this checks the POSIX surface only — callers that
-    also hold a blob store must use :func:`volume_contents`, since
-    spilled audit segments never appear in ``readdir``.
-    """
-    entries = yield from fs.readdir("/")
-    return not entries
-
-
 def volume_contents(fs: FsInterface,
                     blobs: Optional[BlobStore] = None) -> Generator:
     """Everything still present on the volume (sim-process generator).
@@ -364,7 +350,7 @@ def volume_contents(fs: FsInterface,
     blob (as ``"blob:<name>"``).  The fixed ``swap_backend``
     precondition: a swap is refused unless this list is empty, and the
     refusal message names exactly what is in the way — including
-    spilled audit segments, which :func:`volume_is_empty` cannot see.
+    spilled audit segments, which never appear in ``readdir``.
     """
     entries = yield from fs.readdir("/")
     present = [str(e) for e in entries]
