@@ -33,7 +33,8 @@ The client's tuning is one frozen :class:`ReplicaPolicy`:
   :class:`repro.util.retry.RetryPolicy` (exponential backoff plus
   seeded jitter, up to ``retry.max_attempts`` times); when the caller passes
   an :class:`~repro.core.context.OpContext`, its deadline is checked
-  before each attempt and shortens each per-request race, so a spent deadline surfaces as one uniform
+  before each attempt and shortens each per-request race, so a spent
+  deadline surfaces as one uniform
   :class:`~repro.errors.DeadlineExpiredError`.
 * **health tracking** — ``failure_threshold`` consecutive failures put
   a replica in a ``cooldown`` during which it ranks last; any later

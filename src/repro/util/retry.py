@@ -1,7 +1,8 @@
 """Shared retry policy: exponential backoff with seeded jitter.
 
-One policy object holds the cluster client's backoff.  The delay math is exactly the legacy cluster
-formula so extraction changes no simulated timeline:
+One policy object holds the cluster client's backoff.  The delay math
+is exactly the legacy cluster formula so extraction changes no
+simulated timeline:
 
     delay = min(cap, base * 2**attempt) * (0.5 + 0.5 * u)
 
