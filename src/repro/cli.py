@@ -53,6 +53,7 @@ import sys
 from repro.errors import (
     ControlError,
     DeadlineExpiredError,
+    FileNotFound,
     NetworkUnavailableError,
     OverloadSheddedError,
     ReproError,
@@ -529,10 +530,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     rig = build_keypad_rig(network=THREE_G, config=config)
 
     def bounded(op):
-        # An op past --deadline is counted by the tracer; the demo goes on.
+        # An op past --deadline, or one on a file an expired op never
+        # made, is counted by the tracer; the demo goes on.
         try:
             yield from op
-        except DeadlineExpiredError:
+        except (DeadlineExpiredError, FileNotFound):
             pass
 
     def workload():

@@ -23,7 +23,7 @@ remote key service:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.costmodel import DEFAULT_COSTS, CostModel
 from repro.crypto.ibe import decrypt as ibe_decrypt
@@ -154,20 +154,6 @@ class KeypadFS(StackedCryptFs):
         }
 
     # ------------------------------------------------------------------
-    # Cost charging (Keypad is a modified EncFS; same base CPU costs).
-    # ------------------------------------------------------------------
-    def _charge(self, op: str) -> Generator:
-        extra = {
-            "read": self.costs.encfs_read_extra,
-            "write": self.costs.encfs_write_extra,
-            "create": self.costs.encfs_create_extra,
-            "rename": self.costs.encfs_rename_extra,
-            "mkdir": self.costs.encfs_mkdir_extra,
-        }[op]
-        yield self.sim.timeout(extra)
-        return None
-
-    # ------------------------------------------------------------------
     # Live policy (PolicyEpoch) access.
     # ------------------------------------------------------------------
     @property
@@ -241,16 +227,6 @@ class KeypadFS(StackedCryptFs):
     # ------------------------------------------------------------------
     # Directory identifiers (metadata is dir_id/filename tuples).
     # ------------------------------------------------------------------
-    def _dir_id(self, dir_path: str) -> str:
-        dir_path = normalize(dir_path)
-        try:
-            return self._dir_ids[dir_path]
-        except KeyError:
-            raise KeypadError(
-                f"directory {dir_path} has no registered ID "
-                "(was it created through KeypadFS?)"
-            ) from None
-
     def _new_dir_id(self) -> str:
         self._next_dir_serial += 1
         token = self.drbg.generate(8).hex()
@@ -262,7 +238,10 @@ class KeypadFS(StackedCryptFs):
         Directories normally get IDs at mkdir, but a directory can
         *move into* the protected domain (a rename across the coverage
         boundary) or predate protection.  Registration is blocking and
-        parent-first so the service can always resolve full paths.
+        parent-first so the service can always resolve full paths.  An
+        ID is kept only once the service has acknowledged it: an op that
+        fails mid-registration leaves no ID the service never learned,
+        and the next op that needs one registers the directory again.
         """
         dir_path = normalize(dir_path)
         existing = self._dir_ids.get(dir_path)
@@ -272,12 +251,12 @@ class KeypadFS(StackedCryptFs):
         if dir_path != "/":
             parent_id = yield from self._ensure_dir_id(parent_of(dir_path), ctx)
         dir_id = self._new_dir_id()
-        self._dir_ids[dir_path] = dir_id
         self.stats["blocking_metadata_ops"] += 1
         name = "/" if dir_path == "/" else basename(dir_path)
         yield from self.services.register(
             DirRegistration(dir_id=dir_id, parent_id=parent_id, name=name), ctx
         )
+        self._dir_ids[dir_path] = dir_id
         return dir_id
 
     # ------------------------------------------------------------------
@@ -285,10 +264,6 @@ class KeypadFS(StackedCryptFs):
     # ------------------------------------------------------------------
     def _parse_header(self, path: str, raw: bytes) -> Generator:
         return parse_header(raw, self.volume, self.ibe_params)
-        yield  # pragma: no cover
-
-    def _new_header(self, path: str) -> Generator:
-        raise AssertionError("KeypadFS overrides create() directly")
         yield  # pragma: no cover
 
     def _store_header(self, path: str, header: KeypadHeader) -> Generator:
@@ -400,17 +375,29 @@ class KeypadFS(StackedCryptFs):
     def _maybe_prefetch(self, path: str, ctx: Optional[OpContext] = None) -> Generator:
         directory = parent_of(path)
         decision = self.prefetch_policy.on_miss(directory)
+        if not (decision.whole_directory or decision.sample_count):
+            return None
+        with maybe_span(ctx, "prefetch",
+                        **decision_attrs(decision, self.prefetch_policy)):
+            candidates = yield from self._prefetch_candidates(directory, path)
+            if (not decision.whole_directory
+                    and len(candidates) > decision.sample_count):
+                if self._prand is None:
+                    from repro.sim import SimRandom
+
+                    self._prand = SimRandom(self.drbg.generate(16), "prefetch")
+                candidates = self._prand.sample(candidates, decision.sample_count)
+            # IDs already being fetched by a concurrent process will land
+            # in the cache anyway; don't spend batch slots on them.
+            candidates = filter_inflight(
+                candidates, self.services.inflight_fetch_ids()
+            )
+            if candidates:
+                yield from self._load_keys(candidates, "prefetch",
+                                           self.sim.now, ctx)
+                self.stats["prefetch_batches"] += 1
         if decision.whole_directory:
-            with maybe_span(ctx, "prefetch",
-                            **decision_attrs(decision, self.prefetch_policy)):
-                yield from self._prefetch_directory(directory, exclude=path, ctx=ctx)
             self.prefetch_policy.on_directory_prefetched(directory)
-        elif decision.sample_count:
-            with maybe_span(ctx, "prefetch",
-                            **decision_attrs(decision, self.prefetch_policy)):
-                yield from self._prefetch_sample(
-                    directory, decision.sample_count, exclude=path, ctx=ctx
-                )
         return None
 
     def _prefetch_candidates(self, directory: str, exclude: str) -> Generator:
@@ -428,85 +415,55 @@ class KeypadFS(StackedCryptFs):
             attr = yield from self.lower.getattr(self._enc(child))
             if attr.is_dir:
                 continue  # non-recursive by design
-            try:
-                child_header = yield from self._header(child)
-            except Exception:
-                continue
-            if not child_header.protected or child_header.locked:
-                continue
-            if self.key_cache.get(child_header.audit_id, mark_used=False):
-                continue
-            candidates.append((child, child_header))
+            header = yield from self._uncached_header(child)
+            if header is not None:
+                candidates.append((child, header))
         return candidates
 
-    def _prefetch_directory(self, directory: str, exclude: str,
-                            ctx: Optional[OpContext] = None) -> Generator:
-        candidates = yield from self._prefetch_candidates(directory, exclude)
-        if not candidates:
+    def _uncached_header(self, path: str) -> Generator:
+        """The header of a protected, unlocked file whose key is not
+        cached (one a prefetch should load), or None."""
+        try:
+            header = yield from self._header(path)
+        except Exception:
             return None
-        yield from self._prefetch_fetch(candidates, ctx)
-        return None
-
-    def _prefetch_sample(self, directory: str, count: int, exclude: str,
-                         ctx: Optional[OpContext] = None) -> Generator:
-        candidates = yield from self._prefetch_candidates(directory, exclude)
-        if not candidates:
+        if (not header.protected or header.locked
+                or self.key_cache.get(header.audit_id, mark_used=False)):
             return None
-        if len(candidates) > count:
-            if self._prand is None:
-                from repro.sim import SimRandom
+        return header
 
-                self._prand = SimRandom(self.drbg.generate(16), "prefetch")
-            candidates = self._prand.sample(candidates, count)
-        yield from self._prefetch_fetch(candidates, ctx)
-        return None
-
-    def _prefetch_fetch(self, candidates: list,
-                        ctx: Optional[OpContext] = None) -> Generator:
-        # IDs already being fetched by a concurrent process will land in
-        # the cache anyway; don't spend batch slots on them.
-        candidates = filter_inflight(
-            candidates, self.services.inflight_fetch_ids()
-        )
-        if not candidates:
-            return None
-        issued_at = self.sim.now
+    def _load_keys(self, candidates: list, kind: str, issued_at: float,
+                   ctx: Optional[OpContext] = None) -> Generator:
+        """Fetch the keys of ``(path, header)`` *candidates* in one batch
+        and cache each as prefetched; returns how many arrived."""
         keys = yield from self.services.fetch_many(
-            [KeyFetch(h.audit_id, kind="prefetch") for _, h in candidates], ctx
+            [KeyFetch(h.audit_id, kind=kind) for _, h in candidates], ctx
         )
-        self.stats["prefetch_batches"] += 1
-        for (child, child_header), remote_key in zip(candidates, keys):
+        fetched = 0
+        for (_path, header), remote_key in zip(candidates, keys):
             if not remote_key:
                 continue
-            data_key = unwrap_data_key(child_header.wrapped_kd, remote_key)
+            data_key = unwrap_data_key(header.wrapped_kd, remote_key)
             self.key_cache.put(
-                child_header.audit_id,
+                header.audit_id,
                 remote_key,
                 data_key,
                 texp=self._cfg(ctx).texp,
                 prefetched=True,
                 issued_at=issued_at,
             )
-            self.stats["prefetched_keys"] += 1
-        return None
+            fetched += 1
+        self.stats["prefetched_keys"] += fetched
+        return fetched
 
     # ------------------------------------------------------------------
     # Creation (Fig. 3 flows).
     # ------------------------------------------------------------------
     def create(self, path: str) -> Generator:
-        self._count("create")
-        ctx = self._op_context("create", path)
-        try:
-            yield from self._create_inner(normalize(path), ctx)
-        except BaseException as exc:
-            if ctx is not None:
-                ctx.finish(exc)
-            raise
-        if ctx is not None:
-            ctx.finish()
-        return None
+        return self._op(self._op_context("create", path), self._create,
+                        normalize(path))
 
-    def _create_inner(self, path: str, ctx: Optional[OpContext]) -> Generator:
+    def _create(self, path: str, ctx: Optional[OpContext]) -> Generator:
         yield from self._charge("create")
         if not self.is_protected(path):
             yield from self._create_unprotected(path)
@@ -518,15 +475,16 @@ class KeypadFS(StackedCryptFs):
         data_key = self.drbg.generate(DATA_KEY_LEN)
         yield from self.lower.create(self._enc(path))
         self._logical_sizes[path] = 0
-
-        if self._cfg(ctx).ibe_enabled:
-            yield from self._create_ibe_locked(
-                path, dir_id, name, audit_id, data_key, ctx
-            )
-        else:
-            yield from self._create_blocking(
-                path, dir_id, name, audit_id, data_key, ctx
-            )
+        complete = (self._create_ibe_locked if self._cfg(ctx).ibe_enabled
+                    else self._create_blocking)
+        try:
+            yield from complete(path, dir_id, name, audit_id, data_key, ctx)
+        except Exception:
+            # Leave no headerless file behind: the create failed, so a
+            # retry of it must find the path free.
+            yield from self.lower.unlink(self._enc(path))
+            self._evict_header(path)
+            raise
         return None
 
     def _create_unprotected(self, path: str) -> Generator:
@@ -607,20 +565,11 @@ class KeypadFS(StackedCryptFs):
     # Rename (Fig. 3b).
     # ------------------------------------------------------------------
     def rename(self, old: str, new: str) -> Generator:
-        self._count("rename")
-        ctx = self._op_context("rename", old)
-        try:
-            yield from self._rename_inner(normalize(old), normalize(new), ctx)
-        except BaseException as exc:
-            if ctx is not None:
-                ctx.finish(exc)
-            raise
-        if ctx is not None:
-            ctx.finish()
-        return None
+        return self._op(self._op_context("rename", old), self._rename,
+                        normalize(old), normalize(new))
 
-    def _rename_inner(self, old: str, new: str,
-                      ctx: Optional[OpContext]) -> Generator:
+    def _rename(self, old: str, new: str,
+                ctx: Optional[OpContext]) -> Generator:
         yield from self._charge("rename")
         attr = yield from self.lower.getattr(self._enc(old))
         if attr.is_dir:
@@ -635,21 +584,18 @@ class KeypadFS(StackedCryptFs):
 
         dir_id = yield from self._ensure_dir_id(parent_of(new), ctx)
         name = basename(new)
-        if header.locked and self._cfg(ctx).ibe_enabled:
-            pending = self._pending_unlocks.get(header.audit_id)
-            if pending is not None:
-                # Supersede the in-flight registration: re-lock under
-                # the new identity without blocking (Fig. 3b's overlap
-                # applies to back-to-back metadata updates too).
-                yield from self._relock_pending(old, new, header, pending,
-                                                dir_id, name)
-                return None
-            header = yield from self._await_unlocked(old, header, ctx)
-        elif header.locked:
+        ibe = self._cfg(ctx).ibe_enabled
+        # A locked file whose registration is still in flight is
+        # re-locked without waiting (Fig. 3b's overlap applies to
+        # back-to-back metadata updates too).
+        pending = (self._pending_unlocks.get(header.audit_id)
+                   if ibe and header.locked else None)
+        if header.locked and pending is None:
             header = yield from self._await_unlocked(old, header, ctx)
 
-        if self._cfg(ctx).ibe_enabled:
-            yield from self._rename_ibe_locked(old, new, header, dir_id, name)
+        if ibe:
+            yield from self._rename_ibe_locked(old, new, header, dir_id, name,
+                                               pending)
         else:
             yield from self.lower.rename(self._enc(old), self._enc(new))
             self._move_header(old, new)
@@ -662,35 +608,23 @@ class KeypadFS(StackedCryptFs):
             )
         return None
 
-    def _relock_pending(
+    def _rename_ibe_locked(
         self,
         old: str,
         new: str,
         header: KeypadHeader,
-        pending: _PendingRegistration,
         dir_id: str,
         name: str,
+        pending: Optional[_PendingRegistration],
     ) -> Generator:
+        """IBE rename: re-lock the wrapped key under the new identity and
+        register it in the background.  A registration still in flight
+        is superseded (it registers the new identity next) rather than
+        joined by a second one."""
+        wrapped = header.wrapped_kd if pending is None else pending.wrapped
         identity = identity_string(dir_id, name, header.audit_id)
         yield self.sim.timeout(self.costs.keypad_ibe_encrypt)
-        blob = self.ibe_public.encrypt(identity, pending.wrapped)
-        locked = header.locked_copy(blob, identity)
-        yield from self._store_header(old, locked)
-        yield from self.lower.rename(self._enc(old), self._enc(new))
-        self._move_header(old, new)
-        pending.identity = identity
-        pending.path_hint = normalize(new)
-        self.key_cache.restrict(header.audit_id, self._cfg().texp_inflight)
-        self.stats["ibe_locks"] += 1
-        self.stats["async_metadata_ops"] += 1
-        return None
-
-    def _rename_ibe_locked(
-        self, old: str, new: str, header: KeypadHeader, dir_id: str, name: str
-    ) -> Generator:
-        identity = identity_string(dir_id, name, header.audit_id)
-        yield self.sim.timeout(self.costs.keypad_ibe_encrypt)
-        blob = self.ibe_public.encrypt(identity, header.wrapped_kd)
+        blob = self.ibe_public.encrypt(identity, wrapped)
         locked = header.locked_copy(blob, identity)
         yield from self._store_header(old, locked)
         yield from self.lower.rename(self._enc(old), self._enc(new))
@@ -699,9 +633,13 @@ class KeypadFS(StackedCryptFs):
         self.key_cache.restrict(header.audit_id, self._cfg().texp_inflight)
         self.stats["ibe_locks"] += 1
         self.stats["async_metadata_ops"] += 1
-        self._spawn_registration(
-            header.audit_id, identity, new, header.wrapped_kd, upload_key=None
-        )
+        if pending is None:
+            self._spawn_registration(
+                header.audit_id, identity, new, wrapped, upload_key=None
+            )
+        else:
+            pending.identity = identity
+            pending.path_hint = new
         return None
 
     def _rename_directory(self, old: str, new: str,
@@ -772,7 +710,6 @@ class KeypadFS(StackedCryptFs):
 
     def _registration_process(self, pending: _PendingRegistration) -> Generator:
         audit_id = pending.audit_id
-        attempts = 0
         # Background registrations are their own (never deadline-bounded)
         # operations in the trace; their RPCs count as blocking, same as
         # the channel counters always have.
@@ -784,55 +721,22 @@ class KeypadFS(StackedCryptFs):
         dir_ack = self._dir_acks.get(dir_id)
         if dir_ack is not None and not dir_ack.triggered:
             yield dir_ack
-        while True:
-            try:
-                if pending.upload_key is not None:
-                    yield from self.services.upload(
-                        KeyUpload(audit_id=audit_id, key=pending.upload_key),
-                        ctx,
-                    )
-                    pending.upload_key = None
-                identity = pending.identity
-                yield from self.services.register(
-                    IbeRegistration(identity=identity), ctx
-                )
-                if identity == pending.identity:
-                    break
-                # Superseded by a rename while the RPC was in flight:
-                # register the newest identity too (the service's log
-                # is append-only; intermediate paths become history).
-            except (NetworkUnavailableError, KeypadError) as exc:
-                if isinstance(exc, RevokedError):
-                    self._pending_unlocks.pop(audit_id, None)
-                    pending.event.fail(exc)
-                    if ctx is not None:
-                        ctx.finish(exc)
-                    return None
-                attempts += 1
-                if attempts >= self._cfg(ctx).registration_max_retries:
-                    self._pending_unlocks.pop(audit_id, None)
-                    failure = LockedFileError(
-                        f"metadata registration for {pending.path_hint} "
-                        f"failed after {attempts} attempts"
-                    )
-                    pending.event.fail(failure)
-                    if ctx is not None:
-                        ctx.finish(failure)
-                    return None
-                yield self.sim.timeout(self._cfg(ctx).registration_retry_delay)
-
-        # Unlock: the paper decrypts the on-disk key with IBE in a
-        # background thread.  We hold the cleartext wrapped blob from
-        # the lock step, so the IBE decryption cost is charged without
-        # redundantly recomputing the identical bytes.  (A client that
-        # crashed in between takes the _unlock_blocking path instead,
-        # which performs the real IBE decryption.)
-        yield self.sim.timeout(self.costs.keypad_ibe_decrypt)
-        path_hint = pending.path_hint
-        exists = yield from self.lower.exists(self._enc(path_hint))
-        if exists:
-            current = self._header_cache.get(path_hint)
-            if current is not None and current.audit_id == audit_id and current.locked:
+        error = yield from self._register_until_acked(
+            pending.path_hint, ctx, self._register_identity, pending
+        )
+        if error is None:
+            # Unlock: the paper decrypts the on-disk key with IBE in a
+            # background thread.  We hold the cleartext wrapped blob from
+            # the lock step, so the IBE decryption cost is charged
+            # without redundantly recomputing the identical bytes.  (A
+            # client that crashed in between takes the _unlock_blocking
+            # path instead, which performs the real IBE decryption.)
+            yield self.sim.timeout(self.costs.keypad_ibe_decrypt)
+            path_hint = pending.path_hint
+            exists = yield from self.lower.exists(self._enc(path_hint))
+            current = self._header_cache.get(path_hint) if exists else None
+            if (current is not None and current.audit_id == audit_id
+                    and current.locked):
                 new_header = current.unlocked_copy(pending.wrapped)
                 yield from self._store_header(path_hint, new_header)
                 self.stats["ibe_unlocks"] += 1
@@ -841,84 +745,106 @@ class KeypadFS(StackedCryptFs):
                 # it, not from now.
                 self.key_cache.extend(audit_id, self._cfg(ctx).texp)
         self._pending_unlocks.pop(audit_id, None)
-        if not pending.event.triggered:
+        if error is not None:
+            pending.event.fail(error)
+        elif not pending.event.triggered:
             pending.event.succeed()
         if ctx is not None:
-            ctx.finish()
+            ctx.finish(error)
         return None
+
+    def _register_identity(self, pending: _PendingRegistration,
+                           ctx: Optional[OpContext]) -> Generator:
+        """One attempt: upload the client-made key (once), then register
+        the pending identity until the acked one is the newest."""
+        while True:
+            if pending.upload_key is not None:
+                yield from self.services.upload(
+                    KeyUpload(audit_id=pending.audit_id, key=pending.upload_key),
+                    ctx,
+                )
+                pending.upload_key = None
+            identity = pending.identity
+            yield from self.services.register(
+                IbeRegistration(identity=identity), ctx
+            )
+            if identity == pending.identity:
+                return None
+            # Superseded by a rename while the RPC was in flight:
+            # register the newest identity too (the service's log is
+            # append-only; intermediate paths become history).
+
+    def _register_until_acked(self, what: str, ctx: Optional[OpContext],
+                              attempt: Callable[..., Generator],
+                              *args: Any) -> Generator:
+        """Retry a background registration, ``attempt(*args, ctx)``.
+
+        A network or service error is retried after
+        ``registration_retry_delay``; a revoked device stops at once,
+        and ``registration_max_retries`` failures end it.  Returns None
+        once acknowledged, or the error that ended it.
+        """
+        attempts = 0
+        while True:
+            try:
+                yield from attempt(*args, ctx)
+                return None
+            except (NetworkUnavailableError, KeypadError) as exc:
+                if isinstance(exc, RevokedError):
+                    return exc
+                attempts += 1
+                if attempts >= self._cfg(ctx).registration_max_retries:
+                    return LockedFileError(
+                        f"metadata registration for {what} "
+                        f"failed after {attempts} attempts"
+                    )
+                yield self.sim.timeout(self._cfg(ctx).registration_retry_delay)
 
     # ------------------------------------------------------------------
     # Remaining namespace operations.
     # ------------------------------------------------------------------
     def mkdir(self, path: str) -> Generator:
-        self._count("mkdir")
-        ctx = self._op_context("mkdir", path)
-        try:
-            yield from self._mkdir_inner(normalize(path), ctx)
-        except BaseException as exc:
-            if ctx is not None:
-                ctx.finish(exc)
-            raise
-        if ctx is not None:
-            ctx.finish()
-        return None
+        return self._op(self._op_context("mkdir", path), self._mkdir,
+                        normalize(path))
 
-    def _mkdir_inner(self, path: str, ctx: Optional[OpContext]) -> Generator:
+    def _mkdir(self, path: str, ctx: Optional[OpContext]) -> Generator:
         yield from self._charge("mkdir")
         yield from self.lower.mkdir(self._enc(path))
-        if self.is_protected(path):
-            parent_id = self._dir_id(parent_of(path))
-            dir_id = self._new_dir_id()
-            self._dir_ids[path] = dir_id
-            if self._cfg(ctx).ibe_for_directories:
-                # Extension: asynchronous directory registration.  Any
-                # file registered under this directory waits (in the
-                # background) for the dir ack, so its IBE lock cannot
-                # resolve before the directory's metadata is durable.
-                self.stats["async_metadata_ops"] += 1
-                self._dir_acks[dir_id] = self.sim.event()
-                self.sim.process(
-                    self._register_dir_process(
-                        dir_id, parent_id, basename(path)
-                    ),
-                    name=f"keypad-dirreg-{dir_id}",
-                )
-            else:
-                self.stats["blocking_metadata_ops"] += 1
-                yield from self.services.register(
-                    DirRegistration(
-                        dir_id=dir_id, parent_id=parent_id, name=basename(path)
-                    ),
-                    ctx,
-                )
+        if not self.is_protected(path):
+            return None
+        if not self._cfg(ctx).ibe_for_directories:
+            yield from self._ensure_dir_id(path, ctx)
+            return None
+        # Extension: asynchronous directory registration.  Any file
+        # registered under this directory waits (in the background) for
+        # the dir ack, so its IBE lock cannot resolve before the
+        # directory's metadata is durable.
+        parent_id = yield from self._ensure_dir_id(parent_of(path), ctx)
+        dir_id = self._new_dir_id()
+        self._dir_ids[path] = dir_id
+        self.stats["async_metadata_ops"] += 1
+        self._dir_acks[dir_id] = self.sim.event()
+        self.sim.process(
+            self._register_dir_process(dir_id, parent_id, basename(path)),
+            name=f"keypad-dirreg-{dir_id}",
+        )
         return None
 
     def _register_dir_process(
         self, dir_id: str, parent_id: str, name: str
     ) -> Generator:
-        attempts = 0
         ctx = self._background_context("dir-registration", name)
-        while True:
-            try:
-                yield from self.services.register(
-                    DirRegistration(
-                        dir_id=dir_id, parent_id=parent_id, name=name
-                    ),
-                    ctx,
-                )
-                break
-            except (NetworkUnavailableError, KeypadError) as exc:
-                attempts += 1
-                if attempts >= self._cfg(ctx).registration_max_retries:
-                    if ctx is not None:
-                        ctx.finish(exc)
-                    return None  # ack never fires; files stay locked
-                yield self.sim.timeout(self._cfg(ctx).registration_retry_delay)
-        event = self._dir_acks.pop(dir_id, None)
-        if event is not None and not event.triggered:
-            event.succeed()
+        request = DirRegistration(dir_id=dir_id, parent_id=parent_id, name=name)
+        error = yield from self._register_until_acked(
+            name, ctx, self.services.register, request
+        )
+        if error is None:
+            event = self._dir_acks.pop(dir_id, None)
+            if event is not None and not event.triggered:
+                event.succeed()
+        # On failure the ack never fires; files under it stay locked.
         if ctx is not None:
-            ctx.finish()
+            ctx.finish(error)
         return None
 
     def rmdir(self, path: str) -> Generator:
@@ -934,54 +860,30 @@ class KeypadFS(StackedCryptFs):
             self.key_cache.evict(header.audit_id)
         return None
 
-    def truncate(self, path: str, size: int) -> Generator:
-        """Truncation is a content operation: it must be audited too."""
-        self._count("truncate")
-        ctx = self._op_context("truncate", path)
-        try:
-            yield from self._charge("write")
-            header = yield from self._header(path)
-            if header.protected:
-                yield from self._content_key(path, header, write=True, ctx=ctx)
-            yield from self.lower.truncate(
-                self._enc(path), self.HEADER_LEN + size
-            )
-            self._note_truncate(normalize(path), size)
-        except BaseException as exc:
-            if ctx is not None:
-                ctx.finish(exc)
-            raise
-        if ctx is not None:
-            ctx.finish()
-        return None
-
     def set_xattr(self, path: str, name: str, value: bytes) -> Generator:
         """Extension: xattr updates are registered as metadata (§4)."""
-        ctx = self._op_context("set_xattr", path)
-        try:
-            yield from self.lower.set_xattr(self._enc(path), name, value)
-            if self._cfg(ctx).track_xattrs:
-                header = yield from self._header(path)
-                if header.protected:
-                    request = XattrRegistration(
-                        audit_id=header.audit_id, name=name, value=value
-                    )
-                    if self.services.fast_transport:
-                        # Xattr registrations need not block the caller;
-                        # the session flushes them in batches.
-                        self.stats["async_metadata_ops"] += 1
-                        self.services.enqueue(request)
-                        if ctx is not None and ctx.traced:
-                            ctx.event("write-behind-enqueue")
-                    else:
-                        self.stats["blocking_metadata_ops"] += 1
-                        yield from self.services.register(request, ctx)
-        except BaseException as exc:
-            if ctx is not None:
-                ctx.finish(exc)
-            raise
-        if ctx is not None:
-            ctx.finish()
+        return self._op(self._op_context("set_xattr", path), self._set_xattr,
+                        path, name, value)
+
+    def _set_xattr(self, path: str, name: str, value: bytes,
+                   ctx: Optional[OpContext]) -> Generator:
+        yield from self.lower.set_xattr(self._enc(path), name, value)
+        if self._cfg(ctx).track_xattrs:
+            header = yield from self._header(path)
+            if header.protected:
+                request = XattrRegistration(
+                    audit_id=header.audit_id, name=name, value=value
+                )
+                if self.services.fast_transport:
+                    # Xattr registrations need not block the caller;
+                    # the session flushes them in batches.
+                    self.stats["async_metadata_ops"] += 1
+                    self.services.enqueue(request)
+                    if ctx is not None and ctx.traced:
+                        ctx.event("write-behind-enqueue")
+                else:
+                    self.stats["blocking_metadata_ops"] += 1
+                    yield from self.services.register(request, ctx)
         return None
 
     # ------------------------------------------------------------------
@@ -1000,15 +902,9 @@ class KeypadFS(StackedCryptFs):
             exists = yield from self.lower.exists(self._enc(path))
             if not exists:
                 continue
-            try:
-                header = yield from self._header(path)
-            except Exception:
-                continue
-            if not header.protected or header.locked:
-                continue
-            if self.key_cache.get(header.audit_id, mark_used=False):
-                continue
-            candidates.append((path, header))
+            header = yield from self._uncached_header(path)
+            if header is not None:
+                candidates.append((path, header))
         if not candidates:
             return 0
         ctx = self._background_context("launch-prefetch")
@@ -1016,30 +912,8 @@ class KeypadFS(StackedCryptFs):
             ctx.root.attrs["app"] = app
         issued_at = min(self.services.sent_at(h.audit_id)
                         for _, h in candidates)
-        try:
-            keys = yield from self.services.fetch_many(
-                [KeyFetch(h.audit_id, kind="profile-prefetch")
-                 for _, h in candidates],
-                ctx,
-            )
-        except BaseException as exc:
-            if ctx is not None:
-                ctx.finish(exc)
-            raise
-        if ctx is not None:
-            ctx.finish()
-        fetched = 0
-        for (_path, header), remote_key in zip(candidates, keys):
-            if not remote_key:
-                continue
-            data_key = unwrap_data_key(header.wrapped_kd, remote_key)
-            self.key_cache.put(
-                header.audit_id, remote_key, data_key,
-                texp=self._cfg(ctx).texp, prefetched=True,
-                issued_at=issued_at,
-            )
-            fetched += 1
-        self.stats["prefetched_keys"] += fetched
+        fetched = yield from self._op(ctx, self._load_keys, candidates,
+                                      "profile-prefetch", issued_at)
         return fetched
 
     # ------------------------------------------------------------------
@@ -1053,21 +927,22 @@ class KeypadFS(StackedCryptFs):
         audit servers."
         """
         count = self.key_cache.evict_all()
-        ctx = self._background_context("hibernate")
         try:
-            if self.services.fast_transport:
-                # Drain deferred traffic before sleeping: the notice
-                # must not sit in a queue on a powered-down device.
-                yield from self.services.flush()
-            yield from self.services.notify(
-                EvictionNotice(count=count, reason="hibernate"), ctx
-            )
-        except (NetworkUnavailableError, KeypadError) as exc:
-            if ctx is not None:
-                ctx.finish(exc)
-            return None
-        if ctx is not None:
-            ctx.finish()
+            yield from self._op(self._background_context("hibernate"),
+                                self._notify_hibernation, count)
+        except (NetworkUnavailableError, KeypadError):
+            pass  # best-effort
+        return None
+
+    def _notify_hibernation(self, count: int,
+                            ctx: Optional[OpContext]) -> Generator:
+        if self.services.fast_transport:
+            # Drain deferred traffic before sleeping: the notice must
+            # not sit in a queue on a powered-down device.
+            yield from self.services.flush()
+        yield from self.services.notify(
+            EvictionNotice(count=count, reason="hibernate"), ctx
+        )
         return None
 
     def audit_id_of(self, path: str) -> Generator:

@@ -10,11 +10,16 @@ EncFS' default block mode without MAC headers).
 per-file random IV in the header, content keys derived from
 volume + IV.  This is the paper's primary baseline ("Because Keypad
 enhances EncFS, the fair baseline comparison for Keypad is EncFS").
+
+Every public op that may carry a per-operation context (``read``,
+``write`` and ``truncate`` here; Keypad adds its metadata ops) runs its
+body through :meth:`StackedCryptFs._op`, the one place a context is
+finished.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Any, Callable, Generator
 
 from repro.costmodel import DEFAULT_COSTS, CostModel
 from repro.crypto.aead import NONCE_LEN
@@ -24,6 +29,7 @@ from repro.errors import CryptoError, IntegrityError
 from repro.sim import Simulation
 from repro.storage.backend import FsInterface
 from repro.storage.localfs import Attr
+from repro.util.paths import normalize
 from repro.encfs.volume import Volume
 
 __all__ = ["StackedCryptFs", "EncfsFS"]
@@ -58,7 +64,6 @@ class StackedCryptFs(FsInterface):
         # common path's simulated timing is unchanged; files not
         # created through this instance are seeded lazily.
         self._logical_sizes: dict[str, int] = {}
-        self.op_counts: dict[str, int] = {}
         # Optional per-block content MACs (EncFS's --require-macs).
         # The default, like EncFS's, is off: content is confidential
         # but an attacker flipping ciphertext bits produces silent
@@ -67,7 +72,8 @@ class StackedCryptFs(FsInterface):
         self.verify_content = verify_content
 
     # ------------------------------------------------------------------
-    # Hooks for subclasses.
+    # Hooks for subclasses: the header format, the content key and the
+    # op context.  KeypadFS replaces create, mkdir and rename whole.
     # ------------------------------------------------------------------
     def _new_header(self, path: str) -> Generator:
         """Create header state for a new file → (raw_bytes, parsed)."""
@@ -98,23 +104,30 @@ class StackedCryptFs(FsInterface):
         """
         return None
 
+    def _op(self, ctx: Any, body: Callable[..., Generator],
+            *args: Any) -> Generator:
+        """Run ``body(*args, ctx)``: the one lifecycle of an op context.
+
+        The context is finished when the body returns, or with the
+        error that ends it.  Without a context the body's own generator
+        is returned, so an untraced op runs in no wrapper frame.
+        """
+        if ctx is None:
+            return body(*args, None)
+        return _finishing(ctx, body(*args, ctx))
+
     def _charge(self, op: str) -> Generator:
-        """Charge this layer's per-op CPU cost."""
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    # Notification hooks (Keypad overrides these for auditing).
-    def _after_create(self, path: str) -> Generator:
+        """Charge this layer's per-op CPU cost (Keypad is a modified
+        EncFS: both pay EncFS's costs)."""
+        extra = {
+            "read": self.costs.encfs_read_extra,
+            "write": self.costs.encfs_write_extra,
+            "create": self.costs.encfs_create_extra,
+            "rename": self.costs.encfs_rename_extra,
+            "mkdir": self.costs.encfs_mkdir_extra,
+        }[op]
+        yield self.sim.timeout(extra)
         return None
-        yield  # pragma: no cover
-
-    def _after_rename(self, old: str, new: str) -> Generator:
-        return None
-        yield  # pragma: no cover
-
-    def _after_mkdir(self, path: str) -> Generator:
-        return None
-        yield  # pragma: no cover
 
     # ------------------------------------------------------------------
     # Shared machinery.
@@ -122,12 +135,7 @@ class StackedCryptFs(FsInterface):
     def _enc(self, path: str) -> str:
         return self.volume.encrypt_path(path)
 
-    def _count(self, op: str) -> None:
-        self.op_counts[op] = self.op_counts.get(op, 0) + 1
-
     def _header(self, path: str) -> Generator:
-        from repro.util.paths import normalize
-
         path = normalize(path)
         parsed = self._header_cache.get(path)
         if parsed is None:
@@ -192,92 +200,71 @@ class StackedCryptFs(FsInterface):
         )
 
     def create(self, path: str) -> Generator:
-        self._count("create")
         yield from self._charge("create")
         yield from self.lower.create(self._enc(path))
         raw, parsed = yield from self._new_header(path)
         yield from self._write_header_raw(path, raw)
-        from repro.util.paths import normalize
-
         self._header_cache[normalize(path)] = parsed
         self._logical_sizes[normalize(path)] = 0
-        yield from self._after_create(path)
         return None
 
     def mkdir(self, path: str) -> Generator:
-        self._count("mkdir")
         yield from self._charge("mkdir")
         yield from self.lower.mkdir(self._enc(path))
-        yield from self._after_mkdir(path)
         return None
 
     def read(self, path: str, offset: int, size: int) -> Generator:
-        self._count("read")
-        ctx = self._op_context("read", path)
-        try:
-            yield from self._charge("read")
-            parsed = yield from self._header(path)
-            key, nonce = yield from self._content_key(
-                path, parsed, write=False, ctx=ctx
+        return self._op(self._op_context("read", path), self._read,
+                        path, offset, size)
+
+    def _read(self, path: str, offset: int, size: int, ctx: Any) -> Generator:
+        yield from self._charge("read")
+        parsed = yield from self._header(path)
+        key, nonce = yield from self._content_key(
+            path, parsed, write=False, ctx=ctx
+        )
+        if self.verify_content:
+            data = yield from self._read_verified(path, key, nonce, offset, size)
+        else:
+            stored = yield from self.lower.read(
+                self._enc(path), self.HEADER_LEN + offset, size
             )
-            if self.verify_content:
-                data = yield from self._read_verified(
-                    path, key, nonce, offset, size
-                )
-            else:
-                stored = yield from self.lower.read(
-                    self._enc(path), self.HEADER_LEN + offset, size
-                )
-                data = stream_xor_at(key, nonce, stored, offset)
-        except BaseException as exc:
-            if ctx is not None:
-                ctx.finish(exc)
-            raise
-        if ctx is not None:
-            ctx.finish()
+            data = stream_xor_at(key, nonce, stored, offset)
         return data
 
     def write(self, path: str, offset: int, data: bytes) -> Generator:
-        self._count("write")
-        ctx = self._op_context("write", path)
-        try:
-            yield from self._charge("write")
-            parsed = yield from self._header(path)
-            key, nonce = yield from self._content_key(
-                path, parsed, write=True, ctx=ctx
-            )
-            if self.verify_content:
-                written = yield from self._write_verified(
-                    path, key, nonce, offset, data
-                )
-            else:
-                from repro.util.paths import normalize
+        return self._op(self._op_context("write", path), self._write,
+                        path, offset, data)
 
-                npath = normalize(path)
-                logical = yield from self._logical_size(npath)
-                if offset > logical:
-                    # Writing past EOF: encrypt the hole too, or the
-                    # lower FS's zero-fill decrypts to garbage.
-                    cipher = stream_xor_at(
-                        key, nonce, bytes(offset - logical) + data, logical
-                    )
-                    yield from self.lower.write(
-                        self._enc(path), self.HEADER_LEN + logical, cipher
-                    )
-                else:
-                    cipher = stream_xor_at(key, nonce, data, offset)
-                    yield from self.lower.write(
-                        self._enc(path), self.HEADER_LEN + offset, cipher
-                    )
-                self._logical_sizes[npath] = max(logical, offset + len(data))
-                written = len(data)
-        except BaseException as exc:
-            if ctx is not None:
-                ctx.finish(exc)
-            raise
-        if ctx is not None:
-            ctx.finish()
-        return written
+    def _write(self, path: str, offset: int, data: bytes, ctx: Any) -> Generator:
+        yield from self._charge("write")
+        parsed = yield from self._header(path)
+        key, nonce = yield from self._content_key(
+            path, parsed, write=True, ctx=ctx
+        )
+        if self.verify_content:
+            written = yield from self._write_verified(
+                path, key, nonce, offset, data
+            )
+            return written
+        npath = normalize(path)
+        logical = yield from self._logical_size(npath)
+        if offset > logical:
+            # Writing past EOF: encrypt the hole too, or the lower FS's
+            # zero-fill decrypts to garbage.
+            cipher = stream_xor_at(
+                key, nonce, bytes(offset - logical) + data, logical
+            )
+            yield from self.lower.write(
+                self._enc(path), self.HEADER_LEN + logical, cipher
+            )
+        else:
+            cipher = stream_xor_at(key, nonce, data, offset)
+            yield from self.lower.write(
+                self._enc(path), self.HEADER_LEN + offset, cipher
+            )
+        self._logical_sizes[npath] = max(logical, offset + len(data))
+        return len(data)
 
     # ------------------------------------------------------------------
     # Per-block content MACs (optional, EncFS --require-macs analog).
@@ -384,35 +371,38 @@ class StackedCryptFs(FsInterface):
                 mac_key, nonce, first + i // block, cipher[i:i + block]
             )
         yield from self._store_tags(path, tags)
-        from repro.util.paths import normalize
-
         self._logical_sizes[normalize(path)] = max(
             logical_size, offset + len(data)
         )
         return len(data)
 
     def truncate(self, path: str, size: int) -> Generator:
-        self._count("truncate")
-        yield from self._charge("write")
-        # Touch the header first so truncation of missing files errors
-        # consistently and Keypad can audit the access.
-        parsed = yield from self._header(path)
-        yield from self.lower.truncate(self._enc(path), self.HEADER_LEN + size)
-        from repro.util.paths import normalize
+        return self._op(self._op_context("truncate", path), self._truncate,
+                        path, size)
 
+    def _truncate(self, path: str, size: int, ctx: Any) -> Generator:
+        yield from self._charge("write")
+        # Truncation is a content operation: resolve the header and the
+        # content key first, so truncating a missing file errors
+        # consistently and Keypad audits the access.
+        parsed = yield from self._header(path)
+        key, nonce = yield from self._content_key(
+            path, parsed, write=True, ctx=ctx
+        )
+        yield from self.lower.truncate(self._enc(path), self.HEADER_LEN + size)
         self._note_truncate(normalize(path), size)
         if self.verify_content:
-            yield from self._retag_after_truncate(path, parsed, size)
+            yield from self._retag_after_truncate(path, key, nonce, size)
         return None
 
-    def _retag_after_truncate(self, path: str, parsed: Any, size: int) -> Generator:
+    def _retag_after_truncate(self, path: str, key: bytes, nonce: bytes,
+                              size: int) -> Generator:
         """Drop stale block MACs and re-tag the (shortened) tail block."""
         block = self.FS_BLOCK
         tags = yield from self._load_tags(path)
         last_kept = (size - 1) // block if size else -1
         tags = {i: t for i, t in tags.items() if i <= last_kept}
         if size and size % block and last_kept in tags:
-            key, nonce = yield from self._content_key(path, parsed, write=True)
             tail = yield from self.lower.read(
                 self._enc(path), self.HEADER_LEN + last_kept * block,
                 size - last_kept * block,
@@ -424,7 +414,6 @@ class StackedCryptFs(FsInterface):
         return None
 
     def readdir(self, path: str) -> Generator:
-        self._count("readdir")
         tokens = yield from self.lower.readdir(self._enc(path))
         names = []
         for token in tokens:
@@ -435,27 +424,19 @@ class StackedCryptFs(FsInterface):
         return sorted(names)
 
     def unlink(self, path: str) -> Generator:
-        self._count("unlink")
         yield from self._charge("create")
         yield from self.lower.unlink(self._enc(path))
-        from repro.util.paths import normalize
-
         self._evict_header(normalize(path))
         return None
 
     def rmdir(self, path: str) -> Generator:
-        self._count("rmdir")
         yield from self.lower.rmdir(self._enc(path))
         return None
 
     def rename(self, old: str, new: str) -> Generator:
-        self._count("rename")
         yield from self._charge("rename")
         yield from self.lower.rename(self._enc(old), self._enc(new))
-        from repro.util.paths import normalize
-
         self._move_header(normalize(old), normalize(new))
-        yield from self._after_rename(old, new)
         return None
 
     def set_xattr(self, path: str, name: str, value: bytes) -> Generator:
@@ -472,17 +453,6 @@ class EncfsFS(StackedCryptFs):
 
     HEADER_LEN = 128
     _MAGIC = b"ENCF"
-
-    def _charge(self, op: str) -> Generator:
-        extra = {
-            "read": self.costs.encfs_read_extra,
-            "write": self.costs.encfs_write_extra,
-            "create": self.costs.encfs_create_extra,
-            "rename": self.costs.encfs_rename_extra,
-            "mkdir": self.costs.encfs_mkdir_extra,
-        }[op]
-        yield self.sim.timeout(extra)
-        return None
 
     def _new_header(self, path: str) -> Generator:
         file_iv = self.drbg.generate(16)
@@ -509,3 +479,14 @@ class EncfsFS(StackedCryptFs):
         file_iv: bytes = parsed
         return self.volume.content_stream_key(file_iv), file_iv
         yield  # pragma: no cover
+
+
+def _finishing(ctx: Any, op: Generator) -> Generator:
+    """Drive *op*, then finish *ctx* with its outcome (see ``_op``)."""
+    try:
+        result = yield from op
+    except BaseException as exc:
+        ctx.finish(exc)
+        raise
+    ctx.finish()
+    return result

@@ -157,3 +157,26 @@ class TestContentMacs:
             return data
 
         assert rig.sim.run_process(proc()) == b"keypad verified"
+
+    def test_keypad_truncate_retags_the_tail_block(self):
+        # Keypad truncates through the same path as EncFS, so the
+        # shortened tail block is re-tagged and still verifies.
+        from repro.api import KeypadConfig, KeypadFS
+        from repro.harness.experiment import build_keypad_rig
+
+        rig = build_keypad_rig(
+            config=KeypadConfig(texp=100.0, prefetch="none", ibe_enabled=False)
+        )
+        fs = KeypadFS(
+            rig.sim, rig.lower, rig.volume, rig.services,
+            config=rig.config, verify_content=True,
+        )
+
+        def proc():
+            yield from fs.create("/f")
+            yield from fs.write("/f", 0, b"k" * 5000)
+            yield from fs.truncate("/f", 4100)
+            data = yield from fs.read("/f", 0, 4100)
+            return data
+
+        assert rig.sim.run_process(proc()) == b"k" * 4100
