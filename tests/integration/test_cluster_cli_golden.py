@@ -7,7 +7,10 @@ multi-region one (``ctl region-status``, ``ctl partition-report``) and
 a rig mounted with the config's server frontend (``ctl drain``) and
 the per-op span trees of ``trace``, over the paper's transport and
 over the fast one (``trace --fast``) and under a per-op deadline that
-expires (``trace --deadline 0.05``);
+expires (``trace --deadline 0.05``), and the forensic read side: the
+stolen-device ``demo --steal`` report, the three ``forensics`` views and
+``forensics --recover`` over the blobs ``forensics --export-image``
+writes;
 simulated time makes their output deterministic, so any difference is
 a behaviour change.
 """
@@ -35,18 +38,36 @@ DEMOS = {
     "cli_trace.txt": ["trace"],
     "cli_trace_fast.txt": ["trace", "--fast"],
     "cli_trace_deadline.txt": ["trace", "--deadline", "0.05"],
+    "cli_demo_steal.txt": ["demo", "--steal"],
+    "cli_forensics_post_theft.txt": ["forensics", "--view", "post-theft"],
+    "cli_forensics_timeline.txt": ["forensics", "--view", "timeline"],
+    "cli_forensics_file_set.txt": ["forensics", "--view", "file-set"],
 }
 
 
-@pytest.mark.parametrize("golden", sorted(DEMOS))
-def test_cluster_demo_output_is_pinned(golden):
+def _run_cli(*argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     env.pop("KEYPAD_FLEET_SHARDS", None)
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.cli", *DEMOS[golden]],
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
         cwd=ROOT, env=env, capture_output=True, timeout=300,
     )
+
+
+@pytest.mark.parametrize("golden", sorted(DEMOS))
+def test_cluster_demo_output_is_pinned(golden):
+    proc = _run_cli(*DEMOS[golden])
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / golden).read_bytes()
+
+
+def test_forensics_recover_output_is_pinned(tmp_path):
+    image = tmp_path / "image"
+    proc = _run_cli("forensics", "--export-image", str(image))
+    assert proc.returncode == 0, proc.stderr.decode()
+    proc = _run_cli("forensics", "--recover", str(image),
+                    "--segment-entries", "4")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / "cli_forensics_recover.txt").read_bytes()
