@@ -717,13 +717,20 @@ class KeypadFS(StackedCryptFs):
         # Extension ordering: if the file's directory registration is
         # still in flight (ibe_for_directories), wait for its ack so
         # the service can always resolve the file's full path.
+        # A directory registration that gave up fails its ack with its
+        # error, which then ends this registration too.
         dir_id = pending.identity.split(b"/", 1)[0].decode()
         dir_ack = self._dir_acks.get(dir_id)
+        error = None
         if dir_ack is not None and not dir_ack.triggered:
-            yield dir_ack
-        error = yield from self._register_until_acked(
-            pending.path_hint, ctx, self._register_identity, pending
-        )
+            try:
+                yield dir_ack
+            except KeypadError as exc:
+                error = exc
+        if error is None:
+            error = yield from self._register_until_acked(
+                pending.path_hint, ctx, self._register_identity, pending
+            )
         if error is None:
             # Unlock: the paper decrypts the on-disk key with IBE in a
             # background thread.  We hold the cleartext wrapped blob from
@@ -838,11 +845,12 @@ class KeypadFS(StackedCryptFs):
         error = yield from self._register_until_acked(
             name, ctx, self.services.register, request
         )
-        if error is None:
-            event = self._dir_acks.pop(dir_id, None)
-            if event is not None and not event.triggered:
+        event = self._dir_acks.pop(dir_id, None)
+        if event is not None and not event.triggered:
+            if error is None:
                 event.succeed()
-        # On failure the ack never fires; files under it stay locked.
+            else:
+                event.fail(error)
         if ctx is not None:
             ctx.finish(error)
         return None

@@ -196,6 +196,37 @@ class TestIbeFlow:
         with pytest.raises((LockedFileError, NetworkUnavailableError)):
             rig.run(proc())
 
+    @pytest.mark.parametrize("retry_delay, wait, expected", [
+        # The registrations are over: the read's blocking unlock meets
+        # the severed link, as for a file whose own registration gave up.
+        (1.0, 100.0, NetworkUnavailableError),
+        # The read waits on the file's pending registration, which ends
+        # with the directory registration's error.
+        (5.0, 2.0, LockedFileError),
+    ])
+    def test_directory_registration_give_up_ends_its_files_registrations(
+            self, retry_delay, wait, expected):
+        """With ibe_for_directories a file's IBE registration waits for
+        its directory's ack; a directory registration that gives up
+        fails that ack (it used to leave it pending forever, and the
+        read deadlocked the simulation)."""
+        config = KeypadConfig(ibe_enabled=True, ibe_for_directories=True,
+                              registration_max_retries=2,
+                              registration_retry_delay=retry_delay)
+        rig = _rig(network=LAN, config=config)
+
+        def proc():
+            rig.sever_device_links()
+            yield from rig.fs.mkdir("/home")
+            yield from rig.fs.create("/home/a.txt")
+            yield from rig.fs.write("/home/a.txt", 0, b"data")
+            yield rig.sim.timeout(wait)
+            yield from rig.fs.read("/home/a.txt", 0, 4)
+
+        with pytest.raises(expected):
+            rig.run(proc())
+        assert not rig.fs._pending_unlocks
+
     def test_ibe_registration_retries_through_outage(self):
         config = KeypadConfig(ibe_enabled=True, registration_retry_delay=2.0)
         rig = _rig(network=THREE_G, config=config)
