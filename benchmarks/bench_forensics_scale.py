@@ -24,14 +24,13 @@ def _populated_services():
     drbg = HmacDrbg(b"forensics-scale")
     audit_ids = [drbg.generate(24) for _ in range(N_FILES)]
     for i, audit_id in enumerate(audit_ids):
-        metadata_service.metadata_log.append(
-            float(i), "laptop-1", "file",
-            audit_id=audit_id, dir_id="d-root", name=f"file{i:04d}.dat",
-            via="plain",
+        metadata_service.projection.ingest(
+            metadata_service.metadata_log.append(
+                float(i), "laptop-1", "file",
+                audit_id=audit_id, dir_id="d-root", name=f"file{i:04d}.dat",
+                via="plain",
+            )
         )
-        metadata_service._files[audit_id] = type(
-            "R", (), {"dir_id": "d-root", "name": f"file{i:04d}.dat"}
-        )()
     for i in range(N_ACCESSES):
         key_service.access_log.append(
             1000.0 + i, "laptop-1", "fetch",

@@ -45,7 +45,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         def entry_at(self, sequence: int) -> LogEntry: ...
         def __iter__(self): ...
 
-__all__ = ["AuditViews"]
+__all__ = ["AuditViews", "accesses_after"]
+
+
+def accesses_after(log, t: float,
+                   device_id: Optional[str] = None) -> list[LogEntry]:
+    """Every key-disclosing entry of ``log`` at or after ``t``, in
+    append order, for the live key service and an offline bundle alike:
+    from the log's window view if it keeps views, else by a scan."""
+    views = getattr(log, "views", None)
+    if views is not None:
+        return views.accesses_after(t, device_id=device_id)
+    return [e for e in log.entries(since=t, device_id=device_id)
+            if e.kind in DISCLOSING_KINDS]
 
 
 class AuditViews:
@@ -146,8 +158,8 @@ class AuditViews:
         """Disclosing records at or after ``t`` — the post-theft window.
 
         One bisect on the window index instead of a log scan; results
-        come back in append order, matching the flat
-        ``KeyService.accesses_after`` exactly.
+        come back in append order, matching the flat log's scan in
+        :func:`accesses_after` exactly.
         """
         start = bisect_left(self._window, t, key=lambda item: item[0])
         sequences = sorted(seq for _, seq in self._window[start:])

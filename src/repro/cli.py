@@ -49,7 +49,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
+from repro.auditstore.log import DISCLOSING_KINDS
 from repro.errors import (
     ControlError,
     DeadlineExpiredError,
@@ -85,83 +87,63 @@ def exit_code_for(exc: BaseException) -> int:
     return 1
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    with open(args.bundle, "r", encoding="utf-8") as handle:
-        text = handle.read()
+#: The confidential files every demo world keeps under ``/home``.
+_FILES = ("medical.txt", "taxes.pdf", "notes.md")
+
+
+def _populate(fs, names=_FILES, guard=lambda op: op):
+    """Every demo world's start: ``/home`` and a file per name."""
+    yield from guard(fs.mkdir("/home"))
+    for name in names:
+        yield from guard(fs.create(f"/home/{name}"))
+        yield from guard(fs.write(f"/home/{name}", 0, b"confidential"))
+
+
+def _stolen_device(texp: float, steal: bool = True, durable: bool = False):
+    """The forensic demos' world and its Tloss: the owner writes the
+    files over 3G and idles 600 s; then the thief reads taxes.pdf."""
+    from repro.api import THREE_G, KeypadConfig
+    from repro.harness import build_keypad_rig
+
+    builder = KeypadConfig.builder(
+        KeypadConfig(texp=texp, prefetch="dir:3", ibe_enabled=True))
+    if durable:
+        builder = builder.audit_store("durable", segment_entries=4,
+                                      flush_policy="every-append")
+    rig = build_keypad_rig(network=THREE_G, config=builder.build())
+
+    def owner():
+        yield from _populate(rig.fs)
+        yield rig.sim.timeout(600.0)
+
+    rig.run(owner())
+    t_loss = rig.sim.now
+    if steal:
+        rig.run(rig.fs.read("/home/taxes.pdf", 0, 12))
+    return rig, t_loss
+
+
+def _report(text: str, t_loss: float, texp: float,
+            device_id: str | None = None) -> int:
     key_log, metadata = load_bundle(text)
-    tool = AuditTool(key_log, metadata)
-    report = tool.report(t_loss=args.tloss, texp=args.texp,
-                         device_id=args.device)
+    report = AuditTool(key_log, metadata).report(
+        t_loss=t_loss, texp=texp, device_id=device_id)
     print(report.render())
     return 0 if report.logs_intact else 2
 
 
+def _cmd_report(args: argparse.Namespace) -> int:
+    text = Path(args.bundle).read_text(encoding="utf-8")
+    return _report(text, args.tloss, args.texp, args.device)
+
+
 def _cmd_demo(args: argparse.Namespace) -> int:
-    from repro.api import KeypadConfig
-    from repro.harness import build_keypad_rig
-    from repro.api import THREE_G
-
-    rig = build_keypad_rig(
-        network=THREE_G,
-        config=KeypadConfig(texp=args.texp, prefetch="dir:3",
-                            ibe_enabled=True),
-    )
-
-    def owner():
-        yield from rig.fs.mkdir("/home")
-        for name in ("medical.txt", "taxes.pdf", "notes.md"):
-            yield from rig.fs.create(f"/home/{name}")
-            yield from rig.fs.write(f"/home/{name}", 0, b"confidential")
-        yield rig.sim.timeout(600.0)
-
-    rig.run(owner())
-    t_loss = rig.sim.now
-
-    if args.steal:
-        def thief():
-            yield from rig.fs.read("/home/taxes.pdf", 0, 12)
-
-        rig.run(thief())
-
+    rig, t_loss = _stolen_device(args.texp, args.steal)
     bundle = export_logs(rig.key_service, rig.metadata_service)
     if args.export:
-        with open(args.export, "w", encoding="utf-8") as handle:
-            handle.write(bundle)
+        Path(args.export).write_text(bundle, encoding="utf-8")
         print(f"log bundle written to {args.export}", file=sys.stderr)
-
-    key_log, metadata = load_bundle(bundle)
-    tool = AuditTool(key_log, metadata)
-    report = tool.report(t_loss=t_loss, texp=args.texp)
-    print(report.render())
-    return 0
-
-
-def _forensics_demo_bundle(texp: float) -> tuple[str, float]:
-    """A small stolen-device world, exported: the standalone input for
-    ``forensics`` when no ``--bundle`` is given."""
-    from repro.api import THREE_G, KeypadConfig
-    from repro.harness import build_keypad_rig
-
-    rig = build_keypad_rig(
-        network=THREE_G,
-        config=KeypadConfig(texp=texp, prefetch="dir:3", ibe_enabled=True),
-    )
-
-    def owner():
-        yield from rig.fs.mkdir("/home")
-        for name in ("medical.txt", "taxes.pdf", "notes.md"):
-            yield from rig.fs.create(f"/home/{name}")
-            yield from rig.fs.write(f"/home/{name}", 0, b"confidential")
-        yield rig.sim.timeout(600.0)
-
-    rig.run(owner())
-    t_loss = rig.sim.now
-
-    def thief():
-        yield from rig.fs.read("/home/taxes.pdf", 0, 12)
-
-    rig.run(thief())
-    return export_logs(rig.key_service, rig.metadata_service), t_loss
+    return _report(bundle, t_loss, args.texp)
 
 
 def _entry_keys(entries) -> list[tuple[int, bytes]]:
@@ -169,47 +151,69 @@ def _entry_keys(entries) -> list[tuple[int, bytes]]:
     return [(e.sequence, e.chain_hash) for e in entries]
 
 
+class _Reconciler:
+    """Answers forensic queries over one log from its views, each
+    checked against the raw scan of the same window (a disagreement
+    prints a MISMATCH line on stderr)."""
+
+    def __init__(self, log, views, since: float):
+        self.log = log
+        self.views = views
+        self.since = since
+        self.mismatches = 0
+
+    def _check(self, label: str, view_answer, scan_answer):
+        if _entry_keys(view_answer) != _entry_keys(scan_answer):
+            self.mismatches += 1
+            print(f"MISMATCH [{label}]: view answered "
+                  f"{len(view_answer)} entries, raw scan "
+                  f"{len(scan_answer)}", file=sys.stderr)
+        return view_answer
+
+    def _disclosing(self, device_id=None):
+        return [e for e in self.log.entries(since=self.since,
+                                            device_id=device_id)
+                if e.kind in DISCLOSING_KINDS]
+
+    def timeline(self, device: str):
+        return self._check(
+            f"timeline:{device}",
+            self.views.device_timeline(device, since=self.since),
+            self.log.entries(since=self.since, device_id=device))
+
+    def file_set(self, audit_id: bytes):
+        return self._check(
+            f"file-set:{audit_id.hex()[:12]}",
+            self.views.file_accesses(audit_id, since=self.since),
+            [e for e in self._disclosing()
+             if e.fields.get("audit_id") == audit_id])
+
+    def post_theft(self, device_id=None):
+        return self._check(
+            "post-theft",
+            self.views.accesses_after(self.since, device_id=device_id),
+            self._disclosing(device_id))
+
+    def failed(self) -> bool:
+        if self.mismatches:
+            print(f"RECONCILIATION FAILED: {self.mismatches} view/scan "
+                  f"mismatch(es)", file=sys.stderr)
+        return bool(self.mismatches)
+
+
 def _forensics_export_image(args: argparse.Namespace) -> int:
     """Run the stolen-device demo with a *durable* audit store and
     write its spilled blobs to a directory — the seized-disk input
     ``forensics --recover`` consumes."""
-    import os
-
-    from repro.api import THREE_G, KeypadConfig
-    from repro.harness import build_keypad_rig
-
-    config = (
-        KeypadConfig.builder(
-            KeypadConfig(texp=args.texp, prefetch="dir:3", ibe_enabled=True)
-        )
-        .audit_store("durable", segment_entries=4,
-                     flush_policy="every-append")
-        .build()
-    )
-    rig = build_keypad_rig(network=THREE_G, config=config)
-
-    def owner():
-        yield from rig.fs.mkdir("/home")
-        for name in ("medical.txt", "taxes.pdf", "notes.md"):
-            yield from rig.fs.create(f"/home/{name}")
-            yield from rig.fs.write(f"/home/{name}", 0, b"confidential")
-        yield rig.sim.timeout(600.0)
-
-    rig.run(owner())
-    t_loss = rig.sim.now
-
-    def thief():
-        yield from rig.fs.read("/home/taxes.pdf", 0, 12)
-
-    rig.run(thief())
+    rig, t_loss = _stolen_device(args.texp, durable=True)
     rig.key_service.audit_checkpoint()
 
     stack = rig.extras["backend"]
     namespace = stack.blobs.namespace(rig.key_service.audit_namespace)
-    os.makedirs(args.export_image, exist_ok=True)
+    image = Path(args.export_image)
+    image.mkdir(parents=True, exist_ok=True)
     for name in sorted(namespace.names()):
-        with open(os.path.join(args.export_image, name), "wb") as handle:
-            handle.write(namespace.get(name))
+        (image / name).write_bytes(namespace.get(name))
     print(f"wrote {len(namespace)} audit blob(s) to {args.export_image} "
           f"(tloss={t_loss:.3f}); recover with:\n"
           f"  keypad-audit forensics --recover {args.export_image} "
@@ -223,18 +227,12 @@ def _forensics_recover(args: argparse.Namespace) -> int:
     off a seized server disk), re-verify the seal chain, and reconcile
     every view answer against the recovered raw log.  Exit 2 on chain
     breaks or any view/scan disagreement."""
-    import os
-
     from repro.auditstore import BlobImage, DurableAuditStore
-    from repro.auditstore.log import DISCLOSING_KINDS
     from repro.errors import AuditRecoveryError
 
-    image: dict[str, bytes] = {}
-    for entry in sorted(os.listdir(args.recover)):
-        path = os.path.join(args.recover, entry)
-        if os.path.isfile(path):
-            with open(path, "rb") as handle:
-                image[entry] = handle.read()
+    image = {path.name: path.read_bytes()
+             for path in sorted(Path(args.recover).iterdir())
+             if path.is_file()}
     if not image:
         print(f"keypad-audit: no blobs found in {args.recover}",
               file=sys.stderr)
@@ -267,41 +265,24 @@ def _forensics_recover(args: argparse.Namespace) -> int:
               "verify", file=sys.stderr)
         return 2
 
-    views = store.views
-    mismatches = 0
     t_loss = args.tloss
     if t_loss is None:
         entries = store.entries()
         t_loss = entries[-1].timestamp if entries else 0.0
     window_start = t_loss - args.texp
+    check = _Reconciler(store, store.views, window_start)
 
-    for device in views.devices():
-        view_answer = views.device_timeline(device, since=window_start)
-        scan_answer = store.entries(since=window_start, device_id=device)
-        if _entry_keys(view_answer) != _entry_keys(scan_answer):
-            mismatches += 1
-            print(f"MISMATCH [timeline:{device}]: view answered "
-                  f"{len(view_answer)}, raw scan {len(scan_answer)}",
-                  file=sys.stderr)
-        print(f"timeline {device}: {len(view_answer)} entries in window")
-    post_theft = views.accesses_after(window_start)
-    scan_answer = [
-        e for e in store.entries(since=window_start)
-        if e.kind in DISCLOSING_KINDS
-    ]
-    if _entry_keys(post_theft) != _entry_keys(scan_answer):
-        mismatches += 1
-        print(f"MISMATCH [post-theft]: view answered {len(post_theft)}, "
-              f"raw scan {len(scan_answer)}", file=sys.stderr)
+    for device in store.views.devices():
+        print(f"timeline {device}: {len(check.timeline(device))} entries "
+              f"in window")
+    post_theft = check.post_theft()
     print(f"post-theft window (since {window_start:.3f}): "
           f"{len(post_theft)} disclosing accesses")
     for entry in post_theft[:args.limit]:
         print(f"  [{entry.timestamp:10.3f}] {entry.device_id:<12} "
               f"{entry.kind}")
 
-    if mismatches:
-        print(f"RECONCILIATION FAILED: {mismatches} view/scan "
-              f"mismatch(es)", file=sys.stderr)
+    if check.failed():
         return 2
     print("recovered log chain intact; every rebuilt view answer "
           "matches the recovered raw scan")
@@ -312,8 +293,6 @@ def _cmd_forensics(args: argparse.Namespace) -> int:
     """Answer forensic queries from the materialized views, then
     reconcile every answer against the raw-log scan (exit 2 on any
     disagreement — same contract as ``trace --check``)."""
-    from repro.auditstore.log import DISCLOSING_KINDS
-
     if args.export_image is not None:
         return _forensics_export_image(args)
     if args.recover is not None:
@@ -324,27 +303,23 @@ def _cmd_forensics(args: argparse.Namespace) -> int:
             print("keypad-audit: forensics --bundle requires --tloss",
                   file=sys.stderr)
             return 1
-        with open(args.bundle, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        text = Path(args.bundle).read_text(encoding="utf-8")
         t_loss = args.tloss
     else:
-        text, t_loss = _forensics_demo_bundle(args.texp)
+        rig, t_loss = _stolen_device(args.texp)
+        text = export_logs(rig.key_service, rig.metadata_service)
         if args.tloss is not None:
             t_loss = args.tloss
     key_log, metadata = load_bundle(text)
-    log = key_log.access_log
+    # Views index entries by sequence, which an edited bundle may no
+    # longer match: answer nothing from a chain that does not verify.
+    if not key_log.access_log.verify_chain():
+        print("RECONCILIATION FAILED: the bundle's key-log chain does "
+              "not verify", file=sys.stderr)
+        return 2
     views = key_log.views
     window_start = t_loss - args.texp
-
-    mismatches = 0
-
-    def reconcile(label: str, view_answer, scan_answer) -> None:
-        nonlocal mismatches
-        if _entry_keys(view_answer) != _entry_keys(scan_answer):
-            mismatches += 1
-            print(f"MISMATCH [{label}]: view answered "
-                  f"{len(view_answer)} entries, raw scan "
-                  f"{len(scan_answer)}", file=sys.stderr)
+    check = _Reconciler(key_log.access_log, views, window_start)
 
     def describe(entry) -> str:
         audit_id = entry.fields.get("audit_id")
@@ -359,12 +334,7 @@ def _cmd_forensics(args: argparse.Namespace) -> int:
     if args.view == "timeline":
         devices = [args.device] if args.device else views.devices()
         for device in devices:
-            view_answer = views.device_timeline(device, since=window_start)
-            reconcile(
-                f"timeline:{device}",
-                view_answer,
-                log.entries(since=window_start, device_id=device),
-            )
+            view_answer = check.timeline(device)
             print(f"timeline {device}: {len(view_answer)} entries")
             for entry in view_answer[:args.limit]:
                 print("  " + describe(entry))
@@ -374,38 +344,20 @@ def _cmd_forensics(args: argparse.Namespace) -> int:
         else:
             audit_ids = views.audit_ids()
         for audit_id in audit_ids:
-            view_answer = views.file_accesses(audit_id, since=window_start)
-            scan_answer = [
-                e for e in log.entries(since=window_start)
-                if e.kind in DISCLOSING_KINDS
-                and e.fields.get("audit_id") == audit_id
-            ]
-            reconcile(f"file-set:{audit_id.hex()[:12]}",
-                      view_answer, scan_answer)
+            view_answer = check.file_set(audit_id)
             path = metadata.path_of(audit_id) or f"id {audit_id.hex()[:12]}…"
             accessors = sorted({e.device_id for e in view_answer})
             print(f"{path}: {len(view_answer)} accesses by "
                   f"{', '.join(accessors) if accessors else 'nobody'}")
     else:  # post-theft
-        view_answer = views.accesses_after(window_start,
-                                           device_id=args.device)
-        scan_answer = [
-            e for e in log.entries(since=window_start,
-                                   device_id=args.device)
-            if e.kind in DISCLOSING_KINDS
-        ]
-        reconcile("post-theft", view_answer, scan_answer)
+        view_answer = check.post_theft(args.device)
         print(f"post-theft window: {len(view_answer)} disclosing "
               f"accesses")
         for entry in view_answer[:args.limit]:
             print("  " + describe(entry))
 
-    chain_ok = log.verify_chain()
-    print(f"log chain: {'intact' if chain_ok else 'BROKEN'}; "
-          f"view stats: {views.stats()}")
-    if mismatches or not chain_ok:
-        print(f"RECONCILIATION FAILED: {mismatches} view/scan "
-              f"mismatch(es), chain_ok={chain_ok}", file=sys.stderr)
+    print(f"log chain: intact; view stats: {views.stats()}")
+    if check.failed():
         return 2
     print("reconciled: every view answer matches the raw-log scan")
     return 0
@@ -440,14 +392,11 @@ def _cmd_cluster_demo(args: argparse.Namespace) -> int:
         ]))
 
     def owner():
-        yield from rig.fs.mkdir("/home")
-        for name in ("medical.txt", "taxes.pdf", "notes.md"):
-            yield from rig.fs.create(f"/home/{name}")
-            yield from rig.fs.write(f"/home/{name}", 0, b"confidential")
+        yield from _populate(rig.fs)
         # Re-read after the caches expire so fetches hit the cluster,
         # including inside any injected crash window.
         yield rig.sim.timeout(args.texp + 10.0)
-        for name in ("medical.txt", "taxes.pdf", "notes.md"):
+        for name in _FILES:
             yield from rig.fs.read(f"/home/{name}", 0, 12)
         yield rig.sim.timeout(600.0)
 
@@ -455,14 +404,11 @@ def _cmd_cluster_demo(args: argparse.Namespace) -> int:
     t_loss = rig.sim.now
 
     if args.steal:
-        def thief():
-            yield from rig.fs.read("/home/taxes.pdf", 0, 12)
-
-        rig.run(thief())
+        rig.run(rig.fs.read("/home/taxes.pdf", 0, 12))
 
     cluster_log = rig.cluster_audit_log()
-    tool = AuditTool(cluster_log, rig.metadata_service)
-    report = tool.report(t_loss=t_loss, texp=args.texp)
+    report = AuditTool(cluster_log, rig.metadata_service).report(
+        t_loss=t_loss, texp=args.texp)
     print(report.render())
     print()
     print(f"MERGED CLUSTER TIMELINE ({args.threshold}-of-{args.replicas})")
@@ -537,16 +483,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         except (DeadlineExpiredError, FileNotFound):
             pass
 
+    names = _FILES + ("diary.txt",)
+
     def workload():
-        yield from bounded(rig.fs.mkdir("/home"))
-        for name in ("medical.txt", "taxes.pdf", "notes.md", "diary.txt"):
-            yield from bounded(rig.fs.create(f"/home/{name}"))
-            yield from bounded(rig.fs.write(f"/home/{name}", 0,
-                                            b"confidential"))
+        yield from _populate(rig.fs, names, guard=bounded)
         # Let every cached key expire, then re-read: the reads force
         # blocking fetches and (on the third miss) a directory prefetch.
         yield rig.sim.timeout(args.texp + 10.0)
-        for name in ("medical.txt", "taxes.pdf", "notes.md", "diary.txt"):
+        for name in names:
             yield from bounded(rig.fs.read(f"/home/{name}", 0, 12))
         # Drain background registrations / write-behind flushes.
         yield rig.sim.timeout(30.0)
@@ -631,14 +575,7 @@ def _ctl_rig(args: argparse.Namespace):
         .storage(args.backend)
     )
     rig = build_keypad_rig(config=builder.build())
-
-    def owner():
-        yield from rig.fs.mkdir("/home")
-        for name in ("medical.txt", "taxes.pdf", "notes.md"):
-            yield from rig.fs.create(f"/home/{name}")
-            yield from rig.fs.write(f"/home/{name}", 0, b"confidential")
-
-    rig.run(owner())
+    rig.run(_populate(rig.fs))
     return rig, open_control(rig)
 
 
@@ -671,7 +608,6 @@ def _cmd_ctl_region(args: argparse.Namespace) -> int:
     group = rig.replica_group
     home = topo.region_names[0]
     fs = rig.fs
-    files = ("medical.txt", "taxes.pdf", "notes.md")
 
     if args.verb == "region-status":
         def scenario():
@@ -722,14 +658,14 @@ def _cmd_ctl_region(args: argparse.Namespace) -> int:
 
     def scenario():
         yield from fs.mkdir("/home")
-        for name in files:
+        for name in _FILES:
             yield from fs.write_file(f"/home/{name}", b"confidential")
         yield rig.sim.timeout(5.0)  # let background registration settle
         injector.run(FaultPlan.region_partition(
             region, at=0.0, duration=args.duration))
         # Fetch during the split: evict caches so reads hit the cluster.
         fs.key_cache.evict_all()
-        for name in files:
+        for name in _FILES:
             try:
                 yield from fs.read_all(f"/home/{name}")
             except ReproError:
@@ -752,7 +688,7 @@ def _cmd_ctl_region(args: argparse.Namespace) -> int:
         # entries stay visible in the partition report.
         yield rig.sim.timeout(args.duration + 3 * topo.dead_after)
         fs.key_cache.evict_all()
-        data = yield from fs.read_all(f"/home/{files[0]}")
+        data = yield from fs.read_all(f"/home/{_FILES[0]}")
         assert data == b"confidential"
         report = yield from ctl.region_partition_report()
         return report
@@ -819,11 +755,7 @@ def _cmd_ctl(args: argparse.Namespace) -> int:
         return 0
 
     if args.verb == "add-dir":
-        def scenario():
-            result = yield from ctl.add_dir(args.path)
-            return result
-
-        result = rig.run(scenario())
+        result = rig.run(ctl.add_dir(args.path))
         print(f"protected prefixes (epoch {result['epoch']}): "
               + " ".join(result["protected_prefixes"]))
         return 0
@@ -854,7 +786,7 @@ def _cmd_ctl(args: argparse.Namespace) -> int:
     # tail-trace
     def scenario():
         fs.key_cache.evict_all()
-        for name in ("medical.txt", "taxes.pdf", "notes.md"):
+        for name in _FILES:
             yield from fs.read(f"/home/{name}", 0, 12)
         page = yield from ctl.tail_trace(cursor=args.cursor,
                                          limit=args.limit)

@@ -30,6 +30,7 @@ from repro.net.rpc import RpcServer
 from repro.sim import Lock, Simulation
 from repro.auditstore import AuditSpec
 from repro.auditstore.log import DISCLOSING_KINDS, LogEntry
+from repro.auditstore.views import accesses_after
 from repro.server import FrontendSpec, ServiceFrontend
 from repro.storage.backend import BlobStore
 
@@ -573,19 +574,8 @@ class KeyService:
     def accesses_after(
         self, t: float, device_id: Optional[str] = None
     ) -> list[LogEntry]:
-        """All key-disclosing log entries at or after time ``t``.
-
-        A segmented or durable store answers from the post-theft
-        window view (one bisect, O(answer)); the flat log scans.
-        Both return identical entries in append order.
-        """
-        if self.audit.store == "flat":
-            return [
-                e
-                for e in self.access_log.entries(since=t, device_id=device_id)
-                if e.kind in DISCLOSING_KINDS
-            ]
-        return self.access_log.views.accesses_after(t, device_id=device_id)
+        """All key-disclosing log entries at or after time ``t``."""
+        return accesses_after(self.access_log, t, device_id=device_id)
 
     def known_audit_ids(self) -> set[bytes]:
         out: set[bytes] = set()

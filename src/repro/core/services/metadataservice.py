@@ -13,7 +13,6 @@ access patterns" — it never sees key fetches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator, Optional
 
 from repro.costmodel import DEFAULT_COSTS, CostModel
@@ -21,9 +20,10 @@ from repro.crypto.ibe import TOY, PrivateKeyGenerator
 from repro.errors import RpcError
 from repro.net.rpc import RpcServer
 from repro.sim import Simulation
-from repro.auditstore.log import AppendOnlyLog
+from repro.auditstore.log import AppendOnlyLog, LogEntry
 
-__all__ = ["MetadataService", "identity_string", "parse_identity"]
+__all__ = ["MetadataService", "MetadataProjection", "identity_string",
+           "parse_identity"]
 
 ROOT_DIR_ID = "d-root"
 
@@ -48,14 +48,56 @@ def parse_identity(identity: bytes) -> tuple[str, str, bytes]:
         raise RpcError(f"malformed IBE identity {identity!r}") from exc
 
 
-@dataclass(frozen=True)
-class MetadataRecord:
-    """Latest known placement of an audit ID."""
+class MetadataProjection:
+    """The latest-wins view of one metadata log (each audit ID's and
+    directory's last placement, each file's latest xattrs): a fold over
+    its entries, fed live by the service or by replaying an export."""
 
-    audit_id: bytes
-    dir_id: str
-    name: str
-    timestamp: float
+    def __init__(self, log: AppendOnlyLog):
+        self.metadata_log = log
+        self._files: dict[bytes, tuple[str, str]] = {}
+        self._dirs: dict[str, tuple[str, str]] = {ROOT_DIR_ID: ("", "/")}
+        self._xattrs: dict[bytes, dict[str, bytes]] = {}
+        for entry in log:
+            self.ingest(entry)
+
+    def ingest(self, entry: LogEntry) -> None:
+        fields = entry.fields
+        if entry.kind == "file":
+            self._files[fields["audit_id"]] = (fields["dir_id"],
+                                               fields["name"])
+        elif entry.kind == "dir":
+            self._dirs[fields["dir_id"]] = (fields["parent_id"],
+                                            fields["name"])
+        elif entry.kind == "xattr":
+            self._xattrs.setdefault(fields["audit_id"], {})[
+                fields["name"]] = fields["value"]
+
+    def has_dir(self, dir_id: str) -> bool:
+        return dir_id in self._dirs
+
+    def xattrs_of(self, audit_id: bytes) -> dict[str, bytes]:
+        """Latest registered extended attributes for an audit ID."""
+        return dict(self._xattrs.get(audit_id, {}))
+
+    def path_of(self, audit_id: bytes) -> Optional[str]:
+        """Reconstruct the latest full path for an audit ID."""
+        record = self._files.get(audit_id)
+        if record is None:
+            return None
+        dir_id, leaf = record
+        parts = [leaf]
+        seen = set()
+        while dir_id and dir_id != ROOT_DIR_ID:
+            if dir_id in seen:
+                return "<cycle>/" + "/".join(parts)
+            seen.add(dir_id)
+            entry = self._dirs.get(dir_id)
+            if entry is None:
+                return "<unknown>/" + "/".join(parts)
+            dir_id, name = entry
+            parts.insert(0, name)
+        return "/" + "/".join(parts)
 
 
 class MetadataService:
@@ -74,11 +116,7 @@ class MetadataService:
         self.server = RpcServer(sim, name, costs)
         self.pkg = PrivateKeyGenerator(ibe_params, master_seed=master_seed)
         self.metadata_log = AppendOnlyLog(name="metadata")
-        # Latest-wins views derived from the append-only log.
-        self._files: dict[bytes, MetadataRecord] = {}
-        self._dirs: dict[str, tuple[str, str]] = {ROOT_DIR_ID: ("", "/")}
-
-        self._xattrs: dict[bytes, dict[str, bytes]] = {}
+        self.projection = MetadataProjection(self.metadata_log)
 
         self.server.register("meta.register", self._handle_register)
         self.server.register("meta.register_ibe", self._handle_register_ibe)
@@ -91,25 +129,24 @@ class MetadataService:
         self.server.enroll_device(device_id, secret)
 
     # -- registration handlers ------------------------------------------------
-    def _record_file(
-        self, device_id: str, audit_id: bytes, dir_id: str, name: str, via: str
-    ) -> None:
-        self.metadata_log.append(
-            self.sim.now, device_id, "file",
-            audit_id=audit_id, dir_id=dir_id, name=name, via=via,
-        )
-        self._files[audit_id] = MetadataRecord(
-            audit_id=audit_id, dir_id=dir_id, name=name, timestamp=self.sim.now
-        )
+    def _charge(self) -> Generator:
+        """One durable log append and one metadata update."""
+        yield self.sim.timeout(self.costs.service_log_append)
+        yield self.sim.timeout(self.costs.service_metadata_update)
+
+    def _append(self, timestamp: float, device_id: str, kind: str,
+                **fields) -> None:
+        self.projection.ingest(
+            self.metadata_log.append(timestamp, device_id, kind, **fields))
 
     def _handle_register(self, device_id: str, payload: dict) -> Generator:
         """Plain (blocking-mode) metadata registration."""
         audit_id = payload["audit_id"]
         dir_id = payload["dir_id"]
         name = payload["name"]
-        yield self.sim.timeout(self.costs.service_log_append)
-        yield self.sim.timeout(self.costs.service_metadata_update)
-        self._record_file(device_id, audit_id, dir_id, name, via="plain")
+        yield from self._charge()
+        self._append(self.sim.now, device_id, "file",
+                     audit_id=audit_id, dir_id=dir_id, name=name, via="plain")
         return {"ok": True}
 
     def _handle_register_ibe(self, device_id: str, payload: dict) -> Generator:
@@ -121,9 +158,9 @@ class MetadataService:
         """
         identity = payload["identity"]
         dir_id, name, audit_id = parse_identity(identity)
-        yield self.sim.timeout(self.costs.service_log_append)
-        yield self.sim.timeout(self.costs.service_metadata_update)
-        self._record_file(device_id, audit_id, dir_id, name, via="ibe")
+        yield from self._charge()
+        self._append(self.sim.now, device_id, "file",
+                     audit_id=audit_id, dir_id=dir_id, name=name, via="ibe")
         yield self.sim.timeout(self.costs.keypad_ibe_extract)
         private = self.pkg.extract(identity)
         return {
@@ -137,15 +174,11 @@ class MetadataService:
         dir_id = payload["dir_id"]
         parent_id = payload["parent_id"]
         name = payload["name"]
-        if parent_id != "" and parent_id not in self._dirs:
+        if parent_id != "" and not self.projection.has_dir(parent_id):
             raise RpcError(f"unknown parent directory {parent_id!r}")
-        yield self.sim.timeout(self.costs.service_log_append)
-        yield self.sim.timeout(self.costs.service_metadata_update)
-        self.metadata_log.append(
-            self.sim.now, device_id, "dir",
-            dir_id=dir_id, parent_id=parent_id, name=name,
-        )
-        self._dirs[dir_id] = (parent_id, name)
+        yield from self._charge()
+        self._append(self.sim.now, device_id, "dir",
+                     dir_id=dir_id, parent_id=parent_id, name=name)
         return {"ok": True}
 
     def _handle_register_xattr(self, device_id: str, payload: dict) -> Generator:
@@ -157,13 +190,9 @@ class MetadataService:
         audit_id = payload["audit_id"]
         name = payload["name"]
         value = payload["value"]
-        yield self.sim.timeout(self.costs.service_log_append)
-        yield self.sim.timeout(self.costs.service_metadata_update)
-        self.metadata_log.append(
-            self.sim.now, device_id, "xattr",
-            audit_id=audit_id, name=name, value=value,
-        )
-        self._xattrs.setdefault(audit_id, {})[name] = value
+        yield from self._charge()
+        self._append(self.sim.now, device_id, "xattr",
+                     audit_id=audit_id, name=name, value=value)
         return {"ok": True}
 
     def _handle_register_xattr_batch(self, device_id: str, payload: dict) -> Generator:
@@ -172,49 +201,19 @@ class MetadataService:
         audit trail reflects when the attribute changed on the device).
         """
         items = payload.get("items", [])
-        yield self.sim.timeout(self.costs.service_log_append)
-        yield self.sim.timeout(self.costs.service_metadata_update)
+        yield from self._charge()
         for item in items:
-            audit_id = item["audit_id"]
-            name = item["name"]
-            value = item["value"]
-            self.metadata_log.append(
-                float(item["timestamp"]), device_id, "xattr",
-                audit_id=audit_id, name=name, value=value,
-            )
-            self._xattrs.setdefault(audit_id, {})[name] = value
+            self._append(float(item["timestamp"]), device_id, "xattr",
+                         audit_id=item["audit_id"], name=item["name"],
+                         value=item["value"])
         return {"accepted": len(items)}
 
-    def xattrs_of(self, audit_id: bytes) -> dict[str, bytes]:
-        """Latest registered extended attributes for an audit ID."""
-        return dict(self._xattrs.get(audit_id, {}))
-
     # -- forensic-side accessors (not RPC) ------------------------------------
-    def record_for(self, audit_id: bytes) -> Optional[MetadataRecord]:
-        return self._files.get(audit_id)
-
     def path_of(self, audit_id: bytes) -> Optional[str]:
-        """Reconstruct the latest full path for an audit ID."""
-        record = self._files.get(audit_id)
-        if record is None:
-            return None
-        return self._dir_path(record.dir_id, record.name)
+        return self.projection.path_of(audit_id)
 
-    def _dir_path(self, dir_id: str, leaf: str) -> str:
-        parts = [leaf]
-        seen = set()
-        current = dir_id
-        while current and current != ROOT_DIR_ID:
-            if current in seen:
-                return "<cycle>/" + "/".join(parts)
-            seen.add(current)
-            entry = self._dirs.get(current)
-            if entry is None:
-                return "<unknown>/" + "/".join(parts)
-            parent_id, name = entry
-            parts.insert(0, name)
-            current = parent_id
-        return "/" + "/".join(parts)
+    def xattrs_of(self, audit_id: bytes) -> dict[str, bytes]:
+        return self.projection.xattrs_of(audit_id)
 
     def history_of(self, audit_id: bytes) -> list[dict]:
         """Every registration ever made for an audit ID (append-only)."""
@@ -223,6 +222,3 @@ class MetadataService:
             for e in self.metadata_log.entries(kind="file")
             if e.fields["audit_id"] == audit_id
         ]
-
-    def file_count(self) -> int:
-        return len(self._files)

@@ -58,10 +58,6 @@ class FidelityAnalysis:
         """The paper's hard requirement."""
         return not self.false_negatives
 
-    def ratio_string(self) -> str:
-        """The §5.2 presentation: 'false positives : total accessed'."""
-        return f"{len(self.false_positives)}:{len(self.reported)}"
-
     def render(self) -> str:
         return (
             f"reported={len(self.reported)} truly_accessed="

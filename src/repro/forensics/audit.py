@@ -63,9 +63,6 @@ class AuditReport:
             paths.setdefault(record.audit_id, record.path)
         return paths
 
-    def is_compromised(self, audit_id: bytes) -> bool:
-        return audit_id in self.compromised_ids
-
     def render(self) -> str:
         lines = [
             "KEYPAD FORENSIC AUDIT REPORT",

@@ -3,10 +3,19 @@
 The paper's forensic tool is a standalone Python program run by the
 victim (or their drive manufacturer's web service) over the services'
 logs.  This module serializes both services' append-only logs to a
-JSON bundle and reloads them into lightweight read-only replicas that
+JSON bundle and reloads them into read-only replicas that
 :class:`~repro.forensics.audit.AuditTool` can query — so reports can be
 produced long after (and far away from) the simulation that generated
 the logs.
+
+The replicas answer through the live services' own code (the
+metadata log replays into a ``MetadataProjection``; disclosing accesses
+come from ``repro.auditstore.views.accesses_after``).  Records keep
+their ``sequence`` and ``chain_hash`` (format 2) and load with them, so
+``verify_chain`` checks the chain the services wrote: an edited,
+reordered or removed interior record breaks it.  Dropping a log's final
+records stays undetectable without an anchor (its last chain hash) held
+outside the bundle.
 """
 
 from __future__ import annotations
@@ -14,17 +23,17 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.auditstore.log import DISCLOSING_KINDS, AppendOnlyLog
-from repro.auditstore.views import AuditViews
+from repro.auditstore.log import AppendOnlyLog, new_entry
+from repro.auditstore.views import AuditViews, accesses_after
 from repro.core.services.keyservice import KeyService
 from repro.core.services.metadataservice import (
-    ROOT_DIR_ID,
+    MetadataProjection,
     MetadataService,
 )
 
-__all__ = ["export_logs", "load_bundle", "OfflineKeyLog", "OfflineMetadata"]
+__all__ = ["export_logs", "load_bundle", "OfflineKeyLog"]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 def _encode_fields(fields: dict[str, Any]) -> dict[str, Any]:
@@ -50,25 +59,25 @@ def _decode_fields(fields: dict[str, Any]) -> dict[str, Any]:
 def _export_log(log: AppendOnlyLog) -> list[dict]:
     return [
         {
+            "sequence": entry.sequence,
             "timestamp": entry.timestamp,
             "device_id": entry.device_id,
             "kind": entry.kind,
             "fields": _encode_fields(entry.fields),
+            "chain_hash": entry.chain_hash.hex(),
         }
         for entry in log
     ]
 
 
 def _import_log(records: list[dict], name: str) -> AppendOnlyLog:
-    log = AppendOnlyLog(name=name)
-    for record in records:
-        log.append(
-            record["timestamp"],
-            record["device_id"],
-            record["kind"],
-            **_decode_fields(record["fields"]),
-        )
-    return log
+    return AppendOnlyLog(name=name, _entries=[
+        new_entry(record["sequence"], record["timestamp"],
+                  record["device_id"], record["kind"],
+                  _decode_fields(record["fields"]),
+                  bytes.fromhex(record["chain_hash"]))
+        for record in records
+    ])
 
 
 def export_logs(
@@ -86,12 +95,6 @@ def export_logs(
 class OfflineKeyLog:
     """Read-only replica of the key service's audit state."""
 
-    # The full shared tuple: the offline replica must count exactly the
-    # kinds the live service disclosed (it used to omit the
-    # profile-prefetch variants, silently dropping those disclosures
-    # from offline reports).
-    _DISCLOSING = DISCLOSING_KINDS
-
     def __init__(self, log: AppendOnlyLog):
         self.access_log = log
         self._views: AuditViews | None = None
@@ -107,54 +110,14 @@ class OfflineKeyLog:
         return self._views
 
     def accesses_after(self, t: float, device_id: str | None = None):
-        return [
-            e
-            for e in self.access_log.entries(since=t, device_id=device_id)
-            if e.kind in self._DISCLOSING
-        ]
+        return accesses_after(self.access_log, t, device_id=device_id)
 
 
-class OfflineMetadata:
-    """Read-only replica of the metadata service's latest-path view."""
-
-    def __init__(self, log: AppendOnlyLog):
-        self.metadata_log = log
-        self._files: dict[bytes, tuple[str, str]] = {}
-        self._dirs: dict[str, tuple[str, str]] = {ROOT_DIR_ID: ("", "/")}
-        for entry in log:
-            if entry.kind == "file":
-                self._files[entry.fields["audit_id"]] = (
-                    entry.fields["dir_id"], entry.fields["name"]
-                )
-            elif entry.kind == "dir":
-                self._dirs[entry.fields["dir_id"]] = (
-                    entry.fields["parent_id"], entry.fields["name"]
-                )
-
-    def path_of(self, audit_id: bytes) -> str | None:
-        record = self._files.get(audit_id)
-        if record is None:
-            return None
-        dir_id, leaf = record
-        parts = [leaf]
-        seen = set()
-        while dir_id and dir_id != ROOT_DIR_ID:
-            if dir_id in seen:
-                return "<cycle>/" + "/".join(parts)
-            seen.add(dir_id)
-            entry = self._dirs.get(dir_id)
-            if entry is None:
-                return "<unknown>/" + "/".join(parts)
-            dir_id, name = entry[0], entry[1]
-            parts.insert(0, name)
-        return "/" + "/".join(parts)
-
-
-def load_bundle(text: str) -> tuple[OfflineKeyLog, OfflineMetadata]:
+def load_bundle(text: str) -> tuple[OfflineKeyLog, MetadataProjection]:
     """Parse a bundle back into AuditTool-compatible replicas."""
     bundle = json.loads(text)
     if bundle.get("format") != _FORMAT_VERSION:
         raise ValueError(f"unsupported bundle format {bundle.get('format')!r}")
     key_log = _import_log(bundle["key_access_log"], "key-access")
     metadata_log = _import_log(bundle["metadata_log"], "metadata")
-    return OfflineKeyLog(key_log), OfflineMetadata(metadata_log)
+    return OfflineKeyLog(key_log), MetadataProjection(metadata_log)

@@ -4,6 +4,8 @@ Hypothesis drives interleavings of create/write/read/rename/unlink/
 truncate/mkdir and checks full observable equivalence after each step,
 including directory listings — a deeper exercise of the rename and
 allocation paths than the stateless sequences in test_fs_properties.
+The same machine also runs on the ``memory`` and ``cas`` backends'
+file systems, whose truncate, unlink and rename nothing else drives.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from repro.errors import FileSystemError
 from repro.sim import Simulation
 from repro.storage import BlockDevice, BufferCache, LocalFileSystem
+from repro.storage.backend import make_backend
 
 NAMES = ["a", "b", "c"]
 DIRS = ["/", "/d1", "/d1/sub"]
@@ -30,9 +33,7 @@ class LocalFsMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.sim = Simulation()
-        device = BlockDevice(self.sim, n_blocks=1 << 13)
-        cache = BufferCache(self.sim, device, capacity_blocks=64)
-        self.fs = LocalFileSystem(self.sim, cache)
+        self.fs = self._make_fs()
         self.model_files: dict[str, bytes] = {}
         self.model_dirs = {"/"}
         for d in DIRS:
@@ -41,6 +42,11 @@ class LocalFsMachine(RuleBasedStateMachine):
                 self.model_dirs.add(d)
 
     # -- helpers ------------------------------------------------------------
+    def _make_fs(self):
+        device = BlockDevice(self.sim, n_blocks=1 << 13)
+        cache = BufferCache(self.sim, device, capacity_blocks=64)
+        return LocalFileSystem(self.sim, cache)
+
     def _run(self, gen):
         return self.sim.run_process(gen)
 
@@ -160,7 +166,20 @@ class LocalFsMachine(RuleBasedStateMachine):
             assert attr.size == len(data), path
 
 
+class MemoryFsMachine(LocalFsMachine):
+    def _make_fs(self):
+        return make_backend("memory").create(self.sim).fs
+
+
+class CasFsMachine(LocalFsMachine):
+    def _make_fs(self):
+        return make_backend("cas").create(self.sim).fs
+
+
+_SETTINGS = settings(max_examples=25, stateful_step_count=25, deadline=None)
 TestLocalFsStateful = LocalFsMachine.TestCase
-TestLocalFsStateful.settings = settings(
-    max_examples=25, stateful_step_count=25, deadline=None
-)
+TestLocalFsStateful.settings = _SETTINGS
+TestMemoryFsStateful = MemoryFsMachine.TestCase
+TestMemoryFsStateful.settings = _SETTINGS
+TestCasFsStateful = CasFsMachine.TestCase
+TestCasFsStateful.settings = _SETTINGS

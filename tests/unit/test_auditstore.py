@@ -410,9 +410,26 @@ class TestOfflineViews:
             )
 
     def test_offline_disclosing_matches_live_service(self):
-        from repro.forensics.export import OfflineKeyLog
+        """One entry of every disclosing kind plus a non-disclosing one,
+        appended live, exported and loaded: the bundle answers exactly
+        what the live service does (the two share one query)."""
+        from repro.core.services.metadataservice import MetadataService
+        from repro.forensics.export import export_logs, load_bundle
 
-        assert OfflineKeyLog._DISCLOSING == DISCLOSING_KINDS
+        for store in ("flat", "segmented"):
+            sim = Simulation()
+            key_service = KeyService(sim, audit=AuditSpec(store=store))
+            log = key_service.access_log
+            for i, kind in enumerate(DISCLOSING_KINDS + ("evict-notify",)):
+                log.append(float(i), f"dev-{i % 2}", kind,
+                           audit_id=bytes([i]) * 24)
+            key_log, _ = load_bundle(
+                export_logs(key_service, MetadataService(sim)))
+            for device in (None, "dev-0", "dev-1"):
+                live = key_service.accesses_after(0.0, device_id=device)
+                assert key_log.accesses_after(0.0, device_id=device) == live
+            assert [e.kind for e in key_service.accesses_after(0.0)] == (
+                list(DISCLOSING_KINDS))
 
 
 class TestForensicsCli:

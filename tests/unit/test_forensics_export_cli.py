@@ -46,12 +46,26 @@ class TestExport:
     def test_bundle_is_valid_json(self, used_rig):
         bundle = export_logs(used_rig.key_service, used_rig.metadata_service)
         parsed = json.loads(bundle)
-        assert parsed["format"] == 1
+        assert parsed["format"] == 2
         assert parsed["key_access_log"]
+        live = list(used_rig.key_service.access_log)
+        assert [(r["sequence"], r["chain_hash"])
+                for r in parsed["key_access_log"]] == [
+            (e.sequence, e.chain_hash.hex()) for e in live]
 
     def test_bad_format_rejected(self):
-        with pytest.raises(ValueError):
-            load_bundle(json.dumps({"format": 999}))
+        # Format 1 bundles carry no chain hashes, so they are refused too.
+        for version in (1, 999):
+            with pytest.raises(ValueError):
+                load_bundle(json.dumps({"format": version}))
+
+    def test_loaded_entries_keep_their_chain(self, used_rig):
+        key_log, metadata = load_bundle(
+            export_logs(used_rig.key_service, used_rig.metadata_service))
+        assert list(key_log.access_log) == list(
+            used_rig.key_service.access_log)
+        assert list(metadata.metadata_log) == list(
+            used_rig.metadata_service.metadata_log)
 
     def test_offline_path_reconstruction(self, used_rig):
         rig = used_rig
@@ -99,6 +113,29 @@ class TestCli:
               "--device", "someone-else"])
         out = capsys.readouterr().out
         assert "No key accesses" in out
+
+    @pytest.mark.parametrize("tamper", ["remove", "reorder", "edit"])
+    def test_tampered_bundle_breaks_the_chain(self, tmp_path, capsys,
+                                              tamper):
+        bundle_path = tmp_path / "logs.json"
+        assert main(["demo", "--steal", "--export", str(bundle_path)]) == 0
+        bundle = json.loads(bundle_path.read_text())
+        records = bundle["key_access_log"]
+        creates = [i for i, r in enumerate(records) if r["kind"] == "create"]
+        if tamper == "remove":
+            del records[creates[1]]
+        elif tamper == "reorder":
+            records[0], records[1] = records[1], records[0]
+        else:
+            records[creates[1]]["timestamp"] += 1.0
+        bundle_path.write_text(json.dumps(bundle))
+        capsys.readouterr()
+        assert main(["report", "--bundle", str(bundle_path),
+                     "--tloss", "600", "--texp", "600"]) == 2
+        assert "*** BROKEN CHAIN ***" in capsys.readouterr().out
+        assert main(["forensics", "--bundle", str(bundle_path),
+                     "--tloss", "600", "--texp", "600"]) == 2
+        assert "does not verify" in capsys.readouterr().err
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
