@@ -82,9 +82,6 @@ class BlobImage:
     def get(self, name: str) -> bytes:
         return self._blobs[name]
 
-    def exists(self, name: str) -> bool:
-        return name in self._blobs
-
     def names(self) -> list[str]:
         return sorted(self._blobs)
 
@@ -93,9 +90,6 @@ class BlobImage:
             "blob image is read-only (recover into a live namespace "
             "to resume appending)"
         )
-
-    def __len__(self) -> int:
-        return len(self._blobs)
 
 
 class DurableAuditStore(SegmentedAuditStore):

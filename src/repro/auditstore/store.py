@@ -200,17 +200,6 @@ class AuditSegment:
             return None
         return prev
 
-    def describe(self) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "base_sequence": self.base_sequence,
-            "entries": len(self),
-            "sealed": self.sealed,
-            "compacted": self.compacted,
-            "first_timestamp": self.first_timestamp,
-            "last_timestamp": self.last_timestamp,
-        }
-
 
 class SegmentedAuditStore:
     """Drop-in replacement for ``AppendOnlyLog`` with segments + views.

@@ -34,16 +34,9 @@ crash recovery).
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any, Optional
 
 from .log import DISCLOSING_KINDS, LogEntry
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from typing import Protocol
-
-    class _ViewSource(Protocol):
-        def entry_at(self, sequence: int) -> LogEntry: ...
-        def __iter__(self): ...
 
 __all__ = ["AuditViews", "accesses_after"]
 
@@ -68,7 +61,7 @@ class AuditViews:
     numbers its entries 0, 1, 2, … in one sequence space).
     """
 
-    def __init__(self, source: "_ViewSource"):
+    def __init__(self, source: Any):
         self.source = source
         #: device_id -> [sequence, ...] in append order.
         self._timeline: dict[str, list[int]] = {}

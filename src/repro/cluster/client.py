@@ -534,8 +534,6 @@ class ReplicatedKeyClient:
         return acks
 
     # -- share repair --------------------------------------------------------
-    def pending_repairs(self) -> int:
-        return len(self._repair_queue)
 
     def _queue_repair(self, index: int, audit_id: bytes, share: bytes) -> None:
         self._repair_queue.append([0, index, audit_id, share])

@@ -135,6 +135,3 @@ class LeaseManager:
         if lease is None or lease.expires_at <= now:
             return None
         return lease.holder
-
-    def leaders(self, now: float) -> Dict[int, Optional[str]]:
-        return {s: self.leader_of(s, now) for s in range(self.shards)}

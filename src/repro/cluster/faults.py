@@ -105,11 +105,6 @@ class FaultPlan:
     def __iter__(self):
         return iter(self.events)
 
-    def add(self, event: FaultEvent) -> "FaultPlan":
-        self.events.append(event)
-        self.events.sort(key=lambda e: (e.at, e.target, e.action))
-        return self
-
     def to_list(self) -> list[dict]:
         return [e.to_dict() for e in self.events]
 
@@ -118,9 +113,6 @@ class FaultPlan:
         return cls([FaultEvent.from_dict(d) for d in items])
 
     # -- generators ----------------------------------------------------------
-    @classmethod
-    def replica_crash(cls, index: int, at: float, duration: float) -> "FaultPlan":
-        return cls([FaultEvent(at, "crash", f"replica:{index}", duration)])
 
     @classmethod
     def replica_kill(cls, index: int, at: float, duration: float) -> "FaultPlan":
@@ -205,8 +197,6 @@ class FaultInjector:
         self.trace: list[tuple[float, str]] = []
 
     # -- wiring --------------------------------------------------------------
-    def register_link(self, name: str, link: Link) -> None:
-        self.links[name] = link
 
     def register_region(self, name: str, boundary_links: list[Link]) -> None:
         """Wire a region for ``partition region:<name>`` events: the

@@ -420,28 +420,3 @@ class ClusterAuditLog:
 
     def verify_chain(self) -> bool:
         return all(r.access_log.verify_chain() for r in self.replicas)
-
-    def known_audit_ids(self) -> set[bytes]:
-        out: set[bytes] = set()
-        for replica in self.replicas:
-            out.update(replica.known_audit_ids())
-        return out
-
-    def witness_counts(self, since: Optional[float] = None) -> dict[bytes, int]:
-        """Max witnesses per audit ID — bench asserts these are >= k."""
-        counts: dict[bytes, int] = {}
-        for access in self.merged(since=since):
-            if access.kind in DISCLOSING_KINDS:
-                counts[access.audit_id] = max(
-                    counts.get(access.audit_id, 0), access.witnesses
-                )
-        return counts
-
-    def summary(self) -> dict:
-        return {
-            "replicas": len(self.replicas),
-            "threshold": self.threshold,
-            "entries": sum(len(r.access_log) for r in self.replicas),
-            "merged": len(self.merged()),
-            "divergences": len(self.divergences()),
-        }

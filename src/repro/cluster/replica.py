@@ -86,9 +86,6 @@ class ReplicaGroup:
     def __len__(self) -> int:
         return self.m
 
-    def __getitem__(self, index: int) -> KeyService:
-        return self.replicas[index]
-
     # -- administration (fans out to every replica) -------------------------
     def enroll_device(self, device_id: str, secret: bytes) -> None:
         for replica in self.replicas:
@@ -99,9 +96,6 @@ class ReplicaGroup:
         on every replica (each logs the revocation independently)."""
         for replica in self.replicas:
             replica.revoke_device(device_id)
-
-    def is_revoked(self, device_id: str) -> bool:
-        return any(r.is_revoked(device_id) for r in self.replicas)
 
     def install_frontends(self, spec: FrontendSpec) -> list:
         """Install a scheduler frontend built from ``spec`` on every

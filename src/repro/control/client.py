@@ -27,10 +27,6 @@ class ControlClient:
         #: (wire-facing code should not reach through this).
         self.server = server
 
-    @property
-    def admin_id(self) -> str:
-        return self.channel.device_id
-
     # -- observe -------------------------------------------------------------
     def status(self) -> Generator:
         result = yield from self.channel.call("ctl.status")

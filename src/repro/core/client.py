@@ -192,9 +192,6 @@ class ServiceSession:
         """Route key/metadata traffic via the paired device."""
         self.phone = phone
 
-    def detach_phone(self) -> None:
-        self.phone = None
-
     # -- introspection -------------------------------------------------------
 
     def inflight_fetch_ids(self) -> set[bytes]:

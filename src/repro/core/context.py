@@ -75,9 +75,6 @@ class Span:
         for child in self.children:
             yield from child.walk()
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Span({self.name!r}, {self.duration:.6f}s, {self.status})"
-
 
 class OpContext:
     """Explicit per-operation context threaded from FS ops to the wire."""

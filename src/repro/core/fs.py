@@ -140,6 +140,9 @@ class KeypadFS(StackedCryptFs):
 
         self.launch_profiler = LaunchProfiler()
         self._dir_acks: dict[str, Any] = {}  # dir_id -> Event (pending)
+        # audit ID or dir ID -> the newest name of a moved entry whose
+        # blocking registration failed (see _register_move).
+        self._owed: dict[Any, Any] = {}
         self._prand = None  # lazy SimRandom for random prefetch sampling
         self.stats: dict[str, int] = {
             "blocking_key_fetches": 0,
@@ -599,13 +602,11 @@ class KeypadFS(StackedCryptFs):
         else:
             yield from self.lower.rename(self._enc(old), self._enc(new))
             self._move_header(old, new)
-            self.stats["blocking_metadata_ops"] += 1
-            yield from self.services.register(
-                FileRegistration(
-                    audit_id=header.audit_id, dir_id=dir_id, name=name
-                ),
-                ctx,
-            )
+            yield from self._register_move(
+                header.audit_id, new,
+                FileRegistration(audit_id=header.audit_id, dir_id=dir_id,
+                                 name=name),
+                ctx)
         return None
 
     def _rename_ibe_locked(
@@ -657,13 +658,51 @@ class KeypadFS(StackedCryptFs):
             # Directory metadata updates do not use IBE in the
             # prototype ("it does not apply it to directory metadata
             # operations"), so this blocks on the service.
-            self.stats["blocking_metadata_ops"] += 1
-            yield from self.services.register(
-                DirRegistration(
-                    dir_id=dir_id, parent_id=parent_id, name=basename(new)
-                ),
-                ctx,
-            )
+            yield from self._register_move(
+                dir_id, new,
+                DirRegistration(dir_id=dir_id, parent_id=parent_id,
+                                name=basename(new)),
+                ctx)
+        return None
+
+    def _register_move(self, key: Any, path: str, request: Any,
+                       ctx: Optional[OpContext]) -> Generator:
+        """Register a moved entry's new name, blocking the rename.
+
+        The lower entry has already moved, and undoing the move is not
+        safe (the registration may have landed).  So when the RPC fails,
+        a background loop owes the service the newest name under
+        ``key`` until it is acknowledged, and the rename still raises.
+        """
+        self.stats["blocking_metadata_ops"] += 1
+        try:
+            yield from self.services.register(request, ctx)
+        except (NetworkUnavailableError, KeypadError):
+            if key not in self._owed:
+                self.sim.process(self._register_owed_process(key, path),
+                                 name=f"keypad-reregister-{path}")
+            self._owed[key] = request
+            raise
+        self._owed.pop(key, None)  # supersedes an owed older name
+        return None
+
+    def _register_owed_process(self, key: Any, path: str) -> Generator:
+        ctx = self._background_context("re-registration", path)
+        error = yield from self._register_until_acked(
+            path, ctx, self._register_owed, key)
+        self._owed.pop(key, None)
+        if ctx is not None:
+            ctx.finish(error)
+        return None
+
+    def _register_owed(self, key: Any, ctx: Optional[OpContext]) -> Generator:
+        """One attempt: register the owed name until the acked one is
+        the newest (a later failed rename may replace it meanwhile)."""
+        while key in self._owed:
+            request = self._owed[key]
+            yield from self.services.register(request, ctx)
+            if self._owed.get(key) is request:
+                del self._owed[key]
         return None
 
     def _move_subtree(self, old: str, new: str) -> None:
@@ -957,12 +996,3 @@ class KeypadFS(StackedCryptFs):
         """The audit ID bound to a protected file (forensics/tests)."""
         header = yield from self._header(path)
         return header.audit_id if header.protected else None
-
-    @property
-    def cache_stats(self) -> dict[str, int]:
-        return {
-            "hits": self.key_cache.hits,
-            "misses": self.key_cache.misses,
-            "refreshes": self.key_cache.refreshes,
-            "expirations": self.key_cache.expirations,
-        }

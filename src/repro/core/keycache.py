@@ -365,6 +365,3 @@ class KeyCache:
             for audit_id, e in self._entries.items()
             if e.expires_at > self.sim.now
         }
-
-    def resident_ids(self) -> set[bytes]:
-        return {a for a, e in self._entries.items() if e.expires_at > self.sim.now}

@@ -58,16 +58,6 @@ class LaunchProfiler:
         self._profiles[app] = profile
         return profile
 
-    @property
-    def recording(self) -> Optional[str]:
-        return self._recording
-
     # -- lookup ------------------------------------------------------------
     def profile_for(self, app: str) -> list[str]:
         return list(self._profiles.get(app, ()))
-
-    def known_apps(self) -> list[str]:
-        return sorted(self._profiles)
-
-    def forget(self, app: str) -> None:
-        self._profiles.pop(app, None)

@@ -12,9 +12,6 @@ random-prefetch scheme and prefetching on the 1st/3rd/10th miss
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
-
-from repro.sim import SimRandom
 
 __all__ = [
     "PrefetchDecision",
@@ -40,12 +37,6 @@ class PrefetchPolicy:
     """Interface: consulted on every blocking key-cache miss."""
 
     name = "abstract"
-
-    def on_miss(self, directory: str) -> PrefetchDecision:
-        raise NotImplementedError
-
-    def on_directory_prefetched(self, directory: str) -> None:
-        """Called after a whole-directory fetch completes."""
 
     def reset(self) -> None:
         """Forget all counters (e.g. across experiment phases)."""
@@ -152,13 +143,3 @@ def filter_inflight(candidates: list, inflight_ids: set) -> list:
         for path, header in candidates
         if header.audit_id not in inflight_ids
     ]
-
-
-def choose_sample(
-    rand: SimRandom, names: Sequence[str], count: int, exclude: Optional[str] = None
-) -> list[str]:
-    """Pick up to ``count`` random sibling names (for RandomPrefetch)."""
-    candidates = [n for n in names if n != exclude]
-    if len(candidates) <= count:
-        return list(candidates)
-    return rand.sample(candidates, count)

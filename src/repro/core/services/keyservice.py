@@ -241,10 +241,6 @@ class KeyService:
         self.server.install_frontend(frontend)
         return frontend
 
-    @property
-    def frontend(self):
-        return self.server.frontend
-
     # -- administration (out of band, by the victim / IT department) -------
     def preload_key(self, device_id: str, audit_id: bytes, key: bytes) -> None:
         """Out-of-band provisioning: bind an existing ``(ID, K_R)``.

@@ -49,10 +49,6 @@ class Aead:
         # The MAC key's HMAC states live (and die) with this object.
         self._mac_states = hmac_states(hkdf_expand(prk, label + b"|mac", 32))
 
-    # subclasses supply the raw keystream transform
-    def _transform(self, nonce: bytes, data: bytes) -> bytes:
-        raise NotImplementedError
-
     @staticmethod
     def sealed_len(plaintext_len: int) -> int:
         """Exactly ``len(seal(nonce, plaintext))`` for a plaintext of the

@@ -40,11 +40,6 @@ class Point:
     def infinity(self) -> bool:
         return self.x is None
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.infinity:
-            return "Point(∞)"
-        return f"Point({self.x!r}, {self.y!r})"
-
 
 _INFINITY = Point(None, None)
 

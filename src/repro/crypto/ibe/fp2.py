@@ -89,9 +89,6 @@ class Fp2:
         inv = numbers.invmod(norm, self.p)
         return Fp2(self.a * inv, -self.b * inv, self.p)
 
-    def __truediv__(self, other: "Fp2") -> "Fp2":
-        return self * other.inverse()
-
     def pow(self, exponent: int) -> "Fp2":
         if exponent < 0:
             return self.inverse().pow(-exponent)
@@ -108,12 +105,6 @@ class Fp2:
             and self.a == other.a
             and self.b == other.b
         )
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.p))
-
-    def __repr__(self) -> str:
-        return f"Fp2({self.a}, {self.b})"
 
     def to_bytes(self) -> bytes:
         size = (self.p.bit_length() + 7) // 8

@@ -72,30 +72,11 @@ class StackedCryptFs(FsInterface):
         self.verify_content = verify_content
 
     # ------------------------------------------------------------------
-    # Hooks for subclasses: the header format, the content key and the
-    # op context.  KeypadFS replaces create, mkdir and rename whole.
+    # Hooks for subclasses: each supplies the header format
+    # (``_new_header``, ``_parse_header``) and the content key
+    # (``_content_key``); the op context below defaults to none.
+    # KeypadFS replaces create, mkdir and rename whole.
     # ------------------------------------------------------------------
-    def _new_header(self, path: str) -> Generator:
-        """Create header state for a new file → (raw_bytes, parsed)."""
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def _parse_header(self, path: str, raw: bytes) -> Generator:
-        """Parse raw on-disk header bytes → parsed state."""
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def _content_key(self, path: str, parsed: Any, write: bool,
-                     ctx: Any = None) -> Generator:
-        """Resolve the (key, nonce) pair for content crypto.
-
-        ``ctx`` is the operation's :class:`~repro.core.context.OpContext`
-        (or None when observability is off); layers that talk to remote
-        services thread it down to the wire.
-        """
-        raise NotImplementedError
-        yield  # pragma: no cover
-
     def _op_context(self, op: str, path: str) -> Any:
         """Mint a per-operation context, or None when disabled.
 

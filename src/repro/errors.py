@@ -164,7 +164,8 @@ class ControlError(KeypadError):
 
 
 class AuditRecoveryError(KeypadError):
-    """Recovering a durable audit store from its spilled blobs failed.
+    """Recovering a durable audit store from its spilled blobs, or an
+    exported bundle's forensic views, failed.
 
     Raised on mount/restart when the serialized segments are corrupt,
     a sealed segment is missing, the seal chain does not verify, or a

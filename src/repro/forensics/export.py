@@ -30,6 +30,7 @@ from repro.core.services.metadataservice import (
     MetadataProjection,
     MetadataService,
 )
+from repro.errors import AuditRecoveryError
 
 __all__ = ["export_logs", "load_bundle", "OfflineKeyLog"]
 
@@ -103,8 +104,16 @@ class OfflineKeyLog:
     def views(self) -> AuditViews:
         """Materialized forensic views over the bundle, built lazily
         on first use (offline bundles are read-only, so one rebuild is
-        enough for the replica's lifetime)."""
+        enough for the replica's lifetime).
+
+        The views index entries by sequence, which an edited bundle may
+        no longer match, so a key log whose chain does not verify is
+        refused with :class:`AuditRecoveryError`.
+        """
         if self._views is None:
+            if not self.access_log.verify_chain():
+                raise AuditRecoveryError(
+                    "the bundle's key-log chain does not verify")
             self._views = AuditViews(self.access_log)
             self._views.rebuild()
         return self._views

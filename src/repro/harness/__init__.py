@@ -21,7 +21,6 @@ from repro.harness.experiment import (
 from repro.harness.results import (
     ResultTable,
     transport_metrics_row,
-    transport_metrics_table,
 )
 
 __all__ = [
@@ -33,5 +32,4 @@ __all__ = [
     "build_nfs_rig",
     "ResultTable",
     "transport_metrics_row",
-    "transport_metrics_table",
 ]

@@ -113,9 +113,6 @@ class KeypadRig:
             raise ValueError("rig was built without a phone")
         self.services.attach_phone(self.phone_proxy)
 
-    def detach_phone(self) -> None:
-        self.services.detach_phone()
-
 
 def _storage_stack(
     sim: Simulation, costs: CostModel, n_blocks: int

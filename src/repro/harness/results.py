@@ -7,19 +7,8 @@ from typing import Any, Sequence
 
 __all__ = [
     "ResultTable",
-    "fmt_seconds",
-    "fmt_ms",
     "transport_metrics_row",
-    "transport_metrics_table",
 ]
-
-
-def fmt_seconds(value: float) -> str:
-    return f"{value:8.1f}s"
-
-
-def fmt_ms(value: float) -> str:
-    return f"{value * 1000:9.3f}ms"
 
 
 @dataclass
@@ -109,8 +98,3 @@ def transport_metrics_row(session) -> tuple:
         channels.bytes_sent,
         channels.bytes_received,
     )
-
-
-def transport_metrics_table(title: str = "Transport metrics") -> ResultTable:
-    """A ready-made table for per-run transport-counter reporting."""
-    return ResultTable(title=title, columns=["run", *TRANSPORT_METRIC_COLUMNS])

@@ -63,15 +63,6 @@ class SessionMetrics:
     write_behind_flushes: int = 0  # batch RPCs issued by the flusher
     enqueued: int = 0           # items accepted into the write-behind queue
 
-    def as_dict(self) -> dict:
-        return {
-            "coalesced_hits": self.coalesced_hits,
-            "coalesced_batch_hits": self.coalesced_batch_hits,
-            "batched_messages": self.batched_messages,
-            "write_behind_flushes": self.write_behind_flushes,
-            "enqueued": self.enqueued,
-        }
-
 
 @dataclass
 class ClusterMetrics:

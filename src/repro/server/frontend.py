@@ -202,10 +202,6 @@ class ServiceFrontend:
     def policy(self) -> str:
         return self._sched.policy
 
-    @property
-    def backlog(self) -> int:
-        return len(self._sched)
-
     def handles(self, method: str) -> bool:
         return method not in DEFAULT_BYPASS
 

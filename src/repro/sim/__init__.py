@@ -6,7 +6,6 @@ from repro.sim.kernel import (
     Interrupt,
     Process,
     Queue,
-    Semaphore,
     Simulation,
     SimulationError,
     Timeout,
@@ -20,7 +19,6 @@ __all__ = [
     "Timeout",
     "Queue",
     "Lock",
-    "Semaphore",
     "Interrupt",
     "SimulationError",
     "SimRandom",

@@ -61,7 +61,6 @@ __all__ = [
     "Timeout",
     "Queue",
     "Lock",
-    "Semaphore",
     "Interrupt",
     "SimulationError",
 ]
@@ -359,64 +358,6 @@ class Lock:
         return self._locked
 
 
-class Semaphore:
-    """Counting semaphore with FIFO handoff (a :class:`Lock` generalised
-    to ``capacity`` concurrent holders).
-
-    Used by the server frontend to bound worker concurrency.  Like
-    :class:`Lock`, a released slot is handed directly to the oldest
-    waiter, so admission order is deterministic.
-
-    Usage inside a process::
-
-        yield from sem.acquire()
-        try:
-            ...
-        finally:
-            sem.release()
-    """
-
-    __slots__ = ("sim", "capacity", "_in_use", "_waiters")
-
-    def __init__(self, sim: "Simulation", capacity: int):
-        if capacity < 1:
-            raise SimulationError(f"semaphore capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters: list[Event] = []
-
-    def acquire(self) -> Generator:
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            return None
-        event = Event(self.sim)
-        self._waiters.append(event)
-        try:
-            yield event  # the slot is handed over on release
-        except BaseException:
-            abandon_handoff(self._waiters, event, self.release)
-            raise
-        return None
-
-    def release(self) -> None:
-        if self._in_use <= 0:
-            raise SimulationError("release of an unheld semaphore slot")
-        if self._waiters:
-            # Keep _in_use unchanged: the slot passes to the next waiter.
-            self._waiters.pop(0).succeed()
-        else:
-            self._in_use -= 1
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def waiting(self) -> int:
-        return len(self._waiters)
-
-
 class Queue:
     """Unbounded FIFO message queue between processes.
 
@@ -445,9 +386,6 @@ class Queue:
         else:
             self._getters.append(ev)
         return ev
-
-    def __len__(self) -> int:
-        return len(self._items)
 
 
 class _CalendarScheduler:
@@ -511,9 +449,6 @@ class _CalendarScheduler:
         self._ring_count = 0
         self._pops = 0
         self._last_rebase = 0.0
-
-    def __len__(self) -> int:
-        return len(self._now) + self._ring_count + len(self._far)
 
     def push_now(self, entry: tuple) -> None:
         """Zero-delay fast path: FIFO at the current instant."""
@@ -598,12 +533,6 @@ class _CalendarScheduler:
             self._cursor = cursor
             if self._ring_count:  # pragma: no cover - defensive
                 raise SimulationError("calendar ring count out of sync")
-
-    def pop(self) -> tuple:
-        entry = self.pop_due(None)
-        if entry is None:
-            raise IndexError("pop from an empty calendar queue")
-        return entry
 
     def pop_due(self, until: Optional[float]) -> Optional[tuple]:
         """Pop the next entry, or None if the queue is empty or the next
@@ -734,15 +663,6 @@ class Simulation:
             self._crashed = (proc, exc)
 
     # -- running ------------------------------------------------------------
-    def _step(self) -> None:
-        """Dispatch the single next event."""
-        time, _seq, fn, args = self._q.pop()
-        self.now = time
-        fn(*args)
-        if self._crashed is not None:
-            _proc, exc = self._crashed
-            self._crashed = None
-            raise exc
 
     def peek_time(self) -> Optional[float]:
         """The next event's timestamp, or None when the queue is empty."""

@@ -1,10 +1,11 @@
 """Deterministic randomness for simulations.
 
 Every experiment in the reproduction must be replayable bit-for-bit, so
-all randomness flows through seeded :class:`SimRandom` streams.  Streams
-can be *forked* by label, giving independent, stable sub-streams (e.g.
-the workload generator and the thief model never perturb each other's
-draws even if one is reconfigured).
+all randomness flows through seeded :class:`SimRandom` streams.  A
+stream is derived from a seed and a label, so streams with different
+labels are independent and stable (e.g. the workload generator and the
+thief model never perturb each other's draws even if one is
+reconfigured).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def _zipf_cum(n: int, skew: float) -> list[float]:
 
 
 class SimRandom:
-    """A labelled, forkable deterministic random stream."""
+    """A labelled deterministic random stream."""
 
     def __init__(self, seed: int | str | bytes = 0, label: str = "root"):
         self.label = label
@@ -57,10 +58,6 @@ class SimRandom:
             seed_bytes = seed
         digest = hashlib.sha256(seed_bytes + b"|" + label.encode()).digest()
         return int.from_bytes(digest, "big")
-
-    def fork(self, label: str) -> "SimRandom":
-        """An independent stream derived from this one's identity."""
-        return SimRandom(self._rng.getrandbits(256), f"{self.label}/{label}")
 
     # -- draws --------------------------------------------------------------
     def random(self) -> float:
@@ -84,14 +81,8 @@ class SimRandom:
     def sample(self, seq: Sequence[T], k: int) -> list[T]:
         return self._rng.sample(seq, k)
 
-    def shuffle(self, items: list) -> None:
-        self._rng.shuffle(items)
-
     def bytes(self, n: int) -> bytes:
         return self._rng.randbytes(n)
-
-    def getrandbits(self, n: int) -> int:
-        return self._rng.getrandbits(n)
 
     def zipf_index(self, n: int, skew: float = 1.0) -> int:
         """Draw an index in ``[0, n)`` with a Zipf-like popularity skew.

@@ -1,5 +1,5 @@
-"""Storage substrate: block device, buffer cache, local FS, VFS, and
-the pluggable backend registry (ext3 / memory / cas)."""
+"""Storage substrate: block device, buffer cache, local FS, and the
+pluggable backend registry (ext3 / memory / cas)."""
 
 from repro.storage.backend import (
     BACKENDS,
@@ -11,7 +11,6 @@ from repro.storage.backend import (
 from repro.storage.blockdev import BlockDevice
 from repro.storage.buffercache import BufferCache
 from repro.storage.localfs import ROOT_INO, Attr, LocalFileSystem
-from repro.storage.vfs import FileHandle, Vfs
 
 __all__ = [
     "BlockDevice",
@@ -24,6 +23,4 @@ __all__ = [
     "StorageStack",
     "BACKENDS",
     "make_backend",
-    "FileHandle",
-    "Vfs",
 ]

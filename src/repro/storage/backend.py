@@ -199,9 +199,6 @@ class BlobStore:
     def namespace(self, prefix: str) -> "BlobNamespace":
         return BlobNamespace(self, prefix)
 
-    def __len__(self) -> int:
-        return len(self._blobs)
-
     def stats(self) -> dict:
         return {
             "backend": self.backend,
@@ -225,9 +222,6 @@ class BlobNamespace:
 
     def get(self, name: str) -> bytes:
         return self.store.get(self.prefix + name)
-
-    def exists(self, name: str) -> bool:
-        return self.store.exists(self.prefix + name)
 
     def names(self) -> list[str]:
         n = len(self.prefix)
@@ -273,10 +267,6 @@ class StorageBackend:
 
     #: registry key and the value ``KeypadConfig.storage_backend`` takes.
     name: str = ""
-
-    def create(self, sim: Simulation, costs: CostModel = DEFAULT_COSTS,
-               n_blocks: int = 1 << 18) -> StorageStack:
-        raise NotImplementedError
 
 
 class Ext3Backend(StorageBackend):

@@ -17,7 +17,6 @@ CPU-free like the rest of the sim's crypto.
 from __future__ import annotations
 
 import hashlib
-from typing import Generator
 
 from repro.costmodel import DEFAULT_COSTS, CostModel
 from repro.sim import Simulation
@@ -92,7 +91,3 @@ class ContentAddressedFileSystem(MemoryFileSystem):
             "chunks": len(self._chunks),
             "dedup_ratio": (logical / stored) if stored else 1.0,
         }
-
-    def sync(self) -> Generator:
-        yield self.sim.timeout(self.costs.ext3_write)
-        return None

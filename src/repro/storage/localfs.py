@@ -543,6 +543,3 @@ class LocalFileSystem(FsInterface):
             rec += b"".join(struct.pack(">Q", b) for b in inode.blocks)
             out += struct.pack(">I", len(rec)) + rec
         return bytes(out)
-
-    def total_bytes_stored(self) -> int:
-        return sum(i.size for i in self._inodes.values() if not i.is_dir)

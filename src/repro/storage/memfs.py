@@ -294,10 +294,6 @@ class MemoryFileSystem(FsInterface):
             raise FileNotFound(f"xattr {name!r} on {normalize(path)}") from None
 
     # -- maintenance --------------------------------------------------------
-    def sync(self) -> Generator:
-        """Nothing to flush; kept for interface parity with ext3."""
-        yield self.sim.timeout(0.0)
-        return None
 
     def total_bytes_stored(self) -> int:
         total = 0

@@ -3,10 +3,9 @@
 from repro.util.paths import (
     basename,
     is_ancestor,
-    join,
     normalize,
     parent_of,
     split,
 )
 
-__all__ = ["normalize", "split", "parent_of", "basename", "join", "is_ancestor"]
+__all__ = ["normalize", "split", "parent_of", "basename", "is_ancestor"]

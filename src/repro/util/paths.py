@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.errors import InvalidArgument
 
-__all__ = ["normalize", "split", "parent_of", "basename", "join", "is_ancestor"]
+__all__ = ["normalize", "split", "parent_of", "basename", "is_ancestor"]
 
 
 def normalize(path: str) -> str:
@@ -38,10 +38,6 @@ def basename(path: str) -> str:
     if not comps:
         raise InvalidArgument("the root directory has no name")
     return comps[-1]
-
-
-def join(*parts: str) -> str:
-    return normalize("/".join(parts))
 
 
 def is_ancestor(ancestor: str, descendant: str) -> bool:

@@ -157,10 +157,6 @@ class DeviceStats:
         """Keys actually served per second of the run."""
         return self.keys_served / duration if duration > 0 else 0.0
 
-    def service_fraction(self) -> float:
-        """Fraction of issued requests that completed."""
-        return self.completed / self.requested if self.requested else 0.0
-
 
 class FleetDevice:
     """One closed-loop simulated device.

@@ -70,10 +70,6 @@ class OfficeTask:
     cpu_s: float
     body: Callable[[FsInterface, OpCounter], Generator]
 
-    @property
-    def label(self) -> str:
-        return f"{self.app}: {self.name}"
-
     def run(
         self, fs: FsInterface, sim: Optional[Simulation] = None
     ) -> Generator:

@@ -10,9 +10,11 @@ over the fast one (``trace --fast``) and under a per-op deadline that
 expires (``trace --deadline 0.05``), and the forensic read side: the
 stolen-device ``demo --steal`` report, the three ``forensics`` views and
 ``forensics --recover`` over the blobs ``forensics --export-image``
-writes;
+writes, and the control verbs (``ctl set-texp``, ``ctl revoke``,
+``ctl add-dir``, ``ctl tail-trace``) and ``bench fig6a``;
 simulated time makes their output deterministic, so any difference is
-a behaviour change.
+a behaviour change.  ``tools/reach.py`` runs the same ``DEMOS`` as the
+program's CLI traffic.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[2]
 GOLDEN = ROOT / "tests" / "golden"
+OUT = "{out}"  # stands for a fresh temporary directory
 
 DEMOS = {
     "cli_cluster_demo.txt": ["cluster-demo", "--crash", "0", "--steal"],
@@ -42,7 +45,17 @@ DEMOS = {
     "cli_forensics_post_theft.txt": ["forensics", "--view", "post-theft"],
     "cli_forensics_timeline.txt": ["forensics", "--view", "timeline"],
     "cli_forensics_file_set.txt": ["forensics", "--view", "file-set"],
+    "cli_ctl_set_texp.txt": ["ctl", "set-texp", "5"],
+    "cli_ctl_revoke.txt": ["ctl", "revoke"],
+    "cli_ctl_add_dir.txt": ["ctl", "add-dir", "/work"],
+    "cli_ctl_tail_trace.txt": ["ctl", "tail-trace"],
+    "cli_bench_fig6a.txt": ["bench", "--name", "fig6a", "--out", OUT],
 }
+
+
+def demo_argv(golden: str, out_dir: str) -> list:
+    """The CLI arguments of one demo, writing any files under ``out_dir``."""
+    return [out_dir if arg == OUT else arg for arg in DEMOS[golden]]
 
 
 def _run_cli(*argv: str) -> subprocess.CompletedProcess:
@@ -57,8 +70,8 @@ def _run_cli(*argv: str) -> subprocess.CompletedProcess:
 
 
 @pytest.mark.parametrize("golden", sorted(DEMOS))
-def test_cluster_demo_output_is_pinned(golden):
-    proc = _run_cli(*DEMOS[golden])
+def test_cluster_demo_output_is_pinned(golden, tmp_path):
+    proc = _run_cli(*demo_argv(golden, str(tmp_path)))
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / golden).read_bytes()
 

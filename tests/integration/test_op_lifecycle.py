@@ -150,3 +150,35 @@ def test_every_minted_op_context_is_finished(fast):
                        if ctx.op == "ibe-registration"
                        and ctx.path == "/home/papers/d.txt"]
     assert registration.root.status == "error:RevokedError"
+
+
+def _rename_under_deadline(old, new, probe):
+    """3G, IBE off: ``rename old new`` expires on its blocking
+    registration after the lower entry moved.  The registration goes on
+    in the background, so 5 s later the metadata service names
+    ``probe``'s file at its new path."""
+    rig = build_keypad_rig(network=THREE_G,
+                           config=KeypadConfig(ibe_enabled=False))
+
+    def proc():
+        yield from rig.fs.mkdir("/home")
+        yield from rig.fs.mkdir("/home/a")
+        for path in ("/home/a.txt", "/home/a/x.txt"):
+            yield from rig.fs.create(path)
+            yield from rig.fs.write(path, 0, b"secret")
+        audit_id = yield from rig.fs.audit_id_of(probe)
+        yield from _expire_then_relax(rig, lambda: rig.fs.rename(old, new))
+        yield rig.sim.timeout(5.0)
+        return audit_id
+
+    return rig.metadata_service.path_of(rig.run(proc()))
+
+
+def test_expired_rename_of_a_file_registers_its_new_path():
+    assert _rename_under_deadline(
+        "/home/a.txt", "/home/b.txt", "/home/a.txt") == "/home/b.txt"
+
+
+def test_expired_rename_of_a_directory_registers_its_new_path():
+    assert _rename_under_deadline(
+        "/home/a", "/home/b", "/home/a/x.txt") == "/home/b/x.txt"

@@ -1,11 +1,12 @@
 """Stateful property test: LocalFileSystem vs a dict-based model.
 
 Hypothesis drives interleavings of create/write/read/rename/unlink/
-truncate/mkdir and checks full observable equivalence after each step,
-including directory listings — a deeper exercise of the rename and
-allocation paths than the stateless sequences in test_fs_properties.
-The same machine also runs on the ``memory`` and ``cas`` backends'
-file systems, whose truncate, unlink and rename nothing else drives.
+truncate/mkdir/rmdir and extended attributes, and checks full
+observable equivalence after each step, including directory listings —
+a deeper exercise of the rename and allocation paths than the
+stateless sequences in test_fs_properties.  The same machine also runs
+on the ``memory`` and ``cas`` backends' file systems, whose truncate,
+unlink, rename, rmdir and xattrs nothing else drives.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.storage.backend import make_backend
 
 NAMES = ["a", "b", "c"]
 DIRS = ["/", "/d1", "/d1/sub"]
+XATTRS = ["user.tag", "user.owner"]
 
 
 def _paths():
@@ -35,6 +37,7 @@ class LocalFsMachine(RuleBasedStateMachine):
         self.sim = Simulation()
         self.fs = self._make_fs()
         self.model_files: dict[str, bytes] = {}
+        self.model_xattrs: dict[str, dict[str, bytes]] = {}
         self.model_dirs = {"/"}
         for d in DIRS:
             if d != "/":
@@ -76,6 +79,7 @@ class LocalFsMachine(RuleBasedStateMachine):
             if path in self.model_files or path in self.model_dirs:
                 raise FileSystemError(path)
             self.model_files[path] = b""
+            self.model_xattrs[path] = {}
 
         self._both(model, self.fs.create(path))
 
@@ -126,6 +130,7 @@ class LocalFsMachine(RuleBasedStateMachine):
             if path not in self.model_files:
                 raise FileSystemError(path)
             del self.model_files[path]
+            del self.model_xattrs[path]
 
         self._both(model, self.fs.unlink(path))
 
@@ -139,13 +144,60 @@ class LocalFsMachine(RuleBasedStateMachine):
                 raise FileSystemError(new)
             data = self.model_files.pop(old)
             self.model_files[new] = data
+            self.model_xattrs[new] = self.model_xattrs.pop(old)
 
         self._both(model, self.fs.rename(old, new))
+
+    @rule(path=st.sampled_from(DIRS[1:]))
+    def mkdir(self, path):
+        def model():
+            parent = path.rsplit("/", 1)[0] or "/"
+            if parent not in self.model_dirs or path in self.model_dirs:
+                raise FileSystemError(path)
+            self.model_dirs.add(path)
+
+        self._both(model, self.fs.mkdir(path))
+
+    @rule(path=st.sampled_from(DIRS[1:]))
+    def rmdir(self, path):
+        def model():
+            if path not in self.model_dirs:
+                raise FileSystemError(path)
+            inside = [p for p in (*self.model_files, *self.model_dirs)
+                      if p.startswith(path + "/")]
+            if inside:
+                raise FileSystemError(path)
+            self.model_dirs.remove(path)
+
+        self._both(model, self.fs.rmdir(path))
+
+    @rule(path=_paths(), name=st.sampled_from(XATTRS),
+          value=st.binary(max_size=40))
+    def set_xattr(self, path, name, value):
+        def model():
+            if path not in self.model_files:
+                raise FileSystemError(path)
+            self.model_xattrs[path][name] = value
+
+        self._both(model, self.fs.set_xattr(path, name, value))
+
+    @rule(path=_paths(), name=st.sampled_from(XATTRS))
+    def get_xattr(self, path, name):
+        def model():
+            if name not in self.model_xattrs.get(path, {}):
+                raise FileSystemError(path)
+            return self.model_xattrs[path][name]
+
+        model_result, real_result, exc = self._both(
+            model, self.fs.get_xattr(path, name)
+        )
+        if exc is None:
+            assert real_result == model_result
 
     # -- invariants ---------------------------------------------------------------
     @invariant()
     def directory_listings_agree(self):
-        for directory in DIRS:
+        for directory in sorted(self.model_dirs):
             expected_files = {
                 p.rsplit("/", 1)[1]
                 for p in self.model_files

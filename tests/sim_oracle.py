@@ -30,9 +30,6 @@ class HeapScheduler:
     # The reference kernel kept zero-delay events on the same heap.
     push_now = push
 
-    def pop(self) -> tuple:
-        return heappop(self._heap)
-
     def pop_due(self, until: Optional[float]) -> Optional[tuple]:
         """Pop the next entry, or None if the queue is empty or the next
         entry fires after ``until`` (inclusive bound; None = no bound)."""
@@ -55,6 +52,3 @@ class HeapScheduler:
         """Whether an entry is queued at instant ``t`` (the current one)."""
         heap = self._heap
         return bool(heap) and heap[0][0] <= t
-
-    def __len__(self) -> int:
-        return len(self._heap)

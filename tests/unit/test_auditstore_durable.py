@@ -280,6 +280,17 @@ class TestCrashRecovery:
         with pytest.raises(AuditRecoveryError):
             log.append(9.0, "dev-1", "fetch", audit_id=b"a" * 24)
 
+    def test_store_recovered_from_an_image_refuses_writes(self):
+        """A seized image is evidence: a store recovered from it
+        refuses to flush into the image."""
+        log, store = _durable(flush_policy="every-append",
+                              segment_entries=4)
+        _fill(log, 2)
+        back = _recover(store.namespace("audit/test"),
+                        flush_policy="every-append")
+        with pytest.raises(AuditRecoveryError, match="read-only"):
+            _fill(back, 1, t0=50.0)
+
     def test_recovered_store_keeps_appending_on_the_same_chain(self):
         log, store = _durable(flush_policy="every-append",
                               segment_entries=4)

@@ -197,8 +197,9 @@ def test_merge_dedups_witnesses_and_detects_divergence():
     group.replicas[1].access_log.append(
         sim.now, DEVICE_ID, "fetch", audit_id=rogue
     )
-    kinds = [d.kind for d in log.divergences(DEVICE_ID)]
-    assert kinds == ["under-replicated"]
+    (divergence,) = log.divergences(DEVICE_ID)
+    assert divergence.kind == "under-replicated"
+    assert divergence.describe() == f"under-replicated: {divergence.detail}"
 
     # Revocation on a strict subset of replicas diverges too.
     group.replicas[0].revoke_device(DEVICE_ID)
@@ -242,6 +243,32 @@ def test_audit_tool_runs_unchanged_over_cluster_log():
     report = tool.report(t_loss=t_loss, texp=config.texp, device_id=DEVICE_ID)
     assert report.logs_intact
     assert "/home/secret.txt" in report.compromised_paths().values()
+
+
+def test_hibernate_notifies_every_replica():
+    """Flags off, a replicated mount's hibernation notice goes out as
+    one blocking broadcast and every replica logs the eviction."""
+    config = (KeypadConfig.builder().texp(1000.0).prefetch("none")
+              .ibe(False).replication(2, 3).build())
+    rig = build_keypad_rig(network=LAN, config=config, n_blocks=1 << 14)
+
+    def usage():
+        yield from rig.fs.write_file("/f", b"data")
+        yield from rig.fs.hibernate()
+        yield rig.sim.timeout(1.0)
+
+    rig.run(usage())
+    assert len(rig.fs.key_cache.snapshot()) == 0
+    for replica in rig.replica_group.replicas:
+        assert [e.fields["reason"] for e in replica.access_log
+                if e.kind == "evict"] == ["hibernate"]
+
+
+def test_replicated_session_refuses_a_paired_phone():
+    _sim, _group, _links, services = _cluster()
+    with pytest.raises(ValueError, match="paired phone"):
+        services.attach_phone(object())
+    assert services.phone is None
 
 
 def test_rig_guards_phone_and_seed_path_is_untouched():

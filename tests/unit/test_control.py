@@ -186,6 +186,17 @@ class TestControlVerbs:
         for replica in rig.replica_group.replicas:
             assert replica.is_revoked(DEVICE_ID)
 
+    def test_status_counts_available_replicas(self):
+        rig = _rig(replication={"k": 2, "m": 3})
+        ctl = open_control(rig)
+        rig.replica_group.crash(1)
+
+        def scenario():
+            status = yield from ctl.status()
+            return status
+
+        assert rig.run(scenario())["replicas_available"] == 2
+
 
 class TestDrainAdmit:
     def test_drain_sheds_then_admit_restores(self):

@@ -8,9 +8,9 @@ from repro.crypto.ibe.fullident import (
     fullident_decrypt,
     make_fullident_public,
 )
-from repro.errors import CryptoError, FileNotFound
+from repro.errors import CryptoError, FileNotFound, InvalidArgument
 from repro.harness import build_encfs_rig, build_ext3_rig
-from repro.storage.fsck import parse_raw_disk
+from repro.storage.fsck import RawDiskFs, parse_raw_disk
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +121,32 @@ class TestRawDiskParser:
         rig.run(populate())
         image = parse_raw_disk(rig.device)
         assert image.read_file("/f", offset=3, size=4) == b"3456"
+
+    def test_raw_disk_fs_reads_the_image_and_refuses_the_rest(self):
+        """The FS view over an image answers exists, read_all and
+        get_xattr as a mounted file system would, and refuses writes."""
+        rig = build_ext3_rig(n_blocks=1 << 14)
+
+        def populate():
+            yield from rig.fs.create("/f")
+            yield from rig.fs.write("/f", 0, b"evidence")
+            yield from rig.fs.set_xattr("/f", "user.tag", b"x")
+            yield from rig.fs.sync()
+
+        rig.run(populate())
+        fs = RawDiskFs(parse_raw_disk(rig.device))
+
+        def inspect():
+            found = yield from fs.exists("/f")
+            missing = yield from fs.exists("/g")
+            data = yield from fs.read_all("/f")
+            return found, missing, data
+
+        assert rig.run(inspect()) == (True, False, b"evidence")
+        with pytest.raises(FileNotFound, match="not serialized"):
+            rig.run(fs.get_xattr("/f", "user.tag"))
+        with pytest.raises(InvalidArgument):
+            rig.run(fs.write("/f", 0, b"tamper"))
 
     def test_unsynced_disk_rejected(self):
         rig = build_ext3_rig(n_blocks=1 << 14)

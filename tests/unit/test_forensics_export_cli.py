@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.api import KeypadConfig, LAN
+from repro.errors import AuditRecoveryError
 from repro.forensics import AuditTool
 from repro.forensics.export import export_logs, load_bundle
 from repro.harness import build_keypad_rig
@@ -136,6 +137,20 @@ class TestCli:
         assert main(["forensics", "--bundle", str(bundle_path),
                      "--tloss", "600", "--texp", "600"]) == 2
         assert "does not verify" in capsys.readouterr().err
+
+    def test_views_refuse_a_bundle_whose_chain_breaks(self, tmp_path):
+        """A removed interior record leaves sequences the views cannot
+        index: the views refuse the bundle instead of failing inside."""
+        bundle_path = tmp_path / "logs.json"
+        assert main(["demo", "--steal", "--export", str(bundle_path)]) == 0
+        bundle = json.loads(bundle_path.read_text())
+        records = bundle["key_access_log"]
+        creates = [i for i, r in enumerate(records) if r["kind"] == "create"]
+        del records[creates[1]]
+        key_log, _ = load_bundle(json.dumps(bundle))
+        assert len(key_log.accesses_after(0.0)) == 3
+        with pytest.raises(AuditRecoveryError, match="does not verify"):
+            key_log.views
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):

@@ -150,6 +150,13 @@ class TestWire:
         with pytest.raises(RpcError):
             unmarshal(b"\xff\xfe")
 
+    def test_malformed_and_truncated_bodies_rejected(self):
+        good = marshal_request("key.fetch", {"id": 1})
+        with pytest.raises(RpcError, match="expected <value>"):
+            unmarshal(good.replace(b"<value>", b"<valve>", 1))
+        with pytest.raises(RpcError, match="truncated"):
+            unmarshal(good[:good.index(b"<int>")])
+
     def test_bool_not_confused_with_int(self):
         msg = unmarshal(marshal_response({"t": True, "one": 1}))
         assert msg.payload["t"] is True

@@ -127,6 +127,16 @@ class TestNfsBasics:
         with pytest.raises(InvalidArgument):
             rig.run(proc())
 
+    def test_no_xattr_reads(self):
+        rig = build_nfs_rig(LAN)
+
+        def proc():
+            yield from rig.fs.create("/f")
+            yield from rig.fs.get_xattr("/f", "user.x")
+
+        with pytest.raises(InvalidArgument):
+            rig.run(proc())
+
 
 class TestNfsPerformance:
     def test_async_writes_hide_rtt(self):

@@ -1,8 +1,8 @@
-"""Tests for the cooperative Lock and Semaphore primitives."""
+"""Tests for the cooperative Lock primitive."""
 
 import pytest
 
-from repro.sim import Lock, Semaphore, Simulation, SimulationError
+from repro.sim import Lock, Simulation, SimulationError
 
 
 def test_uncontended_acquire_is_immediate():
@@ -133,12 +133,3 @@ def test_interrupted_waiter_does_not_keep_the_lock(kill_at):
     lock = Lock(sim)
     assert _abandoned_waiter_world(sim, lock, kill_at) == [1.0]
     assert not lock.locked
-
-
-@pytest.mark.parametrize("kill_at", [0.5, 1.0])
-def test_interrupted_waiter_does_not_keep_the_semaphore_slot(kill_at):
-    sim = Simulation()
-    sem = Semaphore(sim, capacity=1)
-    assert _abandoned_waiter_world(sim, sem, kill_at) == [1.0]
-    assert sem.in_use == 0
-    assert sem.waiting == 0

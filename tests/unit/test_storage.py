@@ -1,4 +1,4 @@
-"""Tests for block device, buffer cache, local FS, and VFS."""
+"""Tests for block device, buffer cache and local FS."""
 
 import pytest
 
@@ -12,7 +12,7 @@ from repro.errors import (
     NotADirectory,
 )
 from repro.sim import Simulation
-from repro.storage import BlockDevice, BufferCache, LocalFileSystem, Vfs
+from repro.storage import BlockDevice, BufferCache, LocalFileSystem
 from repro.util.paths import is_ancestor, normalize, parent_of, split
 
 
@@ -475,51 +475,3 @@ class TestLocalFs:
 
         t1, t2 = run(sim, proc())
         assert t2 > t1
-
-
-class TestVfs:
-    def test_open_read_write_seek_close(self, rig):
-        sim, _, _, fs = rig
-        vfs = Vfs(sim, fs)
-
-        def proc():
-            handle = yield from vfs.open("/f", create=True)
-            yield from vfs.write(handle, b"hello world")
-            vfs.seek(handle, 6)
-            data = yield from vfs.read(handle, 5)
-            vfs.close(handle)
-            return data
-
-        assert run(sim, proc()) == b"world"
-
-    def test_open_missing_without_create(self, rig):
-        sim, _, _, fs = rig
-        vfs = Vfs(sim, fs)
-        with pytest.raises(FileNotFound):
-            run(sim, vfs.open("/ghost"))
-
-    def test_double_close_rejected(self, rig):
-        sim, _, _, fs = rig
-        vfs = Vfs(sim, fs)
-
-        def proc():
-            handle = yield from vfs.open("/f", create=True)
-            vfs.close(handle)
-            vfs.close(handle)
-
-        with pytest.raises(InvalidArgument):
-            run(sim, proc())
-
-    def test_sequential_reads_advance_position(self, rig):
-        sim, _, _, fs = rig
-        vfs = Vfs(sim, fs)
-
-        def proc():
-            handle = yield from vfs.open("/f", create=True)
-            yield from vfs.write(handle, b"abcdef")
-            vfs.seek(handle, 0)
-            first = yield from vfs.read(handle, 3)
-            second = yield from vfs.read(handle, 3)
-            return first, second
-
-        assert run(sim, proc()) == (b"abc", b"def")
