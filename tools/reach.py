@@ -102,7 +102,7 @@ def install() -> None:
         add(frame.f_code)  # returns None: the frame's lines go untraced
 
     out = Path(os.environ[DUMP_ENV])
-    src = os.path.realpath(os.environ.get(SRC_ENV, str(SRC))) + os.sep
+    src = os.path.realpath(os.environ[SRC_ENV]) + os.sep
 
     def dump() -> None:
         codes = list(seen)
