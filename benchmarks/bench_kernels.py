@@ -3,7 +3,8 @@
 Each kernel ships two implementations: the original straight-line
 *reference* (kept as the byte-exactness oracle) and the optimized
 production path.  This bench times both and records the speedup —
-a machine-independent ratio measured in one process — into
+a machine-independent ratio measured in one process, from alternating
+rounds so a change in machine speed lands on both sides — into
 ``BENCH_kernels.json``, which CI compares against the checked-in
 baseline in ``benchmarks/baselines/`` (>30% regression fails).
 
@@ -35,6 +36,7 @@ to the ledger's ``crypto.secretshare`` layer.
 from __future__ import annotations
 
 import cProfile
+import functools
 import importlib.util
 import itertools
 import pathlib
@@ -61,27 +63,42 @@ from tests import ibe_oracle, secretshare_oracle  # noqa: E402  (repo root, for 
 
 _LAYERS_PY = pathlib.Path(__file__).resolve().parent / "ledger" / "layers.py"
 
-_MIN_REPS = 3
+_ROUNDS = 100
+_ROUND_S = 0.001  # target length of one timed round
 
 
-def _rate(fn, *args, seconds: float = 0.25) -> float:
-    """Calls/second of ``fn(*args)``, timed over ~``seconds``."""
-    fn(*args)  # warm-up (fills key caches, JITs nothing — this is CPython)
-    reps = 0
-    t0 = time.perf_counter()
-    deadline = t0 + seconds
-    while time.perf_counter() < deadline or reps < _MIN_REPS:
-        fn(*args)
-        reps += 1
-    return reps / (time.perf_counter() - t0)
+def _rates(reference, optimized, *args) -> tuple[float, float]:
+    """Calls/second of ``reference(*args)`` and ``optimized(*args)``.
+
+    The two sides alternate for ``_ROUNDS`` rounds, each side keeps its
+    best round, and a round repeats the call for about ``_ROUND_S``
+    (at least once).  A slow stretch of the machine then costs both
+    sides a round instead of skewing one side's whole timing.
+    """
+    sides = (reference, optimized)
+    calls = []
+    for fn in sides:
+        t0 = time.perf_counter()
+        fn(*args)  # warm-up: fills key caches; its time sizes the rounds
+        calls.append(max(1, int(_ROUND_S / (time.perf_counter() - t0))))
+    best = [float("inf"), float("inf")]
+    for _ in range(_ROUNDS):
+        for side, fn in enumerate(sides):
+            t0 = time.perf_counter()
+            for _ in range(calls[side]):
+                fn(*args)
+            per_call = (time.perf_counter() - t0) / calls[side]
+            best[side] = min(best[side], per_call)
+    return 1.0 / best[0], 1.0 / best[1]
 
 
 def _bench_rows() -> tuple[list[tuple], dict[str, float]]:
     rows: list[tuple] = []
     speedups: dict[str, float] = {}
 
-    def record(kernel: str, unit: str, ref_rate: float, fast_rate: float,
+    def record(kernel: str, unit: str, rates: tuple[float, float],
                per_call: float = 1.0) -> None:
+        ref_rate, fast_rate = rates
         speedup = fast_rate / ref_rate
         rows.append((kernel, unit, round(ref_rate * per_call, 1),
                      round(fast_rate * per_call, 1), round(speedup, 2)))
@@ -92,8 +109,7 @@ def _bench_rows() -> tuple[list[tuple], dict[str, float]]:
     key, msg = b"k" * 32, b"m" * 64
     record(
         "hmac_sha256", "ops/s",
-        _rate(hmac_sha256_reference, key, msg),
-        _rate(hmac_sha256, key, msg),
+        _rates(hmac_sha256_reference, hmac_sha256, key, msg),
     )
 
     # AEAD keystream transform over a 64 KiB buffer (bulk file content).
@@ -101,8 +117,7 @@ def _bench_rows() -> tuple[list[tuple], dict[str, float]]:
     nonce, bulk = b"n" * 16, b"\xab" * 65536
     record(
         "aead_stream_transform", "MB/s",
-        _rate(aead._transform_reference, nonce, bulk),
-        _rate(aead._transform, nonce, bulk),
+        _rates(aead._transform_reference, aead._transform, nonce, bulk),
         per_call=len(bulk) / 1e6,
     )
 
@@ -111,8 +126,7 @@ def _bench_rows() -> tuple[list[tuple], dict[str, float]]:
     block = b"\xcd" * 4096
     record(
         "ctr_transform", "KB/s",
-        _rate(ctr_transform_reference, cipher, nonce, block),
-        _rate(ctr_transform, cipher, nonce, block),
+        _rates(ctr_transform_reference, ctr_transform, cipher, nonce, block),
         per_call=len(block) / 1e3,
     )
 
@@ -129,39 +143,38 @@ def _bench_rows() -> tuple[list[tuple], dict[str, float]]:
 
     record(
         "unpack_dir", "dirs/s",
-        _rate(_unpack_dir, raw),
-        _rate(cache_hit, raw),
+        _rates(_unpack_dir, cache_hit, raw),
     )
 
     curve, g, q, scalar, d_id, u = _ibe_inputs()
     record(
         "ibe_scalar_mult", "ops/s",
-        _rate(ibe_oracle.multiply, curve, g, scalar),
-        _rate(curve.multiply, g, scalar),
+        _rates(functools.partial(ibe_oracle.multiply, curve),
+               curve.multiply, g, scalar),
     )
     record(
         "ibe_pairing", "ops/s",
-        _rate(ibe_oracle.modified_pairing, curve, d_id, u, q),
-        _rate(modified_pairing, curve, d_id, u, q),
+        _rates(ibe_oracle.modified_pairing, modified_pairing,
+               curve, d_id, u, q),
     )
 
     pub, fresh = _encrypt_inputs()
     record(
         "ibe_encrypt", "ops/s",
-        _rate(lambda: ibe_oracle.encrypt(pub, next(fresh), b"K" * 80)),
-        _rate(lambda: pub.encrypt(next(fresh), b"K" * 80)),
+        _rates(lambda: ibe_oracle.encrypt(pub, next(fresh), b"K" * 80),
+               lambda: pub.encrypt(next(fresh), b"K" * 80)),
     )
 
     secret, rng, held = _shamir_inputs()
     record(
         "shamir_split", "ops/s",
-        _rate(secretshare_oracle.split_secret, secret, 3, 6, rng),
-        _rate(split_secret, secret, 3, 6, rng),
+        _rates(secretshare_oracle.split_secret, split_secret,
+               secret, 3, 6, rng),
     )
     record(
         "shamir_combine", "ops/s",
-        _rate(secretshare_oracle.combine_secret, held, 3, 6),
-        _rate(combine_secret, held, 3, 6),
+        _rates(secretshare_oracle.combine_secret, combine_secret,
+               held, 3, 6),
     )
     return rows, speedups
 

@@ -8,7 +8,8 @@ A full-system Python reproduction.  The package is organised bottom-up:
   Tate pairing.
 * :mod:`repro.net` — links, netem presets, wire marshalling, RPC.
 * :mod:`repro.storage` — block device, buffer cache, local (ext3-like)
-  file system, the pluggable backends, and the calibrated cost model.
+  file system, the FS interface every layer stacks on, the audit blob
+  store, and the calibrated cost model.
 * :mod:`repro.encfs` — the EncFS-style encrypted stacked FS baseline.
 * :mod:`repro.core` — **Keypad itself**: the auditing FS, key cache,
   prefetcher, IBE metadata locking, key/metadata services, the paired

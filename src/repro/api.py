@@ -23,8 +23,8 @@ The groups:
   :class:`AppendOnlyLog` (the paper's flat log),
   :class:`SegmentedAuditStore` (the event-sourced, seal-chained log
   engine), :class:`AuditViews` (its materialized forensic views) and
-  :class:`DurableAuditStore` (the segmented store spilled to blobs;
-  see docs/AUDITSTORE.md).
+  :class:`DurableAuditStore` (the segmented store spilled to a
+  :class:`BlobStore` namespace; see docs/AUDITSTORE.md).
 * **Fleet scale** — :func:`run_fleet` drives thousands of simulated
   devices against one service; :class:`ServiceFrontend` is the
   server-side scheduler it exercises, built from one
@@ -33,8 +33,7 @@ The groups:
 * **Runtime control** — :func:`open_control` attaches a
   :class:`ControlServer` to a mounted rig and returns a
   :class:`ControlClient`; :class:`PolicyEpoch` is the mount-held live
-  policy cell its verbs update; :class:`StorageBackend` is the
-  pluggable lower-store contract (``ext3`` / ``memory`` / ``cas``).
+  policy cell its verbs update.
 * **Errors** — the single taxonomy from :mod:`repro.errors`.
 """
 
@@ -113,15 +112,7 @@ from repro.net.netem import (
 )
 from repro.server import FrontendSpec, ServiceFrontend
 from repro.sim import Simulation
-from repro.storage.backend import (
-    BACKENDS,
-    BlobNamespace,
-    BlobStore,
-    StorageBackend,
-    StorageStack,
-    make_backend,
-    volume_contents,
-)
+from repro.storage.backend import BlobNamespace, BlobStore
 from repro.workloads.fleet import (
     ControlEvent,
     DeviceProfile,
@@ -191,14 +182,9 @@ __all__ = [
     "ControlServer",
     "ControlClient",
     "PolicyEpoch",
-    # pluggable storage backends
-    "StorageBackend",
-    "StorageStack",
-    "BACKENDS",
-    "make_backend",
+    # audit blob namespace
     "BlobStore",
     "BlobNamespace",
-    "volume_contents",
     # networks
     "NetEnv",
     "Link",

@@ -426,20 +426,6 @@ class DurableAuditStore(SegmentedAuditStore):
         )
         return drill.recovery
 
-    def rebind_blobs(self, blobs: Any) -> None:
-        """Point at a fresh namespace (after a backend swap).
-
-        Only legal while nothing has been flushed — the swap
-        precondition guarantees this, since spilled blobs make the
-        volume non-empty and veto the swap.
-        """
-        if self._spilled or self._flushed or self.checkpoints:
-            raise AuditRecoveryError(
-                f"audit store {self.name!r} has flushed data; "
-                "cannot rebind its blob namespace"
-            )
-        self.blobs = blobs
-
     def stats(self) -> dict[str, Any]:
         out = super().stats()
         out["store"] = "durable"

@@ -209,8 +209,7 @@ def _forensics_export_image(args: argparse.Namespace) -> int:
     rig, t_loss = _stolen_device(args.texp, durable=True)
     rig.key_service.audit_checkpoint()
 
-    stack = rig.extras["backend"]
-    namespace = stack.blobs.namespace(rig.key_service.audit_namespace)
+    namespace = rig.key_service.access_log.blobs
     image = Path(args.export_image)
     image.mkdir(parents=True, exist_ok=True)
     for name in sorted(namespace.names()):
@@ -570,7 +569,6 @@ def _ctl_rig(args: argparse.Namespace):
         .texp(args.texp)
         .tracing()
         .frontend(workers=4)
-        .storage(args.backend)
     )
     rig = build_keypad_rig(config=builder.build())
     rig.run(_populate(rig.fs))
@@ -955,9 +953,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ctl.add_argument("--texp", type=float, default=100.0,
                      help="mount-time Texp (default 100s)")
-    ctl.add_argument("--backend", choices=("ext3", "memory", "cas"),
-                     default="ext3",
-                     help="storage backend to mount (default ext3)")
     ctl_sub = ctl.add_subparsers(dest="verb", required=True)
 
     set_texp = ctl_sub.add_parser(

@@ -88,11 +88,6 @@ class ControlClient:
         result = yield from self.channel.call("ctl.admit", **params)
         return result
 
-    def swap_backend(self, backend: str) -> Generator:
-        result = yield from self.channel.call("ctl.swap_backend",
-                                              backend=backend)
-        return result
-
     # -- audit store ---------------------------------------------------------
     def audit_stats(self, index: Optional[int] = None) -> Generator:
         """Segment/view statistics per key service (PROTOCOL.md §12)."""

@@ -4,13 +4,12 @@ One :class:`ControlServer` per mounted world.  It holds references to
 the live objects an administrator may steer — the mount's
 :class:`~repro.core.policy.PolicyEpoch`, the key service(s) (or the
 whole :class:`~repro.cluster.ReplicaGroup`), the metadata service, any
-:class:`~repro.server.frontend.ServiceFrontend` instances, the
-:class:`~repro.core.context.TraceCollector`, and (optionally) the rig
-itself for backend swaps — and registers ``ctl.*`` handlers on a
-plain :class:`~repro.net.rpc.RpcServer`, so admin commands ride the
-same authenticated, cost-charged envelope as data-plane RPCs and
-failures cross the wire as typed :class:`~repro.errors.ControlError`
-faults.
+:class:`~repro.server.frontend.ServiceFrontend` instances and the
+:class:`~repro.core.context.TraceCollector` — and registers ``ctl.*``
+handlers on a plain :class:`~repro.net.rpc.RpcServer`, so admin
+commands ride the same authenticated, cost-charged envelope as
+data-plane RPCs and failures cross the wire as typed
+:class:`~repro.errors.ControlError` faults.
 
 Verb table: see docs/CONTROL.md.
 """
@@ -18,7 +17,6 @@ Verb table: see docs/CONTROL.md.
 from __future__ import annotations
 
 import functools
-from dataclasses import replace
 from typing import Any, Generator
 
 from repro.costmodel import DEFAULT_COSTS, CostModel
@@ -28,7 +26,6 @@ from repro.net.netem import LAN, NetEnv
 from repro.net.rpc import RpcChannel, RpcServer
 from repro.core.policy import RUNTIME_MUTABLE, PolicyEpoch
 from repro.sim import Simulation
-from repro.storage.backend import make_backend, volume_contents
 from repro.util.paths import normalize
 
 __all__ = ["ControlServer", "open_control"]
@@ -69,7 +66,6 @@ class ControlServer:
         replica_group: Any = None,
         frontends: tuple = (),
         tracer: Any = None,
-        rig: Any = None,
         name: str = "keypad-ctl",
         costs: CostModel = DEFAULT_COSTS,
     ):
@@ -82,7 +78,6 @@ class ControlServer:
         self.replica_group = replica_group
         self.frontends = list(frontends)
         self.tracer = tracer
-        self.rig = rig
         self.costs = costs
         self.rpc = RpcServer(sim, name, costs=costs)
         #: append-only admin action log (what/when), for forensics.
@@ -100,7 +95,6 @@ class ControlServer:
             ("ctl.rotate_secret", self._rotate_secret),
             ("ctl.drain", self._drain),
             ("ctl.admit", self._admit),
-            ("ctl.swap_backend", self._swap_backend),
             ("ctl.tail_trace", self._tail_trace),
             ("ctl.metrics", self._metrics),
             ("ctl.audit_stats", self._audit_stats),
@@ -130,7 +124,6 @@ class ControlServer:
             replica_group=group,
             frontends=tuple(rig.extras.get("frontends", ())),
             tracer=rig.tracer,
-            rig=rig,
             name=name,
             costs=rig.costs,
         )
@@ -150,7 +143,6 @@ class ControlServer:
             "texp_inflight": config.texp_inflight,
             "prefetch": config.prefetch,
             "protected_prefixes": list(config.protected_prefixes),
-            "storage_backend": config.storage_backend,
             "frontends": len(self.frontends),
             "draining": [f.draining for f in self.frontends],
             "replicas_available": (
@@ -279,56 +271,6 @@ class ControlServer:
             frontend.admit()
         self._note("admit", count=len(targets))
         return {"admitted": len(targets)}
-
-    def _swap_backend(self, device_id: str, payload: dict) -> Generator:
-        """Hot-swap the lower storage backend of an *empty* volume.
-
-        "Empty" means the whole volume, not just ``readdir("/")``: the
-        blob namespace — where a durable audit store spills sealed
-        segments — must be empty too, and the refusal names exactly
-        what is still present so the operator knows what a swap would
-        silently strand.
-        """
-        name = str(payload["backend"])
-        if self.fs is None or self.rig is None:
-            raise ControlError("swap_backend needs an attached rig")
-        backend = make_backend(name)
-        current = self.policy.config.storage_backend
-        if name == current:
-            return {"backend": name, "unchanged": True}
-        old_stack = self.rig.extras.get("backend")
-        blobs = getattr(old_stack, "blobs", None)
-        present = yield from volume_contents(self.fs.lower, blobs)
-        if present:
-            shown = ", ".join(repr(p) for p in present[:8])
-            if len(present) > 8:
-                shown += f", … ({len(present) - 8} more)"
-            raise ControlError(
-                f"cannot swap backend {current!r} -> {name!r}: the "
-                f"volume is not empty (swaps do not migrate data); "
-                f"still present: {shown}"
-            )
-        n_blocks = (
-            self.rig.device.n_blocks if self.rig.device is not None
-            else 1 << 18
-        )
-        stack = backend.create(self.sim, costs=self.costs, n_blocks=n_blocks)
-        self.fs.lower = stack.fs
-        self.rig.lower = stack.fs
-        self.rig.device = stack.device
-        self.rig.cache = stack.cache
-        self.rig.extras["backend"] = stack
-        # Durable audit stores follow the volume: re-point each
-        # service's namespace at the new stack's blob store (legal
-        # precisely because the precondition proved nothing spilled).
-        for service in self.key_services:
-            if service.audit.store == "durable":
-                service.rebind_audit_blobs(stack.blobs)
-        self.policy.replace_config(
-            replace(self.policy.config, storage_backend=name)
-        )
-        self._note("swap_backend", backend=name)
-        return {"backend": name, "epoch": self.policy.epoch}
 
     def _tail_trace(self, device_id: str, payload: dict) -> dict:
         """Stream finished op traces, cursor-paged (live tail)."""

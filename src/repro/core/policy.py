@@ -43,7 +43,7 @@ __all__ = [
 
 #: knobs the control channel may change on a live mount.  Everything
 #: else is mount-frozen structure (transport mode, replica topology,
-#: frontend capacity, storage backend) that would need a remount.
+#: frontend capacity, audit store) that would need a remount.
 RUNTIME_MUTABLE = frozenset({
     "texp",
     "texp_inflight",
@@ -57,8 +57,7 @@ RUNTIME_MUTABLE = frozenset({
 #: one as a mount-time knob gets a targeted error instead of a generic
 #: unknown-field complaint.
 _RUNTIME_VERBS = frozenset({
-    "drain", "admit", "revoke", "rotate_secret", "swap_backend",
-    "tail_trace",
+    "drain", "admit", "revoke", "rotate_secret", "tail_trace",
 })
 
 
@@ -142,15 +141,11 @@ class KeypadConfig:
     # size).  None keeps the paper's infinite-capacity model (every
     # request served on arrival).
     frontend: Optional[FrontendSpec] = None
-    # --- storage backend (see repro.storage.backend).  'ext3' keeps
-    # the paper's BlockDevice -> BufferCache -> LocalFileSystem stack
-    # byte for byte; 'memory' and 'cas' are opt-in alternatives.
-    storage_backend: str = "ext3"
     # --- audit store (see repro.auditstore / docs/AUDITSTORE.md): one
     # frozen AuditSpec — 'flat' (the paper's single AppendOnlyLog per
     # replica, the default), 'segmented' (seal-chained segments with
     # materialized forensic views) or 'durable' (segmented, spilled
-    # through the storage backend's blob namespace).  Mount-frozen: the
+    # through the rig's blob namespace).  Mount-frozen: the
     # store holds the audit trail, so it cannot be swapped under a live
     # mount.
     audit: AuditSpec = AuditSpec()
@@ -244,14 +239,6 @@ class KeypadConfigBuilder:
         self._config = replace(self._config, cluster=topology)
         return self
 
-    def storage(self, backend: str = "ext3") -> "KeypadConfigBuilder":
-        """Select the lower storage backend (see repro.storage.backend):
-        ``'ext3'`` (the default block-device stack), ``'memory'``
-        (zero-I/O ideal store), or ``'cas'`` (content-addressed,
-        deduplicating)."""
-        self._config = replace(self._config, storage_backend=backend)
-        return self
-
     def audit_store(
         self,
         store: str = "segmented",
@@ -262,7 +249,7 @@ class KeypadConfigBuilder:
         """Select the audit store (see docs/AUDITSTORE.md): ``'flat'``
         (the paper's append-only log, the default), ``'segmented'``
         (event-sourced segments + materialized forensic views) or
-        ``'durable'`` (segmented, spilled through the storage backend's
+        ``'durable'`` (segmented, spilled through the rig's
         blob namespace, with crash recovery; ``flush_policy`` and
         ``flush_every`` set its group-commit cadence).  Builds the
         config's :class:`~repro.auditstore.AuditSpec`, which raises
@@ -395,14 +382,6 @@ def validate_config(config: KeypadConfig) -> KeypadConfig:
         raise ConfigError(
             f"bad prefetch spec {config.prefetch!r}: {exc}"
         ) from None
-    from repro.storage.backend import BACKENDS
-
-    if (not isinstance(config.storage_backend, str)
-            or config.storage_backend not in BACKENDS):
-        raise ConfigError(
-            f"unknown storage backend {config.storage_backend!r}; "
-            f"choose one of {sorted(BACKENDS)}"
-        )
     return config
 
 

@@ -211,13 +211,6 @@ class KeyService:
         self._require_durable("recovery drills")
         return self.access_log.verify_blobs()
 
-    def rebind_audit_blobs(self, blobs: BlobStore) -> None:
-        """Re-point a durable store at ``blobs`` (the new stack's
-        :class:`BlobStore`) after a backend swap.  Only reachable when
-        nothing was spilled — spilled segments veto the swap itself.
-        """
-        self.access_log.rebind_blobs(blobs.namespace(self.audit_namespace))
-
     # -- server-side frontend (fleet scale; see repro.server) ---------------
     def install_frontend(self, spec: FrontendSpec = FrontendSpec()):
         """Bound this service's concurrency with a scheduler frontend.

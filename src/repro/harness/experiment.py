@@ -19,6 +19,7 @@ from repro.net.link import Link
 from repro.net.netem import BLUETOOTH, LAN, NetEnv
 from repro.sim import Simulation, SimRandom
 from repro.storage import BlockDevice, BufferCache, LocalFileSystem
+from repro.storage.backend import BlobStore
 from repro.core.client import KEY_SHARDS, ServiceSession
 from repro.core.fs import KeypadFS
 from repro.core.paired import PairedPhone, PhoneProxy
@@ -181,14 +182,11 @@ def build_keypad_rig(
     # Fail fast on contradictory bundles and runtime-only knobs before
     # any services are built (PolicyEpoch re-validates on every update).
     from repro.core.policy import validate_config
-    from repro.storage.backend import make_backend
 
     validate_config(config)
     sim = Simulation()
-    stack = make_backend(config.storage_backend).create(
-        sim, costs=costs, n_blocks=n_blocks
-    )
-    device, cache, lower = stack.device, stack.cache, stack.fs
+    device, cache, lower = _storage_stack(sim, costs, n_blocks)
+    audit_blobs = BlobStore("ext3", costs)
     volume = Volume(password)
 
     metadata_service = MetadataService(
@@ -222,7 +220,7 @@ def build_keypad_rig(
             seed=seed + b"|replica",
             shards=key_shards,
             audit=config.audit,
-            audit_blobs=stack.blobs,
+            audit_blobs=audit_blobs,
         )
         if topology.multi_region:
             home_region = home_region or topology.region_names[0]
@@ -258,7 +256,7 @@ def build_keypad_rig(
             seed=seed + b"|ks",
             shards=key_shards,
             audit=config.audit,
-            audit_blobs=stack.blobs,
+            audit_blobs=audit_blobs,
         )
         key_link = network.make_link(sim, label=f"{network.name}-keys")
         services = ServiceSession(
@@ -304,7 +302,6 @@ def build_keypad_rig(
         replica_links=replica_links,
         tracer=tracer,
     )
-    rig.extras["backend"] = stack
     if frontends:
         rig.extras["frontends"] = frontends
 

@@ -1,13 +1,7 @@
-"""Storage substrate: block device, buffer cache, local FS, and the
-pluggable backend registry (ext3 / memory / cas)."""
+"""Storage substrate: block device, buffer cache and the ext3-like
+local FS, the paper's lower store."""
 
-from repro.storage.backend import (
-    BACKENDS,
-    FsInterface,
-    StorageBackend,
-    StorageStack,
-    make_backend,
-)
+from repro.storage.backend import FsInterface
 from repro.storage.blockdev import BlockDevice
 from repro.storage.buffercache import BufferCache
 from repro.storage.localfs import ROOT_INO, Attr, LocalFileSystem
@@ -19,8 +13,4 @@ __all__ = [
     "Attr",
     "ROOT_INO",
     "FsInterface",
-    "StorageBackend",
-    "StorageStack",
-    "BACKENDS",
-    "make_backend",
 ]

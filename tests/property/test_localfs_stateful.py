@@ -4,9 +4,7 @@ Hypothesis drives interleavings of create/write/read/rename/unlink/
 truncate/mkdir/rmdir and extended attributes, and checks full
 observable equivalence after each step, including directory listings —
 a deeper exercise of the rename and allocation paths than the
-stateless sequences in test_fs_properties.  The same machine also runs
-on the ``memory`` and ``cas`` backends' file systems, whose truncate,
-unlink, rename, rmdir and xattrs nothing else drives.
+stateless sequences in test_fs_properties.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from hypothesis import strategies as st
 from repro.errors import FileSystemError
 from repro.sim import Simulation
 from repro.storage import BlockDevice, BufferCache, LocalFileSystem
-from repro.storage.backend import make_backend
 
 NAMES = ["a", "b", "c"]
 DIRS = ["/", "/d1", "/d1/sub"]
@@ -218,20 +215,6 @@ class LocalFsMachine(RuleBasedStateMachine):
             assert attr.size == len(data), path
 
 
-class MemoryFsMachine(LocalFsMachine):
-    def _make_fs(self):
-        return make_backend("memory").create(self.sim).fs
-
-
-class CasFsMachine(LocalFsMachine):
-    def _make_fs(self):
-        return make_backend("cas").create(self.sim).fs
-
-
 _SETTINGS = settings(max_examples=25, stateful_step_count=25, deadline=None)
 TestLocalFsStateful = LocalFsMachine.TestCase
 TestLocalFsStateful.settings = _SETTINGS
-TestMemoryFsStateful = MemoryFsMachine.TestCase
-TestMemoryFsStateful.settings = _SETTINGS
-TestCasFsStateful = CasFsMachine.TestCase
-TestCasFsStateful.settings = _SETTINGS

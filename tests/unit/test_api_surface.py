@@ -50,9 +50,8 @@ API_SURFACE = sorted([
     "FrontendSpec", "ControlEvent",
     # runtime control plane
     "open_control", "ControlServer", "ControlClient", "PolicyEpoch",
-    # pluggable storage backends
-    "StorageBackend", "StorageStack", "BACKENDS", "make_backend",
-    "BlobStore", "BlobNamespace", "volume_contents",
+    # audit blob namespace
+    "BlobStore", "BlobNamespace",
     # networks
     "NetEnv", "Link", "LAN", "WLAN", "BROADBAND", "DSL", "THREE_G",
     "BLUETOOTH", "ALL_NETWORKS", "PAPER_SWEEP_RTTS",
@@ -97,6 +96,16 @@ class TestRemovedSurfaces:
         for name in ("texp", "prefetch", "ibe", "fast_transport",
                      "tracing", "replication"):
             assert not hasattr(KeypadConfig, f"with_{name}"), name
+
+    def test_one_storage_stack(self):
+        import dataclasses
+
+        assert "storage_backend" not in {
+            f.name for f in dataclasses.fields(KeypadConfig)}
+        assert not hasattr(api.KeypadConfigBuilder, "storage")
+        for module in ("repro.storage.memfs", "repro.storage.casfs"):
+            with pytest.raises(ModuleNotFoundError):
+                __import__(module)
 
     def test_sessions_take_only_typed_requests(self):
         from repro.core.paired import PhoneProxy
@@ -149,8 +158,6 @@ class TestConfigBuilder:
             # a contradictory base is caught at build, not at mount
             base = KeypadConfig(rekey_interval=0.0)
             KeypadConfig.builder(base).build()
-        with pytest.raises(ConfigError):
-            KeypadConfig.builder().storage("floppy").build()
 
     def test_texp_zero_is_the_no_caching_arm(self):
         # texp=0 is the paper's "unoptimized" configuration, not an
@@ -199,7 +206,6 @@ class TestConfigBuilder:
         assert not config.fast_transport
         assert config.cluster is None
         assert not config.tracing
-        assert config.storage_backend == "ext3"
 
 
 class TestExitCodes:

@@ -1,5 +1,5 @@
-"""The live control plane: runtime verbs over the admin channel,
-pluggable storage backends, and the PolicyEpoch snapshot seam."""
+"""The live control plane: runtime verbs over the admin channel and
+the PolicyEpoch snapshot seam."""
 
 from __future__ import annotations
 
@@ -13,16 +13,8 @@ from repro.api import (
     run_fleet,
 )
 from repro.core.policy import PolicyEpoch
-from repro.errors import (
-    ConfigError,
-    ControlError,
-    OverloadSheddedError,
-    RevokedError,
-)
+from repro.errors import ControlError, OverloadSheddedError, RevokedError
 from repro.harness.experiment import DEVICE_ID
-from repro.storage.backend import BACKENDS, make_backend
-from repro.storage.casfs import ContentAddressedFileSystem
-from repro.storage.memfs import MemoryFileSystem
 
 
 def _rig(**builder_steps):
@@ -52,7 +44,6 @@ class TestControlVerbs:
         status = rig.run(scenario())
         assert status["texp"] == 30.0
         assert status["epoch"] == 0
-        assert status["storage_backend"] == "ext3"
         assert "texp" in status["runtime_mutable"]
 
     def test_set_texp_shortens_live_cache_entries(self):
@@ -239,76 +230,6 @@ class TestDrainAdmit:
         rig.run(scenario())
 
 
-class TestStorageBackends:
-    def test_registry_names(self):
-        assert set(BACKENDS) == {"ext3", "memory", "cas"}
-        with pytest.raises(ConfigError):
-            make_backend("floppy")
-
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    def test_mount_and_roundtrip_on_each_backend(self, backend):
-        config = KeypadConfig.builder().texp(30.0).storage(backend).build()
-        rig = mount(config=config)
-
-        def scenario():
-            yield from rig.fs.mkdir("/docs")
-            yield from rig.fs.write_file("/docs/f.txt", b"payload")
-            data = yield from rig.fs.read_all("/docs/f.txt")
-            return data
-
-        assert rig.run(scenario()) == b"payload"
-        assert rig.config.storage_backend == backend
-
-    def test_swap_backend_on_empty_volume(self):
-        rig = _rig()
-        ctl = open_control(rig)
-
-        def scenario():
-            result = yield from ctl.swap_backend("memory")
-            yield from rig.fs.write_file("/x", b"post-swap")
-            data = yield from rig.fs.read_all("/x")
-            return result, data
-
-        result, data = rig.run(scenario())
-        assert result["backend"] == "memory"
-        assert data == b"post-swap"
-        assert isinstance(rig.fs.lower, MemoryFileSystem)
-        assert rig.fs.policy.config.storage_backend == "memory"
-
-    def test_swap_backend_refuses_non_empty_volume(self):
-        rig = _rig()
-        ctl = open_control(rig)
-        _seed_files(rig)
-
-        def scenario():
-            with pytest.raises(ControlError, match="not empty"):
-                yield from ctl.swap_backend("cas")
-
-        rig.run(scenario())
-        # the rig still runs on its original stack
-        assert rig.fs.policy.config.storage_backend == "ext3"
-
-    def test_cas_backend_deduplicates(self):
-        # On the raw store: identical chunks are stored once.  (Under
-        # KeypadFS the per-file keys make ciphertexts unique, so the
-        # mount sees no dedup — which is itself the right behaviour.)
-        from repro.sim import Simulation
-
-        sim = Simulation()
-        stack = make_backend("cas").create(sim)
-        assert isinstance(stack.fs, ContentAddressedFileSystem)
-
-        def scenario():
-            blob = b"z" * 8192
-            yield from stack.fs.write_file("/one", blob)
-            yield from stack.fs.write_file("/two", blob)
-
-        sim.run_process(scenario())
-        stats = stack.fs.dedup_stats()
-        assert stats["dedup_ratio"] > 1.9
-        assert stats["stored_bytes"] < stats["logical_bytes"]
-
-
 class TestTailTrace:
     def test_cursor_pages_through_live_ops(self):
         rig = _rig(tracing={})
@@ -449,34 +370,13 @@ class TestDurableAuditControl:
         rig.run(scenario())
         assert len(rig.key_service.access_log) > 0
 
-    def test_swap_refused_when_audit_blobs_spilled(self):
+    def test_durable_store_spills_into_the_rigs_ext3_blobs(self):
         rig = self._durable_rig()
-        ctl = open_control(rig)
-        self._seed_audit(rig, names=("a.txt",))
-
-        def cleanup_then_swap():
-            # Empty the POSIX surface; only the spilled blobs remain.
-            yield from rig.fs.unlink("/a.txt")
-            with pytest.raises(ControlError, match="blob:audit"):
-                yield from ctl.swap_backend("memory")
-
-        rig.run(cleanup_then_swap())
-        assert rig.fs.policy.config.storage_backend == "ext3"
-
-    def test_swap_rebinds_an_unflushed_durable_store(self):
-        rig = self._durable_rig()
-        ctl = open_control(rig)
-
-        def scenario():
-            result = yield from ctl.swap_backend("memory")
-            return result
-
-        result = rig.run(scenario())
-        assert result["backend"] == "memory"
-        # The durable store now spills into the *new* stack's blobs.
         self._seed_audit(rig, names=("x.txt",))
-        stack = rig.extras["backend"]
-        assert any(n.startswith("audit/") for n in stack.blobs.names())
+        blobs = rig.key_service.access_log.blobs
+        assert blobs.store.backend == "ext3"
+        assert blobs.store.cost_charged > 0.0
+        assert any(n.startswith("audit/") for n in blobs.store.names())
 
     def test_checkpoint_verb_needs_a_durable_store(self):
         rig = _rig()  # flat store

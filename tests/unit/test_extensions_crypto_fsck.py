@@ -1,92 +1,10 @@
-"""Tests for the extensions: FullIdent IBE and the raw-disk parser."""
+"""Tests for the raw-disk parser extension."""
 
 import pytest
 
-from repro.crypto.ibe import TOY, PrivateKeyGenerator
-from repro.crypto.ibe.fullident import (
-    FullIdentCiphertext,
-    fullident_decrypt,
-    make_fullident_public,
-)
-from repro.errors import CryptoError, FileNotFound, InvalidArgument
+from repro.errors import FileNotFound, InvalidArgument
 from repro.harness import build_encfs_rig, build_ext3_rig
 from repro.storage.fsck import RawDiskFs, parse_raw_disk
-
-
-@pytest.fixture(scope="module")
-def pkg():
-    return PrivateKeyGenerator(TOY, master_seed=b"fullident-tests")
-
-
-class TestFullIdent:
-    def _public(self, pkg):
-        return make_fullident_public(pkg.params, pkg.public_point)
-
-    def test_roundtrip(self, pkg):
-        pub = self._public(pkg)
-        ct = pub.encrypt_fullident(b"identity", b"the message")
-        sk = pkg.extract(b"identity")
-        assert fullident_decrypt(pkg.params, sk, ct) == b"the message"
-
-    def test_wrong_key_rejected(self, pkg):
-        pub = self._public(pkg)
-        ct = pub.encrypt_fullident(b"identity-A", b"payload")
-        with pytest.raises(CryptoError):
-            fullident_decrypt(pkg.params, pkg.extract(b"identity-B"), ct)
-
-    def test_mauled_w_rejected(self, pkg):
-        """The CCA property BasicIdent lacks: flipping message bits is
-        detected by the re-encryption check."""
-        pub = self._public(pkg)
-        ct = pub.encrypt_fullident(b"id", b"payload")
-        mauled = FullIdentCiphertext(
-            u_x=ct.u_x, u_y=ct.u_y, v=ct.v,
-            w=bytes([ct.w[0] ^ 1]) + ct.w[1:],
-        )
-        with pytest.raises(CryptoError):
-            fullident_decrypt(pkg.params, pkg.extract(b"id"), mauled)
-
-    def test_mauled_v_rejected(self, pkg):
-        pub = self._public(pkg)
-        ct = pub.encrypt_fullident(b"id", b"payload")
-        mauled = FullIdentCiphertext(
-            u_x=ct.u_x, u_y=ct.u_y,
-            v=bytes([ct.v[0] ^ 1]) + ct.v[1:], w=ct.w,
-        )
-        with pytest.raises(CryptoError):
-            fullident_decrypt(pkg.params, pkg.extract(b"id"), mauled)
-
-    def test_off_curve_u_rejected(self, pkg):
-        pub = self._public(pkg)
-        ct = pub.encrypt_fullident(b"id", b"payload")
-        bogus = FullIdentCiphertext(
-            u_x=ct.u_x + 1, u_y=ct.u_y, v=ct.v, w=ct.w
-        )
-        with pytest.raises(CryptoError):
-            fullident_decrypt(pkg.params, pkg.extract(b"id"), bogus)
-
-    @pytest.mark.parametrize("order", [3, 2])
-    def test_small_order_u_refused_before_pairing(self, pkg, order):
-        """U of order 3 or 2 pairs to 1 with every key; it is refused up
-        front, not left to the re-encryption check."""
-        pub = self._public(pkg)
-        ct = pub.encrypt_fullident(b"id", b"payload")
-        p = pkg.params.p
-        u_x, u_y = (0, 1) if order == 3 else (p - 1, 0)
-        forged = FullIdentCiphertext(u_x=u_x, u_y=u_y, v=ct.v, w=ct.w)
-        with pytest.raises(CryptoError, match="order-q subgroup"):
-            fullident_decrypt(pkg.params, pkg.extract(b"id"), forged)
-
-    def test_randomized(self, pkg):
-        pub = self._public(pkg)
-        c1 = pub.encrypt_fullident(b"id", b"m")
-        c2 = pub.encrypt_fullident(b"id", b"m")
-        assert (c1.u_x, c1.v) != (c2.u_x, c2.v)
-
-    def test_empty_message(self, pkg):
-        pub = self._public(pkg)
-        ct = pub.encrypt_fullident(b"id", b"")
-        assert fullident_decrypt(pkg.params, pkg.extract(b"id"), ct) == b""
 
 
 class TestRawDiskParser:

@@ -116,7 +116,7 @@ def test_allowlist_covers_only_its_prefixes():
     reach = _load_tool()
     assert reach.allowed("repro.harness.reportgen:generate")
     assert reach.allowed("repro.storage.backend:FsInterface.rmdir")
-    assert reach.allowed("repro.storage.backend:StorageStack.fs") is None
+    assert reach.allowed("repro.storage.backend:BlobStore.put") is None
     assert reach.violations({
         "repro.harness.chartify:main": "never",
         "repro.cli:main": "never",

@@ -3,14 +3,12 @@
 
 Three stages, each fast enough for a pull-request gate:
 
-1. **Backend sweep** — mount a rig on every registered storage backend
-   (``ext3``, ``memory``, ``cas``) and drive the full control-verb set
+1. **Verb sweep** — mount a rig and drive the full control-verb set
    against it over the authenticated admin channel: status, set_texp,
    update, add_dir/remove_dir, drain/admit (asserting the shed),
    rotate_secret, tail_trace, metrics.
-2. **Backend swap** — hot-swap an empty ``ext3`` volume to ``memory``
-   and verify post-swap reads/writes, then confirm a non-empty volume
-   refuses the swap with ``ControlError``.
+2. **Revocation** — after ``ctl.revoke`` a cold read is refused at the
+   service with ``RevokedError``.
 3. **Fleet arm** — ``run_fleet`` with scripted mid-run ``ControlEvent``s
    (a Texp tightening and a device revocation) and assert the control
    log recorded both outcomes and the revoked device's refusals landed
@@ -25,7 +23,6 @@ from __future__ import annotations
 import sys
 
 from repro.api import (
-    BACKENDS,
     ControlEvent,
     KeypadConfig,
     OverloadSheddedError,
@@ -34,18 +31,16 @@ from repro.api import (
     open_control,
     run_fleet,
 )
-from repro.errors import ControlError
 
 PATHS = ("/home/medical.txt", "/home/taxes.pdf")
 
 
-def _mount(backend: str):
+def _mount():
     config = (
         KeypadConfig.builder()
         .texp(30.0)
         .tracing()
         .frontend(workers=4)
-        .storage(backend)
         .build()
     )
     return mount(config=config)
@@ -65,16 +60,15 @@ def _require(cond: bool, message: str) -> None:
         raise AssertionError(message)
 
 
-def verb_sweep(backend: str) -> None:
-    rig = _mount(backend)
+def verb_sweep() -> None:
+    rig = _mount()
     ctl = open_control(rig)
     _seed(rig)
 
     def scenario():
         status = yield from ctl.status()
-        _require(status["storage_backend"] == backend,
-                 f"status reports backend {status['storage_backend']!r}, "
-                 f"expected {backend!r}")
+        _require(status["texp"] == 30.0,
+                 f"status reports texp {status['texp']!r}, expected 30.0")
 
         # Texp retarget: entries cached under 30 s must die under 1 s.
         yield from ctl.set_texp(1.0)
@@ -120,49 +114,16 @@ def verb_sweep(backend: str) -> None:
     verbs = {action["verb"] for action in ctl.server.actions}
     _require({"set_texp", "drain", "admit", "rotate_secret"} <= verbs,
              f"admin action log incomplete: {sorted(verbs)}")
-    print(f"control-smoke: verb sweep OK on backend={backend}")
+    print("control-smoke: verb sweep OK")
 
 
-def swap_and_revoke() -> None:
-    # Hot swap: legal on an empty volume, refused on a populated one.
-    rig = _mount("ext3")
-    ctl = open_control(rig)
-
-    def swap():
-        result = yield from ctl.swap_backend("memory")
-        return result
-
-    result = rig.run(swap())
-    _require(result["backend"] == "memory",
-             "swap_backend did not install the new backend")
-    _require(rig.fs.policy.config.storage_backend == "memory",
-             "live policy does not reflect the swapped backend")
-
-    def roundtrip():
-        yield from rig.fs.mkdir("/home")
-        yield from rig.fs.write_file("/home/after.txt", b"post-swap")
-        data = yield from rig.fs.read("/home/after.txt", 0, 9)
-        _require(data == b"post-swap", "post-swap roundtrip failed")
-
-    rig.run(roundtrip())
-
-    def swap_back():
-        try:
-            yield from ctl.swap_backend("ext3")
-        except ControlError:
-            return True
-        return False
-
-    _require(rig.run(swap_back()),
-             "swap_backend accepted a non-empty volume")
-    print("control-smoke: backend swap OK (empty-only rule enforced)")
-
+def revoke() -> None:
     # Revocation: cold reads refused at the service after the verb.
-    rig = _mount("memory")
+    rig = _mount()
     ctl = open_control(rig)
     _seed(rig)
 
-    def revoke():
+    def scenario():
         yield from ctl.revoke(rig.services.device_id)
         rig.fs.key_cache.evict_all()
         try:
@@ -171,7 +132,7 @@ def swap_and_revoke() -> None:
             return True
         return False
 
-    _require(rig.run(revoke()), "cold read served after revocation")
+    _require(rig.run(scenario()), "cold read served after revocation")
     print("control-smoke: revocation kill switch OK")
 
 
@@ -204,12 +165,8 @@ def fleet_arm() -> None:
 
 
 def main() -> int:
-    registered = sorted(BACKENDS)
-    _require(registered == ["cas", "ext3", "memory"],
-             f"unexpected backend registry: {registered}")
-    for backend in registered:
-        verb_sweep(backend)
-    swap_and_revoke()
+    verb_sweep()
+    revoke()
     fleet_arm()
     print("control-smoke: all stages passed")
     return 0

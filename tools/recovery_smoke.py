@@ -3,8 +3,7 @@
 
 Three stages, each fast enough for a pull-request gate:
 
-1. **Backend sweep** — mount a durable-audit rig on every registered
-   storage backend (``ext3``, ``memory``, ``cas``), generate audit
+1. **Crash and restart** — mount a durable-audit rig, generate audit
    traffic, crash the key service mid-run, recover it through
    ``ctl.audit_recover``, and assert the recovered log verifies with
    zero loss under ``every-append`` flushing.  A follow-up
@@ -31,7 +30,6 @@ import sys
 import tempfile
 
 from repro.api import (
-    BACKENDS,
     ClusterAuditLog,
     KeypadConfig,
     mount,
@@ -44,11 +42,10 @@ from repro.cluster.faults import FaultPlan
 PATHS = ("/home/medical.txt", "/home/taxes.pdf")
 
 
-def _mount(backend: str, flush_policy: str = "every-append"):
+def _mount(flush_policy: str = "every-append"):
     config = (
         KeypadConfig.builder()
         .texp(5.0)
-        .storage(backend)
         .audit_store("durable", segment_entries=4,
                      flush_policy=flush_policy)
         .build()
@@ -76,21 +73,20 @@ def _require(cond: bool, message: str) -> None:
         raise AssertionError(message)
 
 
-def crash_restart_sweep(backend: str) -> None:
+def crash_restart() -> None:
     # Zero-loss arm: every-append flushing loses nothing on a crash.
-    rig = _mount(backend)
+    rig = _mount()
     ctl = open_control(rig)
     _seed(rig)
     service = rig.key_service
     before = len(service.access_log)
-    _require(before > 0, f"[{backend}] no audit entries after seeding")
+    _require(before > 0, "no audit entries after seeding")
 
     killed = service.crash()
     _require(killed == before,
-             f"[{backend}] crash() reported {killed} entries, "
-             f"expected {before}")
+             f"crash() reported {killed} entries, expected {before}")
     _require(not service.server.available,
-             f"[{backend}] crashed service still serving")
+             "crashed service still serving")
 
     def recover():
         result = yield from ctl.audit_recover()
@@ -98,17 +94,16 @@ def crash_restart_sweep(backend: str) -> None:
 
     entry = rig.run(recover())["recovered"][0]
     _require(entry["mode"] == "restart",
-             f"[{backend}] expected a restart, got {entry['mode']}")
+             f"expected a restart, got {entry['mode']}")
     _require(entry["lost_entries"] == 0,
-             f"[{backend}] every-append lost "
-             f"{entry['lost_entries']} entries")
+             f"every-append lost {entry['lost_entries']} entries")
     _require(len(service.access_log) == before,
-             f"[{backend}] recovered {len(service.access_log)} entries, "
+             f"recovered {len(service.access_log)} entries, "
              f"expected {before}")
     _require(service.access_log.verify_chain(),
-             f"[{backend}] recovered chain does not verify")
+             "recovered chain does not verify")
     _require(service.server.available,
-             f"[{backend}] recovered service not serving")
+             "recovered service not serving")
 
     # The service keeps serving on the same chain after recovery.
     def post_recover_read():
@@ -117,10 +112,10 @@ def crash_restart_sweep(backend: str) -> None:
         return data
 
     _require(rig.run(post_recover_read()) == b"secret",
-             f"[{backend}] post-recovery cold read failed")
+             "post-recovery cold read failed")
 
     # Lossy arm: every-seal flushing loses the open tail — and says so.
-    rig = _mount(backend, flush_policy="every-seal")
+    rig = _mount(flush_policy="every-seal")
     _seed(rig)
     service = rig.key_service
     before = len(service.access_log)
@@ -128,12 +123,12 @@ def crash_restart_sweep(backend: str) -> None:
     service.crash()
     stats = service.restart()
     _require(stats["lost_entries"] == before - flushed,
-             f"[{backend}] loss misreported: {stats['lost_entries']} "
+             f"loss misreported: {stats['lost_entries']} "
              f"!= {before} - {flushed}")
     _require(len(service.access_log) == flushed,
-             f"[{backend}] recovered past the flushed watermark")
-    print(f"recovery-smoke: crash/restart OK on backend={backend} "
-          f"(zero-loss + reported-loss arms)")
+             "recovered past the flushed watermark")
+    print("recovery-smoke: crash/restart OK "
+          "(zero-loss + reported-loss arms)")
 
 
 def forensics_from_blobs() -> None:
@@ -200,11 +195,7 @@ def fleet_arm() -> None:
 
 
 def main() -> int:
-    registered = sorted(BACKENDS)
-    _require(registered == ["cas", "ext3", "memory"],
-             f"unexpected backend registry: {registered}")
-    for backend in registered:
-        crash_restart_sweep(backend)
+    crash_restart()
     forensics_from_blobs()
     fleet_arm()
     print("recovery-smoke: all stages passed")
