@@ -297,6 +297,7 @@ class KeypadFS(StackedCryptFs):
         entry = self.key_cache.get(audit_id, ctx=ctx)
         if entry is not None:
             yield self.sim.timeout(self.costs.keypad_hit_extra)
+            # A prefetched entry opens its wrapped K_D on this first read.
             return entry.data_key, nonce
 
         path = normalize(path)
@@ -438,7 +439,8 @@ class KeypadFS(StackedCryptFs):
     def _load_keys(self, candidates: list, kind: str, issued_at: float,
                    ctx: Optional[OpContext] = None) -> Generator:
         """Fetch the keys of ``(path, header)`` *candidates* in one batch
-        and cache each as prefetched; returns how many arrived."""
+        and cache each with its K_D still wrapped, to be opened on its
+        first read; returns how many arrived."""
         keys = yield from self.services.fetch_many(
             [KeyFetch(h.audit_id, kind=kind) for _, h in candidates], ctx
         )
@@ -446,13 +448,11 @@ class KeypadFS(StackedCryptFs):
         for (_path, header), remote_key in zip(candidates, keys):
             if not remote_key:
                 continue
-            data_key = unwrap_data_key(header.wrapped_kd, remote_key)
             self.key_cache.put(
                 header.audit_id,
                 remote_key,
-                data_key,
+                wrapped_kd=header.wrapped_kd,
                 texp=self._cfg(ctx).texp,
-                prefetched=True,
                 issued_at=issued_at,
             )
             fetched += 1

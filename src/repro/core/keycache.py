@@ -15,6 +15,11 @@ Semantics from the paper:
 
 Eviction "securely erases" the key material (we overwrite the buffers;
 in-simulation this is what makes an attacker memory snapshot miss it).
+
+A prefetched key arrives as K_R plus the header's wrapped data key
+``E_K_R(K_D)``; the entry opens it on the first read that needs K_D, so
+a key that expires unread is never opened and its K_D never sits in
+memory.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional
 
+from repro.core.header import DATA_KEY_LEN, unwrap_data_key
 from repro.errors import KeypadError, NetworkUnavailableError
 from repro.sim import Simulation
 
@@ -32,7 +38,8 @@ __all__ = ["KeyCache", "CacheEntry"]
 class CacheEntry:
     audit_id: bytes
     remote_key: bytes
-    data_key: bytes
+    # K_D once opened; empty while only ``wrapped_kd`` is held.
+    opened_kd: bytes
     texp: float
     expires_at: float
     inserted_at: float
@@ -40,7 +47,8 @@ class CacheEntry:
     # fetch (or refresh) that brought it, or the put of a key created
     # here, which precedes its upload's log entry.
     vouched_at: float
-    prefetched: bool = False
+    # E_K_R(K_D) of a prefetched key until its first read opens it.
+    wrapped_kd: Optional[bytes] = None
     used_since_refresh: bool = False
     generation: int = 0
     fetch_count: int = 1
@@ -49,10 +57,19 @@ class CacheEntry:
     # file is essentially 'locked' on disk").
     refreshable: bool = True
 
+    @property
+    def data_key(self) -> bytes:
+        """K_D, opened from ``wrapped_kd`` on the first read."""
+        if self.wrapped_kd is not None:
+            self.opened_kd = unwrap_data_key(self.wrapped_kd, self.remote_key)
+            self.wrapped_kd = None
+        return self.opened_kd
+
     def erase(self) -> None:
         """Secure erase: overwrite key material before dropping."""
         self.remote_key = b"\x00" * len(self.remote_key)
-        self.data_key = b"\x00" * len(self.data_key)
+        self.opened_kd = b"\x00" * DATA_KEY_LEN
+        self.wrapped_kd = None
 
 
 @dataclass
@@ -147,12 +164,18 @@ class KeyCache:
         self,
         audit_id: bytes,
         remote_key: bytes,
-        data_key: bytes,
+        data_key: Optional[bytes] = None,
+        *,
         texp: float,
-        prefetched: bool = False,
+        wrapped_kd: Optional[bytes] = None,
         refreshable: bool = True,
         issued_at: Optional[float] = None,
     ) -> CacheEntry:
+        """Cache K_R with either K_D or its wrapped form ``E_K_R(K_D)``,
+        which the entry opens on its first read."""
+        if (data_key is None) == (wrapped_kd is None):
+            raise ValueError("put takes one of data_key and wrapped_kd")
+        opened_kd = b"" if data_key is None else data_key
         # Live from ``issued_at``, the request's send: the service logs
         # the access no earlier, so the entry dies within Texp of the log.
         vouched_at = self.sim.now if issued_at is None else issued_at
@@ -161,7 +184,8 @@ class KeyCache:
         if existing is not None:
             existing.generation = self._next_generation()
             existing.remote_key = remote_key
-            existing.data_key = data_key
+            existing.opened_kd = opened_kd
+            existing.wrapped_kd = wrapped_kd
             existing.texp = texp
             existing.expires_at = expires_at
             existing.vouched_at = vouched_at
@@ -173,12 +197,12 @@ class KeyCache:
         entry = CacheEntry(
             audit_id=audit_id,
             remote_key=remote_key,
-            data_key=data_key,
+            opened_kd=opened_kd,
             texp=texp,
             expires_at=expires_at,
             inserted_at=self.sim.now,
             vouched_at=vouched_at,
-            prefetched=prefetched,
+            wrapped_kd=wrapped_kd,
             refreshable=refreshable,
             generation=self._next_generation(),
         )
@@ -359,9 +383,14 @@ class KeyCache:
 
     # -- attacker / forensics views -----------------------------------------------
     def snapshot(self) -> dict[bytes, tuple[bytes, bytes]]:
-        """What a memory-extraction attack recovers at this instant."""
+        """What a memory-extraction attack recovers at this instant.
+
+        An unopened entry's K_D is opened here without being kept: the
+        thief holding K_R and the disk opens the header anyway.
+        """
         return {
-            audit_id: (e.remote_key, e.data_key)
+            audit_id: (e.remote_key, e.opened_kd if e.wrapped_kd is None
+                       else unwrap_data_key(e.wrapped_kd, e.remote_key))
             for audit_id, e in self._entries.items()
             if e.expires_at > self.sim.now
         }

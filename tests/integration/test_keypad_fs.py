@@ -1,5 +1,7 @@
 """Integration tests: the full Keypad stack over simulated networks."""
 
+from unittest import mock
+
 import pytest
 
 from repro.api import KeypadConfig, LAN, THREE_G
@@ -8,6 +10,8 @@ from repro.errors import (
     NetworkUnavailableError,
     RevokedError,
 )
+from repro.core import fs as fs_module, header as header_module
+from repro.core import keycache as keycache_module
 from repro.harness import build_keypad_rig
 
 
@@ -435,6 +439,34 @@ class TestPrefetching:
         # prefetched batch.
         assert blocking_after <= rig.fs.stats["prefetched_keys"] + 3
         assert rig.fs.stats["prefetch_batches"] >= 1
+
+    def test_prefetched_keys_open_on_first_read(self):
+        """A prefetched K_D is opened by the read that needs it, once;
+        the prefetched keys nobody reads are never opened."""
+        config = KeypadConfig(texp=100.0, prefetch="dir:3", ibe_enabled=False)
+        rig = _rig(config=config)
+        self._populate(rig, n=12)
+        unwraps = [0]
+        real = header_module.unwrap_data_key
+
+        def counting(*args, **kwargs):
+            unwraps[0] += 1
+            return real(*args, **kwargs)
+
+        def scan():
+            yield rig.sim.timeout(500.0)  # all keys expired
+            for _ in range(2):  # the second pass hits opened keys
+                for i in range(8):
+                    yield from rig.fs.read(f"/album/photo{i:02d}.jpg", 0, 4)
+            return None
+
+        with mock.patch.object(fs_module, "unwrap_data_key", counting), \
+                mock.patch.object(keycache_module, "unwrap_data_key", counting):
+            rig.run(scan())
+        blocking = rig.fs.stats["blocking_key_fetches"]
+        prefetched_read = 8 - blocking
+        assert 0 < prefetched_read < rig.fs.stats["prefetched_keys"]
+        assert unwraps[0] == blocking + prefetched_read
 
     def test_prefetch_creates_log_entries_false_positives(self):
         config = KeypadConfig(texp=100.0, prefetch="dir:1", ibe_enabled=False)

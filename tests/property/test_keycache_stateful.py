@@ -7,11 +7,16 @@ model:
 * an entry is visible iff its modelled expiry is in the future,
 * ``extend`` restores Texp from the put, never from now, and evicts an
   entry whose window has passed,
-* secure erasure: evicted key material is zeroed,
+* secure erasure: evicted or expired key material is zeroed and no
+  wrapped data key stays on the entry,
+* a wrapped data key is opened once, by its first read, and
+  ``snapshot()`` yields the true K_D without keeping it on the entry,
 * occupancy accounting never goes negative and matches the live count.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 from hypothesis import settings
 from hypothesis.stateful import (
@@ -23,9 +28,13 @@ from hypothesis.stateful import (
 from hypothesis import strategies as st
 
 from repro.sim import Simulation
+from repro.core import keycache as keycache_module
+from repro.core.header import wrap_data_key
 from repro.core.keycache import KeyCache
+from repro.crypto.drbg import HmacDrbg
 
 IDS = [bytes([i]) * 24 for i in range(5)]
+ZERO = b"\x00" * 32
 
 
 class KeyCacheMachine(RuleBasedStateMachine):
@@ -37,6 +46,11 @@ class KeyCacheMachine(RuleBasedStateMachine):
         self.cache = KeyCache(self.sim, refresh_fn=None)
         self.model_expiry: dict[bytes, float] = {}
         self.model_vouched: dict[bytes, float] = {}
+        # The true (K_R, K_D) of every put, and every entry object the
+        # cache handed out (a re-put updates the same object).
+        self.model_keys: dict[bytes, tuple[bytes, bytes]] = {}
+        self.entries: dict[int, object] = {}
+        self.drbg = HmacDrbg(b"keycache-stateful")
 
     ids = Bundle("ids")
 
@@ -46,9 +60,45 @@ class KeyCacheMachine(RuleBasedStateMachine):
 
     @rule(audit_id=ids, texp=st.floats(min_value=0.5, max_value=50.0))
     def put(self, audit_id, texp):
-        self.cache.put(audit_id, b"r" * 32, b"d" * 32, texp=texp)
-        self.model_expiry[audit_id] = self.sim.now + texp
-        self.model_vouched[audit_id] = self.sim.now
+        entry = self.cache.put(audit_id, b"r" * 32, b"d" * 32, texp=texp)
+        self._model_put(entry, (b"r" * 32, b"d" * 32), texp)
+
+    @rule(audit_id=ids, texp=st.floats(min_value=0.5, max_value=50.0),
+          remote_key=st.binary(min_size=32, max_size=32),
+          data_key=st.binary(min_size=32, max_size=32))
+    def wrapped_put(self, audit_id, texp, remote_key, data_key):
+        """A prefetched key: K_R plus the header's E_K_R(K_D)."""
+        wrapped = wrap_data_key(data_key, remote_key, self.drbg)
+        entry = self.cache.put(audit_id, remote_key, wrapped_kd=wrapped,
+                               texp=texp)
+        assert entry.wrapped_kd == wrapped and entry.opened_kd == b""
+        self._model_put(entry, (remote_key, data_key), texp)
+
+    def _model_put(self, entry, keys, texp):
+        self.entries[id(entry)] = entry
+        self.model_keys[entry.audit_id] = keys
+        self.model_expiry[entry.audit_id] = self.sim.now + texp
+        self.model_vouched[entry.audit_id] = self.sim.now
+
+    @rule(audit_id=ids)
+    def read_twice(self, audit_id):
+        """K_D reads: the first opens a wrapped key, later ones reuse it."""
+        entry = self.cache.get(audit_id)
+        if entry is None:
+            return
+        opens = [0]
+        real = keycache_module.unwrap_data_key
+
+        def counting(*args, **kwargs):
+            opens[0] += 1
+            return real(*args, **kwargs)
+
+        was_wrapped = entry.wrapped_kd is not None
+        with mock.patch.object(keycache_module, "unwrap_data_key", counting):
+            first, second = entry.data_key, entry.data_key
+        assert first == second == self.model_keys[audit_id][1]
+        assert opens[0] == (1 if was_wrapped else 0)
+        assert entry.wrapped_kd is None
 
     @rule(audit_id=ids)
     def get(self, audit_id):
@@ -86,7 +136,13 @@ class KeyCacheMachine(RuleBasedStateMachine):
         self.cache.evict(audit_id)
         self.model_expiry.pop(audit_id, None)
         if entry is not None:
-            assert entry.data_key == b"\x00" * 32  # securely erased
+            self._assert_erased(entry)
+
+    @staticmethod
+    def _assert_erased(entry):
+        assert entry.remote_key == ZERO
+        assert entry.opened_kd == ZERO and entry.data_key == ZERO
+        assert entry.wrapped_kd is None
 
     @rule(dt=st.floats(min_value=0.1, max_value=30.0))
     def advance(self, dt):
@@ -99,6 +155,27 @@ class KeyCacheMachine(RuleBasedStateMachine):
             a for a, exp in self.model_expiry.items() if exp > self.sim.now
         }
         assert visible == expected
+
+    @invariant()
+    def snapshot_holds_true_keys(self):
+        still_wrapped = {a for a, e in self.cache._entries.items()
+                         if e.wrapped_kd is not None}
+        snapshot = self.cache.snapshot()
+        for audit_id, keys in snapshot.items():
+            assert keys == self.model_keys[audit_id]
+        # The snapshot opened nothing onto the entries.
+        assert still_wrapped == {a for a, e in self.cache._entries.items()
+                                 if e.wrapped_kd is not None}
+        for audit_id in still_wrapped:
+            assert self.cache._entries[audit_id].opened_kd == b""
+
+    @invariant()
+    def gone_entries_erased(self):
+        """Evicted or expired: K_R and K_D zeroed, no wrapped blob."""
+        live = {id(e) for e in self.cache._entries.values()}
+        for key, entry in self.entries.items():
+            if key not in live:
+                self._assert_erased(entry)
 
     @invariant()
     def occupancy_sane(self):

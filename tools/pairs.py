@@ -7,10 +7,23 @@ ledger's one-run form (``benchmarks/ledger/run.py --workload W --seed S
 --seconds T --trace 0``) in each, N times, alternating which side goes
 first so slow and fast periods of the machine fall on both.  Prints,
 for every end-to-end metric, each side's median [quartiles], the ratio
-CHANGE/BASE of the medians, and in how many pairs CHANGE was the better
-one; then the ledger's sim-identity check (``compare.py``): whether
-every simulated statistic and program count of the two commits is
-identical, as a pure speed-up must leave them.
+CHANGE/BASE of the medians, in how many pairs CHANGE was the better
+one, and a verdict:
+
+* the metric named by ``--claim``: "claim holds" only when CHANGE won
+  at least nine tenths of the pairs (ties count for neither) and its
+  median beats BASE's by more than BASE's quartile distance, else
+  "claim not met";
+* every other metric, against its bound in ``BENCHMARK.json``: "worse"
+  when CHANGE's median is worse than BASE's by more than the bound,
+  "unresolved" when either side's quartile distance is wider than the
+  bound (unless every CHANGE run beats every BASE run), else "ok".
+
+Then one line comparing the worst CHANGE run of the claimed metric
+(``host_ops_per_s`` without ``--claim``) with the best BASE run, and the
+ledger's sim-identity check (``compare.py``): whether every simulated
+statistic and program count of the two commits is identical, as a pure
+speed-up must leave them.
 
 Exits non-zero when a run fails its own checks or the simulated
 statistics differ.  Run from anywhere inside the repository.
@@ -62,6 +75,60 @@ def quartiles(values: list) -> tuple:
     return q1, q3
 
 
+def _gain(base: float, change: float, lower: bool) -> float:
+    """How much better ``change`` is than ``base`` (negative: worse)."""
+    return base - change if lower else change - base
+
+
+def count_wins(base: list, change: list, lower: bool) -> int:
+    """Pairs in which change was the better side; ties count for neither."""
+    return sum(1 for b, c in zip(base, change) if _gain(b, c, lower) > 0)
+
+
+def _separated(base: list, change: list, lower: bool) -> bool:
+    """Whether every change run beats every base run."""
+    if lower:
+        return max(change) < min(base)
+    return min(change) > max(base)
+
+
+def verdict(base: list, change: list, better: str, bound: float,
+            claimed: bool = False) -> str:
+    """The verdict on one metric from paired runs (see the module
+    docstring); ``base[i]`` and ``change[i]`` are pair ``i``."""
+    lower = better == "lower"
+    base_median = statistics.median(base)
+    change_median = statistics.median(change)
+    if claimed:
+        q1, q3 = quartiles(base)
+        holds = (10 * count_wins(base, change, lower) >= 9 * len(base)
+                 and _gain(base_median, change_median, lower) > q3 - q1)
+        return "claim holds" if holds else "claim not met"
+    if _separated(base, change, lower):
+        return "ok"
+    loss = -_gain(base_median, change_median, lower)
+    if loss > 0 and (base_median == 0 or loss / abs(base_median) > bound):
+        return "worse"
+    for values in (base, change):
+        q1, q3 = quartiles(values)
+        median = statistics.median(values)
+        if (q3 - q1) > bound * abs(median):
+            return "unresolved"
+    return "ok"
+
+
+def extremes_line(name: str, base: list, change: list, better: str) -> str:
+    """The worst change run of ``name`` against the best base run."""
+    lower = better == "lower"
+    worst_change = max(change) if lower else min(change)
+    best_base = min(base) if lower else max(base)
+    relation = ("every change run beats every base run"
+                if _separated(base, change, lower)
+                else "the two sides' runs overlap")
+    return (f"{name}: worst change run {worst_change:.6g}, best base run "
+            f"{best_base:.6g}: {relation}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
@@ -73,9 +140,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--smoke", action="store_true",
                         help="the ledger's tenth-size workloads")
+    parser.add_argument("--claim", metavar="METRIC",
+                        help="the end-to-end metric the change claims "
+                             "to improve")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {metric["name"]: metric for metric in spec["end_to_end"]}
+    if args.claim is not None and args.claim not in metrics:
+        parser.error(f"--claim: no end-to-end metric {args.claim!r}")
     sides = {"base": args.base, "change": args.change}
     shas = {side: git("rev-parse", "--short", rev)
             for side, rev in sides.items()}
@@ -97,22 +170,30 @@ def main(argv=None) -> int:
     print(f"{args.workload}  seed {args.seed}  {args.pairs} pairs of "
           f"{args.seconds:g} s  base {shas['base']}  change {shas['change']}")
     print(f"{'metric':<16}{'base median [q1, q3]':>30}"
-          f"{'change median [q1, q3]':>30}{'change/base':>12}{'wins':>7}")
+          f"{'change median [q1, q3]':>30}{'change/base':>12}{'wins':>7}"
+          f"  verdict")
+    values_of = {}
     for metric in spec["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
         values = {side: [run["end_to_end"][name] for run in runs[side]]
                   for side in runs}
+        values_of[name] = values
         cells = []
         for side in ("base", "change"):
             q1, q3 = quartiles(values[side])
             cells.append(f"{statistics.median(values[side]):.6g} "
                          f"[{q1:.6g}, {q3:.6g}]")
-        wins = sum(1 for b, c in zip(values["base"], values["change"])
-                   if (c < b if lower else c > b))
+        wins = count_wins(values["base"], values["change"], lower)
         ratio = (statistics.median(values["change"])
                  / statistics.median(values["base"]))
+        said = verdict(values["base"], values["change"], metric["better"],
+                       metric["bound"], claimed=name == args.claim)
         print(f"{name:<16}{cells[0]:>30}{cells[1]:>30}{ratio:>12.4f}"
-              f"{wins:>4}/{args.pairs}")
+              f"{wins:>4}/{args.pairs}  {said}")
+    extreme = args.claim or "host_ops_per_s"
+    print(extremes_line(extreme, values_of[extreme]["base"],
+                        values_of[extreme]["change"],
+                        metrics[extreme]["better"]))
 
     sys.path.insert(0, str(LEDGER))
     import compare
