@@ -5,13 +5,13 @@ from unittest import mock
 import pytest
 
 from repro.api import KeypadConfig, LAN, THREE_G
+from repro.core import fs as fs_module, header as header_module
+from repro.core import keycache as keycache_module
 from repro.errors import (
     LockedFileError,
     NetworkUnavailableError,
     RevokedError,
 )
-from repro.core import fs as fs_module, header as header_module
-from repro.core import keycache as keycache_module
 from repro.harness import build_keypad_rig
 
 

@@ -169,7 +169,7 @@ def main(argv=None) -> int:
 
     print(f"{args.workload}  seed {args.seed}  {args.pairs} pairs of "
           f"{args.seconds:g} s  base {shas['base']}  change {shas['change']}")
-    print(f"{'metric':<16}{'base median [q1, q3]':>32}"
+    print(f"{'metric':<16}{'base median [q1, q3]':>32}  "
           f"{'change median [q1, q3]':>32}{'change/base':>12}{'wins':>7}"
           f"  verdict")
     values_of = {}
@@ -188,7 +188,7 @@ def main(argv=None) -> int:
                  / statistics.median(values["base"]))
         said = verdict(values["base"], values["change"], metric["better"],
                        metric["bound"], claimed=name == args.claim)
-        print(f"{name:<16}{cells[0]:>32}{cells[1]:>32}{ratio:>12.4f}"
+        print(f"{name:<16}{cells[0]:>32}  {cells[1]:>32}{ratio:>12.4f}"
               f"{wins:>4}/{args.pairs}  {said}")
     extreme = args.claim or "host_ops_per_s"
     print(extremes_line(extreme, values_of[extreme]["base"],
