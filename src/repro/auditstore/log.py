@@ -6,8 +6,13 @@ and the metadata store is explicitly append-only so a thief "cannot
 overwrite the user's metadata with bogus information after theft" —
 later records never erase earlier ones.
 
-Entries are hash-chained; :meth:`AppendOnlyLog.verify_chain` lets the
-forensic tool prove the log was not truncated or rewritten in place.
+Entries are hash-chained from a genesis hash;
+:meth:`AppendOnlyLog.verify_chain` lets the forensic tool prove that no
+interior record was changed, dropped, inserted or reordered.  It cannot
+prove the log is complete: a log missing its newest records still
+verifies.  Detecting a lost tail needs an anchor, the head's sequence
+and chain hash held where the log's keeper cannot rewrite them (see
+"An anchored audit head" in ROADMAP.md).
 
 This module is the write-side foundation of :mod:`repro.auditstore`:
 :class:`AppendOnlyLog` is the paper's flat log, and

@@ -29,6 +29,7 @@ from repro.crypto.hmac import hmac_sha256
 from repro.crypto.kdf import hkdf_sha256, pbkdf2_sha256
 from repro.crypto.stream import stream_xor
 from repro.errors import CryptoError
+from repro.util.paths import split
 
 __all__ = ["Volume"]
 
@@ -49,6 +50,7 @@ class Volume:
         # Deterministic name encryption caches (names repeat heavily).
         self._enc_cache: dict[str, str] = {}
         self._dec_cache: dict[str, str] = {}
+        self._path_cache: dict[str, str] = {}
 
     # -- filename encryption ----------------------------------------------------
     def encrypt_name(self, name: str) -> str:
@@ -90,16 +92,15 @@ class Volume:
 
     def encrypt_path(self, path: str) -> str:
         """Encrypt each component of a normalized absolute path."""
-        from repro.util.paths import split
-
+        cached = self._path_cache.get(path)
+        if cached is not None:
+            return cached
         comps = split(path)
-        if not comps:
-            return "/"
-        return "/" + "/".join(self.encrypt_name(c) for c in comps)
+        token = "/" + "/".join(self.encrypt_name(c) for c in comps)
+        self._path_cache[path] = token
+        return token
 
     def decrypt_path(self, path: str) -> str:
-        from repro.util.paths import split
-
         comps = split(path)
         if not comps:
             return "/"

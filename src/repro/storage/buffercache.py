@@ -48,6 +48,29 @@ class BufferCache:
         yield from self._insert(block_no, data, dirty=False)
         return data
 
+    def held(self, block_no: int) -> bytes | None:
+        """The bytes object cached for ``block_no``, or None; counts
+        nothing and moves nothing."""
+        return self._cache.get(block_no)
+
+    def hit_held(self, blocks: tuple) -> bool:
+        """Charge ``blocks``, ``(block number, bytes)`` pairs, as read
+        hits if the cache still holds each number as that very object.
+
+        Then this is ``read()`` of each block in order, without the
+        generators: a hit costs no simulated time, and a caller that
+        kept the objects of an earlier read already has the bytes.
+        Otherwise returns False and changes nothing.
+        """
+        cache = self._cache
+        for block_no, data in blocks:
+            if cache.get(block_no) is not data:
+                return False
+        for block_no, _ in blocks:
+            cache.move_to_end(block_no)
+        self.hits += len(blocks)
+        return True
+
     def write(self, block_no: int, data: bytes) -> Generator:
         """Sim-process: write a block (buffered; no device I/O yet)."""
         if len(data) != self.device.block_size:

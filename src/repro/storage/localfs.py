@@ -115,13 +115,17 @@ class LocalFileSystem(FsInterface):
         assert root.ino == ROOT_INO
         root.nlink = 2
         self.op_counts: dict[str, int] = {}
-        # Decoded-directory cache: ino -> (raw bytes, parsed entries).
-        # Every load still performs the block reads (the simulated cost
-        # is unchanged); the cache only skips the CPU-side re-parse when
-        # the on-disk bytes match what was last packed/parsed.  Matching
-        # on the raw bytes *is* the dirty tracking: any write that
-        # changes the directory changes the bytes and misses the cache.
-        self._dir_cache: dict[int, tuple[bytes, dict[str, int]]] = {}
+        # Decoded-directory cache: ino -> (size, blocks, entries), where
+        # ``blocks`` are the (block number, bytes object) pairs the
+        # buffer cache held when ``entries`` were parsed or stored.  A
+        # lookup uses the entries while the size and block numbers are
+        # unchanged, no block is stale and the buffer cache still holds
+        # each block as *the same object*: bytes are immutable and the
+        # entry keeps them alive, so a read would return exactly the
+        # bytes parsed.  ``BufferCache.hit_held`` then charges the hits
+        # that read would make (hits cost no simulated time); any other
+        # lookup reads and parses as before.
+        self._dir_cache: dict[int, tuple[int, tuple, dict[str, int]]] = {}
         # Namespace mutations are read-modify-write over directory
         # blocks; concurrent sim processes must serialize them exactly
         # as the kernel's VFS serializes directory updates with i_mutex.
@@ -240,28 +244,70 @@ class LocalFileSystem(FsInterface):
         return None
 
     # -- directory helpers ----------------------------------------------------------
-    def _load_dir(self, inode: _Inode) -> Generator:
+    def _cached_dir(self, inode: _Inode) -> dict[str, int] | None:
+        """The cached entries of ``inode`` if a read of the directory
+        would return the bytes they were parsed from (its buffer-cache
+        hits are then charged); else None.  Not a copy."""
+        cached = self._dir_cache.get(inode.ino)
+        if cached is None or cached[0] != inode.size:
+            return None
+        size, blocks, entries = cached
+        numbers = inode.blocks
+        if len(numbers) != len(blocks):
+            return None
+        stale = self._stale_blocks
+        for (block_no, _), number in zip(blocks, numbers):
+            if block_no != number or block_no in stale:
+                return None
+        if not self.cache.hit_held(blocks):
+            return None
+        return entries
+
+    def _read_dir(self, inode: _Inode) -> Generator:
+        """Read and parse a directory the cache could not answer."""
         if not inode.is_dir:
             raise NotADirectory(f"inode {inode.ino} is not a directory")
         raw = yield from self._read_inode_data(inode, 0, inode.size)
-        cached = self._dir_cache.get(inode.ino)
-        if cached is not None and cached[0] == raw:
-            return dict(cached[1])  # copy: callers mutate their view
         entries = _unpack_dir(raw)
-        self._dir_cache[inode.ino] = (raw, dict(entries))
+        self._remember_dir(inode, raw, entries)
         return entries
+
+    def _remember_dir(self, inode: _Inode, raw: bytes,
+                      entries: dict[str, int]) -> None:
+        """Cache ``entries`` as the parse of ``raw`` if the directory's
+        blocks now hold exactly ``raw`` (a read may have yielded on a
+        miss, and a store on an eviction)."""
+        numbers = inode.blocks
+        held = [self.cache.held(block_no) for block_no in numbers]
+        if (-(-inode.size // self.block_size) != len(numbers)
+                or None in held
+                or not self._stale_blocks.isdisjoint(numbers)
+                or b"".join(held)[:inode.size] != raw):
+            self._dir_cache.pop(inode.ino, None)
+            return
+        self._dir_cache[inode.ino] = (
+            inode.size, tuple(zip(numbers, held)), entries)
+
+    def _load_dir(self, inode: _Inode) -> Generator:
+        """A directory's entries, as a copy the caller may change."""
+        entries = self._cached_dir(inode)
+        if entries is None:
+            entries = yield from self._read_dir(inode)
+        return dict(entries)
 
     def _store_dir(self, inode: _Inode, entries: dict[str, int]) -> Generator:
         packed = _pack_dir(entries)
-        self._dir_cache[inode.ino] = (packed, dict(entries))
         yield from self._set_inode_data(inode, packed)
+        self._remember_dir(inode, packed, dict(entries))
         return None
 
     def _resolve(self, path: str) -> Generator:
         """Walk the path; return the inode.  Raises FileNotFound."""
         inode = self._inodes[ROOT_INO]
         for comp in split(path):
-            entries = yield from self._load_dir(inode)
+            entries = self._cached_dir(inode)
+            if entries is None:
+                entries = yield from self._read_dir(inode)
             child_ino = entries.get(comp)
             if child_ino is None:
                 raise FileNotFound(normalize(path))

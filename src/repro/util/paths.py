@@ -9,6 +9,11 @@ __all__ = ["normalize", "split", "parent_of", "basename", "is_ancestor"]
 
 def normalize(path: str) -> str:
     """Canonical absolute form: leading slash, no empty/dot components."""
+    if (type(path) is str and path[:1] == "/" and "//" not in path
+            and "/./" not in path and "/../" not in path
+            and "\x00" not in path
+            and (path == "/" or not path.endswith(("/", "/.", "/..")))):
+        return path  # already canonical
     if not isinstance(path, str):
         raise InvalidArgument(f"path must be str, got {type(path).__name__}")
     parts = [p for p in path.split("/") if p not in ("", ".")]

@@ -8,6 +8,8 @@ shape the hot paths actually see), and the decoded-directory cache.
 
 import hmac as stdlib_hmac
 import random
+from collections import Counter
+from unittest import mock
 
 from repro.crypto.aead import AesCtrHmacAead, StreamHmacAead
 from repro.crypto.aes import AES
@@ -208,8 +210,82 @@ class TestDirCache:
             yield from fs.mkdir("/gone")
             yield from fs.readdir("/gone")
             ino = (yield from fs.getattr("/gone")).ino
+            assert fs._dir_cache[ino] == (0, (), {})
             yield from fs.rmdir("/gone")
             assert ino not in fs._dir_cache
             return True
 
         assert sim.run_process(scenario())
+
+    def test_entry_holds_the_cached_block_objects(self):
+        sim, fs = self._fs()
+
+        def scenario():
+            yield from fs.mkdir("/d")
+            yield from fs.create("/d/a")
+            inode = fs._inodes[(yield from fs.getattr("/d")).ino]
+            size, blocks, entries = fs._dir_cache[inode.ino]
+            assert size == inode.size > 0
+            assert [block_no for block_no, _ in blocks] == inode.blocks
+            assert all(fs.cache.held(block_no) is data
+                       for block_no, data in blocks)
+            assert entries == {"a": (yield from fs.getattr("/d/a")).ino}
+            return True
+
+        assert sim.run_process(scenario())
+
+    def test_rewritten_block_is_reread_not_trusted(self):
+        # Equal bytes in a new object: the cache cannot vouch for it, so
+        # the lookup reads and parses again (charging the same hit).
+        sim, fs = self._fs()
+
+        def scenario():
+            yield from fs.mkdir("/d")
+            yield from fs.create("/d/a")
+            inode = fs._inodes[(yield from fs.getattr("/d")).ino]
+            (block_no, data), = fs._dir_cache[inode.ino][1]
+            yield from fs.cache.write(block_no, bytearray(data))
+            assert fs.cache.held(block_no) is not data
+            reads = Counter()
+            with _counting_dir_reads(reads):
+                hits = fs.cache.hits
+                assert (yield from fs.exists("/d/a"))
+            assert reads == {inode.ino: 1}
+            assert fs.cache.hits - hits == 2  # "/" and "/d"
+            return True
+
+        assert sim.run_process(scenario())
+
+    def test_repeated_lookups_read_each_directory_at_most_once(self):
+        # Before the block-validated cache every lookup read each of the
+        # four directories on the path: 200 reads for these 50 getattrs.
+        sim, fs = self._fs()
+        reads = Counter()
+
+        def scenario():
+            yield from fs.mkdir("/a")
+            yield from fs.mkdir("/a/b")
+            yield from fs.mkdir("/a/b/c")
+            yield from fs.create("/a/b/c/f")
+            hits = fs.cache.hits
+            with _counting_dir_reads(reads):
+                for _ in range(50):
+                    yield from fs.getattr("/a/b/c/f")
+            # The same buffer-cache hits a read of each directory makes.
+            assert fs.cache.hits - hits == 50 * 4
+            return True
+
+        assert sim.run_process(scenario())
+        assert len(reads) <= 4 and all(n <= 1 for n in reads.values()), reads
+
+
+def _counting_dir_reads(reads: Counter):
+    """Count ``_read_inode_data`` calls on directory inodes, by ino."""
+    real = LocalFileSystem._read_inode_data
+
+    def counting(fs, inode, offset, size):
+        if inode.is_dir:
+            reads[inode.ino] += 1
+        return real(fs, inode, offset, size)
+
+    return mock.patch.object(LocalFileSystem, "_read_inode_data", counting)

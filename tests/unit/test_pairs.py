@@ -84,3 +84,18 @@ def test_extremes_line():
     line = pairs.extremes_line("op_p50_ms", BASE, [100.0] * 10, "lower")
     assert line.endswith("worst change run 100, best base run 99: "
                          "the two sides' runs overlap")
+
+
+def test_markdown_row():
+    change = [110.0] * 9 + [98.0]
+    said = pairs.verdict(BASE, change, "higher", 0.25, claimed=True)
+    assert pairs.markdown_row("ledger-0", BASE, change, "higher", said) == (
+        "| `ledger-0` | 10 | 100 [99.38, 100.6] | 110 [110, 110] | "
+        "1.10× | 9/10 | claim holds |")
+    # Thousands grouped, below that four significant digits.
+    row = pairs.markdown_row("ledger-1", [1200.0, 1250.0, 1300.0, 1350.0],
+                             [0.08, 0.09, 0.1, 0.11], "lower", "ok")
+    assert row == ("| `ledger-1` | 4 | 1,275 [1,212, 1,338] | "
+                   "0.095 [0.0825, 0.1075] | 0.00× | 4/4 | ok |")
+    assert pairs.MARKDOWN_HEADER.splitlines()[0].count("|") \
+        == row.count("|")

@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Paired, alternating ledger runs of two commits:
-``tools/pairs.py BASE CHANGE --workload W --seed S --pairs N``.
+``tools/pairs.py BASE CHANGE --workload W --seed S [--seed S2 ...]
+--pairs N``.
 
-Checks both commits out into temporary ``git worktree``s, then runs the
-ledger's one-run form (``benchmarks/ledger/run.py --workload W --seed S
---seconds T --trace 0``) in each, N times, alternating which side goes
-first so slow and fast periods of the machine fall on both.  Prints,
-for every end-to-end metric, each side's median [quartiles], the ratio
-CHANGE/BASE of the medians, in how many pairs CHANGE was the better
-one, and a verdict:
+Checks both commits out into temporary ``git worktree``s, then, for each
+seed in turn, runs the ledger's one-run form (``benchmarks/ledger/run.py
+--workload W --seed S --seconds T --trace 0``) in each, N times,
+alternating which side goes first so slow and fast periods of the
+machine fall on both.  Prints, per seed and for every end-to-end metric,
+each side's median [quartiles], the ratio CHANGE/BASE of the medians,
+in how many pairs CHANGE was the better one, and a verdict:
 
 * the metric named by ``--claim``: "claim holds" only when CHANGE won
   at least nine tenths of the pairs (ties count for neither) and its
@@ -20,10 +21,12 @@ one, and a verdict:
   bound (unless every CHANGE run beats every BASE run), else "ok".
 
 Then one line comparing the worst CHANGE run of the claimed metric
-(``host_ops_per_s`` without ``--claim``) with the best BASE run, and the
-ledger's sim-identity check (``compare.py``): whether every simulated
-statistic and program count of the two commits is identical, as a pure
-speed-up must leave them.
+(``host_ops_per_s`` without ``--claim``) with the best BASE run; with
+``--claim``, the claimed metric's markdown row (seed, pairs, each side's
+median [q1, q3], ratio, wins, verdict) for ``docs/PERFORMANCE.md``; and
+the ledger's sim-identity check (``compare.py``): whether every
+simulated statistic and program count of the two commits is identical,
+as a pure speed-up must leave them.
 
 Exits non-zero when a run fails its own checks or the simulated
 statistics differ.  Run from anywhere inside the repository.
@@ -49,11 +52,11 @@ def git(*args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def one_run(tree: Path, args) -> dict:
+def one_run(tree: Path, args, seed: str) -> dict:
     """One run of the ledger's one-run form in ``tree``: its detail
     line (end-to-end values, simulated statistics, counts)."""
     command = [sys.executable, "benchmarks/ledger/run.py",
-               "--workload", args.workload, "--seed", args.seed,
+               "--workload", args.workload, "--seed", seed,
                "--seconds", str(args.seconds), "--trace", "0"]
     if args.smoke:
         command.append("--smoke")
@@ -129,50 +132,40 @@ def extremes_line(name: str, base: list, change: list, better: str) -> str:
             f"{best_base:.6g}: {relation}")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
-    parser.add_argument("base")
-    parser.add_argument("change")
-    parser.add_argument("--workload", default="fleet_drr")
-    parser.add_argument("--seed", default="ledger-0")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--smoke", action="store_true",
-                        help="the ledger's tenth-size workloads")
-    parser.add_argument("--claim", metavar="METRIC",
-                        help="the end-to-end metric the change claims "
-                             "to improve")
-    args = parser.parse_args(argv)
+def _number(value: float) -> str:
+    """A cell value: thousands grouped, else four significant digits."""
+    return f"{value:,.0f}" if abs(value) >= 1000 else f"{value:.4g}"
 
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+MARKDOWN_HEADER = ("| seed | pairs | base median [q1, q3] | "
+                   "change median [q1, q3] | change/base | wins | verdict |\n"
+                   "|---|---|---|---|---|---|---|")
+
+
+def markdown_row(seed: str, base: list, change: list, better: str,
+                 said: str) -> str:
+    """One metric's paired runs as a row under ``MARKDOWN_HEADER``."""
+    cells = []
+    for values in (base, change):
+        q1, q3 = quartiles(values)
+        cells.append(f"{_number(statistics.median(values))} "
+                     f"[{_number(q1)}, {_number(q3)}]")
+    ratio = statistics.median(change) / statistics.median(base)
+    wins = count_wins(base, change, better == "lower")
+    return (f"| `{seed}` | {len(base)} | {cells[0]} | {cells[1]} | "
+            f"{ratio:.2f}× | {wins}/{len(base)} | {said} |")
+
+
+def report(spec: dict, args, seed: str, runs: dict, shas: dict) -> bool:
+    """Print one seed's table, extremes line, markdown row and
+    sim-identity check; True when the simulated statistics differ."""
     metrics = {metric["name"]: metric for metric in spec["end_to_end"]}
-    if args.claim is not None and args.claim not in metrics:
-        parser.error(f"--claim: no end-to-end metric {args.claim!r}")
-    sides = {"base": args.base, "change": args.change}
-    shas = {side: git("rev-parse", "--short", rev)
-            for side, rev in sides.items()}
-    runs: dict = {"base": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="pairs-") as scratch:
-        trees = {side: Path(scratch) / side for side in sides}
-        for side, rev in sides.items():
-            git("worktree", "add", "--detach", str(trees[side]), rev)
-        try:
-            for i in range(args.pairs):
-                order = ("base", "change") if i % 2 == 0 else ("change", "base")
-                for side in order:
-                    runs[side].append(one_run(trees[side], args))
-                print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
-        finally:
-            for tree in trees.values():
-                git("worktree", "remove", "--force", str(tree))
-
-    print(f"{args.workload}  seed {args.seed}  {args.pairs} pairs of "
+    print(f"{args.workload}  seed {seed}  {args.pairs} pairs of "
           f"{args.seconds:g} s  base {shas['base']}  change {shas['change']}")
     print(f"{'metric':<16}{'base median [q1, q3]':>32}  "
           f"{'change median [q1, q3]':>32}{'change/base':>12}{'wins':>7}"
           f"  verdict")
-    values_of = {}
+    values_of, said_of = {}, {}
     for metric in spec["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
         values = {side: [run["end_to_end"][name] for run in runs[side]]
@@ -188,12 +181,19 @@ def main(argv=None) -> int:
                  / statistics.median(values["base"]))
         said = verdict(values["base"], values["change"], metric["better"],
                        metric["bound"], claimed=name == args.claim)
+        said_of[name] = said
         print(f"{name:<16}{cells[0]:>32}  {cells[1]:>32}{ratio:>12.4f}"
               f"{wins:>4}/{args.pairs}  {said}")
     extreme = args.claim or "host_ops_per_s"
     print(extremes_line(extreme, values_of[extreme]["base"],
                         values_of[extreme]["change"],
                         metrics[extreme]["better"]))
+    if args.claim is not None:
+        print(MARKDOWN_HEADER)
+        print(markdown_row(seed, values_of[args.claim]["base"],
+                           values_of[args.claim]["change"],
+                           metrics[args.claim]["better"],
+                           said_of[args.claim]))
 
     sys.path.insert(0, str(LEDGER))
     import compare
@@ -210,6 +210,57 @@ def main(argv=None) -> int:
     print(f"{args.workload}: simulated statistics and counts "
           + ("identical" if not differ else
              "differ in " + ", ".join(sorted(set(differ))[:8])))
+    return bool(differ)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("base")
+    parser.add_argument("change")
+    parser.add_argument("--workload", default="fleet_drr")
+    parser.add_argument("--seed", action="append", dest="seeds",
+                        metavar="SEED",
+                        help="repeat for several seeds (default ledger-0)")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--smoke", action="store_true",
+                        help="the ledger's tenth-size workloads")
+    parser.add_argument("--claim", metavar="METRIC",
+                        help="the end-to-end metric the change claims "
+                             "to improve")
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {metric["name"] for metric in spec["end_to_end"]}
+    if args.claim is not None and args.claim not in metrics:
+        parser.error(f"--claim: no end-to-end metric {args.claim!r}")
+    seeds = args.seeds or ["ledger-0"]
+    sides = {"base": args.base, "change": args.change}
+    shas = {side: git("rev-parse", "--short", rev)
+            for side, rev in sides.items()}
+    runs_of: dict = {seed: {"base": [], "change": []} for seed in seeds}
+    with tempfile.TemporaryDirectory(prefix="pairs-") as scratch:
+        trees = {side: Path(scratch) / side for side in sides}
+        for side, rev in sides.items():
+            git("worktree", "add", "--detach", str(trees[side]), rev)
+        try:
+            for seed in seeds:
+                runs = runs_of[seed]
+                for i in range(args.pairs):
+                    order = (("base", "change") if i % 2 == 0
+                             else ("change", "base"))
+                    for side in order:
+                        runs[side].append(one_run(trees[side], args, seed))
+                    print(f"{seed}: pair {i + 1}/{args.pairs} done",
+                          file=sys.stderr)
+        finally:
+            for tree in trees.values():
+                git("worktree", "remove", "--force", str(tree))
+
+    differ = False
+    for seed in seeds:
+        differ |= report(spec, args, seed, runs_of[seed], shas)
     return 1 if differ else 0
 
 
