@@ -281,7 +281,6 @@ class LocalFileSystem(FsInterface):
         held = [self.cache.held(block_no) for block_no in numbers]
         if (-(-inode.size // self.block_size) != len(numbers)
                 or None in held
-                or not self._stale_blocks.isdisjoint(numbers)
                 or b"".join(held)[:inode.size] != raw):
             self._dir_cache.pop(inode.ino, None)
             return
