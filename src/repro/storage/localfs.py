@@ -249,11 +249,11 @@ class LocalFileSystem(FsInterface):
         would return the bytes they were parsed from (its buffer-cache
         hits are then charged); else None.  Not a copy."""
         cached = self._dir_cache.get(inode.ino)
-        if cached is None or cached[0] != inode.size:
+        if cached is None:
             return None
         size, blocks, entries = cached
         numbers = inode.blocks
-        if len(numbers) != len(blocks):
+        if size != inode.size or len(numbers) != len(blocks):
             return None
         stale = self._stale_blocks
         for (block_no, _), number in zip(blocks, numbers):

@@ -96,6 +96,22 @@ def test_buckets_follow_the_traffic(tmp_path):
     }
 
 
+def test_same_bodied_functions_of_two_modules_stay_apart(tmp_path):
+    # Equal code objects compare equal whatever their file: both calls
+    # must be seen, not just the first.
+    reach = _load_tool()
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "twin.py").write_text(MODULE)
+    program = _traced(tmp_path, reach, """
+        import pkg.mod, pkg.twin
+        pkg.mod.used()
+        pkg.twin.used()
+    """)
+    buckets = reach.classify(reach.functions(tmp_path / "src"), program,
+                             set())
+    assert buckets["pkg.mod:used"] == buckets["pkg.twin:used"] == "program"
+
+
 def test_check_names_an_uncalled_function(tmp_path, capsys):
     reach = _load_tool()
     program = _traced(tmp_path, reach, """

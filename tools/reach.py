@@ -95,17 +95,20 @@ def install() -> None:
     import atexit
     import threading
 
-    seen: set = set()
-    add = seen.add
+    # Keyed by identity: code objects compare equal across files (the
+    # filename is not part of code equality), so a set would keep only
+    # one of two same-bodied functions on the same line of two modules.
+    seen: dict = {}
 
     def tracer(frame, event, arg):
-        add(frame.f_code)  # returns None: the frame's lines go untraced
+        code = frame.f_code
+        seen[id(code)] = code  # returns None: the frame's lines go untraced
 
     out = Path(os.environ[DUMP_ENV])
     src = os.path.realpath(os.environ[SRC_ENV]) + os.sep
 
     def dump() -> None:
-        codes = list(seen)
+        codes = list(seen.values())
         inside = {f for f in {code.co_filename for code in codes}
                   if os.path.realpath(f).startswith(src)}
         keys = {f"{code.co_filename}\t{code.co_firstlineno}\t{code.co_name}"
