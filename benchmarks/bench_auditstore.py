@@ -18,9 +18,12 @@ log.  This measures the event-sourced store (``SegmentedAuditStore`` +
 * **durable-ablation** — single-append throughput through
   ``DurableAuditStore`` over memory blobs under each flush policy
   (every-append / every-n / every-seal), against the plain segmented
-  store: what each durability cadence costs on the append path, and how
+  store: what each durability cadence costs on the append path, how
   many times each appended entry was serialised on the way (exactly
-  once: a flush encodes only the entries new since the last one).
+  once: a flush encodes only the entries new since the last one), and
+  how many bytes the segment footers hashed per appended entry (about
+  one record's worth: a flush extends the segment's running hash by
+  its new records and finishes a copy with the short suffix).
 * **durable-recovery** — a million-entry durable store is spilled at
   several segment sizes, then recovered from its crash image alone;
   recovery must verify the full chain and its throughput is recorded
@@ -31,9 +34,10 @@ log.  This measures the event-sourced store (``SegmentedAuditStore`` +
   (zero: a compacted segment is verified in its packed form).
 
 The machine-stable ratios (``meta.speedups``) and the exact counts
-(``meta.counts``: entry encodes per appended entry, entry builds per
-recovered entry, unpacks per verified entry) are gated in CI by
-``check_perf.py`` against ``baselines/BENCH_auditstore_baseline.json``.
+(``meta.counts``: entry encodes and footer bytes hashed per appended
+entry, entry builds per recovered entry, unpacks per verified entry)
+are gated in CI by ``check_perf.py`` against
+``baselines/BENCH_auditstore_baseline.json``.
 
 Run directly for CI smoke (reduced entry count, same asserts):
 
@@ -42,6 +46,7 @@ Run directly for CI smoke (reduced entry count, same asserts):
 
 from __future__ import annotations
 
+import hashlib
 import time
 from unittest import mock
 
@@ -52,6 +57,7 @@ from repro.auditstore import (
     SegmentedAuditStore,
     codec,
 )
+from repro.auditstore import durable as durable_module
 from repro.auditstore import store as store_module
 from repro.auditstore.log import DISCLOSING_KINDS, new_entry
 from repro.harness.results import ResultTable
@@ -72,6 +78,11 @@ FLEET_DURATION = 6.0
 #: and copies on each flush.
 ABLATION_ENTRIES = 50_000
 ABLATION_SEGMENT = 256
+
+#: footer-hash count: one fill of this many single appends per policy,
+#: whatever the ablation's size, so smoke and full runs record the
+#: same exact count.
+HASH_COUNT_ENTRIES = 8 * ABLATION_SEGMENT
 
 #: durable recovery: one 10^6-entry store per segment size.
 RECOVERY_SEGMENTS = (1024, 4096, 16384)
@@ -200,18 +211,25 @@ def run_fleet_arm(devices, duration):
 ABLATION_REPEATS = 3
 
 
+_ABLATION_IDS = [i.to_bytes(3, "big") * 8 for i in range(64)]
+
+
+def _fill(log, entries):
+    """Single-append ``entries`` deterministic records into ``log``."""
+    for i in range(entries):
+        log.append(i * 0.01, f"dev-{i % 128:05d}",
+                   KIND_CYCLE[i % len(KIND_CYCLE)],
+                   audit_id=_ABLATION_IDS[i % len(_ABLATION_IDS)])
+
+
 def _append_rate(make_log, entries):
     """Single-append ``entries`` records into each of a few fresh logs;
     returns (best appends/s, the last log filled)."""
-    audit_ids = [i.to_bytes(3, "big") * 8 for i in range(64)]
     best_rate = 0.0
     for _ in range(ABLATION_REPEATS):
         log = make_log()
         start = time.perf_counter()
-        for i in range(entries):
-            log.append(i * 0.01, f"dev-{i % 128:05d}",
-                       KIND_CYCLE[i % len(KIND_CYCLE)],
-                       audit_id=audit_ids[i % len(audit_ids)])
+        _fill(log, entries)
         best_rate = max(best_rate, entries / (time.perf_counter() - start))
     return best_rate, log
 
@@ -223,6 +241,43 @@ def _counting(real):
         return real(*args, **kwargs)
     wrapper.calls = 0
     return wrapper
+
+
+class _CountingSha256:
+    """``hashlib.sha256`` that adds every byte it is fed, copies
+    included, to the class's ``fed``."""
+
+    fed = 0
+    _new = hashlib.sha256
+
+    def __init__(self, data=b"", state=None):
+        self._state = self._new() if state is None else state
+        self.update(data)
+
+    def update(self, data):
+        _CountingSha256.fed += len(data)
+        self._state.update(data)
+
+    def copy(self):
+        return _CountingSha256(state=self._state.copy())
+
+    def digest(self):
+        return self._state.digest()
+
+
+def _footer_bytes_per_entry(make_log):
+    """Bytes fed to SHA-256 inside ``encode_segment`` per appended
+    entry, over one ``HASH_COUNT_ENTRIES`` fill of a fresh log."""
+    real = durable_module.encode_segment
+
+    def counted(segment):
+        with mock.patch.object(hashlib, "sha256", _CountingSha256):
+            return real(segment)
+
+    start = _CountingSha256.fed
+    with mock.patch.object(durable_module, "encode_segment", counted):
+        _fill(make_log(), HASH_COUNT_ENTRIES)
+    return (_CountingSha256.fed - start) / HASH_COUNT_ENTRIES
 
 
 def run_flush_ablation(entries):
@@ -238,17 +293,18 @@ def run_flush_ablation(entries):
     for policy, kwargs in (("every-append", {}),
                            ("every-n", {"flush_every": 64}),
                            ("every-seal", {})):
+        def make_log():
+            return DurableAuditStore.create(
+                BlobStore("memory").namespace("audit/bench"),
+                name="bench",
+                segment_entries=ABLATION_SEGMENT,
+                flush_policy=policy,
+                **kwargs,
+            )
+
         encode = _counting(codec.encode_entry)
         with mock.patch.object(codec, "encode_entry", encode):
-            rate, log = _append_rate(
-                lambda: DurableAuditStore.create(
-                    BlobStore("memory").namespace("audit/bench"),
-                    name="bench",
-                    segment_entries=ABLATION_SEGMENT,
-                    flush_policy=policy,
-                    **kwargs,
-                ),
-                entries)
+            rate, log = _append_rate(make_log, entries)
         durable = log.stats()["durable"]
         assert durable["unflushed_entries"] < ABLATION_SEGMENT
         out[policy] = {
@@ -256,6 +312,7 @@ def run_flush_ablation(entries):
             "flushes": durable["flushes"],
             "spilled_segments": durable["spilled_segments"],
             "encodes_per_entry": encode.calls / (ABLATION_REPEATS * entries),
+            "footer_bytes_per_entry": _footer_bytes_per_entry(make_log),
         }
     return out
 
@@ -363,7 +420,8 @@ def auditstore_table(jobs=None, entries=N_ENTRIES,
         detail = ("no durability" if policy == "segmented" else
                   f"{row['flushes']} flushes, "
                   f"{row['spilled_segments']} spills, "
-                  f"{row['encodes_per_entry']:.3f} encodes/entry")
+                  f"{row['encodes_per_entry']:.3f} encodes/entry, "
+                  f"{row['footer_bytes_per_entry']:.1f} B hashed/entry")
         durable.add(f"append [{policy}]", ablation["entries"],
                     f"{row['appends_per_s']:,.0f}/s", detail)
     for segment_entries, row in sorted(recovery["per_segment"].items(),
@@ -398,11 +456,12 @@ def auditstore_table(jobs=None, entries=N_ENTRIES,
             best_recovery / ablation["segmented"]["appends_per_s"], 2),
     }
     # machine-independent: an entry is serialised at most once however
-    # often its segment is flushed.
-    counts = {
-        f"encodes_per_entry[{policy}]": ablation[policy]["encodes_per_entry"]
-        for policy in ("every-append", "every-n", "every-seal")
-    }
+    # often its segment is flushed, and its record is hashed into one
+    # footer chain once, plus a short suffix per flush.
+    counts = {}
+    for policy in ("every-append", "every-n", "every-seal"):
+        for name in ("encodes_per_entry", "footer_bytes_per_entry"):
+            counts[f"{name}[{policy}]"] = ablation[policy][name]
     # likewise exact: the worst segment size of the recovery arm.
     for name in ("entry_builds_per_recovered_entry",
                  "unpacks_per_verified_entry"):

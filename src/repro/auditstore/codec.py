@@ -1,15 +1,31 @@
 """Canonical byte encoding for audit segments and view checkpoints.
 
 This is the durability seam's wire format: the serialization-ready
-segment shape (sealed, compacted, seal-chained) finally cashed in as a
+segment shape (sealed, compacted, seal-chained) cashed in as a
 versioned, length-prefixed blob layout.  Two blob kinds exist:
 
-``segment`` (magic ``KPSEG\\x01``)
+``segment`` (magic ``KPSEG\\x02``)
     One :class:`~repro.auditstore.store.AuditSegment`, entries
-    embedded with their chain hashes.  Sealed segments carry the full
-    seal record (last hash, seal hash, time span) so the seal chain
-    can be re-verified from blobs alone; unsealed tails re-derive
-    their running state from the entries on decode.
+    embedded with their chain hashes::
+
+        header   magic · u32 index · u64 base sequence · 32B base hash
+        records  per entry: u32 length · encoded entry
+        suffix   [sealed only: 32B last hash · 32B seal hash
+                  · f64 first timestamp · f64 last timestamp]
+                 · u32 entry count · u8 flags (0x01 = sealed)
+        footer   SHA-256 over everything before it
+
+    What changes between two flushes of one segment — the entry
+    count and, at seal time, the flags and seal record — sits after
+    the records, so header · records is a prefix that only grows.  A
+    flush therefore extends the segment's running hash of that prefix
+    by the new records alone and finishes a copy of it with the
+    suffix.  The flags byte is last, so a reader finds the suffix from
+    the end of the body.  Sealed segments carry the full seal record
+    so the seal chain can be re-verified from blobs alone; unsealed
+    tails re-derive their running state from the entries on decode.
+    ``KPSEG\\x01`` (count, flags and seal record before the records)
+    is refused as bad magic.
 
 ``checkpoint`` (magic ``KPCKP\\x01``)
     An :class:`~repro.auditstore.views.AuditViews` snapshot bound to a
@@ -24,7 +40,7 @@ rot and truncation are detected before any chain math runs.  All
 integers are big-endian; strings are UTF-8; field values use a small
 tagged encoding (None/bool/int/float/bytes/str) that round-trips
 exactly — floats travel as IEEE-754 doubles, which is lossless for
-the simulated clocks, so re-deriving ``entry_digest`` over decoded
+the simulated clocks, so re-deriving ``chain_digest`` over decoded
 entries reproduces the original chain bytes bit for bit.
 
 Decode errors raise :class:`~repro.errors.AuditRecoveryError`; this
@@ -33,6 +49,7 @@ module never guesses at damaged input.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from typing import Any
 
@@ -52,7 +69,7 @@ __all__ = [
     "decode_checkpoint",
 ]
 
-SEGMENT_MAGIC = b"KPSEG\x01"
+SEGMENT_MAGIC = b"KPSEG\x02"
 CHECKPOINT_MAGIC = b"KPCKP\x01"
 
 _HASH = 32  # sha256 digest size
@@ -63,12 +80,16 @@ _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _F64 = struct.Struct(">d")
 
-# Fixed-layout runs the decoders read in one call each.
-#: magic, index, base sequence, base hash, flags
-_SEGMENT_HEAD = struct.Struct(">6sIQ32sB")
+# Fixed-layout runs read or written in one call each.
+#: magic, index, base sequence, base hash
+_SEGMENT_HEAD = struct.Struct(">6sIQ32s")
 #: last hash, seal hash, first and last timestamp
 _SEAL_RECORD = struct.Struct(">32s32sdd")
-#: record length, sequence, timestamp, device-id length
+#: entry count, flags
+_SEGMENT_END = struct.Struct(">IB")
+#: sequence, timestamp, device-id length
+_ENTRY_HEAD = struct.Struct(">QdH")
+#: record length, then ``_ENTRY_HEAD``
 _RECORD_HEAD = struct.Struct(">IQdH")
 #: magic, upto, bound hash, ingested, out-of-order
 _CHECKPOINT_HEAD = struct.Struct(">6sQ32sQQ")
@@ -158,16 +179,25 @@ def encode_entry(entry: LogEntry) -> bytes:
             f"entry {entry.sequence} has no chain hash; only committed "
             "entries are encodable"
         )
+    device_id = entry.device_id.encode()
+    kind = entry.kind.encode()
+    fields = entry.fields
     parts = [
-        _U64.pack(entry.sequence),
-        _F64.pack(entry.timestamp),
-        _lp_str(entry.device_id),
-        _lp_str(entry.kind),
-        _U16.pack(len(entry.fields)),
+        _ENTRY_HEAD.pack(entry.sequence, entry.timestamp, len(device_id)),
+        device_id,
+        _U16.pack(len(kind)),
+        kind,
+        _U16.pack(len(fields)),
     ]
-    for key in sorted(entry.fields):
+    for key in sorted(fields):
         parts.append(_lp_str(key))
-        parts.append(_encode_value(entry.fields[key]))
+        value = fields[key]
+        if type(value) is bytes:
+            parts.append(_TAG_BYTES)
+            parts.append(_U32.pack(len(value)))
+            parts.append(value)
+        else:
+            parts.append(_encode_value(value))
     parts.append(entry.chain_hash)
     return b"".join(parts)
 
@@ -180,33 +210,41 @@ _FLAG_SEALED = 0x01
 def encode_segment(segment: AuditSegment) -> bytes:
     """Serialize one segment (live or compacted; sealed or the tail).
 
-    Entries are encoded once: only those added since the segment's
-    previous encode are serialised (into its record cache), and the
-    blob is assembled from the cache.  A sealed segment is written
-    exactly once, so its cache is released here.
+    Entries are encoded and hashed once: only those added since the
+    segment's previous encode are serialised (into its record cache)
+    and fed to its running hash of header · records.  The footer is a
+    copy of that hash finished with the suffix, and the blob is
+    assembled with one join.  A sealed segment is written exactly
+    once, so its cache and hash are released here.
     """
-    records = segment.records
+    head = _SEGMENT_HEAD.pack(SEGMENT_MAGIC, segment.index,
+                              segment.base_sequence, segment.base_hash)
+    prefix = segment.prefix_hash
+    if prefix is None:
+        prefix = segment.prefix_hash = hashlib.sha256(head)
+    parts = []
     for entry in segment.entries_from(segment.encoded):
-        records += _lp(encode_entry(entry))
+        record = encode_entry(entry)
+        parts.append(_U32.pack(len(record)))
+        parts.append(record)
+    if parts:
+        new = b"".join(parts)
+        prefix.update(new)
+        segment.records += new
     segment.encoded = len(segment)
-    parts = [
-        SEGMENT_MAGIC,
-        _U32.pack(segment.index),
-        _U64.pack(segment.base_sequence),
-        segment.base_hash,
-        _U8.pack(_FLAG_SEALED if segment.sealed else 0),
-    ]
     if segment.sealed:
-        parts.append(segment.last_hash)
-        parts.append(segment.seal_hash)
-        parts.append(_F64.pack(segment.first_timestamp))
-        parts.append(_F64.pack(segment.last_timestamp))
-    parts.append(_U32.pack(len(segment)))
-    parts.append(records)
-    body = b"".join(parts)
+        suffix = _SEAL_RECORD.pack(
+            segment.last_hash, segment.seal_hash,
+            segment.first_timestamp, segment.last_timestamp,
+        ) + _SEGMENT_END.pack(len(segment), _FLAG_SEALED)
+    else:
+        suffix = _SEGMENT_END.pack(len(segment), 0)
+    footer = prefix.copy()
+    footer.update(suffix)
+    blob = b"".join((head, segment.records, suffix, footer.digest()))
     if segment.sealed:
         segment.drop_records()
-    return body + sha256_fast(body)
+    return blob
 
 
 class _Texts(dict):
@@ -242,11 +280,13 @@ def decode_segment(data: bytes, what: str = "segment blob") -> AuditSegment:
     sealed segments.  Chain *verification* against neighbours is the
     caller's job (:meth:`SegmentedAuditStore.verify_chain`).
 
-    One pass over the body at explicit offsets.  A fixed-width read
-    past the end of the body raises ``struct.error``; a variable-width
-    slice cannot, so every record must end exactly where its length
-    prefix says (and inside the body) — that one equality bounds every
-    read made inside the record.
+    The suffix is read from the end of the body (its flags byte is
+    last), then the records in one pass at explicit offsets.  A
+    fixed-width read past the end of the body raises ``struct.error``;
+    a variable-width slice cannot, so every record must end exactly
+    where its length prefix says (and before the suffix) — that one
+    equality bounds every read made inside the record — and the last
+    one exactly where the suffix begins.
     """
     body = _checked_body(data, SEGMENT_MAGIC, what, "segment")
     size = len(body)
@@ -256,24 +296,28 @@ def decode_segment(data: bytes, what: str = "segment blob") -> AuditSegment:
     entries: list[LogEntry] = []
     off = 0
     try:
-        _, index, base_sequence, base_hash, flags = _SEGMENT_HEAD.unpack_from(
-            body
-        )
-        off = _SEGMENT_HEAD.size
+        _, index, base_sequence, base_hash = _SEGMENT_HEAD.unpack_from(body)
+        records_end = size - _SEGMENT_END.size
+        count, flags = _SEGMENT_END.unpack_from(body, records_end)
         seal_record = None
         if flags & _FLAG_SEALED:
-            seal_record = _SEAL_RECORD.unpack_from(body, off)
-            off += _SEAL_RECORD.size
-        (count,) = _U32.unpack_from(body, off)
-        off += 4
+            records_end -= _SEAL_RECORD.size
+        if records_end < _SEGMENT_HEAD.size:
+            raise AuditRecoveryError(
+                f"truncated {what}: {size} bytes cannot hold its header "
+                "and suffix"
+            )
+        if flags & _FLAG_SEALED:
+            seal_record = _SEAL_RECORD.unpack_from(body, records_end)
+        off = _SEGMENT_HEAD.size
         for expected in range(base_sequence, base_sequence + count):
             length, sequence, timestamp, n = record_head(body, off)
             end = off + 4 + length
-            if end > size:
+            if end > records_end:
                 raise AuditRecoveryError(
                     f"truncated {what}: entry {expected - base_sequence} "
-                    f"claims {length} bytes at offset {off}, body is "
-                    f"{size} bytes"
+                    f"claims {length} bytes at offset {off}, the records "
+                    f"end at {records_end}"
                 )
             if sequence != expected:
                 raise AuditRecoveryError(
@@ -308,9 +352,10 @@ def decode_segment(data: bytes, what: str = "segment blob") -> AuditSegment:
         raise AuditRecoveryError(
             f"truncated or malformed {what} near offset {off}: {exc}"
         ) from exc
-    if off != size:
+    if off != records_end:
         raise AuditRecoveryError(
-            f"{what}: {size - off} trailing bytes after entries"
+            f"{what}: {records_end - off} bytes between the {count} "
+            "entries and the suffix"
         )
     segment = AuditSegment(
         index=index, base_sequence=base_sequence, base_hash=base_hash
@@ -318,7 +363,11 @@ def decode_segment(data: bytes, what: str = "segment blob") -> AuditSegment:
     segment.hold_many(entries)
     if seal_record is not None:
         last_hash, seal_hash, first_ts, last_ts = seal_record
-        if count and segment.last_hash != last_hash:
+        # Only a segment with entries seals; a cut through the records can
+        # leave a flags byte that reads "sealed" over a count of 0.
+        if not count:
+            raise AuditRecoveryError(f"{what}: sealed with no entries")
+        if segment.last_hash != last_hash:
             raise AuditRecoveryError(
                 f"{what}: stored last hash disagrees with entries"
             )

@@ -33,6 +33,7 @@ __all__ = [
     "AppendOnlyLog",
     "DISCLOSING_KINDS",
     "GENESIS_HASH",
+    "chain_digest",
     "entry_digest",
     "chain_entry",
 ]
@@ -86,33 +87,45 @@ def new_entry(sequence: int, timestamp: float, device_id: str, kind: str,
     return entry
 
 
-def entry_digest(prev: bytes, entry: LogEntry) -> bytes:
+def chain_digest(prev: bytes, sequence: int, timestamp: float,
+                 device_id: str, kind: str, items) -> bytes:
     """The chain step: H(prev || canonical-entry-material).
 
-    The material is derived from the entry's *content* (not its storage
-    form), so a compacted record re-verifies byte-for-byte against the
-    hash its original produced.
+    ``items`` are the entry's field ``(key, value)`` pairs: a dict's
+    ``items()`` view, or the key-sorted tuple a compacted segment
+    packs.  The material is ``repr((sequence, timestamp, device_id,
+    kind, sorted(items)))`` -- derived from the entry's *content*, not
+    its storage form, so a compacted record re-verifies byte for byte
+    against the hash its original produced.  It is written out as an
+    f-string instead, which builds no tuple, and for the usual single
+    field no list either.
     """
-    material = repr(
-        (entry.sequence, entry.timestamp, entry.device_id, entry.kind,
-         sorted(entry.fields.items()))
-    ).encode()
-    return sha256_fast(prev + material)
+    if len(items) == 1:
+        ((key, value),) = items
+        material = (f"({sequence!r}, {timestamp!r}, {device_id!r}, "
+                    f"{kind!r}, [({key!r}, {value!r})])")
+    else:
+        material = (f"({sequence!r}, {timestamp!r}, {device_id!r}, "
+                    f"{kind!r}, {sorted(items)!r})")
+    return sha256_fast(prev + material.encode())
+
+
+def entry_digest(prev: bytes, entry: LogEntry) -> bytes:
+    """:func:`chain_digest` of a built entry."""
+    return chain_digest(prev, entry.sequence, entry.timestamp,
+                        entry.device_id, entry.kind, entry.fields.items())
 
 
 def chain_entry(prev: bytes, sequence: int, timestamp: float,
                 device_id: str, kind: str, fields: dict[str, Any]) -> LogEntry:
     """Build the committed entry that follows ``prev`` on the chain.
 
-    Inlines :func:`entry_digest`'s material (same bytes) so the entry
-    is constructed exactly once, by :func:`new_entry`.  ``fields`` is
-    stored as-is: the caller hands over a dict it owns.
+    The entry is constructed exactly once, by :func:`new_entry`.
+    ``fields`` is stored as-is: the caller hands over a dict it owns.
     """
-    material = repr(
-        (sequence, timestamp, device_id, kind, sorted(fields.items()))
-    ).encode()
     return new_entry(sequence, timestamp, device_id, kind, fields,
-                     sha256_fast(prev + material))
+                     chain_digest(prev, sequence, timestamp, device_id,
+                                  kind, fields.items()))
 
 
 @dataclass

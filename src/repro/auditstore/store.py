@@ -21,10 +21,17 @@ hash is 32 zero bytes.  A flat log and a segmented store fed the same
 records therefore produce byte-identical ``chain_hash`` streams, which
 is what lets the store hide behind the ``AppendOnlyLog`` interface.
 
-``verify_chain`` proves three things: every entry chain step, the
+``verify_chain`` checks three things: every entry chain step, the
 linkage of each segment's base hash to its predecessor's last hash,
-and the seal chain itself — so truncating, rewriting, or swapping a
-sealed segment (even a compacted one) is detected.
+and the seal chain itself — so rewriting, dropping, or swapping an
+interior record or sealed segment (even a compacted one) is detected.
+It does not prove the log complete.  A live store also compares the
+end of the chain with the head it appended itself, but a store rebuilt
+from blobs (:meth:`restore`) takes its head from what survived: one
+missing its newest sealed segments together with the active tail is a
+shorter log whose three chains still hold, and it verifies.  Detecting
+that loss needs an anchor held outside the store ("An anchored audit
+head" in ROADMAP.md).
 
 Every append is also offered to the attached
 :class:`~repro.auditstore.views.AuditViews` projection engine, which
@@ -38,7 +45,13 @@ from typing import Any, Callable, Iterator, Optional
 
 from repro.crypto.sha256 import sha256_fast
 
-from .log import GENESIS_HASH, LogEntry, chain_entry, new_entry
+from .log import (
+    GENESIS_HASH,
+    LogEntry,
+    chain_digest,
+    chain_entry,
+    new_entry,
+)
 from .views import AuditViews
 
 __all__ = ["AuditSegment", "SegmentedAuditStore"]
@@ -63,10 +76,12 @@ class AuditSegment:
 
     A segment that is being flushed to blobs also carries the codec
     records of the entries already written (``records``, covering the
-    first ``encoded`` entries), so each entry is serialised once:
-    :func:`~repro.auditstore.codec.encode_segment` fills the cache at
-    flush time and drops it when it encodes the sealed segment.  A
-    store that never flushes never pays for it.
+    first ``encoded`` entries) and a running SHA-256 over the blob's
+    header and those records (``prefix_hash``), so each entry is
+    serialised and hashed once:
+    :func:`~repro.auditstore.codec.encode_segment` extends both at
+    flush time and drops them when it encodes the sealed segment.  A
+    store that never flushes never pays for them.
     """
 
     def __init__(self, index: int, base_sequence: int, base_hash: bytes):
@@ -83,9 +98,11 @@ class AuditSegment:
         self.seal_hash: Optional[bytes] = None
         self._live: list[LogEntry] = []
         self._packed: list[tuple] = []
-        #: length-prefixed codec records of entries ``[0, encoded)``.
+        #: length-prefixed codec records of entries ``[0, encoded)``,
+        #: and the SHA-256 state over the blob header and them.
         self.records = bytearray()
         self.encoded = 0
+        self.prefix_hash = None
 
     # -- write side -------------------------------------------------
 
@@ -163,37 +180,34 @@ class AuditSegment:
         return iter(self._live[offset:])
 
     def drop_records(self) -> None:
-        """Release the encoded-record cache."""
+        """Release the encoded-record cache and its running hash."""
         self.records = bytearray()
         self.encoded = 0
+        self.prefix_hash = None
 
     def verify(self, prev: bytes) -> Optional[bytes]:
         """Check this segment's entry chain starting from ``prev``.
 
         Returns the last chain hash on success, ``None`` on tamper.
-        Both loops hash :func:`~repro.auditstore.log.entry_digest`'s
-        material without calling it: a packed tuple already stores the
-        sorted field items, so a compacted segment verifies as it lies
-        — no ``LogEntry`` is rebuilt and nothing is sorted again.
+        A packed tuple already stores the sorted field items, which is
+        what :func:`~repro.auditstore.log.chain_digest` takes, so a
+        compacted segment verifies as it lies: no ``LogEntry`` is
+        rebuilt.
         """
         if self.base_hash != prev:
             return None
         if self.compacted:
             for (sequence, timestamp, device_id, kind, items,
                  chain_hash) in self._packed:
-                material = repr(
-                    (sequence, timestamp, device_id, kind, list(items))
-                ).encode()
-                if sha256_fast(prev + material) != chain_hash:
+                if chain_digest(prev, sequence, timestamp, device_id, kind,
+                                items) != chain_hash:
                     return None
                 prev = chain_hash
         else:
             for entry in self._live:
-                material = repr(
-                    (entry.sequence, entry.timestamp, entry.device_id,
-                     entry.kind, sorted(entry.fields.items()))
-                ).encode()
-                if sha256_fast(prev + material) != entry.chain_hash:
+                if chain_digest(prev, entry.sequence, entry.timestamp,
+                                entry.device_id, entry.kind,
+                                entry.fields.items()) != entry.chain_hash:
                     return None
                 prev = entry.chain_hash
         if self and self.last_hash != prev:
@@ -428,11 +442,15 @@ class SegmentedAuditStore:
         return out
 
     def verify_chain(self) -> bool:
-        """Prove no truncation or rewrite, within or across segments.
+        """Prove no interior rewrite, within or across segments.
 
         Checks (1) every entry chain step, (2) segment linkage — each
         segment's base hash is its predecessor's last entry hash — and
-        (3) the seal chain over sealed segments.
+        (3) the seal chain over sealed segments, then that the chain
+        ends at the store's head.  A restored store's head is its last
+        surviving entry, so one cut short (newest sealed segments and
+        the tail gone) still verifies: completeness needs an anchor,
+        see the module docstring.
         """
         prev = GENESIS_HASH
         prev_seal = GENESIS_HASH

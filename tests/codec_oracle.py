@@ -1,10 +1,19 @@
-"""The codec's oracles: the from-scratch encoder and the cursor decoder.
+"""The codec's oracles: chain material, entry and segment encoders, and
+the cursor decoder.
 
-``repro.auditstore.codec.encode_segment`` assembles a blob from the
-segment's cache of already-encoded records.  The encoder here is the
-one it replaced — every entry re-serialised on every call, no state
-read or written on the segment — kept so the tests can demand that the
-cached path produces the same bytes for any history of flushes.
+``repro.auditstore.log.chain_digest`` writes an entry's chain material
+as an f-string, and ``repro.auditstore.codec.encode_entry`` packs a
+record's fixed head in one ``struct`` call.  ``oracle_material`` and
+``oracle_encode_entry`` here are what they replaced — the tuple
+``repr`` and one ``pack`` per field — kept so the tests can demand
+the same chain hashes and record bytes for any entry.
+
+``encode_segment`` assembles a blob from the segment's cache of
+already-encoded records and its running prefix hash.  The encoder here
+is the from-scratch one — every entry re-serialised and the whole
+body hashed on every call, no state read or written on the segment —
+kept so the tests can demand that the cached path produces the same
+bytes for any history of flushes.
 
 ``decode_segment`` / ``decode_checkpoint`` in ``src/`` walk a blob with
 ``struct.unpack_from`` at explicit offsets.  The decoders here are the
@@ -15,6 +24,10 @@ inputs are refused by ``src/`` and not by this oracle, on purpose:
 ``oracle_segment`` lets ``UnicodeDecodeError`` escape on invalid UTF-8
 (``src/`` raises ``AuditRecoveryError``), and it accepts slack bytes
 between an entry's chain hash and the end of its record.
+
+Both read and write the ``KPSEG\\x02`` layout: header (magic, index,
+base sequence, base hash), length-prefixed records, then the suffix
+(seal record if sealed, entry count, flags) and the SHA-256 footer.
 """
 
 from __future__ import annotations
@@ -22,11 +35,7 @@ from __future__ import annotations
 import struct
 from typing import Any
 
-from repro.auditstore.codec import (
-    CHECKPOINT_MAGIC,
-    SEGMENT_MAGIC,
-    encode_entry,
-)
+from repro.auditstore.codec import CHECKPOINT_MAGIC, SEGMENT_MAGIC
 from repro.auditstore.log import LogEntry
 from repro.auditstore.store import AuditSegment
 from repro.crypto.sha256 import sha256_fast
@@ -34,12 +43,85 @@ from repro.errors import AuditRecoveryError
 
 _HASH = 32
 _FLAG_SEALED = 0x01
+#: magic, index, base sequence, base hash
+HEADER_SIZE = 6 + 4 + 8 + 32
+#: entry count, flags; a sealed segment's seal record goes before them
+SUFFIX_SIZE = 4 + 1
+SEAL_RECORD_SIZE = 32 + 32 + 8 + 8
 
 _U8 = struct.Struct(">B")
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _F64 = struct.Struct(">d")
+
+_TAG_NONE = b"N"
+_TAG_TRUE = b"T"
+_TAG_FALSE = b"F"
+_TAG_INT = b"I"
+_TAG_FLOAT = b"D"
+_TAG_BYTES = b"B"
+_TAG_STR = b"S"
+
+
+# -- chain material and record encoding -------------------------------------
+
+
+def oracle_material(sequence: int, timestamp: float, device_id: str,
+                    kind: str, fields: dict) -> bytes:
+    return repr(
+        (sequence, timestamp, device_id, kind, sorted(fields.items()))
+    ).encode()
+
+
+def oracle_chain_hash(prev: bytes, entry: LogEntry) -> bytes:
+    return sha256_fast(prev + oracle_material(
+        entry.sequence, entry.timestamp, entry.device_id, entry.kind,
+        entry.fields))
+
+
+def _lp(data: bytes, width=_U32) -> bytes:
+    return width.pack(len(data)) + data
+
+
+def _lp_str(text: str, width=_U16) -> bytes:
+    return _lp(text.encode("utf-8"), width)
+
+
+def _encode_value(value: Any) -> bytes:
+    if value is None:
+        return _TAG_NONE
+    if value is True:
+        return _TAG_TRUE
+    if value is False:
+        return _TAG_FALSE
+    if isinstance(value, int):
+        n = max(1, (value.bit_length() + 8) // 8)
+        return _TAG_INT + _lp(value.to_bytes(n, "big", signed=True), _U16)
+    if isinstance(value, float):
+        return _TAG_FLOAT + _F64.pack(value)
+    if isinstance(value, (bytes, bytearray)):
+        return _TAG_BYTES + _lp(bytes(value))
+    if isinstance(value, str):
+        return _TAG_STR + _lp(value.encode("utf-8"))
+    raise AuditRecoveryError(
+        f"cannot encode audit field value of type {type(value).__name__}"
+    )
+
+
+def oracle_encode_entry(entry: LogEntry) -> bytes:
+    parts = [
+        _U64.pack(entry.sequence),
+        _F64.pack(entry.timestamp),
+        _lp_str(entry.device_id),
+        _lp_str(entry.kind),
+        _U16.pack(len(entry.fields)),
+    ]
+    for key in sorted(entry.fields):
+        parts.append(_lp_str(key))
+        parts.append(_encode_value(entry.fields[key]))
+    parts.append(entry.chain_hash)
+    return b"".join(parts)
 
 
 def encode_segment_from_scratch(segment: AuditSegment) -> bytes:
@@ -48,17 +130,16 @@ def encode_segment_from_scratch(segment: AuditSegment) -> bytes:
         _U32.pack(segment.index),
         _U64.pack(segment.base_sequence),
         segment.base_hash,
-        _U8.pack(0x01 if segment.sealed else 0),
     ]
+    for entry in segment:
+        parts.append(_lp(oracle_encode_entry(entry)))
     if segment.sealed:
         parts.append(segment.last_hash)
         parts.append(segment.seal_hash)
         parts.append(_F64.pack(segment.first_timestamp))
         parts.append(_F64.pack(segment.last_timestamp))
     parts.append(_U32.pack(len(segment)))
-    for entry in segment:
-        record = encode_entry(entry)
-        parts.append(_U32.pack(len(record)) + record)
+    parts.append(_U8.pack(_FLAG_SEALED if segment.sealed else 0))
     body = b"".join(parts)
     return body + sha256_fast(body)
 
@@ -80,14 +161,6 @@ def refooter(body: bytes) -> bytes:
 
 
 # -- the cursor decoder ----------------------------------------------------
-
-_TAG_NONE = b"N"
-_TAG_TRUE = b"T"
-_TAG_FALSE = b"F"
-_TAG_INT = b"I"
-_TAG_FLOAT = b"D"
-_TAG_BYTES = b"B"
-_TAG_STR = b"S"
 
 
 class _Reader:
@@ -194,17 +267,26 @@ def oracle_segment(data: bytes, what: str = "segment blob") -> AuditSegment:
     index = r.u32()
     base_sequence = r.u64()
     base_hash = r.take(_HASH)
-    flags = r.u8()
-    sealed = bool(flags & _FLAG_SEALED)
+    sealed = bool(body[-1] & _FLAG_SEALED)
+    records_end = len(body) - SUFFIX_SIZE
+    if sealed:
+        records_end -= SEAL_RECORD_SIZE
+    if records_end < r.off:
+        raise AuditRecoveryError(
+            f"truncated {what}: no room for the suffix after the header"
+        )
+    end = _Reader(body[records_end:], f"{what} suffix")
     seal_record = None
     if sealed:
-        seal_record = (r.take(_HASH), r.take(_HASH), r.f64(), r.f64())
-    count = r.u32()
+        seal_record = (end.take(_HASH), end.take(_HASH), end.f64(), end.f64())
+    count = end.u32()
+    end.u8()
     segment = AuditSegment(
         index=index, base_sequence=base_sequence, base_hash=base_hash
     )
+    records = _Reader(body[r.off:records_end], f"{what} records")
     for i in range(count):
-        entry_bytes = r.lp_bytes()
+        entry_bytes = records.lp_bytes()
         entry = decode_entry(_Reader(entry_bytes, f"{what} entry {i}"))
         if entry.sequence != base_sequence + i:
             raise AuditRecoveryError(
@@ -212,13 +294,18 @@ def oracle_segment(data: bytes, what: str = "segment blob") -> AuditSegment:
                 f"expected {base_sequence + i}"
             )
         segment.hold(entry)
-    if r.off != len(body):
+    if records.off != len(records.data):
         raise AuditRecoveryError(
-            f"{what}: {len(body) - r.off} trailing bytes after entries"
+            f"{what}: {len(records.data) - records.off} bytes between the "
+            "entries and the suffix"
         )
     if sealed:
         last_hash, seal_hash, first_ts, last_ts = seal_record
-        if count and segment.last_hash != last_hash:
+        # Only a segment with entries seals; a cut through the records can
+        # leave a flags byte that reads "sealed" over a count of 0.
+        if not count:
+            raise AuditRecoveryError(f"{what}: sealed with no entries")
+        if segment.last_hash != last_hash:
             raise AuditRecoveryError(
                 f"{what}: stored last hash disagrees with entries"
             )

@@ -33,6 +33,9 @@ from repro.auditstore import SegmentedAuditStore, codec
 from repro.auditstore.log import entry_digest
 from repro.errors import AuditRecoveryError
 from tests.codec_oracle import (
+    HEADER_SIZE,
+    SEAL_RECORD_SIZE,
+    SUFFIX_SIZE,
     _Reader,
     decode_entry,
     encode_segment_from_scratch,
@@ -108,11 +111,10 @@ def _outcome(decode, blob):
 def _has_slack(blob: bytes) -> bool:
     """Whether some record of an oracle-accepted segment blob is longer
     than the entry inside it."""
-    r = _Reader(blob[:-32], "blob")
-    r.take(6 + 4 + 8 + 32)
-    if r.u8() & 0x01:
-        r.take(32 + 32 + 8 + 8)
-    for _ in range(r.u32()):
+    body = blob[:-32]
+    suffix = SUFFIX_SIZE + (SEAL_RECORD_SIZE if body[-1] & 0x01 else 0)
+    r = _Reader(body[HEADER_SIZE:-suffix], "records")
+    for _ in range(int.from_bytes(body[-5:-1], "big")):
         record = _Reader(r.lp_bytes(), "record")
         decode_entry(record)
         if record.off != len(record.data):
@@ -247,8 +249,7 @@ def test_slack_inside_a_record_is_refused_where_the_oracle_accepts(
         spec, victim, junk):
     segment = _segment(spec)
     body = codec.encode_segment(segment)[:-32]
-    at = len(body) - sum(
-        4 + len(codec.encode_entry(e)) for e in segment)
+    at = HEADER_SIZE
     for entry in list(segment)[:int(victim * len(segment))]:
         at += 4 + len(codec.encode_entry(entry))
     length = int.from_bytes(body[at:at + 4], "big")

@@ -15,22 +15,51 @@ change, driven by hypothesis:
    entry, plus at most one re-encode of the recovered tail after each
    recovery;
 3. **bounded cache** — sealed segments hold no encoded records, and the
-   active segment's cache is never larger than its own blob.
+   active segment's cache is never larger than its own blob;
+4. **hash once** — each ``encode_segment`` call feeds SHA-256 at most
+   the record bytes it adds plus a fixed header-and-suffix allowance
+   (exactly: the blob body minus the prefix its running hash already
+   covered), counted through ``hashlib.sha256`` while the call runs.
 
 Runs under all three flush policies, several segment sizes, and with
-auto-compaction on and off.
+auto-compaction on and off.  Three forgeries of the ``KPSEG\\x02``
+layout close the file: a flipped entry count, two swapped records and
+a blob in the ``KPSEG\\x01`` layout, each refused by recovery.
 """
 
 from __future__ import annotations
 
+import hashlib
+import struct
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.auditstore import DurableAuditStore, SegmentedAuditStore, codec
+from repro.auditstore import (
+    BlobImage,
+    DurableAuditStore,
+    SegmentedAuditStore,
+    codec,
+    durable,
+)
+from repro.errors import AuditRecoveryError
 from repro.storage.backend import BlobStore
-from tests.codec_oracle import encode_segment_from_scratch, prefix_segment
+from tests.codec_oracle import (
+    HEADER_SIZE,
+    SEAL_RECORD_SIZE,
+    SUFFIX_SIZE,
+    encode_segment_from_scratch,
+    prefix_segment,
+    refooter,
+)
+
+_HASH = 32
+#: what a flush may hash beyond its new records: the header (first
+#: flush of a segment) and the largest suffix (a sealed segment's).
+FIXED_ALLOWANCE = HEADER_SIZE + SEAL_RECORD_SIZE + SUFFIX_SIZE
+_sha256 = hashlib.sha256
 
 DEVICES = [f"dev-{i}" for i in range(3)]
 AUDIT_IDS = [bytes([i]) * 24 for i in range(4)]
@@ -101,6 +130,50 @@ def _check_blobs(ns, live, mirror):
         prefix_segment(mirror.segments[tail.index], len(tail)))
 
 
+class _CountingSha256:
+    """A ``hashlib.sha256`` object that adds every byte it is fed to
+    ``fed[0]``, copies included."""
+
+    fed = [0]
+
+    def __init__(self, data=b"", state=None):
+        self._state = _sha256() if state is None else state
+        self.update(data)
+
+    def update(self, data):
+        self.fed[0] += len(data)
+        self._state.update(data)
+
+    def copy(self):
+        return _CountingSha256(state=self._state.copy())
+
+    def digest(self):
+        return self._state.digest()
+
+
+def _hash_counting(real_encode_segment, calls):
+    """``encode_segment`` behind a wrapper that checks (4) on each call
+    and appends ``(bytes hashed, new record bytes)`` to ``calls``."""
+    def encode(segment):
+        records_before = len(segment.records)
+        covered = (0 if getattr(segment, "prefix_hash", None) is None
+                   else HEADER_SIZE + records_before)
+        start = _CountingSha256.fed[0]
+        with mock.patch.object(hashlib, "sha256", _CountingSha256):
+            blob = real_encode_segment(segment)
+        fed = _CountingSha256.fed[0] - start
+        suffix = SUFFIX_SIZE + (SEAL_RECORD_SIZE if segment.sealed else 0)
+        records = len(blob) - _HASH - HEADER_SIZE - suffix
+        new = records - records_before
+        calls.append((fed, new))
+        assert fed <= new + FIXED_ALLOWANCE, (fed, new)
+        assert fed == len(blob) - _HASH - covered, (fed, covered)
+        assert _sha256(blob[:-_HASH]).digest() == blob[-_HASH:]
+        return blob
+
+    return encode
+
+
 def _check_cache(live):
     """(3) only the active segment caches, and no more than its blob."""
     *sealed, active = live.segments
@@ -136,8 +209,11 @@ def test_blobs_are_byte_identical_and_entries_encode_once(script, config):
         return (t, DEVICES[dev], KINDS[kind],
                 {"audit_id": AUDIT_IDS[aid], "extra": EXTRAS[extra]})
 
+    hashed = []
     t = 0.0
-    with mock.patch.object(codec, "encode_entry", counting):
+    with mock.patch.object(codec, "encode_entry", counting), \
+            mock.patch.object(durable, "encode_segment", _hash_counting(
+                durable.encode_segment, hashed)):
         for op in script:
             if op[0] == "append":
                 t += 1.0
@@ -182,3 +258,85 @@ def test_blobs_are_byte_identical_and_entries_encode_once(script, config):
                 assert len(calls) == len(set(calls))
 
     assert live.verify_chain()
+    # (4) over the whole script: at most the record bytes flushed plus
+    # the fixed allowance once per flush.
+    assert sum(fed for fed, _ in hashed) <= \
+        sum(new for _, new in hashed) + FIXED_ALLOWANCE * len(hashed)
+
+
+# -- forgeries of the v2 layout ---------------------------------------------
+
+
+def _spilled_image():
+    """A crash image with two sealed four-entry segments and a tail."""
+    ns = BlobStore("memory").namespace("audit/forge")
+    live = DurableAuditStore.create(ns, name="key-access", segment_entries=4,
+                                    flush_policy="every-append")
+    for i in range(10):
+        live.append(float(i), DEVICES[i % 3], "fetch",
+                    audit_id=AUDIT_IDS[i % 4])
+    return ns.snapshot()
+
+
+def _recover(image):
+    return DurableAuditStore.recover(BlobImage(image), name="key-access",
+                                     segment_entries=4)
+
+
+def _record_spans(body: bytes) -> list[tuple[int, int]]:
+    """``(start, end)`` of each length-prefixed record of a blob body."""
+    suffix = SUFFIX_SIZE + (SEAL_RECORD_SIZE if body[-1] & 0x01 else 0)
+    spans, at = [], HEADER_SIZE
+    while at < len(body) - suffix:
+        end = at + 4 + int.from_bytes(body[at:at + 4], "big")
+        spans.append((at, end))
+        at = end
+    return spans
+
+
+def test_the_image_recovers_untouched():
+    assert len(_recover(_spilled_image())) == 10
+
+
+@pytest.mark.parametrize("blob", ["seg-00000000", "tail"])
+@pytest.mark.parametrize("count", [0, 3, 5, 2 ** 31])
+def test_a_flipped_entry_count_is_refused(blob, count):
+    image = _spilled_image()
+    body = bytearray(image[blob][:-_HASH])
+    assert int.from_bytes(body[-5:-1], "big") in (4, 2)
+    body[-5:-1] = count.to_bytes(4, "big")
+    image[blob] = refooter(bytes(body))
+    with pytest.raises(AuditRecoveryError):
+        _recover(image)
+
+
+@pytest.mark.parametrize("blob", ["seg-00000000", "seg-00000001", "tail"])
+def test_swapped_records_are_refused(blob):
+    image = _spilled_image()
+    body = image[blob][:-_HASH]
+    (a, b), (c, d) = _record_spans(body)[:2]
+    image[blob] = refooter(body[:a] + body[c:d] + body[a:b] + body[d:])
+    with pytest.raises(AuditRecoveryError, match="sequence"):
+        _recover(image)
+
+
+def _as_v1(blob: bytes) -> bytes:
+    """The same segment in the ``KPSEG\\x01`` layout: flags, seal
+    record and count before the records."""
+    body = blob[:-_HASH]
+    sealed = body[-1] & 0x01
+    suffix = SUFFIX_SIZE + (SEAL_RECORD_SIZE if sealed else 0)
+    seal, (count, flags) = body[-suffix:-5], struct.unpack(">IB", body[-5:])
+    return refooter(b"KPSEG\x01" + body[6:HEADER_SIZE]
+                    + bytes([flags]) + seal + count.to_bytes(4, "big")
+                    + body[HEADER_SIZE:-suffix])
+
+
+@pytest.mark.parametrize("blob", ["seg-00000000", "tail"])
+def test_a_v1_blob_is_refused_as_bad_magic(blob):
+    image = _spilled_image()
+    v1 = _as_v1(image[blob])
+    assert len(v1) == len(image[blob])
+    image[blob] = v1
+    with pytest.raises(AuditRecoveryError, match="bad magic"):
+        _recover(image)

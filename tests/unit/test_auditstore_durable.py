@@ -30,9 +30,12 @@ from tests.codec_oracle import encode_segment_from_scratch, refooter
 
 GENESIS = b"\x00" * 32
 
-#: bytes before a sealed segment's first record: magic 6, index 4, base
-#: sequence 8, base hash 32, flags 1, seal record 80, entry count 4.
-_SEALED_HEADER = 6 + 4 + 8 + 32 + 1 + 80 + 4
+#: bytes before a segment's first record: magic 6, index 4, base
+#: sequence 8, base hash 32.
+_HEADER = 6 + 4 + 8 + 32
+#: bytes after a sealed segment's last record: seal record 80, entry
+#: count 4, flags 1.
+_SEALED_SUFFIX = 80 + 4 + 1
 
 
 def _durable(backend="memory", segment_entries=4, flush_policy="every-seal",
@@ -159,9 +162,9 @@ class TestCodec:
         inner = SegmentedAuditStore(segment_entries=4)
         _fill(inner, 4)
         body = encode_segment(inner.segments[0])[:-32]
-        first = _SEALED_HEADER  # then four equal-sized records
+        first = _HEADER  # then four equal-sized records
         length = int.from_bytes(body[first:first + 4], "big")
-        last = len(body) - 4 - length
+        last = len(body) - _SEALED_SUFFIX - 4 - length
         for at in (first, last):
             end = at + 4 + length
             padded = (body[:at] + (length + 5).to_bytes(4, "big")
@@ -172,16 +175,17 @@ class TestCodec:
 
     def test_record_running_off_the_body_is_refused(self):
         # The last record and the bytes value inside it both claim five
-        # bytes more than the body holds: every slice comes back short
-        # without raising, and the parse still "ends" on the record end.
+        # bytes more than the records hold: every slice comes back
+        # whole from the suffix, and the parse still "ends" on the
+        # record end.
         inner = SegmentedAuditStore(segment_entries=4)
         _fill(inner, 4)
         body = encode_segment(inner.segments[0])[:-32]
-        value = len(body) - 32 - 24 - 4  # u32 length of the 24-byte audit id
+        records_end = len(body) - _SEALED_SUFFIX
+        value = records_end - 32 - 24 - 4  # u32 length of the audit id
         assert body[value:value + 4] == (24).to_bytes(4, "big")
-        length = int.from_bytes(
-            body[_SEALED_HEADER:_SEALED_HEADER + 4], "big")
-        record = len(body) - 4 - length
+        length = int.from_bytes(body[_HEADER:_HEADER + 4], "big")
+        record = records_end - 4 - length
         forged = (body[:record] + (length + 5).to_bytes(4, "big")
                   + body[record + 4:value] + (29).to_bytes(4, "big")
                   + body[value + 4:])

@@ -89,13 +89,40 @@ def test_extremes_line():
 def test_markdown_row():
     change = [110.0] * 9 + [98.0]
     said = pairs.verdict(BASE, change, "higher", 0.25, claimed=True)
-    assert pairs.markdown_row("ledger-0", BASE, change, "higher", said) == (
-        "| `ledger-0` | 10 | 100 [99.38, 100.6] | 110 [110, 110] | "
-        "1.10× | 9/10 | claim holds |")
+    assert pairs.markdown_row("host_ops_per_s", "ledger-0", BASE, change,
+                              "higher", said) == (
+        "| `host_ops_per_s` | `ledger-0` | 10 | 100 [99.38, 100.6] | "
+        "110 [110, 110] | 1.10× | 9/10 | claim holds |")
     # Thousands grouped, below that four significant digits.
-    row = pairs.markdown_row("ledger-1", [1200.0, 1250.0, 1300.0, 1350.0],
+    row = pairs.markdown_row("op_p50_ms", "ledger-1",
+                             [1200.0, 1250.0, 1300.0, 1350.0],
                              [0.08, 0.09, 0.1, 0.11], "lower", "ok")
-    assert row == ("| `ledger-1` | 4 | 1,275 [1,212, 1,338] | "
+    assert row == ("| `op_p50_ms` | `ledger-1` | 4 | 1,275 [1,212, 1,338] | "
                    "0.095 [0.0825, 0.1075] | 0.00× | 4/4 | ok |")
     assert pairs.MARKDOWN_HEADER.splitlines()[0].count("|") \
         == row.count("|")
+
+
+def test_markdown_table_has_a_row_for_every_metric_claim_first():
+    metrics = {"setup_s": {"better": "lower"},
+               "host_ops_per_s": {"better": "higher"},
+               "op_p99_ms": {"better": "lower"}}
+    values_of = {
+        "setup_s": {"base": BASE, "change": list(BASE)},
+        "host_ops_per_s": {"base": BASE, "change": [b * 1.5 for b in BASE]},
+        "op_p99_ms": {"base": BASE, "change": [b * 0.5 for b in BASE]},
+    }
+    said_of = {"setup_s": "ok", "host_ops_per_s": "claim holds",
+               "op_p99_ms": "ok"}
+    table = pairs.markdown_table("ledger-0", values_of, metrics, said_of,
+                                 claim="host_ops_per_s")
+    lines = table.splitlines()
+    assert lines[:2] == pairs.MARKDOWN_HEADER.splitlines()
+    assert [line.split(" | ")[0] for line in lines[2:]] == [
+        "| `host_ops_per_s`", "| `setup_s`", "| `op_p99_ms`"]
+    assert lines[2] == pairs.markdown_row(
+        "host_ops_per_s", "ledger-0", BASE, values_of["host_ops_per_s"]
+        ["change"], "higher", "claim holds")
+    assert lines[2].endswith("| 1.50× | 10/10 | claim holds |")
+    assert lines[3].endswith("| 1.00× | 0/10 | ok |")
+    assert lines[4].endswith("| 0.50× | 10/10 | ok |")

@@ -22,11 +22,12 @@ in how many pairs CHANGE was the better one, and a verdict:
 
 Then one line comparing the worst CHANGE run of the claimed metric
 (``host_ops_per_s`` without ``--claim``) with the best BASE run; with
-``--claim``, the claimed metric's markdown row (seed, pairs, each side's
-median [q1, q3], ratio, wins, verdict) for ``docs/PERFORMANCE.md``; and
-the ledger's sim-identity check (``compare.py``): whether every
-simulated statistic and program count of the two commits is identical,
-as a pure speed-up must leave them.
+``--claim``, a markdown table for ``docs/PERFORMANCE.md`` with one row
+per end-to-end metric, the claimed one first (metric, seed, pairs, each
+side's median [q1, q3], ratio, wins, verdict); and the ledger's
+sim-identity check (``compare.py``): whether every simulated statistic
+and program count of the two commits is identical, as a pure speed-up
+must leave them.
 
 Exits non-zero when a run fails its own checks or the simulated
 statistics differ.  Run from anywhere inside the repository.
@@ -137,13 +138,13 @@ def _number(value: float) -> str:
     return f"{value:,.0f}" if abs(value) >= 1000 else f"{value:.4g}"
 
 
-MARKDOWN_HEADER = ("| seed | pairs | base median [q1, q3] | "
+MARKDOWN_HEADER = ("| metric | seed | pairs | base median [q1, q3] | "
                    "change median [q1, q3] | change/base | wins | verdict |\n"
-                   "|---|---|---|---|---|---|---|")
+                   "|---|---|---|---|---|---|---|---|")
 
 
-def markdown_row(seed: str, base: list, change: list, better: str,
-                 said: str) -> str:
+def markdown_row(metric: str, seed: str, base: list, change: list,
+                 better: str, said: str) -> str:
     """One metric's paired runs as a row under ``MARKDOWN_HEADER``."""
     cells = []
     for values in (base, change):
@@ -152,8 +153,20 @@ def markdown_row(seed: str, base: list, change: list, better: str,
                      f"[{_number(q1)}, {_number(q3)}]")
     ratio = statistics.median(change) / statistics.median(base)
     wins = count_wins(base, change, better == "lower")
-    return (f"| `{seed}` | {len(base)} | {cells[0]} | {cells[1]} | "
-            f"{ratio:.2f}× | {wins}/{len(base)} | {said} |")
+    return (f"| `{metric}` | `{seed}` | {len(base)} | {cells[0]} | "
+            f"{cells[1]} | {ratio:.2f}× | {wins}/{len(base)} | {said} |")
+
+
+def markdown_table(seed: str, values_of: dict, metrics: dict,
+                   said_of: dict, claim: str) -> str:
+    """``MARKDOWN_HEADER`` and one row per metric of ``values_of``
+    (``name -> {"base": [...], "change": [...]}``), ``claim`` first."""
+    names = [claim] + [name for name in values_of if name != claim]
+    return "\n".join([MARKDOWN_HEADER] + [
+        markdown_row(name, seed, values_of[name]["base"],
+                     values_of[name]["change"], metrics[name]["better"],
+                     said_of[name])
+        for name in names])
 
 
 def report(spec: dict, args, seed: str, runs: dict, shas: dict) -> bool:
@@ -189,11 +202,7 @@ def report(spec: dict, args, seed: str, runs: dict, shas: dict) -> bool:
                         values_of[extreme]["change"],
                         metrics[extreme]["better"]))
     if args.claim is not None:
-        print(MARKDOWN_HEADER)
-        print(markdown_row(seed, values_of[args.claim]["base"],
-                           values_of[args.claim]["change"],
-                           metrics[args.claim]["better"],
-                           said_of[args.claim]))
+        print(markdown_table(seed, values_of, metrics, said_of, args.claim))
 
     sys.path.insert(0, str(LEDGER))
     import compare
