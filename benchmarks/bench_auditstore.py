@@ -47,6 +47,8 @@ Run directly for CI smoke (reduced entry count, same asserts):
 from __future__ import annotations
 
 import hashlib
+import pathlib
+import sys
 import time
 from unittest import mock
 
@@ -63,6 +65,9 @@ from repro.auditstore.log import DISCLOSING_KINDS, new_entry
 from repro.harness.results import ResultTable
 from repro.harness.runner import attach_perf, run_tasks, write_bench_json
 from repro.storage.backend import BlobStore
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+from tests.codec_oracle import CountingSha256  # noqa: E402  (repo root, for the script form)
 
 N_ENTRIES = 1_000_000
 N_DEVICES = 4096
@@ -243,41 +248,19 @@ def _counting(real):
     return wrapper
 
 
-class _CountingSha256:
-    """``hashlib.sha256`` that adds every byte it is fed, copies
-    included, to the class's ``fed``."""
-
-    fed = 0
-    _new = hashlib.sha256
-
-    def __init__(self, data=b"", state=None):
-        self._state = self._new() if state is None else state
-        self.update(data)
-
-    def update(self, data):
-        _CountingSha256.fed += len(data)
-        self._state.update(data)
-
-    def copy(self):
-        return _CountingSha256(state=self._state.copy())
-
-    def digest(self):
-        return self._state.digest()
-
-
 def _footer_bytes_per_entry(make_log):
     """Bytes fed to SHA-256 inside ``encode_segment`` per appended
     entry, over one ``HASH_COUNT_ENTRIES`` fill of a fresh log."""
     real = durable_module.encode_segment
 
     def counted(segment):
-        with mock.patch.object(hashlib, "sha256", _CountingSha256):
+        with mock.patch.object(hashlib, "sha256", CountingSha256):
             return real(segment)
 
-    start = _CountingSha256.fed
+    start = CountingSha256.fed
     with mock.patch.object(durable_module, "encode_segment", counted):
         _fill(make_log(), HASH_COUNT_ENTRIES)
-    return (_CountingSha256.fed - start) / HASH_COUNT_ENTRIES
+    return (CountingSha256.fed - start) / HASH_COUNT_ENTRIES
 
 
 def run_flush_ablation(entries):
@@ -521,7 +504,6 @@ def test_auditstore(benchmark, record_table):
 
 def _main(argv=None):
     import argparse
-    import pathlib
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",

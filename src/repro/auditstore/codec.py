@@ -74,7 +74,6 @@ CHECKPOINT_MAGIC = b"KPCKP\x01"
 
 _HASH = 32  # sha256 digest size
 
-_U8 = struct.Struct(">B")
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")

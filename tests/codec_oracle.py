@@ -32,6 +32,7 @@ base sequence, base hash), length-prefixed records, then the suffix
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from typing import Any
 
@@ -158,6 +159,31 @@ def refooter(body: bytes) -> bytes:
     """``body`` under a freshly computed checksum footer — what a forger
     who can rewrite a blob, but not close the hash chain, would store."""
     return body + sha256_fast(body)
+
+
+_sha256 = hashlib.sha256
+
+
+class CountingSha256:
+    """A ``hashlib.sha256`` that adds every byte it is fed, copies
+    included, to the class's ``fed``.  Patched over ``hashlib.sha256``
+    while ``encode_segment`` runs, it counts what segment footers hash."""
+
+    fed = 0
+
+    def __init__(self, data=b"", state=None):
+        self._state = _sha256() if state is None else state
+        self.update(data)
+
+    def update(self, data):
+        CountingSha256.fed += len(data)
+        self._state.update(data)
+
+    def copy(self):
+        return CountingSha256(state=self._state.copy())
+
+    def digest(self):
+        return self._state.digest()
 
 
 # -- the cursor decoder ----------------------------------------------------

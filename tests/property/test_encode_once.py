@@ -50,6 +50,7 @@ from tests.codec_oracle import (
     HEADER_SIZE,
     SEAL_RECORD_SIZE,
     SUFFIX_SIZE,
+    CountingSha256,
     encode_segment_from_scratch,
     prefix_segment,
     refooter,
@@ -59,7 +60,6 @@ _HASH = 32
 #: what a flush may hash beyond its new records: the header (first
 #: flush of a segment) and the largest suffix (a sealed segment's).
 FIXED_ALLOWANCE = HEADER_SIZE + SEAL_RECORD_SIZE + SUFFIX_SIZE
-_sha256 = hashlib.sha256
 
 DEVICES = [f"dev-{i}" for i in range(3)]
 AUDIT_IDS = [bytes([i]) * 24 for i in range(4)]
@@ -130,45 +130,24 @@ def _check_blobs(ns, live, mirror):
         prefix_segment(mirror.segments[tail.index], len(tail)))
 
 
-class _CountingSha256:
-    """A ``hashlib.sha256`` object that adds every byte it is fed to
-    ``fed[0]``, copies included."""
-
-    fed = [0]
-
-    def __init__(self, data=b"", state=None):
-        self._state = _sha256() if state is None else state
-        self.update(data)
-
-    def update(self, data):
-        self.fed[0] += len(data)
-        self._state.update(data)
-
-    def copy(self):
-        return _CountingSha256(state=self._state.copy())
-
-    def digest(self):
-        return self._state.digest()
-
-
 def _hash_counting(real_encode_segment, calls):
     """``encode_segment`` behind a wrapper that checks (4) on each call
     and appends ``(bytes hashed, new record bytes)`` to ``calls``."""
     def encode(segment):
         records_before = len(segment.records)
-        covered = (0 if getattr(segment, "prefix_hash", None) is None
+        covered = (0 if segment.prefix_hash is None
                    else HEADER_SIZE + records_before)
-        start = _CountingSha256.fed[0]
-        with mock.patch.object(hashlib, "sha256", _CountingSha256):
+        start = CountingSha256.fed
+        with mock.patch.object(hashlib, "sha256", CountingSha256):
             blob = real_encode_segment(segment)
-        fed = _CountingSha256.fed[0] - start
+        fed = CountingSha256.fed - start
         suffix = SUFFIX_SIZE + (SEAL_RECORD_SIZE if segment.sealed else 0)
         records = len(blob) - _HASH - HEADER_SIZE - suffix
         new = records - records_before
         calls.append((fed, new))
         assert fed <= new + FIXED_ALLOWANCE, (fed, new)
         assert fed == len(blob) - _HASH - covered, (fed, covered)
-        assert _sha256(blob[:-_HASH]).digest() == blob[-_HASH:]
+        assert refooter(blob[:-_HASH]) == blob
         return blob
 
     return encode
