@@ -12,9 +12,10 @@ speeds (unlike absolute MB/s).  A kernel fails the check when its
 current speedup drops more than ``tolerance`` below the baseline.
 
 A baseline may also carry ``meta.counts``: machine-independent
-quantities (e.g. entry encodes per appended entry) that repeat exactly,
-so each is a ceiling with no tolerance — the current count fails the
-check as soon as it exceeds the baseline's.
+quantities (e.g. entry encodes and segment-footer bytes hashed per
+appended entry) that repeat exactly, so each is a ceiling with no
+tolerance — the current count fails the check as soon as it exceeds
+the baseline's.
 """
 
 from __future__ import annotations

@@ -22,9 +22,10 @@ change, driven by hypothesis:
    covered), counted through ``hashlib.sha256`` while the call runs.
 
 Runs under all three flush policies, several segment sizes, and with
-auto-compaction on and off.  Three forgeries of the ``KPSEG\\x02``
-layout close the file: a flipped entry count, two swapped records and
-a blob in the ``KPSEG\\x01`` layout, each refused by recovery.
+auto-compaction on and off.  Forgeries of the ``KPSEG\\x02`` layout
+close the file: a flipped entry count, two swapped records, a sealed
+segment with no entries and a blob in the ``KPSEG\\x01`` layout, each
+refused by recovery.
 """
 
 from __future__ import annotations
@@ -296,6 +297,18 @@ def test_swapped_records_are_refused(blob):
     (a, b), (c, d) = _record_spans(body)[:2]
     image[blob] = refooter(body[:a] + body[c:d] + body[a:b] + body[d:])
     with pytest.raises(AuditRecoveryError, match="sequence"):
+        _recover(image)
+
+
+def test_a_sealed_segment_without_entries_is_refused():
+    # What a cut through the records can leave: a flags byte that reads
+    # "sealed" over a zero count, and no entry to check the seal against.
+    image = _spilled_image()
+    body = image["seg-00000000"][:-_HASH]
+    image["seg-00000000"] = refooter(
+        body[:HEADER_SIZE] + body[-SEAL_RECORD_SIZE - SUFFIX_SIZE:-5]
+        + struct.pack(">IB", 0, 0x01))
+    with pytest.raises(AuditRecoveryError, match="sealed with no entries"):
         _recover(image)
 
 
