@@ -298,16 +298,16 @@ def decode_segment(data: bytes, what: str = "segment blob") -> AuditSegment:
         _, index, base_sequence, base_hash = _SEGMENT_HEAD.unpack_from(body)
         records_end = size - _SEGMENT_END.size
         count, flags = _SEGMENT_END.unpack_from(body, records_end)
-        seal_record = None
-        if flags & _FLAG_SEALED:
+        sealed = flags & _FLAG_SEALED
+        if sealed:
             records_end -= _SEAL_RECORD.size
         if records_end < _SEGMENT_HEAD.size:
             raise AuditRecoveryError(
                 f"truncated {what}: {size} bytes cannot hold its header "
                 "and suffix"
             )
-        if flags & _FLAG_SEALED:
-            seal_record = _SEAL_RECORD.unpack_from(body, records_end)
+        seal_record = (_SEAL_RECORD.unpack_from(body, records_end)
+                       if sealed else None)
         off = _SEGMENT_HEAD.size
         for expected in range(base_sequence, base_sequence + count):
             length, sequence, timestamp, n = record_head(body, off)

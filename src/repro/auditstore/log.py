@@ -94,7 +94,7 @@ def chain_digest(prev: bytes, sequence: int, timestamp: float,
     ``items`` are the entry's field ``(key, value)`` pairs: a dict's
     ``items()`` view, or the key-sorted tuple a compacted segment
     packs.  The material is ``repr((sequence, timestamp, device_id,
-    kind, sorted(items)))`` -- derived from the entry's *content*, not
+    kind, sorted(items)))`` — derived from the entry's *content*, not
     its storage form, so a compacted record re-verifies byte for byte
     against the hash its original produced.  It is written out as an
     f-string instead, which builds no tuple, and for the usual single
