@@ -448,8 +448,8 @@ def auditstore_table(jobs=None, entries=N_ENTRIES,
             best_recovery / ablation["segmented"]["appends_per_s"], 2),
     }
     # machine-independent: an entry is serialised at most once however
-    # often its segment is flushed, and its record is hashed into one
-    # footer chain once, plus a short suffix per flush.
+    # often its segment is flushed, and its record is fed to a footer
+    # hash once, plus a short suffix per flush.
     counts = {}
     for policy in ("every-append", "every-n", "every-seal"):
         for name in ("encodes_per_entry", "footer_bytes_per_entry"):

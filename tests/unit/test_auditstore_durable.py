@@ -26,16 +26,18 @@ from repro.costmodel import DEFAULT_COSTS
 from repro.errors import AuditRecoveryError, ConfigError, FileExists
 from repro.sim import Simulation
 from repro.storage.backend import BlobStore
-from tests.codec_oracle import encode_segment_from_scratch, refooter
+from tests.codec_oracle import (
+    HEADER_SIZE,
+    SEAL_RECORD_SIZE,
+    SUFFIX_SIZE,
+    encode_segment_from_scratch,
+    refooter,
+)
 
 GENESIS = b"\x00" * 32
 
-#: bytes before a segment's first record: magic 6, index 4, base
-#: sequence 8, base hash 32.
-_HEADER = 6 + 4 + 8 + 32
-#: bytes after a sealed segment's last record: seal record 80, entry
-#: count 4, flags 1.
-_SEALED_SUFFIX = 80 + 4 + 1
+#: bytes after a sealed segment's last record
+_SEALED_SUFFIX = SEAL_RECORD_SIZE + SUFFIX_SIZE
 
 
 def _durable(backend="memory", segment_entries=4, flush_policy="every-seal",
@@ -162,7 +164,7 @@ class TestCodec:
         inner = SegmentedAuditStore(segment_entries=4)
         _fill(inner, 4)
         body = encode_segment(inner.segments[0])[:-32]
-        first = _HEADER  # then four equal-sized records
+        first = HEADER_SIZE  # then four equal-sized records
         length = int.from_bytes(body[first:first + 4], "big")
         last = len(body) - _SEALED_SUFFIX - 4 - length
         for at in (first, last):
@@ -184,7 +186,7 @@ class TestCodec:
         records_end = len(body) - _SEALED_SUFFIX
         value = records_end - 32 - 24 - 4  # u32 length of the audit id
         assert body[value:value + 4] == (24).to_bytes(4, "big")
-        length = int.from_bytes(body[_HEADER:_HEADER + 4], "big")
+        length = int.from_bytes(body[HEADER_SIZE:HEADER_SIZE + 4], "big")
         record = records_end - 4 - length
         forged = (body[:record] + (length + 5).to_bytes(4, "big")
                   + body[record + 4:value] + (29).to_bytes(4, "big")
