@@ -14,10 +14,9 @@ back into one forensic timeline with divergence detection.
 The group's shape is one declarative :class:`Topology`
 (:mod:`repro.cluster.federation`: regions, replicas-per-region, k/m,
 inter-region RTT matrix).  A flat k-of-m cluster is a one-region
-topology; with several regions the same group adds gossip-based
-membership (:mod:`repro.cluster.gossip`) and per-shard leader leases
-(:mod:`repro.cluster.election`), and a client given a home region
-prefers the nearest healthy one.
+topology; with several regions the same group labels its replicas by
+region, and a client given a home region prefers the nearest healthy
+one.
 
 Everything here is flag-gated: a ``KeypadConfig`` whose ``cluster`` is
 ``None`` (the default) never touches this package.

@@ -128,11 +128,10 @@ class FaultPlan:
         ``at`` and heal it after ``duration`` seconds.
 
         The injector expands ``region:<name>`` (via
-        :meth:`FaultInjector.register_region`) into every link that
-        crosses the region boundary — device links into/out of the
-        region and the inter-region gossip mesh — and downs them
-        together; intra-region links stay up, so devices homed there
-        keep reaching their local replicas.
+        :meth:`FaultInjector.register_region`) into every device link
+        that crosses the region boundary, into or out of the region,
+        and downs them together; intra-region links stay up, so
+        devices homed there keep reaching their local replicas.
         """
         return cls([FaultEvent(at, "partition", f"region:{region}", duration)])
 

@@ -10,23 +10,21 @@ whole shape is one frozen value object that checks itself once:
     config = KeypadConfig.builder().federation(topology=topo).build()
 
 * :class:`Region` / :class:`Topology` — regions, replicas-per-region,
-  the k/m share threshold, and the inter-region RTT matrix, plus the
-  gossip/lease protocol knobs.  Hashable and comparable, so it rides
-  inside the frozen :class:`~repro.core.policy.KeypadConfig` (its one
-  ``cluster`` field).
+  the k/m share threshold, and the inter-region RTT matrix.  Hashable
+  and comparable, so it rides inside the frozen
+  :class:`~repro.core.policy.KeypadConfig` (its one ``cluster`` field).
 
 A flat k-of-m cluster (``builder().replication(k, m)``) is a
 one-region topology.  Only a topology with more than one region
-(:attr:`Topology.multi_region`) labels its replicas by region, runs
-:class:`~repro.cluster.gossip.GossipAgent` membership with per-shard
-leader leases (:mod:`repro.cluster.election`), and gives its devices a
-home region whose client ranks replicas by live link RTT.
+(:attr:`Topology.multi_region`) labels its replicas by region and
+gives its devices a home region whose client ranks replicas by live
+link RTT.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.errors import ConfigError
 
@@ -54,23 +52,15 @@ class Topology:
     """The declarative shape of a replica cluster.
 
     ``rtt_ms`` is the symmetric inter-region round-trip matrix in
-    milliseconds (zero diagonal), indexed like ``regions``.  The
-    remaining fields are the gossip/lease protocol knobs; defaults suit
-    the simulated second-scale experiments.  Instances are immutable
-    and hashable so they can live inside a frozen ``KeypadConfig``, and
-    construction checks the whole shape once, raising
-    :class:`~repro.errors.ConfigError`.
+    milliseconds (zero diagonal), indexed like ``regions``.  Instances
+    are immutable and hashable so they can live inside a frozen
+    ``KeypadConfig``, and construction checks the whole shape once,
+    raising :class:`~repro.errors.ConfigError`.
     """
 
     regions: Tuple[Region, ...]
     threshold: int = 2
     rtt_ms: Tuple[Tuple[float, ...], ...] = ()
-    gossip_interval: float = 0.5
-    gossip_fanout: int = 2
-    suspect_after: float = 2.0
-    dead_after: float = 5.0
-    lease_duration: float = 5.0
-    election_shards: int = 4
 
     def __post_init__(self):
         # Coerce sequences so list-built topologies stay hashable.
@@ -109,19 +99,6 @@ class Topology:
                         f"rtt_ms must be symmetric "
                         f"({names[i]!r} <-> {names[j]!r})"
                     )
-        if self.gossip_interval <= 0:
-            raise ConfigError("gossip_interval must be positive")
-        if self.gossip_fanout < 1:
-            raise ConfigError("gossip_fanout must be at least 1")
-        if not 0 < self.suspect_after < self.dead_after:
-            raise ConfigError(
-                "need 0 < suspect_after < dead_after "
-                f"(got {self.suspect_after} / {self.dead_after})"
-            )
-        if self.lease_duration <= 0:
-            raise ConfigError("lease_duration must be positive")
-        if self.election_shards < 1:
-            raise ConfigError("need at least one election shard")
 
     # -- construction ------------------------------------------------------
     @classmethod
@@ -131,7 +108,6 @@ class Topology:
         replicas_per_region: int = 2,
         threshold: int = 2,
         rtt_ms: float = 80.0,
-        **knobs: Any,
     ) -> "Topology":
         """All-pairs-equal RTT topology, the common experiment shape."""
         if isinstance(regions, int):
@@ -151,7 +127,6 @@ class Topology:
             ),
             threshold=threshold,
             rtt_ms=matrix,
-            **knobs,
         )
 
     # -- shape -------------------------------------------------------------
@@ -161,7 +136,7 @@ class Topology:
 
     @property
     def multi_region(self) -> bool:
-        """Whether replicas carry region labels, gossip and home regions
+        """Whether replicas carry region labels and devices home regions
         (a one-region topology is the flat k-of-m cluster)."""
         return len(self.regions) > 1
 
@@ -210,27 +185,4 @@ class Topology:
             ],
             "threshold": self.threshold,
             "rtt_ms": [list(row) for row in self.rtt_ms],
-            "gossip_interval": self.gossip_interval,
-            "gossip_fanout": self.gossip_fanout,
-            "suspect_after": self.suspect_after,
-            "dead_after": self.dead_after,
-            "lease_duration": self.lease_duration,
-            "election_shards": self.election_shards,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Topology":
-        return cls(
-            regions=tuple(
-                Region(str(r["name"]), int(r["replicas"]))
-                for r in data["regions"]
-            ),
-            threshold=int(data["threshold"]),
-            rtt_ms=tuple(tuple(row) for row in data["rtt_ms"]),
-            gossip_interval=float(data.get("gossip_interval", 0.5)),
-            gossip_fanout=int(data.get("gossip_fanout", 2)),
-            suspect_after=float(data.get("suspect_after", 2.0)),
-            dead_after=float(data.get("dead_after", 5.0)),
-            lease_duration=float(data.get("lease_duration", 5.0)),
-            election_shards=int(data.get("election_shards", 4)),
-        )

@@ -11,9 +11,9 @@ stronger auditing than the single-service design.
 
 The group's shape is a :class:`~repro.cluster.federation.Topology`.
 On a topology with more than one region the replicas also carry region
-labels and host :class:`~repro.cluster.gossip.GossipAgent` membership
-daemons with per-shard leader leases; a one-region topology is the
-flat k-of-m cluster and builds none of that.
+labels; a one-region topology is the flat k-of-m cluster.  Liveness is
+each replica's ``server.available`` flag: clients see it as failed
+calls, and :meth:`ReplicaGroup.region_status` reads it directly.
 
 The group is pure server-side state; the failure-aware transport lives
 in :class:`~repro.cluster.client.ReplicatedKeyClient`.
@@ -21,20 +21,16 @@ in :class:`~repro.cluster.client.ReplicatedKeyClient`.
 
 from __future__ import annotations
 
-import hashlib
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.auditstore import AuditSpec
 from repro.costmodel import DEFAULT_COSTS, CostModel
 from repro.net.link import Link
-from repro.net.netem import LAN, NetEnv
-from repro.net.rpc import RpcChannel
+from repro.net.netem import NetEnv
 from repro.server import FrontendSpec
-from repro.sim import Simulation, SimRandom
+from repro.sim import Simulation
 from repro.core.services.keyservice import KeyService
-from repro.cluster.election import LeaseManager
 from repro.cluster.federation import Topology
-from repro.cluster.gossip import GossipAgent
 
 __all__ = ["ReplicaGroup"]
 
@@ -62,12 +58,6 @@ class ReplicaGroup:
             [topology.region_of(i) for i in range(m)]
             if topology.multi_region else None
         )
-        self._costs = costs
-        self._seed = seed
-        self.agents: List[GossipAgent] = []
-        #: gossip mesh links by name, for fault plans
-        self.gossip_links: Dict[str, Link] = {}
-        self._gossip_procs: List[Any] = []
         self.replicas = [
             KeyService(
                 sim,
@@ -147,86 +137,6 @@ class ReplicaGroup:
         the merge layer's divergence report."""
         return [r.recovery_stats for r in self.replicas]
 
-    # -- membership / election mesh ----------------------------------------
-    def member_id(self, index: int) -> str:
-        return f"key-replica-{index}"
-
-    def install_gossip(self, intra_rtt: float = LAN.rtt) -> List[GossipAgent]:
-        """Build one gossip agent per replica plus the full mesh of
-        authenticated channels between them (intra-region links at
-        ``intra_rtt``, cross-region links add the topology's RTT).
-        Idempotent."""
-        if self.agents:
-            return self.agents
-        topo = self.topology
-        labels = [topo.region_of(i) for i in range(self.m)]
-        names = [self.member_id(i) for i in range(self.m)]
-        secrets = [
-            hashlib.sha256(
-                self._seed + b"|gossip-secret|" + names[i].encode()
-            ).digest()
-            for i in range(self.m)
-        ]
-        for i in range(self.m):
-            self.agents.append(
-                GossipAgent(
-                    self.sim,
-                    names[i],
-                    labels[i],
-                    self.replicas[i].server,
-                    rng=SimRandom(self._seed, f"gossip-{i}"),
-                    interval=topo.gossip_interval,
-                    fanout=topo.gossip_fanout,
-                    suspect_after=topo.suspect_after,
-                    dead_after=topo.dead_after,
-                    leases=LeaseManager(
-                        names[i], topo.election_shards, topo.lease_duration
-                    ),
-                )
-            )
-        for i in range(self.m):
-            for j in range(self.m):
-                if i == j:
-                    continue
-                rtt = intra_rtt + topo.rtt_s(labels[i], labels[j])
-                link = Link(self.sim, rtt=rtt, name=f"gossip-{i}-{j}")
-                self.gossip_links[link.name] = link
-                self.replicas[j].enroll_device(
-                    f"gossip:{names[i]}", secrets[i]
-                )
-                channel = RpcChannel(
-                    self.sim, link, self.replicas[j].server,
-                    f"gossip:{names[i]}", secrets[i], costs=self._costs,
-                )
-                self.agents[i].connect(names[j], channel, labels[j])
-        return self.agents
-
-    def start_gossip(self) -> List[GossipAgent]:
-        """Spawn the anti-entropy loops (installs the mesh if needed)."""
-        agents = self.install_gossip()
-        if not self._gossip_procs:
-            self._gossip_procs = [
-                self.sim.process(a.run(), name=f"gossip-{a.member_id}")
-                for a in agents
-            ]
-        return agents
-
-    def gossip_links_crossing(self, region: str) -> List[Link]:
-        """Mesh links with exactly one endpoint inside ``region`` —
-        the links a region partition severs."""
-        topo = self.topology
-        topo.region_index(region)
-        crossing = []
-        for i in range(self.m):
-            for j in range(self.m):
-                link = self.gossip_links.get(f"gossip-{i}-{j}")
-                if link is None:
-                    continue
-                if ((topo.region_of(i) == region)
-                        != (topo.region_of(j) == region)):
-                    crossing.append(link)
-        return crossing
-
     # -- device-side wiring --------------------------------------------------
     def device_links(
         self,
@@ -253,10 +163,8 @@ class ReplicaGroup:
 
     # -- introspection -------------------------------------------------------
     def region_status(self) -> dict:
-        """The ``ctl.region_status`` payload: per-region availability,
-        the membership view of a live observer, and the per-shard
-        leaders (highest-term lease across live observers)."""
-        now = self.sim.now
+        """The ``ctl.region_status`` payload: per-region availability
+        (each replica's ``server.available``) and the topology."""
         regions: Dict[str, dict] = {}
         for name in self.topology.region_names:
             idxs = self.topology.replica_indices(name)
@@ -266,34 +174,8 @@ class ReplicaGroup:
                     1 for i in idxs if self.replicas[i].server.available
                 ),
             }
-        observers = [
-            agent
-            for agent, replica in zip(self.agents, self.replicas)
-            if replica.server.available
-        ]
-        members: Dict[str, str] = {}
-        leaders: Dict[str, Optional[str]] = {}
-        if observers:
-            members = observers[0].statuses()
-            best: Dict[int, Any] = {}
-            for agent in observers:
-                if agent.leases is None:
-                    continue
-                for shard, lease in agent.leases.table.items():
-                    cur = best.get(shard)
-                    if cur is None or lease._order() > cur._order():
-                        best[shard] = lease
-            leaders = {
-                str(shard): (
-                    lease.holder if lease.expires_at > now else None
-                )
-                for shard, lease in sorted(best.items())
-            }
         return {
-            "at": now,
+            "at": self.sim.now,
             "regions": regions,
-            "members": members,
-            "leaders": leaders,
-            "gossip_rounds": [a.rounds for a in self.agents],
             "topology": self.topology.to_dict(),
         }

@@ -123,8 +123,8 @@ class ControlClient:
 
     # -- federation ----------------------------------------------------------
     def region_status(self) -> Generator:
-        """Per-region availability, gossip membership, and per-shard
-        lease holders (federated mounts only; PROTOCOL.md §14)."""
+        """Per-region replica availability and the topology
+        (federated mounts only; PROTOCOL.md §14)."""
         result = yield from self.channel.call("ctl.region_status")
         return result
 

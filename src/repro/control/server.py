@@ -411,8 +411,7 @@ class ControlServer:
         return group
 
     def _region_status(self, device_id: str, payload: dict) -> dict:
-        """Per-region replica availability, the gossip membership view
-        of a live observer, and the per-shard lease holders."""
+        """Per-region replica availability and the topology."""
         status = self._federation().region_status()
         self._note("region_status")
         return status

@@ -125,7 +125,7 @@ class KeypadConfig:
     # k-of-m across its replicas, and a fetch needs ``threshold``
     # shares, each independently audited.  One region is the flat
     # cluster (``builder().replication(k, m)``); several regions add
-    # gossip, leases and geo-routing (``builder().federation(...)``).
+    # region labels and geo-routing (``builder().federation(...)``).
     cluster: Optional["Topology"] = None
     # --- observability: the per-operation context seam (see
     # docs/OBSERVABILITY.md).  All off by default so flags-off runs

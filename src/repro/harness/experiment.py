@@ -224,7 +224,6 @@ def build_keypad_rig(
         )
         if topology.multi_region:
             home_region = home_region or topology.region_names[0]
-            replica_group.start_gossip()
         else:
             home_region = None
         replica_links = replica_group.device_links(

@@ -544,8 +544,8 @@ def run_fleet(
     client its home region so it ranks replicas by live RTT (``False``
     keeps the index-order client, for A/B latency comparisons over
     identical links).  ``region:<name>`` partition targets in
-    ``faults`` are wired automatically to every link crossing that
-    region's boundary, gossip mesh included.
+    ``faults`` are wired automatically to every device link crossing
+    that region's boundary.
     """
     from repro.harness.runner import derive_arm_seed
 
@@ -599,8 +599,6 @@ def run_fleet(
             sim, topology, costs=costs, seed=derive_arm_seed(seed, "cluster"),
             shards=shards, audit=audit, audit_blobs=BlobStore("memory", costs),
         )
-        if topology.multi_region:
-            group.start_gossip()
         if spec is not None:
             frontends = group.install_frontends(spec)
         share_drbg = HmacDrbg(derive_arm_seed(seed, "shares"),
@@ -682,15 +680,11 @@ def run_fleet(
                              "(replicas/threshold or topology)")
         from repro.cluster.faults import FaultInjector
 
-        injector = FaultInjector(
-            sim, links={**fault_links, **group.gossip_links}, group=group)
+        injector = FaultInjector(sim, links=fault_links, group=group)
         if topology.multi_region:
             for name in topology.region_names:
                 injector.register_region(
-                    name,
-                    region_boundary.get(name, [])
-                    + group.gossip_links_crossing(name),
-                )
+                    name, region_boundary.get(name, []))
         procs.extend(injector.run(faults))
 
     sim.run_until(sim.all_of(procs))

@@ -19,6 +19,12 @@ counted (``_encoded_len`` + ``normalize_value`` calls as the walk):
 * cluster: 9899 entries for 53 completed fetches (186.77 per fetch),
   38232 wire-walk calls for 463 RPCs (82.57 per RPC).
 
+The cluster run later dropped its inter-replica membership mesh, whose
+anti-entropy exchanges routed no fetch.  With the mesh it counted 8226
+entries, 53 completed fetches, 20181 wire-walk calls and 463 RPCs;
+without it the same 53 fetches complete in 6650 entries, 2471 walks
+and 249 RPCs.
+
 A count that moves means the serving path does different host work:
 update the pins only with the change that explains it.
 """
@@ -37,6 +43,8 @@ _FRONTEND = {"queue_limit": 4, "policy": "drr", "coalesce": 8}
 
 #: the parent's counts (see the module docstring)
 _BEFORE = {"drr": (9886, 360, 8344, 360), "cluster": (9899, 53, 38232, 463)}
+#: the cluster run's counts with the membership mesh (see the docstring)
+_WITH_MESH = (8226, 53, 20181, 463)
 
 
 def _counted(owner, name: str, counts: dict, key: str):
@@ -80,4 +88,9 @@ def test_partitioned_cluster_counts():
         geo_routing=True, audit_store="segmented", audit_durable=True,
         audit_flush_policy="every-n", frontend=dict(_FRONTEND, workers=1),
         faults=FaultPlan.region_partition("eu", at=3.0, duration=3.0))
-    assert counts == (8226, 53, 20181, 463)
+    assert counts == (6650, 53, 2471, 249)
+    # The same fetches complete; only the mesh's host work is gone.
+    entries, fetches, walks, rpcs = counts
+    old_entries, old_fetches, old_walks, old_rpcs = _WITH_MESH
+    assert fetches == old_fetches
+    assert entries < old_entries and walks < old_walks and rpcs < old_rpcs

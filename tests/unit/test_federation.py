@@ -1,6 +1,6 @@
-"""Multi-region federation: topology, gossip, election, geo-routing,
-region partitions, and the config/control surface — plus the
-one-region topology that is the flat k-of-m cluster."""
+"""Multi-region federation: topology, geo-routing, region partitions,
+and the config/control surface — plus the one-region topology that is
+the flat k-of-m cluster."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from repro.cluster import (
     ReplicatedServiceSession,
     Topology,
 )
-from repro.cluster.gossip import ALIVE, DEAD
 from repro.core.client import KeyCreate, KeyFetch
 from repro.core.policy import KeypadConfig, PolicyEpoch
 from repro.core.services.metadataservice import MetadataService
@@ -30,11 +29,10 @@ AUDIT_ID = bytes(range(24))
 SECRET = b"device-secret-tests-0123"
 
 #: one small federation shape shared by most tests: 3 regions x 2,
-#: k=2, 60 ms between regions, second-scale protocol timers.
+#: k=2, 60 ms between regions.
 TOPO = Topology.symmetric(
     regions=("us", "eu", "ap"), replicas_per_region=2, threshold=2,
-    rtt_ms=60.0, gossip_interval=0.5, suspect_after=2.0, dead_after=5.0,
-    lease_duration=4.0, election_shards=4,
+    rtt_ms=60.0,
 )
 
 
@@ -45,7 +43,6 @@ def _sleep(sim, seconds):
 def _federation(topo=TOPO, home="eu", **session_knobs):
     sim = Simulation()
     group = ReplicaGroup(sim, topo)
-    group.start_gossip()
     links = group.device_links(LAN, home, "keys")
     services = ReplicatedServiceSession(
         sim, "laptop", SECRET, group, links,
@@ -88,9 +85,11 @@ def test_topology_indexing_roundtrip_and_hashability():
     assert TOPO.rtt_s("eu", "eu") == 0.0
     with pytest.raises(ValueError):
         TOPO.region_index("mars")
-    assert Topology.from_dict(TOPO.to_dict()) == TOPO
     # Hashable, so it can ride inside the frozen KeypadConfig.
-    assert hash(TOPO) == hash(Topology.from_dict(TOPO.to_dict()))
+    twin = Topology.symmetric(regions=("us", "eu", "ap"),
+                              replicas_per_region=2, threshold=2,
+                              rtt_ms=60.0)
+    assert twin == TOPO and hash(twin) == hash(TOPO)
 
 
 def test_region_labels_and_device_link_rtts():
@@ -101,84 +100,6 @@ def test_region_labels_and_device_link_rtts():
     assert [link.name for link in links] == [f"dev-r{j}" for j in range(6)]
     rtts = [round(link.rtt, 4) for link in links]
     assert rtts == [0.062, 0.062, 0.002, 0.002, 0.062, 0.062]
-
-
-# -- gossip membership -------------------------------------------------------
-
-def test_gossip_converges_then_decays_crash_then_recovers():
-    sim = Simulation()
-    group = ReplicaGroup(sim, TOPO)
-    group.start_gossip()
-    observer = group.agents[3]
-
-    sim.run_process(_sleep(sim, 5.0))
-    assert set(observer.statuses().values()) == {ALIVE}
-
-    group.crash(0)
-    sim.run_process(_sleep(sim, 3 * TOPO.dead_after))
-    statuses = observer.statuses()
-    assert statuses["key-replica-0"] == DEAD
-    assert all(s == ALIVE for m, s in statuses.items()
-               if m != "key-replica-0")
-
-    group.recover(0)
-    sim.run_process(_sleep(sim, 3.0))
-    assert observer.statuses()["key-replica-0"] == ALIVE
-
-
-def test_gossip_transitions_are_seed_deterministic():
-    def run_once():
-        sim = Simulation()
-        group = ReplicaGroup(sim, TOPO)
-        group.start_gossip()
-
-        def scenario():
-            yield sim.timeout(3.0)
-            group.crash(5)
-            yield sim.timeout(2 * TOPO.dead_after)
-            group.recover(5)
-            yield sim.timeout(5.0)
-
-        sim.run_process(scenario())
-        return [agent.transitions for agent in group.agents]
-
-    first, second = run_once(), run_once()
-    assert first == second
-    # The crash was actually observed somewhere.
-    assert any(
-        (member, status) == ("key-replica-5", DEAD)
-        for transitions in first
-        for _, member, status in transitions
-    )
-
-
-# -- leader election ---------------------------------------------------------
-
-def test_leaders_elected_deterministically_and_reelected_on_crash():
-    def run_once():
-        sim = Simulation()
-        group = ReplicaGroup(sim, TOPO)
-        group.start_gossip()
-        sim.run_process(_sleep(sim, 6.0))
-        before = dict(group.region_status()["leaders"])
-        victim = int(before["0"].rsplit("-", 1)[1])
-        group.crash(victim)
-        sim.run_process(_sleep(sim, 3 * TOPO.dead_after))
-        after = dict(group.region_status()["leaders"])
-        events = list(group.agents[(victim + 1) % 6].leases.events)
-        return before, victim, after, events
-
-    before, victim, after, events = run_once()
-    assert set(before) == {"0", "1", "2", "3"}
-    assert all(holder for holder in before.values())
-    # Shard 0 moved off the crashed holder; the others keep a leader.
-    assert after["0"] is not None
-    assert after["0"] != before["0"]
-    assert all(after[s] is not None for s in after)
-    assert any(event.startswith("claim shard=0 term=")
-               for _, event in events)
-    # Same seed, same world: the whole election replays identically.
-    assert run_once() == (before, victim, after, events)
 
 
 # -- geo-routing -------------------------------------------------------------
@@ -277,15 +198,13 @@ def test_ctl_region_verbs_over_a_federated_rig():
     def scenario():
         yield from rig.fs.mkdir("/home")
         yield from rig.fs.write_file("/home/a.txt", b"payload")
-        yield rig.sim.timeout(6.0)  # let gossip settle and leases claim
+        yield rig.sim.timeout(6.0)
         status = yield from ctl.region_status()
         report = yield from ctl.region_partition_report()
         return status, report
 
     status, report = rig.run(scenario())
     assert status["regions"]["ap"] == {"replicas": 2, "available": 2}
-    assert set(status["members"]) == {f"key-replica-{i}" for i in range(6)}
-    assert set(status["leaders"]) == {"0", "1", "2", "3"}
     assert report["split_count"] == 0
     assert report["convergence"]["converged"]
 
@@ -306,8 +225,7 @@ def test_one_region_topology_is_the_flat_cluster():
     assert not config.cluster.multi_region
     rig = build_keypad_rig(network=LAN, config=config)
     group = rig.replica_group
-    # No gossip, no region labels: the flat cluster.
-    assert group.agents == [] and group.gossip_links == {}
+    # No region labels: the flat cluster.
     assert group.region_labels is None
     assert rig.services.cluster.home_region is None
     # Device links match NetEnv.make_link's, name and RTT.
